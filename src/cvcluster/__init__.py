@@ -45,7 +45,6 @@ from .simulator import (
     build_cluster,
     coherent,
     db_to_r,
-    derive_feedforward_gains,
     extract_effective_map,
     homodyne_measure,
     predicted_excess,

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DegenerateMeasurementError, ProgramError
 from .ir import COUPLING_TELEPORT, MeasurementProgram, ROLE_INPUT, FeedforwardRule
+from .teleport import BELL_SPLITTER
 
 #: A measurement must overlap an unresolved ancilla noise at least this much.
 PIVOT_TOL = 1e-9
@@ -108,11 +109,7 @@ def exact_replay(program: MeasurementProgram) -> ExactReplay:
     for port_id, partner_id in teleport_edges:
         xa, pa = row_of[port_id]
         xb, pb = row_of[partner_id]
-        sub = rows[[xa, xb, pa, pb]].copy()
-        bell = np.array(
-            [[1, 0, 0, -1], [0, 1, -1, 0], [0, 1, 1, 0], [1, 0, 0, 1]]
-        ) / np.sqrt(2.0)
-        rows[[xa, xb, pa, pb]] = bell @ sub
+        rows[[xa, xb, pa, pb]] = BELL_SPLITTER @ rows[[xa, xb, pa, pb]]
 
     for k, entry in enumerate(program.schedule):
         xr, pr = row_of[entry.node_id]

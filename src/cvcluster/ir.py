@@ -183,8 +183,6 @@ class SynthesisReport:
     step_params: list = field(default_factory=list)
     noise_proxy: float = 0.0
     replay_residual: float = 0.0
-    effective_map_error: float = None  # filled after simulation-based checks
-    excess_trace: float = None
 
     def gate_census(self) -> dict:
         census = {}

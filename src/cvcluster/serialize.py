@@ -247,8 +247,6 @@ def report_to_dict(report: SynthesisReport) -> dict:
         "ancillaCount": report.ancilla_count,
         "noiseProxy": report.noise_proxy,
         "replayResidual": report.replay_residual,
-        "effectiveMapError": report.effective_map_error,
-        "excessTrace": report.excess_trace,
         "stepParams": [
             {
                 "kind": rec.kind,

@@ -2,17 +2,19 @@
 
 States are (mean, covariance) pairs in x-then-p ordering with hbar = 1/2
 (vacuum variance 1/4).  Cluster construction applies QND gates to p-squeezed
-vacua; homodyne detection conditions the Gaussian state (Schur complement)
-and removes the measured mode; feedforward displaces surviving modes in
-proportion to recorded outcomes.
+vacua.  Every homodyne detection, in every execution path, is one in-place
+Schur-complement step (``_condition``) on a mean carried as an affine
+function of the input mean and the outcomes; it clears the measured mode.
+Feedforward displaces surviving modes in proportion to recorded outcomes.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConditioningError, ProgramError
-from .executor import exact_replay, probe_feedforward
+from .errors import DegenerateConditioningError
+from .executor import exact_replay
 from .ir import (
     COUPLING_TELEPORT,
     ClusterGraph,
@@ -24,6 +26,7 @@ from .symplectic import (
     VACUUM_QUADRATURE_VARIANCE,
     symplectic_form,
 )
+from .teleport import BELL_SPLITTER
 
 #: Physicality slack on the symplectic-eigenvalue bound >= 1/4.
 PHYSICALITY_TOL = 1e-9
@@ -162,17 +165,9 @@ def build_cluster(graph: ClusterGraph, r: float) -> GaussianState:
     graph.validate()
     if any(node.role == ROLE_INPUT for node in graph.nodes):
         raise ValueError("build_cluster expects a graph without input ports")
-    n = len(graph.nodes)
-    if n < 1:
+    if not graph.nodes:
         raise ValueError("graph has no nodes")
-    index = {node.id: i for i, node in enumerate(graph.nodes)}
-    mean = np.zeros(2 * n)
-    cov = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        cov[i, i] = np.exp(2.0 * r) / 4.0
-        cov[n + i, n + i] = np.exp(-2.0 * r) / 4.0
-    for u, v in graph.edges:
-        _apply_qnd_inplace(mean, cov, n, index[u], index[v])
+    mean, cov, _ = _couple(graph, np.zeros(0), np.zeros((0, 0)), r)
     return GaussianState(mean, cov)
 
 
@@ -187,36 +182,41 @@ def _apply_qnd_inplace(mean, cov, n, j, k):
 
 
 def _apply_bell_inplace(mean, cov, n, a, b):
-    # Balanced Bell splitter on modes (a, b): see teleport.bell_splitter_relations.
+    # Balanced Bell splitter on modes (a, b), a the input port.
     idx = [a, b, n + a, n + b]
-    t = np.array(
-        [[1, 0, 0, -1], [0, 1, -1, 0], [0, 1, 1, 0], [1, 0, 0, 1]]
-    ) / np.sqrt(2.0)
-    mean[idx] = t @ mean[idx]
-    cov[idx, :] = t @ cov[idx, :]
-    cov[:, idx] = cov[:, idx] @ t.T
+    mean[idx] = BELL_SPLITTER @ mean[idx]
+    cov[idx, :] = BELL_SPLITTER @ cov[idx, :]
+    cov[:, idx] = cov[:, idx] @ BELL_SPLITTER.T
 
 
-def _condition(state: GaussianState, mode: int, theta: float, outcome: float):
-    """Condition on measuring x sin(theta) + p cos(theta) = outcome at the
-    mode; returns the prior (mean, variance) and the reduced state."""
-    n = state.n
-    if not 0 <= mode < n:
-        raise ValueError(f"mode {mode} out of range for n={n}")
-    v = np.zeros(2 * n)
-    v[mode] = np.sin(theta)
-    v[n + mode] = np.cos(theta)
-    mu_q = float(v @ state.mean)
-    var_q = float(v @ state.cov @ v)
-    if var_q <= 0.0:
+def _condition(mean, cov, mode: int, theta: float, column: int):
+    """Condition (mean, cov) in place on x sin(theta) + p cos(theta) of a mode.
+
+    ``mean`` is an affine mean, one column per variable; the outcome is the
+    variable of ``column``.  Only rows and columns where the measured
+    quadrature has support are updated.  Returns the outcome's prior (its
+    mean row) and variance, then clears the measured mode's rows and columns.
+    """
+    total = cov.shape[0] // 2
+    sin, cos = math.sin(theta), math.cos(theta)
+    cv = sin * cov[:, mode] + cos * cov[:, total + mode]
+    var = sin * cv[mode] + cos * cv[total + mode]
+    if var <= 0.0:
         raise DegenerateConditioningError(
-            f"measured quadrature on mode {mode} has non-positive variance {var_q:.3e}"
+            f"measured quadrature on mode {mode} has non-positive variance {var:.3e}"
         )
-    cv = state.cov @ v
-    mean = state.mean + cv * ((outcome - mu_q) / var_q)
-    cov = state.cov - np.outer(cv, cv) / var_q
-    keep = [i for i in range(2 * n) if i not in (mode, n + mode)]
-    return mu_q, var_q, GaussianState(mean[keep], cov[np.ix_(keep, keep)])
+    prior = sin * mean[mode] + cos * mean[total + mode]
+    innovation = -prior
+    innovation[column] += 1.0
+    support = np.flatnonzero(cv)
+    cv = cv[support]
+    mean[support] += np.outer(cv / var, innovation)
+    cov[support[:, None], support] -= np.outer(cv, cv) / var
+    for i in (mode, total + mode):
+        mean[i] = 0.0
+        cov[i] = 0.0
+        cov[:, i] = 0.0
+    return prior, var
 
 
 def homodyne_measure(
@@ -231,36 +231,32 @@ def homodyne_measure(
     Returns (outcome, conditional state with the mode removed).  The
     conditional covariance does not depend on the outcome value.
     """
+    n = state.n
+    if not 0 <= mode < n:
+        raise ValueError(f"mode {mode} out of range for n={n}")
+    mean = np.column_stack([state.mean, np.zeros(2 * n)])
+    cov = state.cov.copy()
+    prior, var = _condition(mean, cov, mode, theta, 1)
+    outcome = 0.0
     if policy.kind == "sampled":
         if rng is None:
             rng = np.random.default_rng(policy.seed)
-        n = state.n
-        v = np.zeros(2 * n)
-        v[mode] = np.sin(theta)
-        v[n + mode] = np.cos(theta)
-        mu_q = float(v @ state.mean)
-        var_q = float(v @ state.cov @ v)
-        if var_q <= 0.0:
-            raise DegenerateConditioningError(
-                f"measured quadrature on mode {mode} has non-positive variance"
-            )
-        outcome = float(rng.normal(mu_q, np.sqrt(var_q)))
-    else:
-        outcome = 0.0
-    _, _, reduced = _condition(state, mode, theta, outcome)
-    return outcome, reduced
+        outcome = float(rng.normal(prior[0], np.sqrt(var)))
+    keep = [i for i in range(2 * n) if i not in (mode, n + mode)]
+    return outcome, GaussianState(
+        mean[keep, 0] + mean[keep, 1] * outcome, cov[np.ix_(keep, keep)]
+    )
 
 
-def _couple(program: MeasurementProgram, input_mean, input_cov, r: float):
+def _couple(graph: ClusterGraph, input_mean, input_cov, r: float):
     """Tensor the input with p-squeezed ancillas and apply the graph's
     couplings (QND edges, then the Bell splitters of teleport ports).
 
     ``input_mean`` is a 2n vector, or a 2n-by-c array whose columns are
     carried along as an affine mean.  Returns (mean, cov, mode_of), with the
-    inputs on modes 0..n-1 in port order and the ancillas after them.
+    inputs on modes 0..n-1 in port order and the ancillas after them in
+    graph order.
     """
-    program.validate()
-    graph = program.graph
     ports = graph.input_ports()
     n = len(ports)
     if len(input_mean) != 2 * n:
@@ -302,6 +298,47 @@ def _couple(program: MeasurementProgram, input_mean, input_cov, r: float):
     return mean, cov, mode_of
 
 
+def _execute(program: MeasurementProgram, input_mean, input_cov, r, validate=False):
+    """Couple the inputs, condition on every scheduled homodyne and install
+    the feedforward, on an affine mean.
+
+    ``input_mean`` is a 2n-by-c array; outcome k (schedule order) is the
+    variable of column c + k.  Returns the output ports' affine mean
+    (2n-by-(c + m)) and covariance, and each outcome's prior row and
+    variance.  ``validate`` checks the unmeasured modes after every step.
+    """
+    program.validate()
+    c = input_mean.shape[1]
+    m = len(program.schedule)
+    mean, cov, mode_of = _couple(
+        program.graph,
+        np.hstack([input_mean, np.zeros((len(input_mean), m))]),
+        input_cov,
+        r,
+    )
+    total = cov.shape[0] // 2
+    prior = np.zeros((m, c + m))
+    var = np.zeros(m)
+    live = np.ones(2 * total, dtype=bool)
+    for k, entry in enumerate(program.schedule):
+        mode = mode_of[entry.node_id]
+        prior[k], var[k] = _condition(mean, cov, mode, entry.angle, c + k)
+        if validate:
+            live[[mode, total + mode]] = False
+            keep = np.flatnonzero(live)
+            validate_state(GaussianState(np.zeros(keep.size), cov[np.ix_(keep, keep)]))
+
+    column = {entry.node_id: c + k for k, entry in enumerate(program.schedule)}
+    for rule in program.feedforward:
+        t = mode_of[rule.target_id]
+        mean[t, column[rule.source_id]] += rule.gain_x
+        mean[total + t, column[rule.source_id]] += rule.gain_p
+
+    order = [mode_of[p.id] for p in program.graph.output_ports()]
+    sel = order + [total + t for t in order]
+    return mean[sel], cov[np.ix_(sel, sel)], prior, var
+
+
 def run_program(
     program: MeasurementProgram,
     input_state: GaussianState,
@@ -317,40 +354,20 @@ def run_program(
     post-displacement, and returns (output state, outcome record).  The
     output modes follow the program's output-port order.
     """
-    mean, cov, mode_of = _couple(program, input_state.mean, input_state.cov, r)
-
-    state = GaussianState(mean, cov)
-    rng = (
-        np.random.default_rng(policy.seed) if policy.kind == "sampled" else None
+    out, cov, prior, var = _execute(
+        program, input_state.mean[:, None], input_state.cov, r, validate
     )
-    outcomes = {}
-    live = dict(mode_of)
-    for entry in program.schedule:
-        if entry.node_id not in live:
-            raise ProgramError(f"schedule references removed node {entry.node_id}")
-        mode = live.pop(entry.node_id)
-        outcome, state = homodyne_measure(state, mode, entry.angle, policy, rng)
-        outcomes[entry.node_id] = outcome
-        for node_id, m in live.items():
-            if m > mode:
-                live[node_id] = m - 1
-        if validate:
-            validate_state(state)
-
-    mean = state.mean.copy()
-    cov = state.cov
-    n_live = state.n
-    for rule in program.feedforward:
-        s = outcomes[rule.source_id]
-        t = live[rule.target_id]
-        mean[t] += rule.gain_x * s
-        mean[n_live + t] += rule.gain_p * s
-
-    order = [live[p.id] for p in program.graph.output_ports()]
-    sel = order + [n_live + m for m in order]
-    out_mean = mean[sel] + program.target.displacement
-    out_cov = cov[np.ix_(sel, sel)]
-    return GaussianState(out_mean, out_cov), outcomes
+    s = np.zeros(len(var))
+    if policy.kind == "sampled":
+        # Outcome k is drawn from its prior given the input and outcomes 0..k-1.
+        rng = np.random.default_rng(policy.seed)
+        for k in range(len(var)):
+            s[k] = rng.normal(prior[k, 0] + prior[k, 1:] @ s, np.sqrt(var[k]))
+    outcomes = {
+        entry.node_id: float(value) for entry, value in zip(program.schedule, s)
+    }
+    mean = out[:, 0] + out[:, 1:] @ s + program.target.displacement
+    return GaussianState(mean, cov), outcomes
 
 
 def extract_effective_map(
@@ -384,60 +401,16 @@ def extract_effective_map(
         raise ValueError("effective-map probing requires the pinned-zero policy")
     n = program.n
     m = len(program.schedule)
-    response = np.hstack([np.eye(2 * n), np.zeros((2 * n, m))])
-    mean, cov, mode_of = _couple(
-        program, response, np.eye(2 * n) * VACUUM_QUADRATURE_VARIANCE, r
+    out, out_cov, prior, var = _execute(
+        program, np.eye(2 * n), np.eye(2 * n) * VACUUM_QUADRATURE_VARIANCE, r
     )
-    total = cov.shape[0] // 2
-    prior = np.zeros((m, 2 * n + m))
-    var = np.zeros(m)
-    # Measured modes stay in place instead of being removed: a later update
-    # of another mode's entries never reads them, so the result is the same.
-    for k, entry in enumerate(program.schedule):
-        mode = mode_of[entry.node_id]
-        sin, cos = np.sin(entry.angle), np.cos(entry.angle)
-        cv = sin * cov[:, mode] + cos * cov[:, total + mode]
-        var[k] = sin * cv[mode] + cos * cv[total + mode]
-        if var[k] <= 0.0:
-            raise DegenerateConditioningError(
-                f"measured quadrature on mode {mode} has non-positive variance "
-                f"{var[k]:.3e}"
-            )
-        prior[k] = sin * mean[mode] + cos * mean[total + mode]
-        innovation = -prior[k]
-        innovation[2 * n + k] += 1.0
-        gain = cv / var[k]
-        mean += np.outer(gain, innovation)
-        cov -= np.outer(gain, cv)
-
-    column = {entry.node_id: 2 * n + k for k, entry in enumerate(program.schedule)}
-    for rule in program.feedforward:
-        t = mode_of[rule.target_id]
-        mean[t, column[rule.source_id]] += rule.gain_x
-        mean[total + t, column[rule.source_id]] += rule.gain_p
-
-    order = [mode_of[p.id] for p in program.graph.output_ports()]
-    sel = order + [total + t for t in order]
-    out = mean[sel]
     effective = out[:, : 2 * n]
     k_gain = np.linalg.solve(np.eye(m) - prior[:, 2 * n :].T, out[:, 2 * n :].T).T
     channel = effective + k_gain @ prior[:, : 2 * n]
-    channel_cov = cov[np.ix_(sel, sel)] + (k_gain * var) @ k_gain.T
+    channel_cov = out_cov + (k_gain * var) @ k_gain.T
     excess = channel_cov - channel @ channel.T * VACUUM_QUADRATURE_VARIANCE
     excess = (excess + excess.T) / 2.0
     return SymplecticMap(n, effective, program.target.displacement), excess
-
-
-def derive_feedforward_gains(program: MeasurementProgram, r: float = None) -> tuple:
-    """Feedforward gains probed from unit outcome impulses.
-
-    The probe runs the program's exact linear algebra with one outcome set
-    to 1 (all others 0) and zero input, and negates the resulting output
-    shift.  Probing a linear system is exact, so the gains do not depend on
-    the squeezing level; ``r`` is accepted for interface symmetry only.
-    """
-    del r
-    return probe_feedforward(program)
 
 
 def predicted_excess(program: MeasurementProgram, r: float) -> np.ndarray:

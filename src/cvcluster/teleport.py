@@ -220,6 +220,18 @@ def decompose_telep_plus_two(
     )
 
 
+#: Matrix of ``bell_splitter_relations`` on (x0, x1, p0, p1).
+BELL_SPLITTER = np.array(
+    [
+        [1.0, 0.0, 0.0, -1.0],
+        [0.0, 1.0, -1.0, 0.0],
+        [0.0, 1.0, 1.0, 0.0],
+        [1.0, 0.0, 0.0, 1.0],
+    ]
+) / np.sqrt(2.0)
+BELL_SPLITTER.flags.writeable = False
+
+
 def bell_splitter_relations() -> SymplecticMap:
     """The balanced Bell beam splitter used for teleport coupling.
 
@@ -227,12 +239,4 @@ def bell_splitter_relations() -> SymplecticMap:
     (p0 + x1)/sqrt2, (p1 + x0)/sqrt2); mode 0 is the input, mode 1 the
     cluster end node.
     """
-    m = np.array(
-        [
-            [1.0, 0.0, 0.0, -1.0],
-            [0.0, 1.0, -1.0, 0.0],
-            [0.0, 1.0, 1.0, 0.0],
-            [1.0, 0.0, 0.0, 1.0],
-        ]
-    ) / np.sqrt(2.0)
-    return SymplecticMap(2, m)
+    return SymplecticMap(2, BELL_SPLITTER)

@@ -30,3 +30,80 @@ def four_step_product(kappas):
     for kappa in kappas:
         total = np.array([[-kappa, -1.0], [1.0, 0.0]]) @ total
     return total
+
+
+def dense_run_program(program, input_state, r, policy):
+    """Reference execution with the dense remove-and-renumber homodyne loop.
+
+    The coupled cluster is built as one Heisenberg-picture matrix (QND rows,
+    then the Bell splitters of teleport ports) applied to the input and the
+    p-squeezed ancillas.  Each homodyne then conditions the whole state by
+    its own Schur complement, removes the measured mode and renumbers the
+    survivors.  Sampled outcomes are drawn from each outcome's conditional
+    distribution, in schedule order, from one generator seeded by the
+    policy.  Returns (output mean, output covariance, outcome record).
+    """
+    from cvcluster import bell_splitter_relations
+    from cvcluster.ir import COUPLING_TELEPORT
+
+    graph = program.graph
+    n = program.n
+    nodes = graph.input_ports() + graph.ancilla_nodes()
+    size = len(nodes)
+    live = {node.id: i for i, node in enumerate(nodes)}
+
+    mean = np.zeros(2 * size)
+    cov = np.zeros((2 * size, 2 * size))
+    inputs = list(range(n)) + [size + i for i in range(n)]
+    mean[inputs] = input_state.mean
+    cov[np.ix_(inputs, inputs)] = input_state.cov
+    for i in range(n, size):
+        cov[i, i] = np.exp(2.0 * r) / 4.0
+        cov[size + i, size + i] = np.exp(-2.0 * r) / 4.0
+
+    teleport = {p.id for p in graph.input_ports() if p.coupling == COUPLING_TELEPORT}
+    coupling = np.eye(2 * size)
+    bell_pairs = []
+    for u, v in graph.edges:
+        if u in teleport or v in teleport:
+            bell_pairs.append((u, v) if u in teleport else (v, u))
+        else:
+            j, k = live[u], live[v]
+            coupling[[size + j, size + k]] += coupling[[k, j]]
+    bell = bell_splitter_relations().matrix
+    for port, partner in bell_pairs:
+        a, b = live[port], live[partner]
+        rows = [a, b, size + a, size + b]
+        coupling[rows] = bell @ coupling[rows]
+    mean = coupling @ mean
+    cov = coupling @ cov @ coupling.T
+
+    rng = np.random.default_rng(policy.seed) if policy.kind == "sampled" else None
+    outcomes = {}
+    for entry in program.schedule:
+        mode = live.pop(entry.node_id)
+        size = mean.size // 2
+        q = np.zeros(2 * size)
+        q[mode] = np.sin(entry.angle)
+        q[size + mode] = np.cos(entry.angle)
+        prior_mean = q @ mean
+        prior_var = q @ cov @ q
+        outcome = 0.0
+        if rng is not None:
+            outcome = float(rng.normal(prior_mean, np.sqrt(prior_var)))
+        gain = cov @ q
+        mean = mean + gain * ((outcome - prior_mean) / prior_var)
+        cov = cov - np.outer(gain, gain) / prior_var
+        keep = np.delete(np.arange(2 * size), [mode, size + mode])
+        mean, cov = mean[keep], cov[np.ix_(keep, keep)]
+        live = {node: i - (i > mode) for node, i in live.items()}
+        outcomes[entry.node_id] = outcome
+
+    size = mean.size // 2
+    for rule in program.feedforward:
+        t = live[rule.target_id]
+        mean[t] += rule.gain_x * outcomes[rule.source_id]
+        mean[size + t] += rule.gain_p * outcomes[rule.source_id]
+    order = [live[p.id] for p in graph.output_ports()]
+    sel = order + [size + i for i in order]
+    return mean[sel] + program.target.displacement, cov[np.ix_(sel, sel)], outcomes

@@ -294,6 +294,30 @@ def test_cli_compile_six_by_six(tmp_path):
     assert program.n == 3
 
 
+@pytest.mark.parametrize(
+    "target",
+    [SymplecticMap(1, np.diag([2.0, 0.5])), SymplecticMap(1, [[0.0, -1.0], [1.0, 0.0]])],
+    ids=["squeeze-ln2", "fourier"],
+)
+def test_cli_verify_excess_trace_is_exact_at_default_db(tmp_path, target):
+    # At the default 130 dB the excess is far below the simulator's
+    # covariance round-off floor; the report carries the exact value.
+    from cvcluster import db_to_r, predicted_excess
+    from cvcluster.cli import DEFAULT_VERIFY_DB
+
+    target_file = write_target(tmp_path, target)
+    program_file = str(tmp_path / "prog.json")
+    report_file = str(tmp_path / "report.json")
+    main(["compile", "--target", target_file, "--out", program_file])
+    assert main(["verify", "--program", program_file, "--out", report_file]) == 0
+    doc = json.load(open(report_file))
+    program = serialize.load_program(program_file)
+    exact = np.trace(predicted_excess(program, db_to_r(DEFAULT_VERIFY_DB)))
+    assert doc["db"] == DEFAULT_VERIFY_DB
+    assert doc["excessTrace"] >= 0.0
+    assert doc["excessTrace"] == pytest.approx(exact, rel=0, abs=1e-12)
+
+
 def test_cli_verify_low_squeezing_reports_error(tmp_path, capsys):
     # at 10 dB the identity chain misses the target by ~0.19: reported, not hidden
     target_file = write_target(tmp_path, identity(1))

@@ -15,7 +15,6 @@ from cvcluster import (
     coherent,
     compile,
     db_to_r,
-    derive_feedforward_gains,
     extract_effective_map,
     fourier,
     homodyne_measure,
@@ -43,6 +42,8 @@ from cvcluster.ir import (
     ScheduleEntry,
 )
 from cvcluster.executor import probe_feedforward
+
+from oracles import dense_run_program
 
 
 def chain_graph(length: int, r_roles=None) -> ClusterGraph:
@@ -176,11 +177,10 @@ def test_homodyne_cluster_schur_complement():
 
 
 def test_homodyne_conditional_cov_outcome_independent():
-    from cvcluster.simulator import _condition
-
     state = build_cluster(chain_graph(3), 1.0)
-    _, _, state_a = _condition(state, 0, 0.3, 0.0)
-    _, _, state_b = _condition(state, 0, 0.3, 1.7)
+    outcome_a, state_a = homodyne_measure(state, 0, 0.3, sampled(0))
+    outcome_b, state_b = homodyne_measure(state, 0, 0.3, sampled(1))
+    assert outcome_a != outcome_b
     assert (state_a.cov == state_b.cov).all()
     assert not np.allclose(state_a.mean, state_b.mean)
 
@@ -258,6 +258,41 @@ def test_gaussian_parallelism():
         assert np.max(np.abs(out.cov - base.cov)) < 1e-10
 
 
+def shuffled_schedule_program():
+    program, _ = compile(random_symplectic(2, 21))
+    schedule = list(program.schedule)
+    np.random.default_rng(3).shuffle(schedule)
+    return dataclasses.replace(program, schedule=tuple(schedule))
+
+
+@pytest.mark.parametrize("policy", [PINNED_ZERO, sampled(4)], ids=["pinned", "sampled"])
+@pytest.mark.parametrize(
+    "make_program",
+    [
+        lambda: compile(random_symplectic(1, 11))[0],
+        lambda: compile(random_symplectic(2, 8))[0],
+        lambda: compile(random_symplectic(3, 5))[0],
+        shuffled_schedule_program,
+        teleport_identity_program,
+    ],
+    ids=["random-n1", "random-n2", "random-n3", "shuffled-n2", "teleport-identity"],
+)
+def test_run_program_matches_dense_oracle(make_program, policy):
+    program = make_program()
+    n = program.n
+    input_state = coherent(n, np.random.default_rng(n).uniform(-1.0, 1.0, 2 * n))
+    r = db_to_r(13.0)
+    out, record = run_program(program, input_state, r, policy)
+    mean, cov, expected = dense_run_program(program, input_state, r, policy)
+    assert_allclose(out.mean, mean, rtol=0, atol=1e-12)
+    assert_allclose(out.cov, cov, rtol=0, atol=1e-12)
+    assert np.array_equal(out.cov, out.cov.T)
+    assert list(record) == list(expected)
+    assert_allclose(list(record.values()), list(expected.values()), rtol=0, atol=1e-12)
+    if policy.kind == "sampled":
+        assert any(value != 0.0 for value in record.values())
+
+
 def test_physicality_along_a_run():
     program, _ = compile(random_symplectic(2, 33))
     run_program(program, vacuum(2), 1.0, validate=True)  # validates every step
@@ -331,19 +366,17 @@ def test_feedforward_gains_elementary_step():
         feedforward=(),
         target=fourier(),
     )
-    rules = derive_feedforward_gains(program)
+    rules = probe_feedforward(program)
     assert len(rules) == 1
     assert rules[0].gain_x == pytest.approx(-1.0)
     assert rules[0].gain_p == pytest.approx(0.0)
 
 
 def test_feedforward_gains_do_not_depend_on_squeezing():
+    # The probe reads the exact linear algebra, which has no squeezing level:
+    # probing the compiled program again gives the gains it was compiled with.
     program, _ = compile(random_symplectic(1, 11))
-    at_2 = derive_feedforward_gains(program, r=2.0)
-    at_8 = derive_feedforward_gains(program, r=8.0)
-    assert at_2 == at_8
-    installed = program.feedforward
-    assert installed == at_2
+    assert probe_feedforward(program) == program.feedforward
 
 
 def test_predicted_excess_matches_teleport_closed_form():
