@@ -179,11 +179,15 @@ def cmd_sweep(args) -> int:
     if not db_values:
         print("error: empty squeezing list", file=sys.stderr)
         return EXIT_VALIDATION
+    # Above ~70 dB the simulated excess is covariance round-off (eps * e^{2r});
+    # the replay's N N^T e^{-2r}/4 is exact at every squeezing.
+    replay = exact_replay(program)
     rows = []
     for db in db_values:
-        effective, excess = simulator.extract_effective_map(program, db_to_r(db))
+        r = db_to_r(db)
+        effective, _ = simulator.extract_effective_map(program, r)
         error = float(np.max(np.abs(effective.matrix - program.target.matrix)))
-        rows.append((db, error, float(np.trace(excess))))
+        rows.append((db, error, float(np.trace(replay.excess_covariance(r)))))
     if args.out:
         serialize.write_sweep_csv(rows, args.out)
         print(f"sweep written to {args.out}")

@@ -16,6 +16,10 @@ every w is eliminated, leaving
 M is the noise-free replay of the program, -B gives the feedforward gains
 that cancel outcome dependence, and N (whose u variables have variance
 exp(-2r)/4) gives the exact finite-squeezing excess covariance.
+
+The replay streams over the schedule and keeps rows only for the live
+frontier, the nodes that are coupled but not yet measured, so its memory is
+O(live frontier x basis width) rather than O(nodes x basis width).
 """
 
 from dataclasses import dataclass
@@ -43,6 +47,7 @@ class ExactReplay:
             noises (one per non-input node, graph order).
         measured_ids: node ids in schedule order (columns of outcome_response).
         ancilla_ids: node ids of the noise variables (columns of noise_response).
+        output_ids: output-port node ids, port order.
     """
 
     matrix: np.ndarray
@@ -50,6 +55,7 @@ class ExactReplay:
     noise_response: np.ndarray
     measured_ids: tuple
     ancilla_ids: tuple
+    output_ids: tuple
 
     def excess_covariance(self, r: float) -> np.ndarray:
         """Exact excess covariance N diag(e^{-2r}/4) N^T of the corrected output."""
@@ -57,20 +63,101 @@ class ExactReplay:
         return var * (self.noise_response @ self.noise_response.T)
 
     def feedforward_rules(self, tol: float = 1e-12) -> tuple:
-        """Displacement gains cancelling the outcome terms of the outputs."""
+        """Feedforward rules whose gains cancel the outcome terms of the outputs."""
         rules = []
         n = self.matrix.shape[0] // 2
         for k, src in enumerate(self.measured_ids):
-            for port in range(n):
+            for port, target in enumerate(self.output_ids):
                 gx = -self.outcome_response[port, k]
                 gp = -self.outcome_response[n + port, k]
                 if abs(gx) > tol or abs(gp) > tol:
-                    rules.append((src, port, float(gx), float(gp)))
+                    rules.append(FeedforwardRule(src, target, float(gx), float(gp)))
         return tuple(rules)
 
 
+class _Frontier:
+    """Rows of the live nodes, with the cluster's edges applied on demand.
+
+    A node gets its two rows (x, then p) when its first edge is applied or
+    it is measured, and its slot is reused once it is measured.  Freed rows
+    are zero, so a column's nonzeros name exactly the live rows using it.
+    """
+
+    def __init__(self, graph, basis: dict, width: int):
+        self.basis = basis  # node id -> (x column, p column) of its own quadratures
+        self.rows = np.zeros((2, width))
+        self.free = [0]  # x rows of free slots; the slots double when none is left
+        self.slot = {}  # live node id -> its x row (p row follows)
+        self.qnd = {node.id: [] for node in graph.nodes}  # pending QND partners
+        self.bell = {node.id: [] for node in graph.nodes}  # pending splitters, edge order
+        self.splitters = []  # (teleport port, Bell partner)
+        node_map = graph.node_map()
+        for u, v in graph.edges:
+            nu, nv = node_map[u], node_map[v]
+            for a, bnode in ((nu, nv), (nv, nu)):
+                if a.role == ROLE_INPUT and a.coupling == COUPLING_TELEPORT:
+                    self.bell[a.id].append(len(self.splitters))
+                    self.bell[bnode.id].append(len(self.splitters))
+                    self.splitters.append((a.id, bnode.id))
+                    break
+            else:
+                self.qnd[u].append(v)
+                self.qnd[v].append(u)
+
+    def couple(self, node_id) -> int:
+        """Apply every pending edge at a node; return its x row."""
+        self._apply_qnd(node_id)
+        while self.bell[node_id]:
+            # A splitter mixes its partner's p row, so it follows every QND
+            # edge of the partner, and the partner's splitters keep edge order.
+            partner = self.splitters[self.bell[node_id][0]][1]
+            self._apply_qnd(partner)
+            first = self.bell[partner].pop(0)
+            port = self.splitters[first][0]
+            self.bell[port].remove(first)
+            xa, xb = self._row(port), self._row(partner)
+            idx = [xa, xb, xa + 1, xb + 1]
+            self.rows[idx] = BELL_SPLITTER @ self.rows[idx]
+        return self._row(node_id)
+
+    def release(self, node_id) -> None:
+        """Free a measured node's rows for reuse."""
+        xr = self.slot.pop(node_id)
+        self.rows[xr : xr + 2] = 0.0
+        self.free.append(xr)
+
+    def _apply_qnd(self, node_id) -> None:
+        # QND: p_u += x_v, p_v += x_u
+        partners, self.qnd[node_id] = self.qnd[node_id], []
+        for other in partners:
+            self.qnd[other].remove(node_id)
+            xu, xv = self._row(node_id), self._row(other)
+            self.rows[xu + 1] += self.rows[xv]
+            self.rows[xv + 1] += self.rows[xu]
+
+    def _row(self, node_id) -> int:
+        xr = self.slot.get(node_id)
+        if xr is None:
+            if not self.free:
+                size = self.rows.shape[0]
+                self.rows = np.concatenate([self.rows, np.zeros_like(self.rows)])
+                self.free = list(range(2 * size - 2, size - 2, -2))
+            xr = self.free.pop()
+            self.slot[node_id] = xr
+            xc, pc = self.basis[node_id]
+            self.rows[xr, xc] = 1.0
+            self.rows[xr + 1, pc] = 1.0
+        return xr
+
+
 def exact_replay(program: MeasurementProgram) -> ExactReplay:
-    """Execute the program on symbolic quadratures; see module docstring."""
+    """Execute the program on symbolic quadratures; see module docstring.
+
+    Every coupling is a linear map that commutes with the substitutions of
+    measurements on other nodes, so each edge is applied just before the
+    first measurement or output read-out of either endpoint, and a teleport
+    port's Bell splitter after every QND edge of its partner.
+    """
     program.validate()
     graph = program.graph
     ports = graph.input_ports()
@@ -80,40 +167,14 @@ def exact_replay(program: MeasurementProgram) -> ExactReplay:
     n_meas = len(program.schedule)
 
     z0, w0, u0, s0 = 0, 2 * n, 2 * n + n_anc, 2 * n + 2 * n_anc
-    width = 2 * n + 2 * n_anc + n_meas
-
-    nodes = list(ports) + list(ancillas)
-    row_of = {}
-    rows = np.zeros((2 * len(nodes), width))
-    for i, node in enumerate(nodes):
-        row_of[node.id] = (2 * i, 2 * i + 1)  # (x row, p row)
-    for i, port in enumerate(ports):
-        rows[row_of[port.id][0], z0 + port.port] = 1.0
-        rows[row_of[port.id][1], z0 + n + port.port] = 1.0
-    for j, anc in enumerate(ancillas):
-        rows[row_of[anc.id][0], w0 + j] = 1.0
-        rows[row_of[anc.id][1], u0 + j] = 1.0
-
-    node_map = graph.node_map()
-    teleport_edges = []
-    for u, v in graph.edges:
-        nu, nv = node_map[u], node_map[v]
-        for a, bnode in ((nu, nv), (nv, nu)):
-            if a.role == ROLE_INPUT and a.coupling == COUPLING_TELEPORT:
-                teleport_edges.append((a.id, bnode.id))
-                break
-        else:
-            # QND: p_u += x_v, p_v += x_u
-            rows[row_of[u][1]] += rows[row_of[v][0]]
-            rows[row_of[v][1]] += rows[row_of[u][0]]
-    for port_id, partner_id in teleport_edges:
-        xa, pa = row_of[port_id]
-        xb, pb = row_of[partner_id]
-        rows[[xa, xb, pa, pb]] = BELL_SPLITTER @ rows[[xa, xb, pa, pb]]
+    basis = {port.id: (z0 + port.port, z0 + n + port.port) for port in ports}
+    basis.update({anc.id: (w0 + j, u0 + j) for j, anc in enumerate(ancillas)})
+    frontier = _Frontier(graph, basis, s0 + n_meas)
 
     for k, entry in enumerate(program.schedule):
-        xr, pr = row_of[entry.node_id]
-        q = np.sin(entry.angle) * rows[xr] + np.cos(entry.angle) * rows[pr]
+        xr = frontier.couple(entry.node_id)
+        rows = frontier.rows
+        q = np.sin(entry.angle) * rows[xr] + np.cos(entry.angle) * rows[xr + 1]
         wcoeff = q[w0:u0]
         pivot = int(np.argmax(np.abs(wcoeff)))
         c = wcoeff[pivot]
@@ -122,28 +183,24 @@ def exact_replay(program: MeasurementProgram) -> ExactReplay:
                 f"measurement on node {entry.node_id} resolves no ancilla noise "
                 "(degenerate or redundant homodyne setting)"
             )
-        # Pin q = s_k and solve for the pivot noise variable:
-        #   w_pivot = (s_k - (q - c w_pivot)) / c
-        w_expr = -q / c
-        w_expr[w0 + pivot] = 0.0
-        w_expr[s0 + k] = 1.0 / c
-        delta = w_expr.copy()
-        delta[w0 + pivot] -= 1.0
-        # Rank-1 substitution, restricted to rows that reference the pivot
-        # noise (cluster programs keep this set small).
-        col = rows[:, w0 + pivot]
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            rows[nz, :] += np.outer(col[nz], delta)
+        # Pin q = s_k and solve for the pivot noise variable,
+        #   w_pivot = (s_k - (q - c w_pivot)) / c,
+        # as the change delta = w_pivot - (old w_pivot) of every row using it.
+        delta = q / -c
+        delta[w0 + pivot] = -1.0
+        delta[s0 + k] = 1.0 / c
+        # Rank-1 substitution in the live rows that reference the pivot noise.
+        for row in np.flatnonzero(rows[:, w0 + pivot]):
+            rows[row] += rows[row, w0 + pivot] * delta
+        frontier.release(entry.node_id)
 
-    out_ports = graph.output_ports()
     matrix = np.zeros((2 * n, 2 * n))
     outcome = np.zeros((2 * n, n_meas))
     noise = np.zeros((2 * n, n_anc))
-    for port in out_ports:
-        xr, pr = row_of[port.id]
-        for out_row, src_row in ((port.port, xr), (n + port.port, pr)):
-            expr = rows[src_row]
+    for port in graph.output_ports():
+        xr = frontier.couple(port.id)
+        x_expr, p_expr = frontier.rows[xr : xr + 2]
+        for out_row, expr in ((port.port, x_expr), (n + port.port, p_expr)):
             wmax = float(np.max(np.abs(expr[w0:u0]))) if n_anc else 0.0
             if wmax > 1e-9:
                 raise ProgramError(
@@ -159,6 +216,7 @@ def exact_replay(program: MeasurementProgram) -> ExactReplay:
         noise_response=noise,
         measured_ids=tuple(e.node_id for e in program.schedule),
         ancilla_ids=tuple(a.id for a in ancillas),
+        output_ids=tuple(p.id for p in graph.output_ports()),
     )
 
 
@@ -170,10 +228,4 @@ def probe_feedforward(program: MeasurementProgram) -> tuple:
     the negating displacement.  Exact for linear systems, hence independent
     of the ancilla squeezing level.
     """
-    replay = exact_replay(program)
-    out_ports = program.graph.output_ports()
-    port_node = {p.port: p.id for p in out_ports}
-    return tuple(
-        FeedforwardRule(source_id=src, target_id=port_node[port], gain_x=gx, gain_p=gp)
-        for (src, port, gx, gp) in replay.feedforward_rules()
-    )
+    return exact_replay(program).feedforward_rules()

@@ -19,7 +19,6 @@ from .executor import exact_replay
 from .ir import (
     COUPLING_QND,
     ClusterGraph,
-    FeedforwardRule,
     GateRecord,
     MeasurementProgram,
     Node,
@@ -520,12 +519,7 @@ def compile(target: SymplecticMap, kappa1: float = None):
         raise CompileError(
             f"linear executor disagrees with the step-product replay by {exec_residual:.3e}"
         )
-    out_node = {p.port: p.id for p in program.graph.output_ports()}
-    rules = tuple(
-        FeedforwardRule(source_id=src, target_id=out_node[port], gain_x=gx, gain_p=gp)
-        for (src, port, gx, gp) in check.feedforward_rules()
-    )
-    program = replace(program, feedforward=rules)
+    program = replace(program, feedforward=check.feedforward_rules())
     report = SynthesisReport(
         ancilla_count=len(program.graph.nodes) - n,
         step_params=builder.records,

@@ -107,3 +107,73 @@ def dense_run_program(program, input_state, r, policy):
     order = [live[p.id] for p in graph.output_ports()]
     sel = order + [size + i for i in order]
     return mean[sel] + program.target.displacement, cov[np.ix_(sel, sel)], outcomes
+
+
+def dense_exact_replay(program):
+    """Reference exact replay with one dense row per node over the whole basis.
+
+    Every node gets its x and p rows over [z | w | u | s] up front; all QND
+    edges are applied, then the Bell splitters of teleport ports, and only
+    then is the schedule replayed, each measurement substituting its pivot
+    noise in every row.  Returns (matrix, outcome_response, noise_response)
+    and raises the executor's error classes on degenerate measurements and
+    under-measured outputs.
+    """
+    from cvcluster import bell_splitter_relations
+    from cvcluster.errors import DegenerateMeasurementError, ProgramError
+    from cvcluster.executor import PIVOT_TOL
+    from cvcluster.ir import COUPLING_TELEPORT
+
+    program.validate()
+    graph = program.graph
+    ports = graph.input_ports()
+    ancillas = graph.ancilla_nodes()
+    n, n_anc, n_meas = len(ports), len(ancillas), len(program.schedule)
+    z0, w0, u0, s0 = 0, 2 * n, 2 * n + n_anc, 2 * n + 2 * n_anc
+
+    nodes = ports + ancillas
+    row_of = {node.id: (2 * i, 2 * i + 1) for i, node in enumerate(nodes)}
+    rows = np.zeros((2 * len(nodes), s0 + n_meas))
+    for port in ports:
+        rows[row_of[port.id][0], z0 + port.port] = 1.0
+        rows[row_of[port.id][1], z0 + n + port.port] = 1.0
+    for j, anc in enumerate(ancillas):
+        rows[row_of[anc.id][0], w0 + j] = 1.0
+        rows[row_of[anc.id][1], u0 + j] = 1.0
+
+    teleport = {p.id for p in ports if p.coupling == COUPLING_TELEPORT}
+    bell_pairs = []
+    for u, v in graph.edges:
+        if u in teleport or v in teleport:
+            bell_pairs.append((u, v) if u in teleport else (v, u))
+        else:
+            rows[row_of[u][1]] += rows[row_of[v][0]]
+            rows[row_of[v][1]] += rows[row_of[u][0]]
+    bell = bell_splitter_relations().matrix
+    for port, partner in bell_pairs:
+        (xa, pa), (xb, pb) = row_of[port], row_of[partner]
+        rows[[xa, xb, pa, pb]] = bell @ rows[[xa, xb, pa, pb]]
+
+    for k, entry in enumerate(program.schedule):
+        xr, pr = row_of[entry.node_id]
+        q = np.sin(entry.angle) * rows[xr] + np.cos(entry.angle) * rows[pr]
+        pivot = int(np.argmax(np.abs(q[w0:u0])))
+        c = q[w0 + pivot]
+        if abs(c) < PIVOT_TOL * max(1.0, float(np.max(np.abs(q)))):
+            raise DegenerateMeasurementError(f"node {entry.node_id} resolves no noise")
+        # w_pivot = (s_k - (q - c w_pivot)) / c, substituted in every row
+        w_expr = -q / c
+        w_expr[w0 + pivot] = 0.0
+        w_expr[s0 + k] = 1.0 / c
+        w_expr[w0 + pivot] -= 1.0
+        col = rows[:, w0 + pivot]
+        nz = np.flatnonzero(col)
+        rows[nz] += np.outer(col[nz], w_expr)
+
+    out = np.zeros((2 * n, s0 + n_meas))
+    for port in graph.output_ports():
+        xr, pr = row_of[port.id]
+        out[[port.port, n + port.port]] = rows[[xr, pr]]
+    if n_anc and np.max(np.abs(out[:, w0:u0])) > 1e-9:
+        raise ProgramError("an output retains antisqueezed ancilla noise")
+    return out[:, z0 : z0 + 2 * n], out[:, s0:], out[:, u0:s0]

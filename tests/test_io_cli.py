@@ -294,11 +294,14 @@ def test_cli_compile_six_by_six(tmp_path):
     assert program.n == 3
 
 
-@pytest.mark.parametrize(
+round_off_targets = pytest.mark.parametrize(
     "target",
     [SymplecticMap(1, np.diag([2.0, 0.5])), SymplecticMap(1, [[0.0, -1.0], [1.0, 0.0]])],
     ids=["squeeze-ln2", "fourier"],
 )
+
+
+@round_off_targets
 def test_cli_verify_excess_trace_is_exact_at_default_db(tmp_path, target):
     # At the default 130 dB the excess is far below the simulator's
     # covariance round-off floor; the report carries the exact value.
@@ -316,6 +319,25 @@ def test_cli_verify_excess_trace_is_exact_at_default_db(tmp_path, target):
     assert doc["db"] == DEFAULT_VERIFY_DB
     assert doc["excessTrace"] >= 0.0
     assert doc["excessTrace"] == pytest.approx(exact, rel=0, abs=1e-12)
+
+
+@round_off_targets
+def test_cli_sweep_excess_trace_is_exact_at_high_db(tmp_path, target):
+    # At 100 and 130 dB the simulated excess is covariance round-off and can
+    # be negative; the column carries the exact value.
+    from cvcluster import db_to_r, predicted_excess
+
+    target_file = write_target(tmp_path, target)
+    program_file = str(tmp_path / "prog.json")
+    csv_file = str(tmp_path / "sweep.csv")
+    main(["compile", "--target", target_file, "--out", program_file])
+    assert main(["sweep", "--program", program_file, "--db", "100,130", "--out", csv_file]) == 0
+    program = serialize.load_program(program_file)
+    for line in open(csv_file).read().splitlines()[1:]:
+        db, _, trace = (float(tok) for tok in line.split(","))
+        exact = np.trace(predicted_excess(program, db_to_r(db)))
+        assert trace >= 0.0
+        assert trace == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def test_cli_verify_low_squeezing_reports_error(tmp_path, capsys):
