@@ -25,6 +25,17 @@ DEFAULT_REALISTIC_DB = 10.0   # strong lab squeezing, for simulation runs
 DEFAULT_VERIFY_TOL = 1e-4
 
 
+def _finite_db(text: str) -> float:
+    """Parse one squeezing value in dB; it must be a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse squeezing {text!r}") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"squeezing {text!r} dB is not finite")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvcluster",
@@ -47,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a program on vacuum inputs")
     p_sim.add_argument("--program", required=True)
-    p_sim.add_argument("--db", type=float, default=DEFAULT_REALISTIC_DB,
+    p_sim.add_argument("--db", type=_finite_db, default=DEFAULT_REALISTIC_DB,
                        help="ancilla squeezing in dB (default 10, strong lab squeezing)")
     p_sim.add_argument("--policy", choices=["pinned", "sampled"], default="pinned")
     p_sim.add_argument("--seed", type=int, default=0)
@@ -56,13 +67,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check a program against its target")
     p_verify.add_argument("--program", required=True)
-    p_verify.add_argument("--db", type=float, default=DEFAULT_VERIFY_DB)
+    p_verify.add_argument("--db", type=_finite_db, default=DEFAULT_VERIFY_DB)
     p_verify.add_argument("--tol", type=float, default=DEFAULT_VERIFY_TOL)
     p_verify.add_argument("--out", default=None, help="report JSON (default stdout)")
 
     p_sweep = sub.add_parser("sweep", help="squeezing sweep of map error and excess")
     p_sweep.add_argument("--program", required=True)
     p_sweep.add_argument("--db", required=True,
+                         type=lambda text: [_finite_db(t) for t in text.split(",") if t.strip()],
                          help="comma-separated squeezing list in dB")
     p_sweep.add_argument("--out", default=None, help="CSV output (default stdout)")
     return parser
@@ -171,19 +183,14 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     program = serialize.load_program(args.program)
-    try:
-        db_values = [float(tok) for tok in args.db.split(",") if tok.strip()]
-    except ValueError:
-        print(f"error: cannot parse squeezing list {args.db!r}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if not db_values:
+    if not args.db:
         print("error: empty squeezing list", file=sys.stderr)
         return EXIT_VALIDATION
     # Above ~70 dB the simulated excess is covariance round-off (eps * e^{2r});
     # the replay's N N^T e^{-2r}/4 is exact at every squeezing.
     replay = exact_replay(program)
     rows = []
-    for db in db_values:
+    for db in args.db:
         r = db_to_r(db)
         effective, _ = simulator.extract_effective_map(program, r)
         error = float(np.max(np.abs(effective.matrix - program.target.matrix)))

@@ -436,6 +436,8 @@ def compile(target: SymplecticMap, kappa1: float = None):
     """
     require_symplectic(target, tol=1e-8)
     n = target.n
+    if kappa1 is not None and n != 1:
+        raise ValueError(f"kappa1 pins a one-mode synthesis; the target has {n} modes")
     ops = _gate_sequence(target, kappa1)
 
     builder = _Builder(n)

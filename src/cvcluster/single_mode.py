@@ -9,7 +9,7 @@ measure-zero family {d = 0, b != 1}; four always suffice.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from numpy.polynomial import Polynomial
 
 from .errors import SingularParameterError
 from .symplectic import SymplecticMap, compose_many, elementary_step, require_symplectic
@@ -18,10 +18,6 @@ from .symplectic import SymplecticMap, compose_many, elementary_step, require_sy
 KAPPA3_SINGULAR_TOL = 1e-9
 #: Numerators below this magnitude count as vanishing (legitimate kappa3 = 0).
 DEGENERATE_NUMERATOR_TOL = 1e-9
-#: kappa1 grid points closer than this to the kappa3 = 0 pole are excluded.
-POLE_EXCLUSION = 1e-6
-
-_GRID = np.linspace(-20.0, 20.0, 401)
 
 
 @dataclass(frozen=True)
@@ -86,8 +82,8 @@ def decompose_four_step(target: SymplecticMap, kappa1: float = None) -> FourStep
             :func:`select_free_kappa1` when absent.
 
     Raises:
-        SingularParameterError: the given kappa1 hits a pole of the closed
-            forms (only possible when kappa1 is supplied explicitly).
+        SingularParameterError: the given kappa1 is not finite or hits a
+            pole of the closed forms.
     """
     if target.n != 1:
         raise ValueError("four-step synthesis applies to one-mode maps")
@@ -95,6 +91,8 @@ def decompose_four_step(target: SymplecticMap, kappa1: float = None) -> FourStep
     a, b, c, d = target.abcd()
     if kappa1 is None:
         kappa1 = select_free_kappa1(target)
+    elif not np.isfinite(kappa1):
+        raise SingularParameterError(f"kappa1={kappa1} is not finite")
     kappas = _solve(a, b, c, d, float(kappa1))
     return FourStepParams(kappas=kappas, free_param=float(kappa1), noise_proxy=noise_proxy(kappas))
 
@@ -102,45 +100,34 @@ def decompose_four_step(target: SymplecticMap, kappa1: float = None) -> FourStep
 def select_free_kappa1(target: SymplecticMap) -> float:
     """Pick the kappa1 minimizing the gain proxy sum_i (1 + kappa_i^2).
 
-    Scans a fixed 401-point grid over [-20, 20] (excluding points within
-    1e-6 of the kappa3 = 0 pole) and refines the best grid point by
-    golden-section search.  Deterministic; ties resolve to the grid point,
-    so exactly representable optima (e.g. 0 for the identity) are returned
-    exactly.
+    With kappa3 = c - d kappa1 the proxy is 4 + kappa1^2 + kappa3^2 +
+    ((1 - d)^2 + (1 - a + b kappa1)^2) / kappa3^2.  The candidates are its
+    real stationary points and the pole kappa1 = c/d, which :func:`_solve`
+    accepts only on the legitimate kappa3 = 0 branch; the first of lowest
+    proxy wins.  The identity gets exactly 0.
     """
     a, b, c, d = target.abcd()
-    pole = c / d if abs(d) > 0.0 else None
-
-    def objective(k1: float) -> float:
+    k1 = Polynomial([0.0, 1.0])
+    k3 = c - d * k1
+    q = (1.0 - d) ** 2 + (1.0 - a + b * k1) ** 2
+    candidates = list(_stationary_points(k1 ** 2 + k3 ** 2, q, k3))
+    if d != 0.0:
+        candidates.append(c / d)
+    scored = {}
+    for kappa1 in map(float, candidates):
         try:
-            kappas = _solve(a, b, c, d, k1)
+            scored[kappa1] = noise_proxy(_solve(a, b, c, d, kappa1))
         except SingularParameterError:
-            return np.inf
-        near_pole = pole is not None and abs(k1 - pole) < POLE_EXCLUSION
-        numerators_vanish = (
-            abs(1.0 - d) < DEGENERATE_NUMERATOR_TOL
-            and abs(1.0 - a + b * k1) < DEGENERATE_NUMERATOR_TOL
-        )
-        if near_pole and not numerators_vanish:
-            return np.inf
-        return noise_proxy(kappas)
+            pass
+    return min(scored, key=scored.get)
 
-    values = np.array([objective(k) for k in _GRID])
-    i = int(np.argmin(values))
-    best_k, best_v = float(_GRID[i]), float(values[i])
-    if 0 < i < len(_GRID) - 1 and np.isfinite(values[i - 1]) and np.isfinite(values[i + 1]):
-        try:
-            res = optimize.minimize_scalar(
-                objective,
-                bracket=(float(_GRID[i - 1]), best_k, float(_GRID[i + 1])),
-                method="golden",
-                options={"xtol": 1e-12},
-            )
-            if np.isfinite(res.fun) and res.fun < best_v:
-                return float(res.x)
-        except ValueError:
-            pass  # bracket not strictly unimodal at grid resolution
-    return best_k
+
+def _stationary_points(s: Polynomial, q: Polynomial, g: Polynomial) -> np.ndarray:
+    """Real roots of S' G^3 + Q' G - 2 G' Q, the numerator of the derivative
+    of 4 + S + Q / G^2 (S quadratic, G linear, Q of degree <= 4).  A common
+    root of G and Q is a multiple root, which round-off may turn complex."""
+    roots = (s.deriv() * g ** 3 + q.deriv() * g - 2.0 * g.deriv() * q).roots()
+    return roots.real[roots.imag == 0.0]
 
 
 def three_step_reachable(target: SymplecticMap) -> bool:

@@ -10,9 +10,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from numpy.polynomial import Polynomial
 
 from .errors import DegenerateMeasurementError, SingularParameterError
+from .single_mode import _stationary_points
 from .symplectic import SymplecticMap, compose_many, elementary_step, require_symplectic
 
 #: |cos(theta_minus)| below this is rejected as a failed teleportation.
@@ -164,39 +165,37 @@ def telep_noise_proxy(angles: TelepAngles, kappa3: float, kappa4: float) -> floa
     return float(2.0 / (cm * cm) + (1.0 + kappa3 ** 2) + (1.0 + kappa4 ** 2))
 
 
-_THETA_GRID = np.linspace(0.0, np.pi, 403)[1:-1]
-
-
 def select_free_theta0(target: SymplecticMap) -> float:
-    """Pick theta0 minimizing the gain proxy over a grid of (0, pi), with
-    golden-section refinement; deterministic, ties resolve to the grid."""
+    """Pick the theta0 in (0, pi) minimizing the gain proxy.
+
+    In u = cot(theta0) the proxy is 4 + kappa3^2 + (A^2/2 + (1 - a + b u)^2) / G^2
+    with kappa3 = c - (1 + d) u, G = c - d u, A = (1 - d) - u (2c - (1 + d) u).
+    The candidates are its real stationary points and the two admissible
+    points next to u = 2c / (1 + d), where cot(theta1) leaves its chart while
+    the proxy stays finite; the first of lowest proxy wins.  The identity
+    gets exactly pi/2.
+
+    Raises:
+        SingularParameterError: no theta0 in (0, pi) is admissible, as for
+            the family (-1 b; 0 -1).
+    """
     a, b, c, d = target.abcd()
-
-    def objective(t0: float) -> float:
-        if not 0.0 < t0 < np.pi:
-            return np.inf
+    u = Polynomial([0.0, 1.0])
+    kappa3 = c - (1.0 + d) * u
+    q = ((1.0 - d) - u * (2.0 * c - (1.0 + d) * u)) ** 2 / 2.0 + (1.0 - a + b * u) ** 2
+    candidates = list(_stationary_points(kappa3 ** 2, q, c - d * u))
+    if d != -1.0:
+        step = 2.0 * SINGULAR_DENOM_TOL / abs(1.0 + d)
+        candidates += [2.0 * c / (1.0 + d) - step, 2.0 * c / (1.0 + d) + step]
+    scored = {}
+    for theta0 in (math.atan2(1.0, x) for x in candidates):
         try:
-            angles, k3, k4 = _solve_telep(a, b, c, d, t0)
+            scored[theta0] = telep_noise_proxy(*_solve_telep(a, b, c, d, theta0))
         except SingularParameterError:
-            return np.inf
-        return telep_noise_proxy(angles, k3, k4)
-
-    values = np.array([objective(t) for t in _THETA_GRID])
-    i = int(np.argmin(values))
-    best_t, best_v = float(_THETA_GRID[i]), float(values[i])
-    if 0 < i < len(_THETA_GRID) - 1 and np.isfinite(values[i - 1]) and np.isfinite(values[i + 1]):
-        try:
-            res = optimize.minimize_scalar(
-                objective,
-                bracket=(float(_THETA_GRID[i - 1]), best_t, float(_THETA_GRID[i + 1])),
-                method="golden",
-                options={"xtol": 1e-12},
-            )
-            if np.isfinite(res.fun) and res.fun < best_v:
-                return float(res.x)
-        except ValueError:
             pass
-    return best_t
+    if not scored:
+        raise SingularParameterError("no theta0 in (0, pi) is admissible for this target")
+    return min(scored, key=scored.get)
 
 
 def decompose_telep_plus_two(
@@ -206,7 +205,8 @@ def decompose_telep_plus_two(
 
     theta0 is a free parameter; when absent it is chosen to minimize the
     gain proxy.  Raises SingularParameterError when an explicitly supplied
-    theta0 hits a zero denominator of the closed forms.
+    theta0 is not finite or hits a zero denominator of the closed forms, or
+    when no theta0 in (0, pi) is admissible.
     """
     if target.n != 1:
         raise ValueError("teleport+two-step synthesis applies to one-mode maps")
@@ -214,6 +214,8 @@ def decompose_telep_plus_two(
     a, b, c, d = target.abcd()
     if theta0 is None:
         theta0 = select_free_theta0(target)
+    elif not np.isfinite(theta0):
+        raise SingularParameterError(f"theta0={theta0} is not finite")
     angles, kappa3, kappa4 = _solve_telep(a, b, c, d, float(theta0))
     return TelepPlusTwoParams(
         angles=angles, kappa3=kappa3, kappa4=kappa4, free_param=float(theta0)

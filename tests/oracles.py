@@ -177,3 +177,87 @@ def dense_exact_replay(program):
     if n_anc and np.max(np.abs(out[:, w0:u0])) > 1e-9:
         raise ProgramError("an output retains antisqueezed ancilla noise")
     return out[:, z0 : z0 + 2 * n], out[:, s0:], out[:, u0:s0]
+
+
+def d_zero_family():
+    """One-mode targets ((a, b), (-1/b, 0)): det 1 and d = 0, the family three
+    elementary steps cannot reach (for b != 1)."""
+    from cvcluster import SymplecticMap
+
+    return [
+        SymplecticMap(1, np.array([[a, b], [-1.0 / b, 0.0]]))
+        for a in np.linspace(-2, 2, 10)
+        for b in (-3.0, -2.0, -1.5, -1.0, 0.5, 2.5)
+    ]
+
+
+def grid_free_kappa1(target):
+    """Reference free-kappa1 search: the 401-point grid over [-20, 20] with
+    golden-section refinement of the best grid point.
+
+    A local search, limited to |kappa1| <= 20.  Points within 1e-6 of the
+    kappa3 = 0 pole are excluded unless both numerators vanish there.
+    """
+    from scipy import optimize
+
+    from cvcluster.errors import SingularParameterError
+    from cvcluster.single_mode import DEGENERATE_NUMERATOR_TOL, _solve, noise_proxy
+
+    a, b, c, d = target.abcd()
+    pole = c / d if abs(d) > 0.0 else None
+
+    def objective(k1):
+        try:
+            kappas = _solve(a, b, c, d, k1)
+        except SingularParameterError:
+            return np.inf
+        near_pole = pole is not None and abs(k1 - pole) < 1e-6
+        numerators_vanish = (
+            abs(1.0 - d) < DEGENERATE_NUMERATOR_TOL
+            and abs(1.0 - a + b * k1) < DEGENERATE_NUMERATOR_TOL
+        )
+        if near_pole and not numerators_vanish:
+            return np.inf
+        return noise_proxy(kappas)
+
+    return _grid_then_golden(objective, np.linspace(-20.0, 20.0, 401), optimize)
+
+
+def grid_free_theta0(target):
+    """Reference free-theta0 search: a 401-point grid of (0, pi) with
+    golden-section refinement of the best grid point."""
+    from scipy import optimize
+
+    from cvcluster.errors import SingularParameterError
+    from cvcluster.teleport import _solve_telep, telep_noise_proxy
+
+    a, b, c, d = target.abcd()
+
+    def objective(t0):
+        if not 0.0 < t0 < np.pi:
+            return np.inf
+        try:
+            return telep_noise_proxy(*_solve_telep(a, b, c, d, t0))
+        except SingularParameterError:
+            return np.inf
+
+    return _grid_then_golden(objective, np.linspace(0.0, np.pi, 403)[1:-1], optimize)
+
+
+def _grid_then_golden(objective, grid, optimize):
+    values = np.array([objective(x) for x in grid])
+    i = int(np.argmin(values))
+    best_x, best_v = float(grid[i]), float(values[i])
+    if 0 < i < len(grid) - 1 and np.isfinite(values[i - 1]) and np.isfinite(values[i + 1]):
+        try:
+            res = optimize.minimize_scalar(
+                objective,
+                bracket=(float(grid[i - 1]), best_x, float(grid[i + 1])),
+                method="golden",
+                options={"xtol": 1e-12},
+            )
+            if np.isfinite(res.fun) and res.fun < best_v:
+                return float(res.x)
+        except ValueError:
+            pass  # bracket not strictly unimodal at grid resolution
+    return best_x

@@ -178,12 +178,62 @@ def test_cli_sweep(tmp_path):
     assert errors[-1] < 0.05
 
 
+@pytest.mark.parametrize(
+    "target, free_param, message",
+    [
+        (random_symplectic(2, 3), "5", "kappa1 pins a one-mode synthesis; the target has 2 modes"),
+        (random_symplectic(1, 3), "nan", "kappa1=nan is not finite"),
+        (random_symplectic(1, 3), "inf", "kappa1=inf is not finite"),
+    ],
+    ids=["two-mode", "nan", "inf"],
+)
+def test_cli_compile_rejects_bad_free_param(tmp_path, capsys, target, free_param, message):
+    target_file = write_target(tmp_path, target)
+    program_file = tmp_path / "prog.json"
+    code = main(["compile", "--target", target_file, "--out", str(program_file),
+                 "--free-param", free_param])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not program_file.exists()
+
+
+@pytest.mark.parametrize(
+    "command, db",
+    [("simulate", "nan"), ("verify", "nan"), ("verify", "-inf"), ("sweep", "nan,10")],
+)
+def test_cli_rejects_non_finite_db(tmp_path, capsys, command, db):
+    target_file = write_target(tmp_path, identity(1))
+    program_file = str(tmp_path / "prog.json")
+    main(["compile", "--target", target_file, "--out", program_file])
+    capsys.readouterr()
+    out_file = tmp_path / "out"
+    code = main([command, "--program", program_file, f"--db={db}", "--out", str(out_file)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "argument --db" in err and "is not finite" in err
+    assert not out_file.exists()
+
+
 def test_cli_sweep_rejects_empty_list(tmp_path, capsys):
     target_file = write_target(tmp_path, identity(1))
     program_file = str(tmp_path / "prog.json")
     main(["compile", "--target", target_file, "--out", program_file])
     assert main(["sweep", "--program", program_file, "--db", ","]) == 1
     assert "empty" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import cvcluster
+
+    code = "import sys, cvcluster; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {"PYTHONPATH": str(Path(cvcluster.__file__).parents[1]), "PATH": ""}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_missing_file_is_io_error(tmp_path, capsys):

@@ -180,6 +180,11 @@ def test_compile_free_param_pins_kappa1():
     assert report.replay_residual < 1e-9
 
 
+def test_compile_rejects_kappa1_for_multimode_targets():
+    with pytest.raises(ValueError, match="kappa1 pins a one-mode synthesis; the target has 2 modes"):
+        compile(random_symplectic(2, 0), kappa1=0.5)
+
+
 def test_compile_multimode_replay_and_census():
     for seed, n in [(0, 2), (1, 3), (2, 3), (3, 4)]:
         target = random_symplectic(n, seed)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvcluster import (
@@ -20,7 +22,7 @@ from cvcluster import (
 )
 
 
-from oracles import three_step_grid_minimum
+from oracles import d_zero_family, grid_free_kappa1, three_step_grid_minimum
 from cvcluster import elementary_step
 
 
@@ -79,6 +81,47 @@ def test_select_fourier_beats_default():
     assert chosen.noise_proxy <= at_zero.noise_proxy
     # analytic optimum kappa1 = 1/2, proxy 6.5
     assert chosen.noise_proxy == pytest.approx(6.5, abs=1e-6)
+
+
+def test_pinned_kappa1_must_be_finite():
+    for kappa1 in (np.nan, np.inf, -np.inf):
+        with pytest.raises(SingularParameterError, match=f"kappa1={kappa1} is not finite"):
+            decompose_four_step(fourier(), kappa1=kappa1)
+
+
+def test_select_never_worse_than_grid_oracle():
+    targets = [random_symplectic(1, seed) for seed in range(1000)] + d_zero_family()
+    for target in targets:
+        chosen = decompose_four_step(target).noise_proxy
+        oracle = decompose_four_step(target, kappa1=grid_free_kappa1(target)).noise_proxy
+        assert chosen <= oracle * (1.0 + 1e-12)
+
+
+def test_select_finds_global_optimum_the_grid_misses():
+    # The grid search stopped in a local minimum at proxy 4.1003.
+    params = decompose_four_step(random_symplectic(1, 107))
+    assert params.noise_proxy == pytest.approx(4.090352241273559, rel=1e-12)
+
+
+def test_select_takes_the_kappa3_zero_branch_when_it_wins():
+    # d = 1: kappa1 = c leaves kappa3 = 0 and only kappa2 + kappa4 = -b fixed,
+    # proxy 4 + c^2 + b^2/2 = 8.75, below 4 + c^2/2 + b^2 at the smooth optimum.
+    target = SymplecticMap(1, np.array([[2.5, 3.0], [0.5, 1.0]]))
+    assert select_free_kappa1(target) == 0.5
+    params = decompose_four_step(target)
+    assert params.noise_proxy == pytest.approx(8.75, rel=1e-15)
+    assert_allclose(params.reconstruct().matrix, target.matrix, atol=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6), kappa1=st.floats(-50.0, 50.0))
+def test_select_never_worse_than_any_pinned_kappa1(seed, kappa1):
+    target = random_symplectic(1, seed)
+    try:
+        pinned = decompose_four_step(target, kappa1=kappa1).noise_proxy
+    except SingularParameterError:
+        return
+    assert decompose_four_step(target).noise_proxy <= pinned * (1.0 + 1e-12)
 
 
 def test_select_deterministic():

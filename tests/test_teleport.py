@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvcluster import (
     DegenerateMeasurementError,
+    SingularParameterError,
+    SymplecticMap,
     TelepAngles,
     bell_splitter_relations,
     canonicalize,
@@ -19,6 +23,13 @@ from cvcluster import (
     squeeze,
     symplectic_residual,
 )
+from cvcluster.teleport import select_free_theta0, telep_noise_proxy
+
+from oracles import d_zero_family, grid_free_theta0
+
+
+def proxy(params) -> float:
+    return telep_noise_proxy(params.angles, params.kappa3, params.kappa4)
 
 
 def test_mtel_identity():
@@ -125,6 +136,64 @@ def test_telep_plus_two_identity():
     assert params.kappa3 == pytest.approx(0.0, abs=1e-12)
     assert params.kappa4 == pytest.approx(0.0, abs=1e-12)
     assert_allclose(params.reconstruct().matrix, np.eye(2), atol=1e-12)
+
+
+def test_select_identity_exact_half_pi():
+    assert select_free_theta0(identity(1)) == np.pi / 2
+
+
+def test_pinned_theta0_must_be_finite():
+    for theta0 in (np.nan, np.inf, -np.inf):
+        with pytest.raises(SingularParameterError, match=f"theta0={theta0} is not finite"):
+            decompose_telep_plus_two(fourier(), theta0=theta0)
+
+
+def test_rotation_by_pi_family_has_no_admissible_theta0():
+    # (-1 b; 0 -1) zeroes the cot(theta1) denominator 2c - (1 + d) cot(theta0)
+    # for every theta0 while its numerator 1 - d = 2 stays.
+    targets = [rotation(np.pi)] + [
+        SymplecticMap(1, np.array([[-1.0, b], [0.0, -1.0]])) for b in (0.0, 0.7, -2.0)
+    ]
+    for target in targets:
+        with pytest.raises(SingularParameterError, match=r"no theta0 in \(0, pi\) is admissible"):
+            decompose_telep_plus_two(target)
+
+
+def test_select_never_worse_than_grid_oracle():
+    targets = [random_symplectic(1, seed) for seed in range(1000)] + d_zero_family()
+    for target in targets:
+        chosen = proxy(decompose_telep_plus_two(target))
+        oracle = proxy(decompose_telep_plus_two(target, theta0=grid_free_theta0(target)))
+        assert chosen <= oracle * (1.0 + 1e-12)
+
+
+def test_select_finds_global_optimum_the_grid_misses():
+    # The grid search stopped in a local minimum at proxy 11.305.
+    target = random_symplectic(1, 601)
+    params = decompose_telep_plus_two(target)
+    assert proxy(params) == pytest.approx(8.117702296604278, rel=1e-12)
+    assert np.max(np.abs(params.reconstruct().matrix - target.matrix)) < 1e-9
+
+
+def test_select_next_to_the_theta1_chart_edge():
+    # d = 0, a = -1 - (1 + b^2)/b^4: the proxy is smallest (9.5 at b = -1)
+    # exactly where cot(theta1) diverges, so the chart's nearest admissible
+    # theta0 is taken.
+    target = SymplecticMap(1, np.array([[-3.0, -1.0], [1.0, 0.0]]))
+    params = decompose_telep_plus_two(target)
+    assert proxy(params) == pytest.approx(9.5, rel=1e-12)
+    assert np.max(np.abs(params.reconstruct().matrix - target.matrix)) < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6), theta0=st.floats(1e-3, np.pi - 1e-3))
+def test_select_never_worse_than_any_pinned_theta0(seed, theta0):
+    target = random_symplectic(1, seed)
+    try:
+        pinned = proxy(decompose_telep_plus_two(target, theta0=theta0))
+    except SingularParameterError:
+        return
+    assert proxy(decompose_telep_plus_two(target)) <= pinned * (1.0 + 1e-12)
 
 
 def test_telep_plus_two_fourier():
