@@ -232,15 +232,6 @@ def state_to_dict(state: GaussianState) -> dict:
     }
 
 
-def state_from_dict(doc: dict) -> GaussianState:
-    _check_keys(doc, "state", {"version", "n", "mean", "cov"})
-    _check_version(doc, STATE_VERSION, "state")
-    n = _integer(doc["n"], "state.n")
-    mean = _vector(doc["mean"], 2 * n, "state.mean")
-    cov = _matrix(doc["cov"], 2 * n, 2 * n, "state.cov")
-    return GaussianState(mean, cov)
-
-
 def report_to_dict(report: SynthesisReport) -> dict:
     return {
         "version": REPORT_VERSION,
@@ -290,14 +281,6 @@ def save_target(smap: SymplecticMap, path: str) -> None:
 
 def load_target(path: str) -> SymplecticMap:
     return target_from_dict(load(path))
-
-
-def save_state(state: GaussianState, path: str) -> None:
-    save(state_to_dict(state), path)
-
-
-def load_state(path: str) -> GaussianState:
-    return state_from_dict(load(path))
 
 
 def write_sweep_csv(rows: list, path) -> None:

@@ -18,6 +18,9 @@ from .symplectic import SymplecticMap, compose_many, elementary_step, require_sy
 KAPPA3_SINGULAR_TOL = 1e-9
 #: Numerators below this magnitude count as vanishing (legitimate kappa3 = 0).
 DEGENERATE_NUMERATOR_TOL = 1e-9
+#: A selected decomposition reproduces the target to this, relative to its
+#: largest entry.  Next to a pole the closed forms lose digits.
+RECONSTRUCTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -103,8 +106,9 @@ def select_free_kappa1(target: SymplecticMap) -> float:
     With kappa3 = c - d kappa1 the proxy is 4 + kappa1^2 + kappa3^2 +
     ((1 - d)^2 + (1 - a + b kappa1)^2) / kappa3^2.  The candidates are its
     real stationary points and the pole kappa1 = c/d, which :func:`_solve`
-    accepts only on the legitimate kappa3 = 0 branch; the first of lowest
-    proxy wins.  The identity gets exactly 0.
+    accepts only on the legitimate kappa3 = 0 branch.  Among the candidates
+    whose decomposition reproduces the target (see :data:`RECONSTRUCTION_TOL`)
+    the first of lowest proxy wins.  The identity gets exactly 0.
     """
     a, b, c, d = target.abcd()
     k1 = Polynomial([0.0, 1.0])
@@ -116,10 +120,19 @@ def select_free_kappa1(target: SymplecticMap) -> float:
     scored = {}
     for kappa1 in map(float, candidates):
         try:
-            scored[kappa1] = noise_proxy(_solve(a, b, c, d, kappa1))
+            kappas = _solve(a, b, c, d, kappa1)
         except SingularParameterError:
-            pass
+            continue
+        params = FourStepParams(kappas=kappas, free_param=kappa1, noise_proxy=noise_proxy(kappas))
+        if _reproduces(params, target):
+            scored[kappa1] = params.noise_proxy
     return min(scored, key=scored.get)
+
+
+def _reproduces(params, target: SymplecticMap) -> bool:
+    """Whether params.reconstruct() matches target to RECONSTRUCTION_TOL."""
+    residual = np.max(np.abs(params.reconstruct().matrix - target.matrix))
+    return residual <= RECONSTRUCTION_TOL * max(1.0, np.max(np.abs(target.matrix)))
 
 
 def _stationary_points(s: Polynomial, q: Polynomial, g: Polynomial) -> np.ndarray:

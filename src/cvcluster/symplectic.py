@@ -118,6 +118,8 @@ def symplectic_residual(m) -> float:
 def require_symplectic(m, tol: float = SYMPLECTIC_TOL) -> None:
     """Raise ValueError naming the worst entry if M^T J M = J fails at tol."""
     mat = m.matrix if isinstance(m, SymplecticMap) else np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("matrix is not symplectic: it has a non-finite entry")
     n = mat.shape[0] // 2
     j = symplectic_form(n)
     viol = np.abs(mat.T @ j @ mat - j)

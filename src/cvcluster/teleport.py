@@ -13,7 +13,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import DegenerateMeasurementError, SingularParameterError
-from .single_mode import _stationary_points
+from .single_mode import _reproduces, _stationary_points
 from .symplectic import SymplecticMap, compose_many, elementary_step, require_symplectic
 
 #: |cos(theta_minus)| below this is rejected as a failed teleportation.
@@ -115,11 +115,9 @@ def mtel_factored(theta_plus: float, theta_minus: float) -> tuple[float, float, 
         raise DegenerateMeasurementError(
             f"theta_minus={theta_minus} is degenerate"
         )
-    r = float(np.arctanh(np.sin(theta_minus))) if cm > 0 else float(
-        np.arctanh(np.sin(theta_minus + np.pi))
-    )
-    if cm < 0:
-        theta_plus = theta_plus + np.pi
+    if cm < 0:  # shifting both angles by pi leaves M_tel unchanged
+        theta_plus, theta_minus = theta_plus + np.pi, theta_minus + np.pi
+    r = float(np.arctanh(np.sin(theta_minus)))
     phi1 = -theta_plus / 2.0 + np.pi / 4.0
     phi2 = -theta_plus / 2.0 - np.pi / 4.0
     return float(phi1), r, float(phi2)
@@ -148,7 +146,9 @@ def _solve_telep(a: float, b: float, c: float, d: float, theta0: float):
     if abs(den4) < SINGULAR_DENOM_TOL:
         if abs(num4) > DEGENERATE_NUMERATOR_TOL:
             raise SingularParameterError("kappa4 denominator vanishes")
-        kappa4 = 0.0
+        # Both vanish only at d = 1 and cot(theta0) = c, where num4 / den4
+        # tends to -b.
+        kappa4 = -b + 0.0
     else:
         kappa4 = num4 / den4
 
@@ -170,10 +170,11 @@ def select_free_theta0(target: SymplecticMap) -> float:
 
     In u = cot(theta0) the proxy is 4 + kappa3^2 + (A^2/2 + (1 - a + b u)^2) / G^2
     with kappa3 = c - (1 + d) u, G = c - d u, A = (1 - d) - u (2c - (1 + d) u).
-    The candidates are its real stationary points and the two admissible
-    points next to u = 2c / (1 + d), where cot(theta1) leaves its chart while
-    the proxy stays finite; the first of lowest proxy wins.  The identity
-    gets exactly pi/2.
+    The candidates are its real stationary points and the two points next to
+    u = 2c / (1 + d), where cot(theta1) leaves its chart while the proxy stays
+    finite.  Among the candidates whose decomposition reproduces the target
+    (see :data:`~cvcluster.single_mode.RECONSTRUCTION_TOL`) the first of
+    lowest proxy wins.  The identity gets exactly pi/2.
 
     Raises:
         SingularParameterError: no theta0 in (0, pi) is admissible, as for
@@ -190,9 +191,11 @@ def select_free_theta0(target: SymplecticMap) -> float:
     scored = {}
     for theta0 in (math.atan2(1.0, x) for x in candidates):
         try:
-            scored[theta0] = telep_noise_proxy(*_solve_telep(a, b, c, d, theta0))
+            params = TelepPlusTwoParams(*_solve_telep(a, b, c, d, theta0), free_param=theta0)
         except SingularParameterError:
-            pass
+            continue
+        if _reproduces(params, target):
+            scored[theta0] = telep_noise_proxy(params.angles, params.kappa3, params.kappa4)
     if not scored:
         raise SingularParameterError("no theta0 in (0, pi) is admissible for this target")
     return min(scored, key=scored.get)

@@ -191,6 +191,31 @@ def d_zero_family():
     ]
 
 
+def d_one_family(offset=0.0):
+    """One-mode targets (((1 + bc)/d, b), (c, d)) with d = 1 + offset.  At
+    d = 1 the kappa3 = 0 pole of the four-step formulas and the kappa4 pole of
+    the teleport formulas, both at c/d, are 0/0; next to d = 1 the closed forms
+    lose digits near that pole."""
+    from cvcluster import SymplecticMap
+
+    d = 1.0 + offset
+    return [
+        SymplecticMap(1, np.array([[(1.0 + b * c) / d, b], [c, d]]))
+        for b in (-2.0, -0.5, 0.0, 0.5, 1.5)
+        for c in (-1.2, 0.0, 0.1, 0.6, 2.0)
+    ]
+
+
+def near_d_one_targets():
+    """d_one_family at offsets +-1e-5 ... +-1e-10."""
+    return [
+        target
+        for k in range(5, 11)
+        for sign in (1.0, -1.0)
+        for target in d_one_family(sign * 10.0 ** -k)
+    ]
+
+
 def grid_free_kappa1(target):
     """Reference free-kappa1 search: the 401-point grid over [-20, 20] with
     golden-section refinement of the best grid point.

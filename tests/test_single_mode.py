@@ -22,7 +22,7 @@ from cvcluster import (
 )
 
 
-from oracles import d_zero_family, grid_free_kappa1, three_step_grid_minimum
+from oracles import d_zero_family, grid_free_kappa1, near_d_one_targets, three_step_grid_minimum
 from cvcluster import elementary_step
 
 
@@ -92,9 +92,19 @@ def test_pinned_kappa1_must_be_finite():
 def test_select_never_worse_than_grid_oracle():
     targets = [random_symplectic(1, seed) for seed in range(1000)] + d_zero_family()
     for target in targets:
-        chosen = decompose_four_step(target).noise_proxy
+        params = decompose_four_step(target)
         oracle = decompose_four_step(target, kappa1=grid_free_kappa1(target)).noise_proxy
-        assert chosen <= oracle * (1.0 + 1e-12)
+        assert params.noise_proxy <= oracle * (1.0 + 1e-12)
+        assert np.max(np.abs(params.reconstruct().matrix - target.matrix)) < 1e-9
+
+
+def test_select_reproduces_targets_next_to_d_equal_one():
+    # Within ~1e-5 of d = 1 the proxy dips next to the pole kappa1 = c/d,
+    # where the closed forms lose up to ~1e-7; the selector keeps only
+    # candidates that reproduce the target.
+    for target in near_d_one_targets():
+        params = decompose_four_step(target)
+        assert np.max(np.abs(params.reconstruct().matrix - target.matrix)) < 1e-9
 
 
 def test_select_finds_global_optimum_the_grid_misses():

@@ -16,6 +16,7 @@ from cvcluster import (
     qnd_gate,
     quad_phase,
     random_symplectic,
+    require_symplectic,
     rotation,
     squeeze,
     symplectic_residual,
@@ -187,6 +188,12 @@ def test_constructors_are_symplectic():
     ]
     for m in cases:
         assert symplectic_residual(m) < 1e-10
+
+
+def test_require_symplectic_rejects_non_finite_entries():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="not symplectic"):
+            require_symplectic(np.array([[bad, 1.0], [-1.0, 0.0]]))
 
 
 def test_random_symplectic():

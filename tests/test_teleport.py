@@ -25,7 +25,7 @@ from cvcluster import (
 )
 from cvcluster.teleport import select_free_theta0, telep_noise_proxy
 
-from oracles import d_zero_family, grid_free_theta0
+from oracles import d_one_family, d_zero_family, grid_free_theta0, near_d_one_targets
 
 
 def proxy(params) -> float:
@@ -160,11 +160,41 @@ def test_rotation_by_pi_family_has_no_admissible_theta0():
 
 
 def test_select_never_worse_than_grid_oracle():
-    targets = [random_symplectic(1, seed) for seed in range(1000)] + d_zero_family()
-    for target in targets:
-        chosen = proxy(decompose_telep_plus_two(target))
+    targets = [random_symplectic(1, seed) for seed in range(1000)]
+    for target in targets + d_zero_family() + d_one_family():
+        params = decompose_telep_plus_two(target)
         oracle = proxy(decompose_telep_plus_two(target, theta0=grid_free_theta0(target)))
-        assert chosen <= oracle * (1.0 + 1e-12)
+        assert proxy(params) <= oracle * (1.0 + 1e-12)
+        assert np.max(np.abs(params.reconstruct().matrix - target.matrix)) < 1e-9
+
+
+def test_select_at_d_equal_one():
+    # d = 1 puts the kappa4 pole cot(theta0) = c/d on the theta1 chart edge
+    # 2c/(1 + d).  The proxy is 4 + (c - 2u)^2 + 2u^2 + b^2 in u = cot(theta0),
+    # smallest at u = c/3.
+    target = SymplecticMap(1, np.array([[1.05, 0.5], [0.1, 1.0]]))
+    params = decompose_telep_plus_two(target)
+    assert 1.0 / np.tan(params.free_param) == pytest.approx(0.1 / 3.0, rel=1e-9)
+    assert proxy(params) == pytest.approx(4.0 + 0.01 / 3.0 + 0.25, rel=1e-12)
+    assert np.max(np.abs(params.reconstruct().matrix - target.matrix)) < 1e-12
+
+
+def test_pinned_theta0_at_the_kappa4_zero_over_zero():
+    # At d = 1 and cot(theta0) = c the kappa4 formula is 0/0 with limit -b.
+    for a, b, c in ((1.0, 2.0, 0.0), (2.5, 3.0, 0.5)):
+        target = SymplecticMap(1, np.array([[a, b], [c, 1.0]]))
+        params = decompose_telep_plus_two(target, theta0=np.arctan2(1.0, c))
+        assert params.kappa4 == -b
+        assert_allclose(params.reconstruct().matrix, target.matrix, atol=1e-12)
+
+
+def test_select_reproduces_targets_next_to_d_equal_one():
+    # Within ~1e-5 of d = 1 the proxy dips next to the pole cot(theta0) = c/d,
+    # where the closed forms lose up to ~1e-7; the selector keeps only
+    # candidates that reproduce the target.
+    for target in near_d_one_targets():
+        params = decompose_telep_plus_two(target)
+        assert np.max(np.abs(params.reconstruct().matrix - target.matrix)) < 1e-9
 
 
 def test_select_finds_global_optimum_the_grid_misses():
