@@ -16,7 +16,7 @@ from .errors import (
     SingularParameterError,
     VersionError,
 )
-from .executor import ExactReplay, exact_replay, probe_feedforward
+from .executor import ExactReplay, exact_replay
 from .ir import (
     ClusterGraph,
     FeedforwardRule,
@@ -59,9 +59,7 @@ from .simulator import (
 )
 from .single_mode import (
     FourStepParams,
-    HomodyneSetting,
     decompose_four_step,
-    homodyne_setting,
     rsr_decompose,
     select_free_kappa1,
     three_step_reachable,

@@ -19,7 +19,9 @@ exp(-2r)/4) gives the exact finite-squeezing excess covariance.
 
 The replay streams over the schedule and keeps rows only for the live
 frontier, the nodes that are coupled but not yet measured, so its memory is
-O(live frontier x basis width) rather than O(nodes x basis width).
+O(live frontier x basis width) rather than O(nodes x basis width).  The
+frontier's edge scheduler, ``_Frontier``, is shared with the simulator,
+which drives it with Gaussian moments in place of coefficient rows.
 """
 
 from dataclasses import dataclass
@@ -76,18 +78,27 @@ class ExactReplay:
 
 
 class _Frontier:
-    """Rows of the live nodes, with the cluster's edges applied on demand.
+    """Slots of the live nodes, with the cluster's edges applied on demand.
 
-    A node gets its two rows (x, then p) when its first edge is applied or
-    it is measured, and its slot is reused once it is measured.  Freed rows
-    are zero, so a column's nonzeros name exactly the live rows using it.
+    This class alone decides when an edge is applied.  Every coupling is a
+    linear map that commutes with measurements on other nodes, so an edge is
+    applied just before the first measurement or read-out of either endpoint
+    (``couple``), and a teleport port's Bell splitter after every QND edge of
+    its partner, shared-partner splitters in edge order.
+
+    A slot is two adjacent rows (x, then p).  Input port p holds rows 2p and
+    2p + 1 from the start, as the inputs may be correlated; any other node
+    gets a slot when its first edge is applied or it is measured, reused
+    once it is measured.  Subclasses hold the arithmetic: ``_grow`` (to
+    ``size`` rows), ``_open`` (a new slot), ``_qnd``, ``_bell`` and
+    ``_clear`` (a released slot), all given x rows.
     """
 
-    def __init__(self, graph, basis: dict, width: int):
-        self.basis = basis  # node id -> (x column, p column) of its own quadratures
-        self.rows = np.zeros((2, width))
-        self.free = [0]  # x rows of free slots; the slots double when none is left
-        self.slot = {}  # live node id -> its x row (p row follows)
+    def __init__(self, graph):
+        ports = graph.input_ports()
+        self.size = 2 * len(ports)  # rows of storage
+        self.free = []  # x rows of free slots; the slots double when none is left
+        self.slot = {port.id: 2 * port.port for port in ports}  # live node -> x row
         self.qnd = {node.id: [] for node in graph.nodes}  # pending QND partners
         self.bell = {node.id: [] for node in graph.nodes}  # pending splitters, edge order
         self.splitters = []  # (teleport port, Bell partner)
@@ -115,48 +126,73 @@ class _Frontier:
             first = self.bell[partner].pop(0)
             port = self.splitters[first][0]
             self.bell[port].remove(first)
-            xa, xb = self._row(port), self._row(partner)
-            idx = [xa, xb, xa + 1, xb + 1]
-            self.rows[idx] = BELL_SPLITTER @ self.rows[idx]
+            self._bell(self._row(port), self._row(partner))
         return self._row(node_id)
 
     def release(self, node_id) -> None:
-        """Free a measured node's rows for reuse."""
+        """Free a measured node's slot for reuse."""
         xr = self.slot.pop(node_id)
-        self.rows[xr : xr + 2] = 0.0
+        self._clear(xr)
         self.free.append(xr)
 
     def _apply_qnd(self, node_id) -> None:
-        # QND: p_u += x_v, p_v += x_u
         partners, self.qnd[node_id] = self.qnd[node_id], []
         for other in partners:
             self.qnd[other].remove(node_id)
-            xu, xv = self._row(node_id), self._row(other)
-            self.rows[xu + 1] += self.rows[xv]
-            self.rows[xv + 1] += self.rows[xu]
+            self._qnd(self._row(node_id), self._row(other))
 
     def _row(self, node_id) -> int:
         xr = self.slot.get(node_id)
         if xr is None:
             if not self.free:
-                size = self.rows.shape[0]
-                self.rows = np.concatenate([self.rows, np.zeros_like(self.rows)])
-                self.free = list(range(2 * size - 2, size - 2, -2))
+                old, self.size = self.size, max(2, 2 * self.size)
+                self._grow(self.size)
+                self.free = list(range(self.size - 2, old - 2, -2))
             xr = self.free.pop()
             self.slot[node_id] = xr
-            xc, pc = self.basis[node_id]
-            self.rows[xr, xc] = 1.0
-            self.rows[xr + 1, pc] = 1.0
+            self._open(node_id, xr)
         return xr
+
+
+class _Rows(_Frontier):
+    """Coefficient rows of the live quadratures over the replay's basis,
+    whose first 2n columns are the input quadratures."""
+
+    def __init__(self, graph, basis: dict, width: int):
+        super().__init__(graph)
+        self.basis = basis  # ancilla id -> (x column, p column) of its own noises
+        n = self.size // 2
+        self.rows = np.zeros((self.size, width))
+        self.rows[0::2, :n] = np.eye(n)
+        self.rows[1::2, n : 2 * n] = np.eye(n)
+
+    def _grow(self, size: int) -> None:
+        grown = np.zeros((size, self.rows.shape[1]))
+        grown[: len(self.rows)] = self.rows
+        self.rows = grown
+
+    def _open(self, node_id, xr: int) -> None:
+        xc, pc = self.basis[node_id]
+        self.rows[xr, xc] = 1.0
+        self.rows[xr + 1, pc] = 1.0
+
+    def _qnd(self, xu: int, xv: int) -> None:
+        # QND: p_u += x_v, p_v += x_u
+        self.rows[xu + 1] += self.rows[xv]
+        self.rows[xv + 1] += self.rows[xu]
+
+    def _bell(self, xa: int, xb: int) -> None:
+        idx = [xa, xb, xa + 1, xb + 1]
+        self.rows[idx] = BELL_SPLITTER @ self.rows[idx]
+
+    def _clear(self, xr: int) -> None:
+        self.rows[xr : xr + 2] = 0.0
 
 
 def exact_replay(program: MeasurementProgram) -> ExactReplay:
     """Execute the program on symbolic quadratures; see module docstring.
 
-    Every coupling is a linear map that commutes with the substitutions of
-    measurements on other nodes, so each edge is applied just before the
-    first measurement or output read-out of either endpoint, and a teleport
-    port's Bell splitter after every QND edge of its partner.
+    Edges are applied when ``_Frontier`` schedules them.
     """
     program.validate()
     graph = program.graph
@@ -167,9 +203,8 @@ def exact_replay(program: MeasurementProgram) -> ExactReplay:
     n_meas = len(program.schedule)
 
     z0, w0, u0, s0 = 0, 2 * n, 2 * n + n_anc, 2 * n + 2 * n_anc
-    basis = {port.id: (z0 + port.port, z0 + n + port.port) for port in ports}
-    basis.update({anc.id: (w0 + j, u0 + j) for j, anc in enumerate(ancillas)})
-    frontier = _Frontier(graph, basis, s0 + n_meas)
+    basis = {anc.id: (w0 + j, u0 + j) for j, anc in enumerate(ancillas)}
+    frontier = _Rows(graph, basis, s0 + n_meas)
 
     for k, entry in enumerate(program.schedule):
         xr = frontier.couple(entry.node_id)
@@ -219,13 +254,3 @@ def exact_replay(program: MeasurementProgram) -> ExactReplay:
         output_ids=tuple(p.id for p in graph.output_ports()),
     )
 
-
-def probe_feedforward(program: MeasurementProgram) -> tuple:
-    """Feedforward rules from unit-impulse probing of each outcome.
-
-    The probe runs the program's exact linear algebra with outcome s_k = 1
-    (all others zero) and zero input, reads the output shift, and installs
-    the negating displacement.  Exact for linear systems, hence independent
-    of the ancilla squeezing level.
-    """
-    return exact_replay(program).feedforward_rules()

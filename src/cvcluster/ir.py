@@ -137,7 +137,7 @@ class MeasurementProgram:
         if len(set(measured)) != len(measured):
             raise ProgramError("a node is scheduled more than once")
         node_map = self.graph.node_map()
-        expected = {n.id for n in self.nodes_to_measure()}
+        expected = {n.id for n in self.graph.nodes if n.role != ROLE_OUTPUT}
         got = set(measured)
         if got != expected:
             missing = expected - got
@@ -159,10 +159,6 @@ class MeasurementProgram:
                 )
             if rule.target_id not in node_map:
                 raise ProgramError(f"feedforward target {rule.target_id} unknown")
-
-    def nodes_to_measure(self) -> list:
-        """Every node except output ports, i.e. the schedule's domain."""
-        return [n for n in self.graph.nodes if n.role != ROLE_OUTPUT]
 
 
 @dataclass(frozen=True)

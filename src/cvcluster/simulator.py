@@ -1,11 +1,19 @@
 """Gaussian-state execution of measurement programs at finite squeezing.
 
 States are (mean, covariance) pairs in x-then-p ordering with hbar = 1/2
-(vacuum variance 1/4).  Cluster construction applies QND gates to p-squeezed
-vacua.  Every homodyne detection, in every execution path, is one in-place
-Schur-complement step (``_condition``) on a mean carried as an affine
-function of the input mean and the outcomes; it clears the measured mode.
-Feedforward displaces surviving modes in proportion to recorded outcomes.
+(vacuum variance 1/4).  A program runs on the live frontier of its cluster,
+the nodes that are coupled but not yet measured.  The executor's edge
+scheduler (``executor._Frontier``) decides when each QND edge and Bell
+splitter is applied and when a node's p-squeezed vacuum slot is opened or
+freed; this module holds only the Gaussian arithmetic on the slots, with a
+slot's x and p adjacent.  The state is therefore only as large as the
+frontier; ``run_program`` and ``extract_effective_map`` never call the
+executor's replay.
+
+Every homodyne detection is one in-place Schur-complement step
+(``_condition``), its outcome pinned to zero or drawn from its prior as it
+is measured.  Feedforward displacements are accumulated on the side and
+added to the outputs at read-out, after all of their edges.
 """
 
 import math
@@ -14,13 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConditioningError
-from .executor import exact_replay
-from .ir import (
-    COUPLING_TELEPORT,
-    ClusterGraph,
-    MeasurementProgram,
-    ROLE_INPUT,
-)
+from .executor import _Frontier, exact_replay
+from .ir import ClusterGraph, MeasurementProgram
 from .symplectic import (
     SymplecticMap,
     VACUUM_QUADRATURE_VARIANCE,
@@ -163,60 +166,101 @@ def build_cluster(graph: ClusterGraph, r: float) -> GaussianState:
     per edge.  Every node must be a squeezed mode (no input ports); the
     state's mode order follows the graph's node order."""
     graph.validate()
-    if any(node.role == ROLE_INPUT for node in graph.nodes):
+    if graph.input_ports():
         raise ValueError("build_cluster expects a graph without input ports")
     if not graph.nodes:
         raise ValueError("graph has no nodes")
-    mean, cov, _ = _couple(graph, np.zeros(0), np.zeros((0, 0)), r)
-    return GaussianState(mean, cov)
+    state = _Moments(graph, r, np.zeros(0), np.zeros((0, 0)))
+    return GaussianState(*state.read([node.id for node in graph.nodes]))
 
 
-def _apply_qnd_inplace(mean, cov, n, j, k):
-    # p_j += x_k ; p_k += x_j  (x rows untouched, so order is immaterial)
-    mean[n + j] += mean[k]
-    mean[n + k] += mean[j]
-    cov[n + j, :] += cov[k, :]
-    cov[n + k, :] += cov[j, :]
-    cov[:, n + j] += cov[:, k]
-    cov[:, n + k] += cov[:, j]
+class _Moments(_Frontier):
+    """Mean and covariance of the live slots, as ``_Frontier`` schedules them.
 
-
-def _apply_bell_inplace(mean, cov, n, a, b):
-    # Balanced Bell splitter on modes (a, b), a the input port.
-    idx = [a, b, n + a, n + b]
-    mean[idx] = BELL_SPLITTER @ mean[idx]
-    cov[idx, :] = BELL_SPLITTER @ cov[idx, :]
-    cov[:, idx] = cov[:, idx] @ BELL_SPLITTER.T
-
-
-def _condition(mean, cov, mode: int, theta: float, column: int):
-    """Condition (mean, cov) in place on x sin(theta) + p cos(theta) of a mode.
-
-    ``mean`` is an affine mean, one column per variable; the outcome is the
-    variable of ``column``.  Only rows and columns where the measured
-    quadrature has support are updated.  Returns the outcome's prior (its
-    mean row) and variance, then clears the measured mode's rows and columns.
+    ``mean`` is a vector, or has one column per input-mean direction.  The
+    ``tail`` rows after the slots are registers that no edge touches.
     """
-    total = cov.shape[0] // 2
+
+    def __init__(self, graph, r: float, mean, cov, tail: int = 0):
+        super().__init__(graph)
+        n = self.size // 2
+        if len(mean) != 2 * n:
+            raise ValueError(f"program has {n} ports but input has {len(mean) // 2} modes")
+        order = np.arange(2 * n).reshape(2, n).T.ravel()  # x0, p0, x1, p1, ...
+        self.tail = tail
+        self.mean = np.zeros((2 * n + tail,) + np.shape(mean)[1:])
+        self.mean[: 2 * n] = mean[order]
+        self.cov = np.zeros((2 * n + tail, 2 * n + tail))
+        self.cov[: 2 * n, : 2 * n] = cov[order[:, None], order]
+        self.squeezed = (np.exp(2.0 * r) / 4.0, np.exp(-2.0 * r) / 4.0)
+
+    def read(self, node_ids):
+        """Couple the nodes; return the mean and covariance of their x's,
+        their p's and the tail."""
+        xs = [self.couple(node_id) for node_id in node_ids]
+        rows = len(self.cov)
+        sel = np.array(xs + [x + 1 for x in xs] + list(range(rows - self.tail, rows)))
+        return self.mean[sel], self.cov[sel[:, None], sel]
+
+    def validate(self) -> None:
+        """Check the physicality of the live slots' state."""
+        xs = sorted(self.slot.values())
+        sel = xs + [x + 1 for x in xs]
+        validate_state(GaussianState(np.zeros(len(sel)), self.cov[np.ix_(sel, sel)]))
+
+    def _grow(self, size: int) -> None:
+        keep = np.arange(len(self.cov))  # old row -> new row; the tail moves to the end
+        keep[keep >= len(self.cov) - self.tail] += size + self.tail - len(self.cov)
+        mean = np.zeros((size + self.tail,) + self.mean.shape[1:])
+        cov = np.zeros((size + self.tail, size + self.tail))
+        mean[keep] = self.mean
+        cov[keep[:, None], keep] = self.cov
+        self.mean, self.cov = mean, cov
+
+    def _open(self, node_id, xr: int) -> None:
+        self.cov[xr, xr], self.cov[xr + 1, xr + 1] = self.squeezed
+
+    def _qnd(self, xu: int, xv: int) -> None:
+        # p_u += x_v, p_v += x_u: rows, then columns
+        mean, cov = self.mean, self.cov
+        mean[xu + 1] += mean[xv]
+        mean[xv + 1] += mean[xu]
+        cov[xu + 1] += cov[xv]
+        cov[xv + 1] += cov[xu]
+        cov[:, xu + 1] += cov[:, xv]
+        cov[:, xv + 1] += cov[:, xu]
+
+    def _bell(self, xa: int, xb: int) -> None:
+        idx = [xa, xb, xa + 1, xb + 1]
+        self.mean[idx] = BELL_SPLITTER @ self.mean[idx]
+        self.cov[idx] = BELL_SPLITTER @ self.cov[idx]
+        self.cov[:, idx] = self.cov[:, idx] @ BELL_SPLITTER.T
+
+    def _clear(self, xr: int) -> None:
+        self.mean[xr : xr + 2] = 0.0
+        self.cov[xr : xr + 2] = 0.0
+        self.cov[:, xr : xr + 2] = 0.0
+
+
+def _condition(mean, cov, ix: int, ip: int, theta: float, rng, name: str) -> float:
+    """Condition (mean, cov) in place on x sin(theta) + p cos(theta), with x
+    and p at indices ix and ip; return the outcome.
+
+    The outcome is drawn from its prior with ``rng``, or pinned to zero when
+    ``rng`` is None; a ``mean`` with columns is conditioned column by column.
+    """
     sin, cos = math.sin(theta), math.cos(theta)
-    cv = sin * cov[:, mode] + cos * cov[:, total + mode]
-    var = sin * cv[mode] + cos * cv[total + mode]
+    cv = sin * cov[:, ix] + cos * cov[:, ip]
+    var = sin * cv[ix] + cos * cv[ip]
     if var <= 0.0:
         raise DegenerateConditioningError(
-            f"measured quadrature on mode {mode} has non-positive variance {var:.3e}"
+            f"measured quadrature on {name} has non-positive variance {var:.3e}"
         )
-    prior = sin * mean[mode] + cos * mean[total + mode]
-    innovation = -prior
-    innovation[column] += 1.0
-    support = np.flatnonzero(cv)
-    cv = cv[support]
-    mean[support] += np.outer(cv / var, innovation)
-    cov[support[:, None], support] -= np.outer(cv, cv) / var
-    for i in (mode, total + mode):
-        mean[i] = 0.0
-        cov[i] = 0.0
-        cov[:, i] = 0.0
-    return prior, var
+    prior = sin * mean[ix] + cos * mean[ip]
+    outcome = 0.0 if rng is None else float(rng.normal(prior, math.sqrt(var)))
+    mean += np.multiply.outer(cv / var, outcome - prior)
+    cov -= np.outer(cv, cv) / var
+    return outcome
 
 
 def homodyne_measure(
@@ -234,109 +278,46 @@ def homodyne_measure(
     n = state.n
     if not 0 <= mode < n:
         raise ValueError(f"mode {mode} out of range for n={n}")
-    mean = np.column_stack([state.mean, np.zeros(2 * n)])
-    cov = state.cov.copy()
-    prior, var = _condition(mean, cov, mode, theta, 1)
-    outcome = 0.0
-    if policy.kind == "sampled":
-        if rng is None:
-            rng = np.random.default_rng(policy.seed)
-        outcome = float(rng.normal(prior[0], np.sqrt(var)))
+    if policy.kind == "sampled" and rng is None:
+        rng = np.random.default_rng(policy.seed)
+    rng = rng if policy.kind == "sampled" else None
+    mean, cov = state.mean.copy(), state.cov.copy()
+    outcome = _condition(mean, cov, mode, n + mode, theta, rng, f"mode {mode}")
     keep = [i for i in range(2 * n) if i not in (mode, n + mode)]
-    return outcome, GaussianState(
-        mean[keep, 0] + mean[keep, 1] * outcome, cov[np.ix_(keep, keep)]
-    )
+    return outcome, GaussianState(mean[keep], cov[np.ix_(keep, keep)])
 
 
-def _couple(graph: ClusterGraph, input_mean, input_cov, r: float):
-    """Tensor the input with p-squeezed ancillas and apply the graph's
-    couplings (QND edges, then the Bell splitters of teleport ports).
-
-    ``input_mean`` is a 2n vector, or a 2n-by-c array whose columns are
-    carried along as an affine mean.  Returns (mean, cov, mode_of), with the
-    inputs on modes 0..n-1 in port order and the ancillas after them in
-    graph order.
-    """
-    ports = graph.input_ports()
-    n = len(ports)
-    if len(input_mean) != 2 * n:
-        raise ValueError(
-            f"program has {n} ports but input has {len(input_mean) // 2} modes"
-        )
-    ancillas = graph.ancilla_nodes()
-    total = n + len(ancillas)
-
-    mean = np.zeros((2 * total,) + np.shape(input_mean)[1:])
-    cov = np.zeros((2 * total, 2 * total))
-    in_idx = list(range(n)) + [total + i for i in range(n)]
-    cov[np.ix_(in_idx, in_idx)] = input_cov
-    mean[in_idx] = input_mean
-    mode_of = {}
-    for port in ports:
-        mode_of[port.id] = port.port
-    for j, anc in enumerate(ancillas):
-        mode = n + j
-        mode_of[anc.id] = mode
-        cov[mode, mode] = np.exp(2.0 * r) / 4.0
-        cov[total + mode, total + mode] = np.exp(-2.0 * r) / 4.0
-
-    node_map = graph.node_map()
-    bell_pairs = []
-    for u, v in graph.edges:
-        nu, nv = node_map[u], node_map[v]
-        teleport = None
-        for a, b in ((nu, nv), (nv, nu)):
-            if a.role == ROLE_INPUT and a.coupling == COUPLING_TELEPORT:
-                teleport = (a.id, b.id)
-                break
-        if teleport is not None:
-            bell_pairs.append(teleport)
-        else:
-            _apply_qnd_inplace(mean, cov, total, mode_of[u], mode_of[v])
-    for port_id, partner_id in bell_pairs:
-        _apply_bell_inplace(mean, cov, total, mode_of[port_id], mode_of[partner_id])
-    return mean, cov, mode_of
-
-
-def _execute(program: MeasurementProgram, input_mean, input_cov, r, validate=False):
-    """Couple the inputs, condition on every scheduled homodyne and install
-    the feedforward, on an affine mean.
-
-    ``input_mean`` is a 2n-by-c array; outcome k (schedule order) is the
-    variable of column c + k.  Returns the output ports' affine mean
-    (2n-by-(c + m)) and covariance, and each outcome's prior row and
-    variance.  ``validate`` checks the unmeasured modes after every step.
-    """
-    program.validate()
-    c = input_mean.shape[1]
-    m = len(program.schedule)
-    mean, cov, mode_of = _couple(
-        program.graph,
-        np.hstack([input_mean, np.zeros((len(input_mean), m))]),
-        input_cov,
-        r,
-    )
-    total = cov.shape[0] // 2
-    prior = np.zeros((m, c + m))
-    var = np.zeros(m)
-    live = np.ones(2 * total, dtype=bool)
-    for k, entry in enumerate(program.schedule):
-        mode = mode_of[entry.node_id]
-        prior[k], var[k] = _condition(mean, cov, mode, entry.angle, c + k)
-        if validate:
-            live[[mode, total + mode]] = False
-            keep = np.flatnonzero(live)
-            validate_state(GaussianState(np.zeros(keep.size), cov[np.ix_(keep, keep)]))
-
-    column = {entry.node_id: c + k for k, entry in enumerate(program.schedule)}
+def _feedforward_gains(program: MeasurementProgram) -> dict:
+    """Measured node id -> the 2n output displacement per unit outcome."""
+    n = program.n
+    port = {p.id: p.port for p in program.graph.output_ports()}
+    gains = {}
     for rule in program.feedforward:
-        t = mode_of[rule.target_id]
-        mean[t, column[rule.source_id]] += rule.gain_x
-        mean[total + t, column[rule.source_id]] += rule.gain_p
+        g = gains.setdefault(rule.source_id, np.zeros(2 * n))
+        g[port[rule.target_id]] += rule.gain_x
+        g[n + port[rule.target_id]] += rule.gain_p
+    return gains
 
-    order = [mode_of[p.id] for p in program.graph.output_ports()]
-    sel = order + [total + t for t in order]
-    return mean[sel], cov[np.ix_(sel, sel)], prior, var
+
+def _execute(program: MeasurementProgram, mean, cov, r, rng=None, validate=False):
+    """Condition on the scheduled homodynes, drawing outcomes with ``rng``
+    (pinned to zero if None); return the output ports' mean and covariance
+    (x-then-p) and the outcome record.  ``validate`` checks the live modes
+    after every step."""
+    program.validate()
+    state = _Moments(program.graph, r, mean, cov)
+    outcomes = {}
+    for entry in program.schedule:
+        node = entry.node_id
+        xr = state.couple(node)
+        outcomes[node] = _condition(
+            state.mean, state.cov, xr, xr + 1, entry.angle, rng, f"node {node}"
+        )
+        state.release(node)
+        if validate:
+            state.validate()
+    out_mean, out_cov = state.read([p.id for p in program.graph.output_ports()])
+    return out_mean, out_cov, outcomes
 
 
 def run_program(
@@ -348,26 +329,23 @@ def run_program(
 ):
     """Execute a compiled program on an input state at ancilla squeezing r.
 
-    Builds the ancilla cluster, couples the inputs (QND edges, or a Bell
-    splitter for teleport ports), runs the homodyne schedule, applies the
-    outcome-proportional feedforward displacements and the target's
-    post-displacement, and returns (output state, outcome record).  The
-    output modes follow the program's output-port order.
+    Couples the inputs to the ancillas (QND edges, or a Bell splitter for
+    teleport ports) as the live frontier reaches them, runs the homodyne
+    schedule, drawing each sampled outcome from its prior given the outcomes
+    before it, applies the outcome-proportional feedforward displacements
+    and the target's post-displacement, and returns (output state, outcome
+    record).  The output modes follow the program's output-port order.
     """
-    out, cov, prior, var = _execute(
-        program, input_state.mean[:, None], input_state.cov, r, validate
+    rng = np.random.default_rng(policy.seed) if policy.kind == "sampled" else None
+    mean, cov, outcomes = _execute(
+        program, input_state.mean, input_state.cov, r, rng, validate
     )
-    s = np.zeros(len(var))
-    if policy.kind == "sampled":
-        # Outcome k is drawn from its prior given the input and outcomes 0..k-1.
-        rng = np.random.default_rng(policy.seed)
-        for k in range(len(var)):
-            s[k] = rng.normal(prior[k, 0] + prior[k, 1:] @ s, np.sqrt(var[k]))
-    outcomes = {
-        entry.node_id: float(value) for entry, value in zip(program.schedule, s)
-    }
-    mean = out[:, 0] + out[:, 1:] @ s + program.target.displacement
-    return GaussianState(mean, cov), outcomes
+    # Feedforward lands after every edge of the outputs, so it is added here.
+    gains = _feedforward_gains(program)
+    for node, value in outcomes.items():
+        if value and node in gains:
+            mean += value * gains[node]
+    return GaussianState(mean + program.target.displacement, cov), outcomes
 
 
 def extract_effective_map(
@@ -375,42 +353,51 @@ def extract_effective_map(
 ):
     """The program's effective map and the excess noise of its channel.
 
-    One Gaussian pass on vacuum input carries the mean as a linear function
-    of the input mean z (2n) and the outcomes s (m, schedule order): every
-    homodyne applies the same Schur-complement update to each column, and
-    records the outcome's prior, s_k = P_k z + R_k s + e_k, where the
-    innovations e_k are independent with the prior variance of the measured
-    quadrature.  The installed feedforward gains are then added to the
-    outputs' s-columns, leaving output mean = M z + S s.
-
     Returns (SymplecticMap(n, M, target displacement), excess):
 
-    * M is the input response at pinned-zero outcomes (s = 0), the map that
-      ``run_program`` under ``PINNED_ZERO`` applies.  It is only
-      approximately symplectic at finite squeezing and converges to the
-      compile target as r grows.
+    * M is the input response at pinned-zero outcomes, the map that
+      ``run_program`` under ``PINNED_ZERO`` applies.  One conditioned pass
+      on vacuum input carries the mean as a 2n-column linear function of
+      the input mean.  M is only approximately symplectic at finite
+      squeezing and converges to the compile target as r grows.
     * excess is the excess covariance of the feedforward-corrected channel,
-      averaged over outcomes.  Eliminating s = (I - R)^{-1} (P z + e) gives
-      the channel map M_ch = M + K P and covariance
-      cov(out | s) + K diag(var_q) K^T, with K = S (I - R)^{-1}; excess is
-      that covariance minus M_ch (I/4) M_ch^T, symmetrized.  The
-      executor's exact ``N N^T e^{-2r}/4`` is the same quantity, found
-      independently.
+      averaged over outcomes, from a second pass by deferred measurement.
+      A measured mode takes part in no later edge, so its outcome may be
+      left as the quadrature q itself: each homodyne adds gain * q to 2n
+      accumulator registers, the installed feedforward, and the measured
+      mode is then marginalised, with no conditioning.  The channel output
+      is ``out + acc``; run on an input of zero covariance, its covariance
+      is the channel's excess itself.  The executor's exact
+      ``N N^T e^{-2r}/4`` is the same quantity, found independently.
     """
     if policy.kind != "pinned-zero":
         raise ValueError("effective-map probing requires the pinned-zero policy")
     n = program.n
-    m = len(program.schedule)
-    out, out_cov, prior, var = _execute(
-        program, np.eye(2 * n), np.eye(2 * n) * VACUUM_QUADRATURE_VARIANCE, r
-    )
-    effective = out[:, : 2 * n]
-    k_gain = np.linalg.solve(np.eye(m) - prior[:, 2 * n :].T, out[:, 2 * n :].T).T
-    channel = effective + k_gain @ prior[:, : 2 * n]
-    channel_cov = out_cov + (k_gain * var) @ k_gain.T
-    excess = channel_cov - channel @ channel.T * VACUUM_QUADRATURE_VARIANCE
-    excess = (excess + excess.T) / 2.0
+    effective, _, _ = _execute(program, np.eye(2 * n), vacuum(n).cov, r)
+    excess = _channel_excess(program, r)
     return SymplecticMap(n, effective, program.target.displacement), excess
+
+
+def _channel_excess(program: MeasurementProgram, r: float) -> np.ndarray:
+    """The deferred-measurement pass of ``extract_effective_map``."""
+    n = program.n
+    state = _Moments(program.graph, r, np.zeros(2 * n), np.zeros((2 * n, 2 * n)), 2 * n)
+    gains = _feedforward_gains(program)
+    for entry in program.schedule:
+        xr = state.couple(entry.node_id)
+        gain = gains.get(entry.node_id)
+        if gain is not None:
+            # acc += gain * q: rows, then columns
+            cov = state.cov
+            sin, cos = math.sin(entry.angle), math.cos(entry.angle)
+            cq = sin * cov[:, xr] + cos * cov[:, xr + 1]
+            cov[-2 * n :] += np.outer(gain, cq)
+            cq[-2 * n :] += gain * (sin * cq[xr] + cos * cq[xr + 1])
+            cov[:, -2 * n :] += np.outer(cq, gain)
+        state.release(entry.node_id)
+    _, joint = state.read([p.id for p in program.graph.output_ports()])
+    excess = joint.reshape(2, 2 * n, 2, 2 * n).sum(axis=(0, 2))
+    return (excess + excess.T) / 2.0
 
 
 def predicted_excess(program: MeasurementProgram, r: float) -> np.ndarray:

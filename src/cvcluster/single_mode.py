@@ -42,14 +42,6 @@ class FourStepParams:
         )
 
 
-@dataclass(frozen=True)
-class HomodyneSetting:
-    """Homodyne angle and feedforward gain realizing one quadratic phase step."""
-
-    theta: float  # radians in (-pi/2, pi/2]
-    gain: float  # g = sqrt(1 + kappa^2) >= 1
-
-
 def _solve(a: float, b: float, c: float, d: float, kappa1: float):
     """Kappas for a fixed kappa1, or raise SingularParameterError at a pole."""
     kappa3 = c - d * kappa1
@@ -153,11 +145,6 @@ def three_step_reachable(target: SymplecticMap) -> bool:
         raise ValueError("reachability test applies to one-mode maps")
     _, b, _, d = target.abcd()
     return not (abs(d) < 1e-12 and abs(b - 1.0) > 1e-12)
-
-
-def homodyne_setting(kappa: float) -> HomodyneSetting:
-    """Angle and gain measuring g (x sin(theta) + p cos(theta)) = kappa x + p."""
-    return HomodyneSetting(theta=float(np.arctan(kappa)), gain=float(np.hypot(1.0, kappa)))
 
 
 def rsr_decompose(target: SymplecticMap) -> tuple[float, float, float]:

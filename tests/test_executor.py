@@ -12,13 +12,15 @@ from hypothesis import strategies as st
 from cvcluster import (
     DegenerateMeasurementError,
     ProgramError,
+    coherent,
     compile,
+    db_to_r,
     exact_replay,
     extract_effective_map,
     identity,
     predicted_excess,
-    probe_feedforward,
     random_symplectic,
+    run_program,
 )
 from cvcluster.ir import (
     COUPLING_QND,
@@ -140,7 +142,7 @@ def test_under_measured_program_rejected():
 def test_probe_feedforward_standalone():
     program, _ = compile(identity(1))
     stripped = dataclasses.replace(program, feedforward=())
-    assert probe_feedforward(stripped) == program.feedforward
+    assert exact_replay(stripped).feedforward_rules() == program.feedforward
 
 
 def test_effective_map_close_to_exact_replay_at_high_squeezing():
@@ -244,8 +246,20 @@ def test_replay_does_not_depend_on_edge_order(data):
     flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     edges = tuple((v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips))
     graph = dataclasses.replace(program.graph, edges=edges)
+    moved_program = dataclasses.replace(program, graph=graph)
     base = exact_replay(program)
-    moved = exact_replay(dataclasses.replace(program, graph=graph))
+    moved = exact_replay(moved_program)
     assert np.max(np.abs(moved.matrix - base.matrix)) < 1e-12
     assert np.max(np.abs(moved.outcome_response - base.outcome_response)) < 1e-12
     assert np.max(np.abs(moved.noise_response - base.noise_response)) < 1e-12
+    # The simulator defers edges through the same scheduler.
+    r = db_to_r(13.0)
+    state_in = coherent(program.n, np.linspace(-1.0, 1.0, 2 * program.n))
+    base_out, _ = run_program(program, state_in, r)
+    moved_out, _ = run_program(moved_program, state_in, r)
+    assert np.max(np.abs(moved_out.mean - base_out.mean)) < 1e-12
+    assert np.max(np.abs(moved_out.cov - base_out.cov)) < 1e-12
+    base_map, base_excess = extract_effective_map(program, r)
+    moved_map, moved_excess = extract_effective_map(moved_program, r)
+    assert np.max(np.abs(moved_map.matrix - base_map.matrix)) < 1e-12
+    assert np.max(np.abs(moved_excess - base_excess)) < 1e-12

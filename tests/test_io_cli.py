@@ -293,7 +293,7 @@ def test_cli_teleport_program_end_to_end(tmp_path, capsys):
     import dataclasses
 
     from cvcluster import identity as identity_map
-    from cvcluster import probe_feedforward
+    from cvcluster import exact_replay
     from cvcluster.ir import (
         COUPLING_TELEPORT,
         ClusterGraph,
@@ -317,7 +317,7 @@ def test_cli_teleport_program_end_to_end(tmp_path, capsys):
         feedforward=(),
         target=identity_map(1),
     )
-    program = dataclasses.replace(program, feedforward=probe_feedforward(program))
+    program = dataclasses.replace(program, feedforward=exact_replay(program).feedforward_rules())
     path = str(tmp_path / "teleport.json")
     serialize.save_program(program, path)
     assert serialize.load_program(path) == program

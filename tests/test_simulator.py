@@ -1,6 +1,7 @@
 """Gaussian simulation: states, clusters, conditioning, program execution."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from cvcluster.ir import (
     ROLE_OUTPUT,
     ScheduleEntry,
 )
-from cvcluster.executor import probe_feedforward
+from cvcluster.executor import exact_replay
 
 from oracles import dense_run_program
 
@@ -67,7 +68,7 @@ def teleport_identity_program() -> MeasurementProgram:
         feedforward=(),
         target=identity(1),
     )
-    return dataclasses.replace(program, feedforward=probe_feedforward(program))
+    return dataclasses.replace(program, feedforward=exact_replay(program).feedforward_rules())
 
 
 def test_squeezed_vacuum():
@@ -265,22 +266,40 @@ def shuffled_schedule_program():
     return dataclasses.replace(program, schedule=tuple(schedule))
 
 
+def coherent_input(n: int) -> GaussianState:
+    return coherent(n, np.random.default_rng(n).uniform(-1.0, 1.0, 2 * n))
+
+
+def correlated_input(n: int) -> GaussianState:
+    # Not a product state: every input port must be in the state before the
+    # first edge is applied.
+    return apply_map(coherent_input(n), random_symplectic(n, 3))
+
+
 @pytest.mark.parametrize("policy", [PINNED_ZERO, sampled(4)], ids=["pinned", "sampled"])
 @pytest.mark.parametrize(
-    "make_program",
+    "make_program, make_input",
     [
-        lambda: compile(random_symplectic(1, 11))[0],
-        lambda: compile(random_symplectic(2, 8))[0],
-        lambda: compile(random_symplectic(3, 5))[0],
-        shuffled_schedule_program,
-        teleport_identity_program,
+        (lambda: compile(random_symplectic(1, 11))[0], coherent_input),
+        (lambda: compile(random_symplectic(2, 8))[0], coherent_input),
+        (lambda: compile(random_symplectic(3, 5))[0], coherent_input),
+        (shuffled_schedule_program, coherent_input),
+        (teleport_identity_program, coherent_input),
+        (lambda: compile(random_symplectic(2, 8))[0], correlated_input),
     ],
-    ids=["random-n1", "random-n2", "random-n3", "shuffled-n2", "teleport-identity"],
+    ids=[
+        "random-n1",
+        "random-n2",
+        "random-n3",
+        "shuffled-n2",
+        "teleport-identity",
+        "correlated-n2",
+    ],
 )
-def test_run_program_matches_dense_oracle(make_program, policy):
+def test_run_program_matches_dense_oracle(make_program, make_input, policy):
     program = make_program()
     n = program.n
-    input_state = coherent(n, np.random.default_rng(n).uniform(-1.0, 1.0, 2 * n))
+    input_state = make_input(n)
     r = db_to_r(13.0)
     out, record = run_program(program, input_state, r, policy)
     mean, cov, expected = dense_run_program(program, input_state, r, policy)
@@ -291,6 +310,27 @@ def test_run_program_matches_dense_oracle(make_program, policy):
     assert_allclose(list(record.values()), list(expected.values()), rtol=0, atol=1e-12)
     if policy.kind == "sampled":
         assert any(value != 0.0 for value in record.values())
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda program: run_program(program, vacuum(6), db_to_r(13.0), sampled(1)),
+        lambda program: extract_effective_map(program, db_to_r(13.0)),
+    ],
+    ids=["run_program", "extract_effective_map"],
+)
+def test_simulator_memory_follows_the_live_frontier(run):
+    # The dense covariance of the whole cluster takes ~100 MB here; the live
+    # frontier's takes under a megabyte.
+    program, _ = compile(random_symplectic(6, 7))
+    tracemalloc.start()
+    try:
+        run(program)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_physicality_along_a_run():
@@ -366,7 +406,7 @@ def test_feedforward_gains_elementary_step():
         feedforward=(),
         target=fourier(),
     )
-    rules = probe_feedforward(program)
+    rules = exact_replay(program).feedforward_rules()
     assert len(rules) == 1
     assert rules[0].gain_x == pytest.approx(-1.0)
     assert rules[0].gain_p == pytest.approx(0.0)
@@ -376,7 +416,7 @@ def test_feedforward_gains_do_not_depend_on_squeezing():
     # The probe reads the exact linear algebra, which has no squeezing level:
     # probing the compiled program again gives the gains it was compiled with.
     program, _ = compile(random_symplectic(1, 11))
-    assert probe_feedforward(program) == program.feedforward
+    assert exact_replay(program).feedforward_rules() == program.feedforward
 
 
 def test_predicted_excess_matches_teleport_closed_form():

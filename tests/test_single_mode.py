@@ -11,7 +11,6 @@ from cvcluster import (
     SymplecticMap,
     decompose_four_step,
     fourier,
-    homodyne_setting,
     identity,
     random_symplectic,
     rotation,
@@ -187,20 +186,6 @@ def test_unreachable_family_succeeds_with_four_steps():
             params = decompose_four_step(target)
             residual = np.max(np.abs(params.reconstruct().matrix - target.matrix))
             assert residual < 1e-9
-
-
-def test_homodyne_setting():
-    flat = homodyne_setting(0.0)
-    assert flat.theta == 0.0 and flat.gain == 1.0
-    diag = homodyne_setting(1.0)
-    assert diag.theta == pytest.approx(np.pi / 4)
-    assert diag.gain == pytest.approx(np.sqrt(2.0))
-    rng = np.random.default_rng(5)
-    for kappa in rng.uniform(-20, 20, size=100):
-        setting = homodyne_setting(kappa)
-        vec = setting.gain * np.array([np.sin(setting.theta), np.cos(setting.theta)])
-        assert_allclose(vec, [kappa, 1.0], atol=1e-14 * max(1.0, abs(kappa)))
-        assert np.tan(setting.theta) == pytest.approx(kappa, abs=1e-12 * max(1.0, abs(kappa)))
 
 
 def test_rsr_identity_gauge():
