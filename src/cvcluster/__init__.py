@@ -45,6 +45,7 @@ from .simulator import (
     build_cluster,
     coherent,
     db_to_r,
+    effective_map,
     extract_effective_map,
     homodyne_measure,
     predicted_excess,

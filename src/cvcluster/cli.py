@@ -149,7 +149,7 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     program = serialize.load_program(args.program)
     r = db_to_r(args.db)
-    effective, _ = simulator.extract_effective_map(program, r)
+    effective = simulator.effective_map(program, r)
     diff = np.abs(effective.matrix - program.target.matrix)
     error = float(diff.max())
     worst = tuple(int(i) for i in np.unravel_index(int(np.argmax(diff)), diff.shape))
@@ -192,7 +192,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for db in args.db:
         r = db_to_r(db)
-        effective, _ = simulator.extract_effective_map(program, r)
+        effective = simulator.effective_map(program, r)
         error = float(np.max(np.abs(effective.matrix - program.target.matrix)))
         rows.append((db, error, float(np.trace(replay.excess_covariance(r)))))
     if args.out:

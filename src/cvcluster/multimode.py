@@ -33,11 +33,8 @@ from .symplectic import (
     SymplecticMap,
     beam_splitter_matrix,
     compose,
-    compose_many,
-    elementary_step,
     embed,
     fourier_power,
-    identity,
     require_symplectic,
     rotation,
     squeeze,
@@ -59,7 +56,6 @@ class ConnectionGateParams:
     kappa1: float
     kappa2: float
     eta3: float
-    mode_pair: tuple = (0, 1)
 
 
 def connection_gate(params: ConnectionGateParams) -> SymplecticMap:
@@ -267,7 +263,12 @@ def reck_decompose(passive: SymplecticMap) -> ReckNetwork:
 
 
 class _Builder:
-    """Accumulates nodes, edges, schedule and replay matrices column by column."""
+    """Accumulates nodes, edges, schedule and gate records column by column.
+
+    A pad step applies a Fourier transform, so each wire also carries the
+    number of pad Fourier transforms (mod 4) that its next real gate still
+    has to undo.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -277,14 +278,13 @@ class _Builder:
         self.edges = []
         self.schedule = []
         self.records = []
-        self.column_maps = []
         self.heads = {w: w for w in range(n)}
-        self.next_id = n
+        self.pending = [0] * n
+        self.column = 0
         self.total_proxy = 0.0
 
     def _new_node(self) -> int:
-        node_id = self.next_id
-        self.next_id += 1
+        node_id = len(self.nodes)
         self.nodes.append(Node(node_id, ROLE_ANCILLA))
         return node_id
 
@@ -298,103 +298,107 @@ class _Builder:
             self.heads[wire] = new
             self.total_proxy += 1.0 + kappa * kappa
 
-    def one_mode_column(self, blocks: dict, column: int) -> None:
-        """blocks: wire -> (FourStepParams, kind, record meta); others pad."""
-        col_map = identity(self.n)
-        for wire in range(self.n):
-            if wire in blocks:
-                params, kind, meta = blocks[wire]
-                kappas = params.kappas
-            else:
-                kappas, kind, meta = (0.0, 0.0, 0.0, 0.0), "pad", {}
-            self._chain_steps(wire, kappas)
-            if kind != "pad":
-                # pads contribute M(0)^4 = F^4 = identity exactly
-                block = compose_many(*[elementary_step(k) for k in reversed(kappas)])
-                col_map = compose(embed(block, self.n, [wire]), col_map)
-            record_params = {"kappas": [float(k) for k in kappas]}
-            record_params.update(meta)
-            self.records.append(GateRecord(kind, (wire,), column, record_params))
-        self.column_maps.append(col_map)
+    def _pad(self, wire: int, steps: int) -> None:
+        self._chain_steps(wire, (0.0,) * steps)
+        self.records.append(
+            GateRecord("pad", (wire,), self.column, {"kappas": [0.0] * steps})
+        )
 
-    def bs_column(self, pair: tuple, reflectivity: float, column: int) -> None:
+    def one_mode_column(self, gates: dict, flush: bool = False) -> None:
+        """gates: wire -> (2x2 matrix, pinned kappa1 or None); other wires pad.
+
+        Each gate first undoes its wire's pending pad Fourier transforms.  An
+        empty ``gates`` emits nothing.
+        """
+        if not gates:
+            return
+        for wire in range(self.n):
+            if wire not in gates:
+                self._pad(wire, 4)  # M(0)^4 = F^4 = identity exactly
+                continue
+            matrix, k1_opt = gates[wire]
+            desired = SymplecticMap(1, matrix)
+            comp = self.pending[wire]
+            if comp:
+                desired = compose(desired, fourier_power(-comp))
+            self.pending[wire] = 0
+            params = decompose_four_step(desired, kappa1=k1_opt)
+            self._chain_steps(wire, params.kappas)
+            meta = {"kappas": [float(k) for k in params.kappas]}
+            if flush:
+                meta["flush"] = True
+            if comp:
+                meta["fourier_compensation"] = comp
+            meta["free_kappa1"] = params.free_param
+            self.records.append(GateRecord("four-step", (wire,), self.column, meta))
+        self.column += 1
+
+    def _flush(self, wires) -> None:
+        """Identity gates that undo the pending pad transforms on ``wires``."""
+        self.one_mode_column(
+            {w: (np.eye(2), None) for w in wires if self.pending[w]}, flush=True
+        )
+
+    def bs_column(self, pair: tuple, reflectivity: float) -> None:
+        """One beam splitter as three connection gates; the other wires pad.
+
+        Equal pending counts on both wires commute through the splitter;
+        unequal ones are flushed first.
+        """
         i, j = pair
-        triple = beam_splitter_program(reflectivity)
-        gate = connection_gate(replace(triple[0], mode_pair=pair))
-        col_map = identity(self.n)
-        for step, params in enumerate(triple):
-            node_a = self._new_node()
-            node_b = self._new_node()
-            ctrl = self._new_node()
+        if self.pending[i] != self.pending[j]:
+            self._flush(pair)
+        for step, params in enumerate(beam_splitter_program(reflectivity)):
+            node_a, node_b, ctrl = (self._new_node() for _ in range(3))
+            head_i, head_j = self.heads[i], self.heads[j]
             self.edges.extend(
+                [(head_i, node_a), (head_j, node_b), (head_i, ctrl), (head_j, ctrl)]
+            )
+            self.schedule.extend(
                 [
-                    (self.heads[i], node_a),
-                    (self.heads[j], node_b),
-                    (self.heads[i], ctrl),
-                    (self.heads[j], ctrl),
+                    ScheduleEntry(head_i, float(np.arctan(params.kappa1))),
+                    ScheduleEntry(head_j, float(np.arctan(params.kappa2))),
+                    ScheduleEntry(ctrl, float(np.arctan2(1.0, params.eta3))),
                 ]
-            )
-            self.schedule.append(
-                ScheduleEntry(self.heads[i], float(np.arctan(params.kappa1)))
-            )
-            self.schedule.append(
-                ScheduleEntry(self.heads[j], float(np.arctan(params.kappa2)))
-            )
-            self.schedule.append(
-                ScheduleEntry(ctrl, float(np.arctan2(1.0, params.eta3)))
             )
             self.heads[i], self.heads[j] = node_a, node_b
             self.total_proxy += (
                 3.0 + params.kappa1 ** 2 + params.kappa2 ** 2 + params.eta3 ** 2
             )
-            self.records.append(
-                GateRecord(
-                    "connection",
-                    pair,
-                    column,
-                    {
-                        "step": step,
-                        "reflectivity": float(reflectivity),
-                        "kappa1": float(params.kappa1),
-                        "kappa2": float(params.kappa2),
-                        "eta3": float(params.eta3),
-                    },
-                )
-            )
-            col_map = compose(embed(gate, self.n, [i, j]), col_map)
+            record = {
+                "step": step,
+                "reflectivity": float(reflectivity),
+                "kappa1": float(params.kappa1),
+                "kappa2": float(params.kappa2),
+                "eta3": float(params.eta3),
+            }
+            self.records.append(GateRecord("connection", pair, self.column, record))
         for wire in range(self.n):
-            if wire in pair:
-                continue
-            self._chain_steps(wire, (0.0, 0.0, 0.0))
-            self.records.append(
-                GateRecord("pad", (wire,), column, {"kappas": [0.0, 0.0, 0.0]})
-            )
-            col_map = compose(embed(fourier_power(3), self.n, [wire]), col_map)
-        self.column_maps.append(col_map)
+            if wire not in pair:
+                self._pad(wire, 3)  # F^3, owed by the wire's next real gate
+                self.pending[wire] = (self.pending[wire] + 3) % 4
+        self.column += 1
 
-    def finish(self, target: SymplecticMap):
-        if any(self.heads[w] < self.n for w in range(self.n)):
-            raise CompileError("a wire ends on its input port; nothing was compiled")
-        nodes = []
+    def finish(self, target: SymplecticMap) -> MeasurementProgram:
+        if self.column == 0:
+            # No gates at all (e.g. a multi-mode identity): keep every wire's
+            # output distinct from its input with identity chains.
+            self.one_mode_column({w: (np.eye(2), None) for w in range(self.n)})
+        else:
+            self._flush(range(self.n))
         head_ids = {self.heads[w]: w for w in range(self.n)}
-        for node in self.nodes:
-            if node.id in head_ids:
-                nodes.append(
-                    Node(node.id, ROLE_OUTPUT, port=head_ids[node.id])
-                )
-            else:
-                nodes.append(node)
-        graph = ClusterGraph(nodes=tuple(nodes), edges=tuple(self.edges))
-        program = MeasurementProgram(
-            graph=graph,
+        nodes = tuple(
+            Node(node.id, ROLE_OUTPUT, port=head_ids[node.id])
+            if node.id in head_ids
+            else node
+            for node in self.nodes
+        )
+        return MeasurementProgram(
+            graph=ClusterGraph(nodes=nodes, edges=tuple(self.edges)),
             schedule=tuple(self.schedule),
             feedforward=(),
             target=target,
         )
-        replay = identity(self.n)
-        for col_map in self.column_maps:
-            replay = compose(col_map, replay)
-        return program, replay.matrix
 
 
 def _gate_sequence(target: SymplecticMap, kappa1: float = None) -> list:
@@ -433,93 +437,37 @@ def compile(target: SymplecticMap, kappa1: float = None):
     (F^4 = 1) are silent, while the F^3 of a beam-splitter column is folded
     into the next real gate on that wire (equal leftover powers on both
     wires commute through a beam splitter; unequal ones are flushed first).
+
+    The program's one check is its exact replay, which also yields the
+    feedforward: ``replay_residual`` is max|replay - target| over the
+    matrix entries, and a residual above ``REPLAY_TOL`` raises CompileError
+    naming the worst entry.
     """
     require_symplectic(target, tol=1e-8)
     n = target.n
     if kappa1 is not None and n != 1:
         raise ValueError(f"kappa1 pins a one-mode synthesis; the target has {n} modes")
-    ops = _gate_sequence(target, kappa1)
-
     builder = _Builder(n)
-    pending = [0] * n  # uncompensated pad Fourier count per wire, mod 4
-    current: dict | None = None
-    column = 0
-
-    def one_mode_params(matrix: np.ndarray, wire: int, k1_opt, kind: str, meta: dict):
-        desired = SymplecticMap(1, matrix)
-        comp = pending[wire] % 4
-        if comp:
-            desired = compose(desired, fourier_power(-comp))
-            meta = dict(meta)
-            meta["fourier_compensation"] = comp
-        pending[wire] = 0
-        params = decompose_four_step(desired, kappa1=k1_opt)
-        meta = dict(meta)
-        meta["free_kappa1"] = params.free_param
-        return params, kind, meta
-
-    def close_current():
-        nonlocal current, column
-        if current is None:
-            return
-        blocks = {
-            wire: one_mode_params(matrix, wire, k1_opt, "four-step", {})
-            for wire, (matrix, k1_opt) in current.items()
-        }
-        builder.one_mode_column(blocks, column)
-        column += 1
-        current = None
-
-    def flush(wires) -> None:
-        nonlocal column
-        blocks = {}
-        for wire in wires:
-            if pending[wire] % 4:
-                blocks[wire] = one_mode_params(
-                    np.eye(2), wire, None, "four-step", {"flush": True}
-                )
-        if blocks:
-            builder.one_mode_column(blocks, column)
-            column += 1
-
-    for op in ops:
-        if op[0] == "onemode":
-            _, wire, matrix, k1_opt = op
-            if current is not None and wire in current:
-                close_current()
-            if current is None:
-                current = {}
-            current[wire] = (matrix, k1_opt)
+    column = {}  # consecutive one-mode ops on distinct wires share a column
+    for op in _gate_sequence(target, kappa1):
+        if op[0] == "bs" or op[1] in column:
+            builder.one_mode_column(column)
+            column = {}
+        if op[0] == "bs":
+            builder.bs_column(op[1], op[2])
         else:
-            _, pair, reflectivity = op
-            close_current()
-            if pending[pair[0]] % 4 != pending[pair[1]] % 4:
-                flush(pair)
-            builder.bs_column(pair, reflectivity, column)
-            column += 1
-            for wire in range(n):
-                if wire not in pair:
-                    pending[wire] = (pending[wire] + 3) % 4
-    close_current()
-    if not builder.column_maps:
-        # No gates at all (e.g. a multi-mode identity): keep every wire's
-        # output distinct from its input with identity chains.
-        current = {w: (np.eye(2), None) for w in range(n)}
-        close_current()
-    else:
-        flush(range(n))
+            column[op[1]] = (op[2], op[3])
+    builder.one_mode_column(column)
+    program = builder.finish(target)
 
-    program, replay_matrix = builder.finish(target)
-    residual = float(np.max(np.abs(replay_matrix - target.matrix)))
-    if residual > REPLAY_TOL:
-        raise CompileError(
-            f"noise-free replay misses the target by {residual:.3e} (> {REPLAY_TOL})"
-        )
     check = exact_replay(program)
-    exec_residual = float(np.max(np.abs(check.matrix - replay_matrix)))
-    if exec_residual > REPLAY_TOL:
+    diff = np.abs(check.matrix - target.matrix)
+    residual = float(diff.max())
+    if residual > REPLAY_TOL:
+        worst = tuple(int(i) for i in np.unravel_index(int(np.argmax(diff)), diff.shape))
         raise CompileError(
-            f"linear executor disagrees with the step-product replay by {exec_residual:.3e}"
+            f"noise-free replay misses the target by {residual:.3e} at entry "
+            f"{worst} (> {REPLAY_TOL})"
         )
     program = replace(program, feedforward=check.feedforward_rules())
     report = SynthesisReport(

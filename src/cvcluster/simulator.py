@@ -7,8 +7,8 @@ scheduler (``executor._Frontier``) decides when each QND edge and Bell
 splitter is applied and when a node's p-squeezed vacuum slot is opened or
 freed; this module holds only the Gaussian arithmetic on the slots, with a
 slot's x and p adjacent.  The state is therefore only as large as the
-frontier; ``run_program`` and ``extract_effective_map`` never call the
-executor's replay.
+frontier; ``run_program``, ``effective_map`` and ``extract_effective_map``
+never call the executor's replay.
 
 Every homodyne detection is one in-place Schur-complement step
 (``_condition``), its outcome pinned to zero or drawn from its prior as it
@@ -348,34 +348,35 @@ def run_program(
     return GaussianState(mean + program.target.displacement, cov), outcomes
 
 
-def extract_effective_map(
-    program: MeasurementProgram, r: float, policy: OutcomePolicy = PINNED_ZERO
-):
+def effective_map(program: MeasurementProgram, r: float) -> SymplecticMap:
+    """The program's effective map SymplecticMap(n, M, target displacement).
+
+    M is the input response at pinned-zero outcomes, the map that
+    ``run_program`` under ``PINNED_ZERO`` applies.  One conditioned pass on
+    vacuum input carries the mean as a 2n-column linear function of the
+    input mean.  M is only approximately symplectic at finite squeezing and
+    converges to the compile target as r grows.
+    """
+    n = program.n
+    matrix, _, _ = _execute(program, np.eye(2 * n), vacuum(n).cov, r)
+    return SymplecticMap(n, matrix, program.target.displacement)
+
+
+def extract_effective_map(program: MeasurementProgram, r: float):
     """The program's effective map and the excess noise of its channel.
 
-    Returns (SymplecticMap(n, M, target displacement), excess):
-
-    * M is the input response at pinned-zero outcomes, the map that
-      ``run_program`` under ``PINNED_ZERO`` applies.  One conditioned pass
-      on vacuum input carries the mean as a 2n-column linear function of
-      the input mean.  M is only approximately symplectic at finite
-      squeezing and converges to the compile target as r grows.
-    * excess is the excess covariance of the feedforward-corrected channel,
-      averaged over outcomes, from a second pass by deferred measurement.
-      A measured mode takes part in no later edge, so its outcome may be
-      left as the quadrature q itself: each homodyne adds gain * q to 2n
-      accumulator registers, the installed feedforward, and the measured
-      mode is then marginalised, with no conditioning.  The channel output
-      is ``out + acc``; run on an input of zero covariance, its covariance
-      is the channel's excess itself.  The executor's exact
-      ``N N^T e^{-2r}/4`` is the same quantity, found independently.
+    Returns (``effective_map(program, r)``, excess).  excess is the excess
+    covariance of the feedforward-corrected channel, averaged over outcomes,
+    from a second pass by deferred measurement.  A measured mode takes part
+    in no later edge, so its outcome may be left as the quadrature q itself:
+    each homodyne adds gain * q to 2n accumulator registers, the installed
+    feedforward, and the measured mode is then marginalised, with no
+    conditioning.  The channel output is ``out + acc``; run on an input of
+    zero covariance, its covariance is the channel's excess itself.  The
+    executor's exact ``N N^T e^{-2r}/4`` is the same quantity, found
+    independently.
     """
-    if policy.kind != "pinned-zero":
-        raise ValueError("effective-map probing requires the pinned-zero policy")
-    n = program.n
-    effective, _, _ = _execute(program, np.eye(2 * n), vacuum(n).cov, r)
-    excess = _channel_excess(program, r)
-    return SymplecticMap(n, effective, program.target.displacement), excess
+    return effective_map(program, r), _channel_excess(program, r)
 
 
 def _channel_excess(program: MeasurementProgram, r: float) -> np.ndarray:

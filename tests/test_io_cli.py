@@ -1,6 +1,7 @@
 """Serialization round trips, schema strictness, and the CLI contract."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def test_cli_compile_verify_pass(tmp_path, capsys):
     target_file = write_target(tmp_path, identity(1))
     program_file = str(tmp_path / "prog.json")
     assert main(["compile", "--target", target_file, "--out", program_file]) == 0
-    report = json.load(open(program_file + ".report.json"))
+    report = json.loads(Path(program_file + ".report.json").read_text())
     assert report["ancillaCount"] == 4
     assert report["noiseProxy"] == pytest.approx(4.0)
     program = serialize.load_program(program_file)
@@ -79,7 +80,7 @@ def test_cli_compile_fourier(tmp_path):
     target_file = write_target(tmp_path, SymplecticMap(1, [[0.0, -1.0], [1.0, 0.0]]))
     program_file = str(tmp_path / "prog.json")
     assert main(["compile", "--target", target_file, "--out", program_file]) == 0
-    report = json.load(open(program_file + ".report.json"))
+    report = json.loads(Path(program_file + ".report.json").read_text())
     assert report["replayResidual"] < 1e-9
 
 
@@ -97,7 +98,7 @@ def test_cli_verify_fails_on_tampered_angle(tmp_path, capsys):
     target_file = write_target(tmp_path, identity(1))
     program_file = str(tmp_path / "prog.json")
     main(["compile", "--target", target_file, "--out", program_file])
-    doc = json.load(open(program_file))
+    doc = json.loads(Path(program_file).read_text())
     doc["schedule"][1]["angle"] += 0.1
     with open(program_file, "w") as handle:
         json.dump(doc, handle)
@@ -123,8 +124,8 @@ def test_cli_simulate_deterministic(tmp_path):
             ]
         )
         assert code == 0
-    assert open(result_a).read() == open(result_b).read()
-    doc = json.load(open(result_a))
+    assert Path(result_a).read_text() == Path(result_b).read_text()
+    doc = json.loads(Path(result_a).read_text())
     assert len(doc["outcomes"]) == 3
     assert doc["output"]["version"] == "gaussian-state/1"
 
@@ -137,7 +138,7 @@ def test_cli_simulate_pinned_identity(tmp_path):
     assert main(
         ["simulate", "--program", program_file, "--db", "130", "--out", result]
     ) == 0
-    doc = json.load(open(result))
+    doc = json.loads(Path(result).read_text())
     mean = np.array(doc["output"]["mean"])
     cov = np.array(doc["output"]["cov"])
     assert np.max(np.abs(mean)) < 1e-6
@@ -167,7 +168,7 @@ def test_cli_sweep(tmp_path):
         ["sweep", "--program", program_file, "--db", "5,10,15,20", "--out", csv_file]
     )
     assert code == 0
-    lines = open(csv_file).read().strip().splitlines()
+    lines = Path(csv_file).read_text().strip().splitlines()
     assert lines[0] == "db,effective_map_error,excess_trace"
     rows = [tuple(float(tok) for tok in line.split(",")) for line in lines[1:]]
     assert [row[0] for row in rows] == [5.0, 10.0, 15.0, 20.0]
@@ -334,7 +335,7 @@ def test_cli_compile_six_by_six(tmp_path):
     target_file = write_target(tmp_path, random_symplectic(3, 66))
     program_file = str(tmp_path / "prog.json")
     assert main(["compile", "--target", target_file, "--out", program_file]) == 0
-    report = json.load(open(program_file + ".report.json"))
+    report = json.loads(Path(program_file + ".report.json").read_text())
     expected = sum(
         3 if rec["kind"] == "connection" else len(rec["params"]["kappas"])
         for rec in report["stepParams"]
@@ -363,7 +364,7 @@ def test_cli_verify_excess_trace_is_exact_at_default_db(tmp_path, target):
     report_file = str(tmp_path / "report.json")
     main(["compile", "--target", target_file, "--out", program_file])
     assert main(["verify", "--program", program_file, "--out", report_file]) == 0
-    doc = json.load(open(report_file))
+    doc = json.loads(Path(report_file).read_text())
     program = serialize.load_program(program_file)
     exact = np.trace(predicted_excess(program, db_to_r(DEFAULT_VERIFY_DB)))
     assert doc["db"] == DEFAULT_VERIFY_DB
@@ -383,7 +384,7 @@ def test_cli_sweep_excess_trace_is_exact_at_high_db(tmp_path, target):
     main(["compile", "--target", target_file, "--out", program_file])
     assert main(["sweep", "--program", program_file, "--db", "100,130", "--out", csv_file]) == 0
     program = serialize.load_program(program_file)
-    for line in open(csv_file).read().splitlines()[1:]:
+    for line in Path(csv_file).read_text().splitlines()[1:]:
         db, _, trace = (float(tok) for tok in line.split(","))
         exact = np.trace(predicted_excess(program, db_to_r(db)))
         assert trace >= 0.0

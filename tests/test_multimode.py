@@ -216,6 +216,52 @@ def test_compile_schedule_covers_every_non_output_node():
     assert len(outputs) == len(inputs) == 3
 
 
+def test_compile_flushes_pad_fourier_transforms():
+    # A splitter column pads each idle wire with F^3.  The wire's next real
+    # gate undoes it (fourier_compensation); a splitter on two wires owing
+    # different powers, and the end of the program, flush it first with an
+    # identity four-step gate.
+    from cvcluster import compose
+
+    _, report = compile(embed(beam_splitter_matrix(0.5), 3, [0, 1]))
+    assert report.ancilla_count == 24
+    gates = [rec for rec in report.step_params if rec.kind == "four-step"]
+    assert [(rec.wires, rec.column) for rec in gates] == [((2,), 1)]
+    assert gates[0].params["flush"] is True
+    assert gates[0].params["fourier_compensation"] == 3
+    assert report.replay_residual < 1e-9
+
+    target = compose(
+        embed(beam_splitter_matrix(0.3), 3, [1, 2]),
+        embed(beam_splitter_matrix(0.5), 3, [0, 1]),
+    )
+    _, report = compile(target)
+    assert report.ancilla_count == 120
+    flushes = [rec for rec in report.step_params if rec.params.get("flush")]
+    assert [rec.column for rec in flushes] == [3, 7, 9]
+    assert all(rec.params["fourier_compensation"] == 3 for rec in flushes)
+    kinds = {rec.column: rec.kind for rec in report.step_params if rec.kind != "pad"}
+    assert kinds[4] == kinds[8] == "connection"
+    assert max(kinds) == 9
+    # a real gate compensates without a flush
+    (compensated,) = [
+        rec for rec in report.step_params if rec.column == 1 and rec.kind == "four-step"
+    ]
+    assert compensated.params["fourier_compensation"] == 3
+    assert "flush" not in compensated.params
+    assert report.replay_residual < 1e-9
+
+
+def test_compile_refuses_a_wrong_lowering(monkeypatch):
+    import cvcluster.multimode as multimode
+    from cvcluster import CompileError, decompose_four_step
+
+    wrong = decompose_four_step(identity(1))
+    monkeypatch.setattr(multimode, "decompose_four_step", lambda *args, **kwargs: wrong)
+    with pytest.raises(CompileError, match=r"at entry \(\d, \d\)"):
+        compile(squeeze(0.5))
+
+
 def test_compile_multimode_identity():
     # no gates from the factorization: wires still get explicit chains
     program, report = compile(identity(2))

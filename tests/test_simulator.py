@@ -16,6 +16,7 @@ from cvcluster import (
     coherent,
     compile,
     db_to_r,
+    effective_map,
     extract_effective_map,
     fourier,
     homodyne_measure,
@@ -343,6 +344,14 @@ def test_extract_effective_map_identity():
     effective, excess = extract_effective_map(program, 15.0)
     assert np.max(np.abs(effective.matrix - np.eye(2))) < 1e-6
     assert np.trace(excess) < 1e-6
+
+
+def test_effective_map_is_the_map_of_extract_effective_map():
+    program, _ = compile(random_symplectic(2, 5))
+    effective = effective_map(program, db_to_r(13.0))
+    extracted, _ = extract_effective_map(program, db_to_r(13.0))
+    assert np.array_equal(effective.matrix, extracted.matrix)
+    assert np.array_equal(effective.displacement, extracted.displacement)
 
 
 def test_extract_effective_map_converges():
