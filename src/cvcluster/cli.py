@@ -1,7 +1,8 @@
 """Command-line front end: compile, simulate, verify, sweep.
 
 Exit codes: 0 success, 1 validation failure (bad input document, bad flags,
-non-symplectic target), 2 verification failure, 3 I/O error.
+non-symplectic target), 2 verification failure (a map error above --tol, or a
+compile whose exact replay misses its target), 3 I/O error.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import sys
 import numpy as np
 
 from . import multimode, serialize, simulator
-from .errors import SchemaError
+from .errors import CompileError, SchemaError
 from .executor import exact_replay
 from .simulator import PINNED_ZERO, db_to_r, run_program, sampled, vacuum
 
@@ -25,15 +26,24 @@ DEFAULT_REALISTIC_DB = 10.0   # strong lab squeezing, for simulation runs
 DEFAULT_VERIFY_TOL = 1e-4
 
 
-def _finite_db(text: str) -> float:
-    """Parse one squeezing value in dB; it must be a finite number."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse squeezing {text!r}") from None
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"squeezing {text!r} dB is not finite")
-    return value
+def _checked_float(name: str, accept, rule: str):
+    """Argument type: one float that ``accept`` holds for, else "<name> '<text>' <rule>"."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"cannot parse {name} {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{name} {text!r} {rule}")
+        return value
+
+    return parse
+
+
+_finite_db = _checked_float("squeezing", np.isfinite, "dB is not finite")
+_tolerance = _checked_float(
+    "tolerance", lambda value: np.isfinite(value) and value > 0.0, "is not a finite number > 0"
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a program against its target")
     p_verify.add_argument("--program", required=True)
     p_verify.add_argument("--db", type=_finite_db, default=DEFAULT_VERIFY_DB)
-    p_verify.add_argument("--tol", type=float, default=DEFAULT_VERIFY_TOL)
+    p_verify.add_argument("--tol", type=_tolerance, default=DEFAULT_VERIFY_TOL)
     p_verify.add_argument("--out", default=None, help="report JSON (default stdout)")
 
     p_sweep = sub.add_parser("sweep", help="squeezing sweep of map error and excess")
@@ -87,6 +97,9 @@ def cmd_compile(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except CompileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     serialize.save_program(program, args.out)
     serialize.save(serialize.report_to_dict(report), args.out + ".report.json")
     print(
@@ -106,43 +119,32 @@ def cmd_simulate(args) -> int:
     # Pre-flight on the exact linear algebra: rejects degenerate teleport
     # angles and schedules that leave antisqueezed noise on an output.
     exact_replay(program)
+    pinned = args.policy == "pinned"
+    policies = [PINNED_ZERO] if pinned else [sampled(args.seed + k) for k in range(args.shots)]
     r = db_to_r(args.db)
-    n = program.n
+    records, means = [], []
+    for policy in policies:
+        state, outcomes = run_program(program, vacuum(program.n), r, policy)
+        records.append({str(k): v for k, v in outcomes.items()})
+        means.append(state.mean)
     result = {
         "version": serialize.RESULT_VERSION,
         "db": args.db,
         "policy": args.policy,
-        "seed": args.seed if args.policy == "sampled" else None,
-        "shots": args.shots if args.policy == "sampled" else 1,
+        "seed": None if pinned else args.seed,
+        "shots": len(policies),
+        "outcomes": records,
     }
-    if args.policy == "pinned":
-        state, outcomes = run_program(program, vacuum(n), r, PINNED_ZERO)
-        result["outcomes"] = [{str(k): v for k, v in outcomes.items()}]
-        result["output"] = serialize.state_to_dict(state)
-    else:
-        records = []
-        means = []
-        cov = None
-        for shot in range(args.shots):
-            state, outcomes = run_program(
-                program, vacuum(n), r, sampled(args.seed + shot)
-            )
-            records.append({str(k): v for k, v in outcomes.items()})
-            means.append(state.mean)
-            cov = state.cov
-        mean = np.mean(means, axis=0)
-        result["outcomes"] = records
+    if not pinned:
         result["perShotMeans"] = [m.tolist() for m in means]
-        result["output"] = serialize.state_to_dict(
-            simulator.GaussianState(mean, cov)
-        )
-    text = serialize.dumps(result)
+    # the covariance does not depend on the outcomes
+    output = simulator.GaussianState(np.mean(means, axis=0), state.cov)
+    result["output"] = serialize.state_to_dict(output)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        serialize.save(result, args.out)
         print(f"simulation result written to {args.out}")
     else:
-        print(text)
+        print(serialize.dumps(result))
     return EXIT_OK
 
 
@@ -166,12 +168,10 @@ def cmd_verify(args) -> int:
         "excessTrace": excess_trace,
         "pass": passed,
     }
-    text = serialize.dumps(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        serialize.save(report, args.out)
     else:
-        print(text)
+        print(serialize.dumps(report))
     status = "PASS" if passed else "FAIL"
     print(
         f"{status}: effective-map error {error:.3e} at entry {worst} "

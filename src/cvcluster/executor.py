@@ -48,7 +48,6 @@ class ExactReplay:
         noise_response: 2n-by-A response to the ancilla squeezed-quadrature
             noises (one per non-input node, graph order).
         measured_ids: node ids in schedule order (columns of outcome_response).
-        ancilla_ids: node ids of the noise variables (columns of noise_response).
         output_ids: output-port node ids, port order.
     """
 
@@ -56,7 +55,6 @@ class ExactReplay:
     outcome_response: np.ndarray
     noise_response: np.ndarray
     measured_ids: tuple
-    ancilla_ids: tuple
     output_ids: tuple
 
     def excess_covariance(self, r: float) -> np.ndarray:
@@ -250,7 +248,6 @@ def exact_replay(program: MeasurementProgram) -> ExactReplay:
         outcome_response=outcome,
         noise_response=noise,
         measured_ids=tuple(e.node_id for e in program.schedule),
-        ancilla_ids=tuple(a.id for a in ancillas),
         output_ids=tuple(p.id for p in graph.output_ports()),
     )
 

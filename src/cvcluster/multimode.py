@@ -267,11 +267,12 @@ class _Builder:
 
     A pad step applies a Fourier transform, so each wire also carries the
     number of pad Fourier transforms (mod 4) that its next real gate still
-    has to undo.
+    has to undo.  ``kappa1`` pins the free parameter of every four-step gate.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, kappa1: float = None):
         self.n = n
+        self.kappa1 = kappa1
         self.nodes = [
             Node(w, ROLE_INPUT, coupling=COUPLING_QND, port=w) for w in range(n)
         ]
@@ -299,13 +300,21 @@ class _Builder:
             self.total_proxy += 1.0 + kappa * kappa
 
     def _pad(self, wire: int, steps: int) -> None:
+        """``steps`` kappa = 0 steps: F^steps, owed by the wire's next real gate."""
         self._chain_steps(wire, (0.0,) * steps)
+        self.pending[wire] = (self.pending[wire] + steps) % 4
         self.records.append(
             GateRecord("pad", (wire,), self.column, {"kappas": [0.0] * steps})
         )
 
-    def one_mode_column(self, gates: dict, flush: bool = False) -> None:
-        """gates: wire -> (2x2 matrix, pinned kappa1 or None); other wires pad.
+    def _settle(self, gates: dict, wires) -> dict:
+        """``gates`` plus an identity gate on each of ``wires`` that has no
+        gate and owes a count."""
+        owing = [w for w in wires if w not in gates and self.pending[w]]
+        return {**gates, **dict.fromkeys(owing, np.eye(2))}
+
+    def one_mode_column(self, gates: dict) -> None:
+        """gates: wire -> 2x2 matrix; other wires pad.
 
         Each gate first undoes its wire's pending pad Fourier transforms.  An
         empty ``gates`` emits nothing.
@@ -316,38 +325,33 @@ class _Builder:
             if wire not in gates:
                 self._pad(wire, 4)  # M(0)^4 = F^4 = identity exactly
                 continue
-            matrix, k1_opt = gates[wire]
-            desired = SymplecticMap(1, matrix)
+            desired = SymplecticMap(1, gates[wire])
             comp = self.pending[wire]
             if comp:
                 desired = compose(desired, fourier_power(-comp))
             self.pending[wire] = 0
-            params = decompose_four_step(desired, kappa1=k1_opt)
+            params = decompose_four_step(desired, kappa1=self.kappa1)
             self._chain_steps(wire, params.kappas)
             meta = {"kappas": [float(k) for k in params.kappas]}
-            if flush:
-                meta["flush"] = True
             if comp:
                 meta["fourier_compensation"] = comp
             meta["free_kappa1"] = params.free_param
             self.records.append(GateRecord("four-step", (wire,), self.column, meta))
         self.column += 1
 
-    def _flush(self, wires) -> None:
-        """Identity gates that undo the pending pad transforms on ``wires``."""
-        self.one_mode_column(
-            {w: (np.eye(2), None) for w in wires if self.pending[w]}, flush=True
-        )
+    def bs_column(self, gates: dict, pair: tuple, reflectivity: float) -> None:
+        """The one-mode column ``gates``, then one beam splitter as three
+        connection gates while the other wires pad.
 
-    def bs_column(self, pair: tuple, reflectivity: float) -> None:
-        """One beam splitter as three connection gates; the other wires pad.
-
-        Equal pending counts on both wires commute through the splitter;
-        unequal ones are flushed first.
+        Equal pending counts on both wires commute through the splitter.  If
+        ``gates`` would leave them unequal, the column also gets an identity
+        gate on each wire of the pair that still owes a count.
         """
         i, j = pair
-        if self.pending[i] != self.pending[j]:
-            self._flush(pair)
+        owed = [0 if w in gates else self.pending[w] for w in pair]
+        if owed[0] != owed[1]:
+            gates = self._settle(gates, pair)
+        self.one_mode_column(gates)
         for step, params in enumerate(beam_splitter_program(reflectivity)):
             node_a, node_b, ctrl = (self._new_node() for _ in range(3))
             head_i, head_j = self.heads[i], self.heads[j]
@@ -375,17 +379,17 @@ class _Builder:
             self.records.append(GateRecord("connection", pair, self.column, record))
         for wire in range(self.n):
             if wire not in pair:
-                self._pad(wire, 3)  # F^3, owed by the wire's next real gate
-                self.pending[wire] = (self.pending[wire] + 3) % 4
+                self._pad(wire, 3)
         self.column += 1
 
-    def finish(self, target: SymplecticMap) -> MeasurementProgram:
-        if self.column == 0:
+    def finish(self, gates: dict, target: SymplecticMap) -> MeasurementProgram:
+        """The last one-mode column ``gates``, with an identity gate on each
+        other wire that owes a count, and the program."""
+        if self.column == 0 and not gates:
             # No gates at all (e.g. a multi-mode identity): keep every wire's
             # output distinct from its input with identity chains.
-            self.one_mode_column({w: (np.eye(2), None) for w in range(self.n)})
-        else:
-            self._flush(range(self.n))
+            gates = dict.fromkeys(range(self.n), np.eye(2))
+        self.one_mode_column(self._settle(gates, range(self.n)))
         head_ids = {self.heads[w]: w for w in range(self.n)}
         nodes = tuple(
             Node(node.id, ROLE_OUTPUT, port=head_ids[node.id])
@@ -401,26 +405,21 @@ class _Builder:
         )
 
 
-def _gate_sequence(target: SymplecticMap, kappa1: float = None) -> list:
-    """Wire-level ops: ("onemode", wire, matrix, kappa1_opt) or ("bs", pair, R)."""
-    n = target.n
-    if n == 1:
-        return [("onemode", 0, np.array(target.matrix), kappa1)]
+def _gate_sequence(target: SymplecticMap) -> list:
+    """Wire-level ops: ("onemode", wire, matrix) or ("bs", pair, R)."""
+    if target.n == 1:
+        return [("onemode", 0, target.matrix)]
     factors = bloch_messiah(target)
     ops = []
-    for el in reck_decompose(factors.passive_in).elements:
-        if el.kind == "ps":
-            ops.append(("onemode", el.modes[0], rotation(el.value).matrix, None))
-        else:
-            ops.append(("bs", el.modes, el.value))
-    for wire, r in enumerate(factors.squeezings):
-        if abs(r) > SQUEEZE_SKIP_TOL:
-            ops.append(("onemode", wire, squeeze(r).matrix, None))
-    for el in reck_decompose(factors.passive_out).elements:
-        if el.kind == "ps":
-            ops.append(("onemode", el.modes[0], rotation(el.value).matrix, None))
-        else:
-            ops.append(("bs", el.modes, el.value))
+    for passive, rs in ((factors.passive_in, factors.squeezings), (factors.passive_out, ())):
+        for el in reck_decompose(passive).elements:
+            if el.kind == "bs":
+                ops.append(("bs", el.modes, el.value))
+            else:
+                ops.append(("onemode", el.modes[0], rotation(el.value).matrix))
+        for wire, r in enumerate(rs):  # the squeezers sit between the passives
+            if abs(r) > SQUEEZE_SKIP_TOL:
+                ops.append(("onemode", wire, squeeze(r).matrix))
     return ops
 
 
@@ -435,8 +434,10 @@ def compile(target: SymplecticMap, kappa1: float = None):
     Wires idling through a column are padded with measured kappa = 0 chains.
     A pad step applies a Fourier transform, so pads inside four-step columns
     (F^4 = 1) are silent, while the F^3 of a beam-splitter column is folded
-    into the next real gate on that wire (equal leftover powers on both
-    wires commute through a beam splitter; unequal ones are flushed first).
+    into the next real gate on that wire.  Equal leftover powers on both
+    wires commute through a beam splitter; a wire left owing a different
+    power, or owing one at the end, gets an identity gate in the column
+    before.
 
     The program's one check is its exact replay, which also yields the
     feedforward: ``replay_residual`` is max|replay - target| over the
@@ -447,18 +448,18 @@ def compile(target: SymplecticMap, kappa1: float = None):
     n = target.n
     if kappa1 is not None and n != 1:
         raise ValueError(f"kappa1 pins a one-mode synthesis; the target has {n} modes")
-    builder = _Builder(n)
+    builder = _Builder(n, kappa1)
     column = {}  # consecutive one-mode ops on distinct wires share a column
-    for op in _gate_sequence(target, kappa1):
-        if op[0] == "bs" or op[1] in column:
-            builder.one_mode_column(column)
+    for kind, wires, value in _gate_sequence(target):
+        if kind == "bs":
+            builder.bs_column(column, wires, value)
             column = {}
-        if op[0] == "bs":
-            builder.bs_column(op[1], op[2])
+        elif wires in column:
+            builder.one_mode_column(column)
+            column = {wires: value}
         else:
-            column[op[1]] = (op[2], op[3])
-    builder.one_mode_column(column)
-    program = builder.finish(target)
+            column[wires] = value
+    program = builder.finish(column, target)
 
     check = exact_replay(program)
     diff = np.abs(check.matrix - target.matrix)

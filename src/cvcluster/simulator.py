@@ -33,8 +33,6 @@ from .teleport import BELL_SPLITTER
 
 #: Physicality slack on the symplectic-eigenvalue bound >= 1/4.
 PHYSICALITY_TOL = 1e-9
-#: Default verification squeezing, ~130 dB: finite-squeezing error below 1e-10.
-VERIFICATION_R = 15.0
 
 
 def db_to_r(db: float) -> float:

@@ -15,8 +15,6 @@ BLOCK_ORDERING = "x-then-p"
 
 #: Tolerance for the symplectic condition M^T J M = J of constructed maps.
 SYMPLECTIC_TOL = 1e-10
-#: Looser budget after long compositions.
-SYMPLECTIC_TOL_COMPOSED = 1e-8
 
 
 @dataclass(frozen=True)

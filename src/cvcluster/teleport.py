@@ -20,7 +20,7 @@ from .symplectic import SymplecticMap, compose_many, elementary_step, require_sy
 DEGENERACY_TOL = 1e-9
 #: Zero-denominator guard for the explicit parameter formulas.
 SINGULAR_DENOM_TOL = 1e-9
-#: Vanishing-numerator tolerance for the 0/0 -> 0 convention.
+#: Vanishing-numerator tolerance for the 0/0 branches.
 DEGENERATE_NUMERATOR_TOL = 1e-9
 
 
@@ -130,15 +130,13 @@ def _solve_telep(a: float, b: float, c: float, d: float, theta0: float):
         raise SingularParameterError(f"theta0={theta0}: cot(theta0) diverges")
     ct0 = np.cos(theta0) / st0
 
+    # cot(theta1) = num1 / den1; den1 = 0 != num1 is theta1 = 0, 0/0 is pi/2.
     den1 = 2.0 * c - (1.0 + d) * ct0
     num1 = 1.0 - d
-    if abs(den1) < SINGULAR_DENOM_TOL:
-        if abs(num1) > DEGENERATE_NUMERATOR_TOL:
-            raise SingularParameterError("cot(theta1) denominator vanishes")
-        ct1 = 0.0
+    if abs(den1) < SINGULAR_DENOM_TOL and abs(num1) <= DEGENERATE_NUMERATOR_TOL:
+        theta1 = math.pi / 2.0
     else:
-        ct1 = num1 / den1
-    theta1 = float(np.arctan2(1.0, ct1))  # in (0, pi), cot(theta1) = ct1
+        theta1 = math.atan2(den1, num1) % math.pi
 
     kappa3 = c - (1.0 + d) * ct0
     num4 = 1.0 - a + b * ct0
@@ -170,26 +168,21 @@ def select_free_theta0(target: SymplecticMap) -> float:
 
     In u = cot(theta0) the proxy is 4 + kappa3^2 + (A^2/2 + (1 - a + b u)^2) / G^2
     with kappa3 = c - (1 + d) u, G = c - d u, A = (1 - d) - u (2c - (1 + d) u).
-    The candidates are its real stationary points and the two points next to
-    u = 2c / (1 + d), where cot(theta1) leaves its chart while the proxy stays
-    finite.  Among the candidates whose decomposition reproduces the target
-    (see :data:`~cvcluster.single_mode.RECONSTRUCTION_TOL`) the first of
-    lowest proxy wins.  The identity gets exactly pi/2.
+    The candidates are its real stationary points.  Among those whose
+    decomposition reproduces the target (see
+    :data:`~cvcluster.single_mode.RECONSTRUCTION_TOL`) the first of lowest
+    proxy wins.  The identity gets exactly pi/2.
 
     Raises:
         SingularParameterError: no theta0 in (0, pi) is admissible, as for
-            the family (-1 b; 0 -1).
+            rotation(pi), whose proxy 4 + 6 / cot(theta0)^2 has no minimum.
     """
     a, b, c, d = target.abcd()
     u = Polynomial([0.0, 1.0])
     kappa3 = c - (1.0 + d) * u
     q = ((1.0 - d) - u * (2.0 * c - (1.0 + d) * u)) ** 2 / 2.0 + (1.0 - a + b * u) ** 2
-    candidates = list(_stationary_points(kappa3 ** 2, q, c - d * u))
-    if d != -1.0:
-        step = 2.0 * SINGULAR_DENOM_TOL / abs(1.0 + d)
-        candidates += [2.0 * c / (1.0 + d) - step, 2.0 * c / (1.0 + d) + step]
     scored = {}
-    for theta0 in (math.atan2(1.0, x) for x in candidates):
+    for theta0 in (math.atan2(1.0, x) for x in _stationary_points(kappa3 ** 2, q, c - d * u)):
         try:
             params = TelepPlusTwoParams(*_solve_telep(a, b, c, d, theta0), free_param=theta0)
         except SingularParameterError:

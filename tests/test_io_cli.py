@@ -215,6 +215,38 @@ def test_cli_rejects_non_finite_db(tmp_path, capsys, command, db):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-4"])
+def test_cli_verify_rejects_a_tolerance_that_is_not_finite_and_positive(tmp_path, capsys, tol):
+    # with --tol inf, an identity program that misses by ~0.66 at 3 dB would pass
+    target_file = write_target(tmp_path, identity(1))
+    program_file = str(tmp_path / "prog.json")
+    main(["compile", "--target", target_file, "--out", program_file])
+    capsys.readouterr()
+    out_file = tmp_path / "report.json"
+    code = main(["verify", "--program", program_file, "--db", "3", f"--tol={tol}",
+                 "--out", str(out_file)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "argument --tol" in err and "is not a finite number > 0" in err
+    assert not out_file.exists()
+
+
+def test_cli_compile_refuses_a_wrong_lowering(tmp_path, capsys, monkeypatch):
+    import cvcluster.multimode as multimode
+    from cvcluster import decompose_four_step, squeeze
+
+    wrong = decompose_four_step(identity(1))
+    monkeypatch.setattr(multimode, "decompose_four_step", lambda *args, **kwargs: wrong)
+    target_file = write_target(tmp_path, squeeze(0.5))
+    program_file = tmp_path / "prog.json"
+    assert main(["compile", "--target", target_file, "--out", str(program_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: noise-free replay misses the target by")
+    assert "at entry" in err
+    assert not program_file.exists()
+    assert not (tmp_path / "prog.json.report.json").exists()
+
+
 def test_cli_sweep_rejects_empty_list(tmp_path, capsys):
     target_file = write_target(tmp_path, identity(1))
     program_file = str(tmp_path / "prog.json")

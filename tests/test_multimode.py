@@ -10,9 +10,14 @@ from cvcluster import (
     beam_splitter_program,
     bloch_messiah,
     compile,
+    compose,
+    compose_many,
     connection_gate,
+    db_to_r,
+    elementary_step,
     embed,
     exact_replay,
+    fourier_power,
     identity,
     random_symplectic,
     reck_decompose,
@@ -140,8 +145,6 @@ def test_pad_fourier_commutes_through_beam_splitters():
     # equal leftover pad Fourier powers on both wires commute through a
     # phase-free beam splitter; this is what lets the compiler defer their
     # compensation across splitter columns
-    from cvcluster import compose, fourier_power
-
     for reflectivity in (0.0, 0.3, 1.0):
         bs = beam_splitter_matrix(reflectivity)
         for power in (1, 2, 3):
@@ -216,40 +219,109 @@ def test_compile_schedule_covers_every_non_output_node():
     assert len(outputs) == len(inputs) == 3
 
 
+def undoes_its_compensation(rec) -> bool:
+    """Whether a four-step record is an identity gate: its steps apply
+    exactly the inverse of the pad Fourier transforms it compensates."""
+    steps = compose_many(*(elementary_step(k) for k in reversed(rec.params["kappas"])))
+    undo = fourier_power(-rec.params.get("fourier_compensation", 0))
+    return bool(np.max(np.abs(steps.matrix - undo.matrix)) < 1e-12)
+
+
+#: Splitters whose two wires owe different pad powers.
+TWO_SPLITTERS = compose(
+    embed(beam_splitter_matrix(0.3), 3, [1, 2]),
+    embed(beam_splitter_matrix(0.5), 3, [0, 1]),
+)
+#: As TWO_SPLITTERS on four modes, with a rotation whose column can take identity gates.
+FOLD = compose(
+    embed(beam_splitter_matrix(0.3), 4, [1, 2]),
+    compose(embed(rotation(0.4), 4, [3]), embed(beam_splitter_matrix(0.5), 4, [0, 1])),
+)
+
+
 def test_compile_flushes_pad_fourier_transforms():
     # A splitter column pads each idle wire with F^3.  The wire's next real
     # gate undoes it (fourier_compensation); a splitter on two wires owing
-    # different powers, and the end of the program, flush it first with an
-    # identity four-step gate.
-    from cvcluster import compose
-
+    # different powers, and the end of the program, get an identity four-step
+    # gate that undoes it in the column before.
     _, report = compile(embed(beam_splitter_matrix(0.5), 3, [0, 1]))
     assert report.ancilla_count == 24
     gates = [rec for rec in report.step_params if rec.kind == "four-step"]
     assert [(rec.wires, rec.column) for rec in gates] == [((2,), 1)]
-    assert gates[0].params["flush"] is True
+    assert undoes_its_compensation(gates[0])
     assert gates[0].params["fourier_compensation"] == 3
     assert report.replay_residual < 1e-9
 
-    target = compose(
-        embed(beam_splitter_matrix(0.3), 3, [1, 2]),
-        embed(beam_splitter_matrix(0.5), 3, [0, 1]),
-    )
-    _, report = compile(target)
+    _, report = compile(TWO_SPLITTERS)
     assert report.ancilla_count == 120
-    flushes = [rec for rec in report.step_params if rec.params.get("flush")]
+    gates = [rec for rec in report.step_params if rec.kind == "four-step"]
+    flushes = [rec for rec in gates if undoes_its_compensation(rec)]
     assert [rec.column for rec in flushes] == [3, 7, 9]
     assert all(rec.params["fourier_compensation"] == 3 for rec in flushes)
     kinds = {rec.column: rec.kind for rec in report.step_params if rec.kind != "pad"}
     assert kinds[4] == kinds[8] == "connection"
     assert max(kinds) == 9
-    # a real gate compensates without a flush
-    (compensated,) = [
-        rec for rec in report.step_params if rec.column == 1 and rec.kind == "four-step"
-    ]
+    # a real gate compensates without an identity gate
+    (compensated,) = [rec for rec in gates if rec.column == 1]
     assert compensated.params["fourier_compensation"] == 3
-    assert "flush" not in compensated.params
+    assert not undoes_its_compensation(compensated)
     assert report.replay_residual < 1e-9
+
+    # Three identity gates share a column with a real gate instead of opening
+    # their own: 233 ancillas in 15 columns, not 281 in 18.
+    program, report = compile(FOLD)
+    assert report.ancilla_count == 233
+    gates = [rec for rec in report.step_params if rec.kind == "four-step"]
+    assert 1 + max(rec.column for rec in report.step_params) == 15
+    shared = {rec.column for rec in gates if undoes_its_compensation(rec)} & {
+        rec.column for rec in gates if not undoes_its_compensation(rec)
+    }
+    assert sorted(shared) == [4, 6, 14]
+    assert report.replay_residual < 1e-9
+    excess = np.trace(exact_replay(program).excess_covariance(db_to_r(10.0)))
+    assert excess == pytest.approx(7.3289, abs=1e-4)
+
+
+def splitter_products(count: int) -> list:
+    """Seeded products of phase-free splitters with occasional rotations."""
+    targets = []
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 6))
+        target = identity(n)
+        for _ in range(int(rng.integers(2, 7))):
+            if rng.random() < 0.25:
+                gate = embed(rotation(rng.uniform(-np.pi, np.pi)), n, [int(rng.integers(n))])
+            else:
+                pair = sorted(int(w) for w in rng.choice(n, 2, replace=False))
+                gate = embed(beam_splitter_matrix(rng.uniform(0.0, 1.0)), n, pair)
+            target = compose(gate, target)
+        targets.append(target)
+    return targets
+
+
+def test_compile_keeps_wires_step_aligned():
+    # Every column advances every wire by the same number of steps; a
+    # connection record is one step on each of its two wires.
+    targets = [random_symplectic(n, seed) for n in range(2, 6) for seed in range(4)]
+    targets += [embed(beam_splitter_matrix(0.5), 3, [0, 1]), TWO_SPLITTERS, FOLD]
+    targets += splitter_products(40)
+    flushed = 0
+    for target in targets:
+        _, report = compile(target)
+        steps = {}
+        for rec in report.step_params:
+            column = steps.setdefault(rec.column, dict.fromkeys(range(target.n), 0))
+            for wire in rec.wires:
+                column[wire] += 1 if rec.kind == "connection" else len(rec.params["kappas"])
+        assert sorted(steps) == list(range(len(steps)))
+        for column, advance in steps.items():
+            assert len(set(advance.values())) == 1, (column, advance)
+        flushed += sum(
+            rec.kind == "four-step" and undoes_its_compensation(rec)
+            for rec in report.step_params
+        )
+    assert flushed > 0
 
 
 def test_compile_refuses_a_wrong_lowering(monkeypatch):

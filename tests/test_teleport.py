@@ -150,13 +150,30 @@ def test_pinned_theta0_must_be_finite():
 
 def test_rotation_by_pi_family_has_no_admissible_theta0():
     # (-1 b; 0 -1) zeroes the cot(theta1) denominator 2c - (1 + d) cot(theta0)
-    # for every theta0 while its numerator 1 - d = 2 stays.
-    targets = [rotation(np.pi)] + [
-        SymplecticMap(1, np.array([[-1.0, b], [0.0, -1.0]])) for b in (0.0, 0.7, -2.0)
-    ]
-    for target in targets:
+    # for every theta0 while its numerator 1 - d = 2 stays, so theta1 = 0.  In
+    # v = 1/cot(theta0) the proxy is 4 + 6 v^2 + 4 b v + b^2, smallest at
+    # v = -b/3 with 4 + b^2/3.  For b = 0 that is theta0 = 0, outside the chart.
+    for target in (rotation(np.pi), SymplecticMap(1, -np.eye(2))):
         with pytest.raises(SingularParameterError, match=r"no theta0 in \(0, pi\) is admissible"):
             decompose_telep_plus_two(target)
+    for b in (0.7, -2.0):
+        target = SymplecticMap(1, np.array([[-1.0, b], [0.0, -1.0]]))
+        params = decompose_telep_plus_two(target)
+        assert params.angles.theta1 == 0.0
+        assert proxy(params) == pytest.approx(4.0 + b * b / 3.0, rel=1e-12)
+        assert np.max(np.abs(params.reconstruct().matrix - target.matrix)) < 1e-12
+
+
+def test_select_on_the_theta1_zero_edge():
+    # u = cot(theta0) = 2c/(1 + d) = 2 zeroes the cot(theta1) denominator of
+    # (-3 -1; 1 0), where its proxy 4 + (1 - u)^2 + (1 - u)^4 / 2 + (4 - u)^2
+    # is smallest: there theta1 = 0 and the proxy is 9.5.
+    target = SymplecticMap(1, np.array([[-3.0, -1.0], [1.0, 0.0]]))
+    params = decompose_telep_plus_two(target)
+    assert 1.0 / np.tan(params.free_param) == pytest.approx(2.0, abs=1e-12)
+    assert abs(params.angles.theta1) < 1e-12
+    assert proxy(params) == pytest.approx(9.5, rel=1e-12)
+    assert np.max(np.abs(params.reconstruct().matrix - target.matrix)) < 1e-12
 
 
 def test_select_never_worse_than_grid_oracle():
