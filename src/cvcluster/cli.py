@@ -155,16 +155,22 @@ def cmd_verify(args) -> int:
     diff = np.abs(effective.matrix - program.target.matrix)
     error = float(diff.max())
     worst = tuple(int(i) for i in np.unravel_index(int(np.argmax(diff)), diff.shape))
-    # At the default 130 dB the simulator's excess is below its covariance
-    # round-off floor (eps * e^{2r}); the replay's closed form is exact.
-    excess_trace = float(np.trace(exact_replay(program).excess_covariance(r)))
-    passed = error < args.tol
+    # The pinned-zero map never reads the feedforward: the gains are checked
+    # against the exact outcome response instead.  At the default 130 dB the
+    # simulator's excess is below its covariance round-off floor (eps *
+    # e^{2r}); the replay's closed form is exact.
+    replay = exact_replay(program)
+    ff_error, (source, port) = replay.feedforward_error(program.feedforward)
+    excess_trace = float(np.trace(replay.excess_covariance(r)))
+    passed = error < args.tol and ff_error < args.tol
     report = {
         "version": "verification-report/1",
         "db": args.db,
         "tolerance": args.tol,
         "effectiveMapError": error,
         "worstEntry": list(worst),
+        "feedforwardError": ff_error,
+        "worstFeedforward": {"sourceNodeId": source, "port": port},
         "excessTrace": excess_trace,
         "pass": passed,
     }
@@ -174,7 +180,8 @@ def cmd_verify(args) -> int:
         print(serialize.dumps(report))
     status = "PASS" if passed else "FAIL"
     print(
-        f"{status}: effective-map error {error:.3e} at entry {worst} "
+        f"{status}: effective-map error {error:.3e} at entry {worst}, "
+        f"feedforward error {ff_error:.3e} at source node {source} -> port {port} "
         f"(tolerance {args.tol:.1e}, {args.db} dB)",
         file=sys.stderr if not passed else sys.stdout,
     )

@@ -1,12 +1,13 @@
 """Compilation of n-mode Gaussian maps to cluster measurement programs.
 
 Pipeline: Bloch-Messiah reduction (passive * single-mode squeezers * passive),
-Reck-style factorization of each passive into phase-free beam splitters and
-phase shifters, then lowering: every one-mode gate becomes a four-step
-measurement chain (4 ancillas), every beam splitter a cascade of three
-three-mode connection gates (9 ancillas).  Wires are kept step-aligned with
-measured pad chains; the Fourier transform each pad step applies is folded
-into the next real gate on that wire.
+a rectangular nearest-neighbour mesh of phase-free beam splitters and phase
+shifters for each passive, then lowering: every one-mode gate becomes a
+four-step measurement chain (4 ancillas), every beam splitter a cascade of
+three three-mode connection gates (9 ancillas), and the disjoint splitters
+of a mesh layer share one column.  Wires are kept step-aligned with measured
+pad chains; the Fourier transform each pad step applies is folded into the
+next real gate on that wire.
 """
 
 import math
@@ -45,7 +46,7 @@ from .symplectic import (
 REPLAY_TOL = 1e-9
 #: Squeezers below this magnitude compile to nothing.
 SQUEEZE_SKIP_TOL = 1e-12
-#: Phase shifters below this magnitude are dropped from Reck networks.
+#: Phase shifters below this magnitude are dropped from splitter meshes.
 PHASE_SKIP_TOL = 1e-14
 
 
@@ -175,7 +176,8 @@ def bloch_messiah(target: SymplecticMap) -> BlochMessiahFactors:
 
 @dataclass(frozen=True)
 class ReckElement:
-    """One linear-optics element: ("ps", (mode,), theta) or ("bs", (i, j), R)."""
+    """One element of a rectangular splitter mesh: ("ps", (mode,), theta) or
+    ("bs", (i, i + 1), R)."""
 
     kind: str
     modes: tuple
@@ -189,7 +191,8 @@ class ReckElement:
 
 @dataclass(frozen=True)
 class ReckNetwork:
-    """Phase shifters and phase-free beam splitters, in application order."""
+    """A rectangular mesh of phase shifters and phase-free beam splitters on
+    adjacent modes, in application order."""
 
     n: int
     elements: tuple
@@ -216,12 +219,16 @@ def _passive_to_unitary(p: SymplecticMap) -> np.ndarray:
 
 
 def reck_decompose(passive: SymplecticMap) -> ReckNetwork:
-    """Triangular factorization of a passive map into at most n(n-1)/2
-    phase-free beam splitters and n(n+1)/2 phase shifters.
+    """Rectangular nearest-neighbour mesh (Clements et al., Optica 3, 1460
+    (2016)) of a passive map: at most n(n-1)/2 phase-free beam splitters on
+    adjacent modes, at most n layers deep, and n(n+1)/2 phase shifters.
 
-    Below-diagonal entries of the equivalent complex unitary are nulled row
-    by row from the bottom by right-multiplied phase+splitter pairs; the
-    residual diagonal phases become final phase shifters.
+    The entries of the equivalent complex unitary U below its diagonal are
+    nulled one sub-diagonal at a time, from the corner (n-1, 0) inwards:
+    alternate sub-diagonals by right-multiplied nulls R on columns
+    (c, c+1), the others by left-multiplied nulls L on rows (r-1, r).  Each
+    null is one phase shifter and one splitter; what is left is a diagonal
+    D, and U = L_1^-1 ... L_m^-1 D R_k^-1 ... R_1^-1.
     """
     require_symplectic(passive, tol=1e-10)
     n = passive.n
@@ -229,32 +236,39 @@ def reck_decompose(passive: SymplecticMap) -> ReckNetwork:
     if float(np.max(np.abs(passive.matrix.T @ passive.matrix - eye))) > 1e-10:
         raise ValueError("map is not passive: fails orthogonality")
     w = _passive_to_unitary(passive).astype(complex)
-    stages = []  # (j, i, phi, R) in nulling order
-    for i in range(n - 1, 0, -1):
-        for j in range(0, i):
-            u, v = w[i, j], w[i, i]
+    right, left = [], []  # elements of each R^-1 and L^-1, in nulling order
+    for k in range(n - 1):
+        for m in range(k + 1):
+            if k % 2 == 0:
+                r, c = n - 1 - m, k - m
+                pair, u, v = [c, c + 1], w[r, c], w[r, c + 1]
+            else:
+                r, c = n - 1 - k + m, m
+                pair, u, v = [r - 1, r], w[r, c], w[r - 1, c]
             if abs(u) < 1e-13:
                 continue
             refl = abs(v) ** 2 / (abs(u) ** 2 + abs(v) ** 2)
-            phi = float(np.angle(-v / u)) if abs(v) > 0 else 0.0
-            t = np.eye(n, dtype=complex)
             sr, st = math.sqrt(refl), math.sqrt(1.0 - refl)
-            t[j, j] = np.exp(1j * phi) * sr
-            t[j, i] = np.exp(1j * phi) * st
-            t[i, j] = st
-            t[i, i] = -sr
-            w = w @ t
-            stages.append((j, i, phi, refl))
-    elements = []
-    for (j, i, phi, refl) in stages:
-        if abs(phi) > PHASE_SKIP_TOL:
-            elements.append(ReckElement("ps", (j,), -phi))
-        elements.append(ReckElement("bs", (j, i), refl))
-    for k in range(n):
-        delta = float(np.angle(w[k, k]))
-        if abs(delta) > PHASE_SKIP_TOL:
-            elements.append(ReckElement("ps", (k,), delta))
-    return ReckNetwork(n=n, elements=tuple(elements))
+            mix = np.array([[sr, st], [st, -sr]])
+            bs = ReckElement("bs", tuple(pair), refl)
+            if k % 2 == 0:  # w <- w R: phase column c, then mix; R^-1 = ps, then bs
+                theta = float(np.angle(-u / v)) if v else 0.0
+                w[:, c] *= np.exp(-1j * theta)
+                w[:, pair] = w[:, pair] @ mix
+                right.append([ReckElement("ps", (c,), theta), bs])
+            else:  # w <- L w: phase row r-1, then mix; L^-1 = bs, then ps
+                theta = float(np.angle(v / u)) if v else 0.0
+                w[r - 1] *= np.exp(-1j * theta)
+                w[pair] = mix @ w[pair]
+                left.append([bs, ReckElement("ps", (r - 1,), theta)])
+    diagonal = [[ReckElement("ps", (k,), float(np.angle(w[k, k])))] for k in range(n)]
+    elements = tuple(
+        el
+        for group in right + diagonal + left[::-1]
+        for el in group
+        if el.kind == "bs" or abs(el.value) > PHASE_SKIP_TOL
+    )
+    return ReckNetwork(n=n, elements=elements)
 
 
 # ---------------------------------------------------------------------------
@@ -339,46 +353,51 @@ class _Builder:
             self.records.append(GateRecord("four-step", (wire,), self.column, meta))
         self.column += 1
 
-    def bs_column(self, gates: dict, pair: tuple, reflectivity: float) -> None:
-        """The one-mode column ``gates``, then one beam splitter as three
-        connection gates while the other wires pad.
+    def bs_column(self, gates: dict, splitters: list) -> None:
+        """The one-mode column ``gates``, then a column of disjoint beam
+        splitters ``[(pair, R), ...]``, each as three connection gates, while
+        the idle wires pad.
 
-        Equal pending counts on both wires commute through the splitter.  If
-        ``gates`` would leave them unequal, the column also gets an identity
-        gate on each wire of the pair that still owes a count.
+        Equal pending counts on both wires of a pair commute through its
+        splitter.  If ``gates`` would leave them unequal, the column also
+        gets an identity gate on each wire of the pair that still owes a
+        count.
         """
-        i, j = pair
-        owed = [0 if w in gates else self.pending[w] for w in pair]
-        if owed[0] != owed[1]:
-            gates = self._settle(gates, pair)
+        for pair, _ in splitters:
+            owed = [0 if w in gates else self.pending[w] for w in pair]
+            if owed[0] != owed[1]:
+                gates = self._settle(gates, pair)
         self.one_mode_column(gates)
-        for step, params in enumerate(beam_splitter_program(reflectivity)):
-            node_a, node_b, ctrl = (self._new_node() for _ in range(3))
-            head_i, head_j = self.heads[i], self.heads[j]
-            self.edges.extend(
-                [(head_i, node_a), (head_j, node_b), (head_i, ctrl), (head_j, ctrl)]
-            )
-            self.schedule.extend(
-                [
-                    ScheduleEntry(head_i, float(np.arctan(params.kappa1))),
-                    ScheduleEntry(head_j, float(np.arctan(params.kappa2))),
-                    ScheduleEntry(ctrl, float(np.arctan2(1.0, params.eta3))),
-                ]
-            )
-            self.heads[i], self.heads[j] = node_a, node_b
-            self.total_proxy += (
-                3.0 + params.kappa1 ** 2 + params.kappa2 ** 2 + params.eta3 ** 2
-            )
-            record = {
-                "step": step,
-                "reflectivity": float(reflectivity),
-                "kappa1": float(params.kappa1),
-                "kappa2": float(params.kappa2),
-                "eta3": float(params.eta3),
-            }
-            self.records.append(GateRecord("connection", pair, self.column, record))
+        for pair, reflectivity in splitters:
+            i, j = pair
+            for step, params in enumerate(beam_splitter_program(reflectivity)):
+                node_a, node_b, ctrl = (self._new_node() for _ in range(3))
+                head_i, head_j = self.heads[i], self.heads[j]
+                self.edges.extend(
+                    [(head_i, node_a), (head_j, node_b), (head_i, ctrl), (head_j, ctrl)]
+                )
+                self.schedule.extend(
+                    [
+                        ScheduleEntry(head_i, float(np.arctan(params.kappa1))),
+                        ScheduleEntry(head_j, float(np.arctan(params.kappa2))),
+                        ScheduleEntry(ctrl, float(np.arctan2(1.0, params.eta3))),
+                    ]
+                )
+                self.heads[i], self.heads[j] = node_a, node_b
+                self.total_proxy += (
+                    3.0 + params.kappa1 ** 2 + params.kappa2 ** 2 + params.eta3 ** 2
+                )
+                record = {
+                    "step": step,
+                    "reflectivity": float(reflectivity),
+                    "kappa1": float(params.kappa1),
+                    "kappa2": float(params.kappa2),
+                    "eta3": float(params.eta3),
+                }
+                self.records.append(GateRecord("connection", pair, self.column, record))
+        busy = {w for pair, _ in splitters for w in pair}
         for wire in range(self.n):
-            if wire not in pair:
+            if wire not in busy:
                 self._pad(wire, 3)
         self.column += 1
 
@@ -428,8 +447,15 @@ def compile(target: SymplecticMap, kappa1: float = None):
 
     Returns (MeasurementProgram, SynthesisReport).  One-mode targets lower
     directly to a single four-step chain; larger targets go through
-    Bloch-Messiah and Reck factorizations.  ``kappa1`` pins the free
-    parameter of the four-step synthesis for one-mode targets.
+    Bloch-Messiah and a rectangular splitter mesh per passive.  ``kappa1``
+    pins the free parameter of the four-step synthesis for one-mode targets.
+
+    Splitters are packed by wire level: each goes to the first splitter
+    column in which both its wires are free, so a column holds disjoint
+    pairs, and the two meshes need at most 2n splitter columns.  The
+    one-mode ops on a wire between two of its splitters are composed into
+    one gate, placed in the one-mode column just before the wire's next
+    splitter, or in the last column.
 
     Wires idling through a column are padded with measured kappa = 0 chains.
     A pad step applies a Fourier transform, so pads inside four-step columns
@@ -449,17 +475,25 @@ def compile(target: SymplecticMap, kappa1: float = None):
     if kappa1 is not None and n != 1:
         raise ValueError(f"kappa1 pins a one-mode synthesis; the target has {n} modes")
     builder = _Builder(n, kappa1)
-    column = {}  # consecutive one-mode ops on distinct wires share a column
+    gates = {}  # wire -> its one-mode ops since its last splitter, composed
+    columns = []  # per splitter column: (the one-mode gates before it, its splitters)
+    level = [0] * n  # the first splitter column in which each wire is free
     for kind, wires, value in _gate_sequence(target):
-        if kind == "bs":
-            builder.bs_column(column, wires, value)
-            column = {}
-        elif wires in column:
-            builder.one_mode_column(column)
-            column = {wires: value}
-        else:
-            column[wires] = value
-    program = builder.finish(column, target)
+        if kind == "onemode":
+            gates[wires] = value @ gates[wires] if wires in gates else value
+            continue
+        layer = max(level[w] for w in wires)
+        if layer == len(columns):
+            columns.append(({}, []))
+        before, splitters = columns[layer]
+        for w in wires:
+            if w in gates:
+                before[w] = gates.pop(w)
+            level[w] = layer + 1
+        splitters.append((wires, value))
+    for before, splitters in columns:
+        builder.bs_column(before, splitters)
+    program = builder.finish(gates, target)
 
     check = exact_replay(program)
     diff = np.abs(check.matrix - target.matrix)

@@ -1,12 +1,14 @@
 """Versioned JSON serialization of programs, targets, states and reports.
 
-Documents are strict: unknown fields are rejected with their path, and a
+Documents are strict: unknown fields and non-finite numbers (NaN and
+Infinity, which Python's json reads) are rejected with their path, and a
 version tag mismatch is an explicit incompatibility error.  Floats use
 Python's shortest round-trip representation (lossless, 17 significant
 digits where needed).
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -53,7 +55,13 @@ def _check_version(doc: dict, expected: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(path, "expected a finite number")
+    return number
 
 
 def _integer(value, path: str) -> int:

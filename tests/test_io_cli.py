@@ -109,6 +109,74 @@ def test_cli_verify_fails_on_tampered_angle(tmp_path, capsys):
     assert "worstEntry" in output.out
 
 
+def compiled_document(tmp_path, target):
+    """A compiled program of ``target`` as a document, and the path it goes to."""
+    program_file = str(tmp_path / "prog.json")
+    assert main(["compile", "--target", write_target(tmp_path, target), "--out", program_file]) == 0
+    return json.loads(Path(program_file).read_text()), program_file
+
+
+@pytest.mark.parametrize("tamper", ["raised-gain", "dropped-rule"])
+def test_cli_verify_checks_the_feedforward(tmp_path, capsys, tamper):
+    # The pinned-zero map never reads the gains; verify compares them with the
+    # exact outcome response and names the worst (source node, output port).
+    doc, program_file = compiled_document(tmp_path, random_symplectic(2, 1))
+    rule = doc["feedforward"][0]
+    if tamper == "raised-gain":
+        rule["gainX"] += 5.0
+    else:
+        del doc["feedforward"][0]
+    expected = abs(rule["gainX"]) if tamper == "dropped-rule" else 5.0
+    Path(program_file).write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--program", program_file]) == 2
+    output = capsys.readouterr()
+    report = json.loads(output.out)
+    assert report["pass"] is False
+    assert report["effectiveMapError"] < 1e-4
+    assert report["feedforwardError"] == pytest.approx(expected, rel=1e-12)
+    program = serialize.program_from_dict(doc)
+    port = {node.id: node.port for node in program.graph.output_ports()}
+    worst = {"sourceNodeId": rule["sourceNodeId"], "port": port[rule["targetNodeId"]]}
+    assert report["worstFeedforward"] == worst
+    assert "FAIL: effective-map error" in output.err
+    assert f"feedforward error {expected:.3e} at source node {rule['sourceNodeId']}" in output.err
+
+
+def test_cli_verify_reports_an_exact_feedforward(tmp_path, capsys):
+    _, program_file = compiled_document(tmp_path, random_symplectic(2, 1))
+    report_file = tmp_path / "report.json"
+    assert main(["verify", "--program", program_file, "--out", str(report_file)]) == 0
+    assert "PASS" in capsys.readouterr().out
+    report = json.loads(report_file.read_text())
+    assert report["feedforwardError"] <= 1e-12
+    assert report["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (("schedule", 3, "angle"), float("nan")),
+        (("feedforward", 0, "gainP"), float("inf")),
+        (("targetMap", "matrix", 0, 1), float("-inf")),
+        (("feedforward", 1, "gainX"), 10 ** 400),
+    ],
+    ids=["nan-angle", "inf-gain", "minus-inf-target", "huge-integer-gain"],
+)
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, field, value):
+    doc, program_file = compiled_document(tmp_path, random_symplectic(2, 1))
+    entry = doc
+    for key in field[:-1]:
+        entry = entry[key]
+    entry[field[-1]] = value
+    Path(program_file).write_text(json.dumps(doc))
+    capsys.readouterr()
+    for command in ("verify", "simulate"):
+        assert main([command, "--program", program_file]) == 1
+        path = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in field)
+        assert f"{path.lstrip('.')}: expected a finite number" in capsys.readouterr().err
+
+
 def test_cli_simulate_deterministic(tmp_path):
     target_file = write_target(tmp_path, identity(1))
     program_file = str(tmp_path / "prog.json")

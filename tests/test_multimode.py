@@ -1,11 +1,14 @@
-"""Connection gates, Bloch-Messiah, Reck networks, and full compilation."""
+"""Connection gates, Bloch-Messiah, splitter meshes, and full compilation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvcluster import (
     ConnectionGateParams,
+    SymplecticMap,
     beam_splitter_matrix,
     beam_splitter_program,
     bloch_messiah,
@@ -141,6 +144,45 @@ def test_reck_rejects_active_maps():
         reck_decompose(squeeze(0.5))
 
 
+def passive(unitary: np.ndarray) -> SymplecticMap:
+    """The passive map of an n-by-n unitary U: x + ip -> U (x + ip)."""
+    re, im = unitary.real, unitary.imag
+    return SymplecticMap(len(unitary), np.block([[re, -im], [im, re]]))
+
+
+@st.composite
+def passives(draw):
+    """Haar-random passives, permutations times phases, and the identity."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["haar", "permutation", "identity"]))
+    if kind == "identity":
+        return passive(np.eye(n))
+    if kind == "permutation":
+        order = draw(st.permutations(range(n)))
+        phases = draw(st.lists(st.floats(-np.pi, np.pi), min_size=n, max_size=n))
+        return passive(np.eye(n)[order] * np.exp(1j * np.array(phases)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return passive(q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(target=passives())
+def test_reck_mesh_is_rectangular(target):
+    n = target.n
+    network = reck_decompose(target)
+    assert np.max(np.abs(network.matrix() - target.matrix)) < 1e-10
+    assert network.beam_splitter_count() <= n * (n - 1) // 2
+    assert network.phase_shifter_count() <= n * (n + 1) // 2
+    level = [0] * n  # splitter layers each wire has passed, by wire dependency
+    for el in network.elements:
+        if el.kind == "bs":
+            i, j = el.modes
+            assert j == i + 1, el
+            level[i] = level[j] = max(level[i], level[j]) + 1
+    assert max(level) <= n
+
+
 def test_pad_fourier_commutes_through_beam_splitters():
     # equal leftover pad Fourier powers on both wires commute through a
     # phase-free beam splitter; this is what lets the compiler defer their
@@ -253,33 +295,55 @@ def test_compile_flushes_pad_fourier_transforms():
     assert report.replay_residual < 1e-9
 
     _, report = compile(TWO_SPLITTERS)
-    assert report.ancilla_count == 120
+    assert report.ancilla_count == 132
     gates = [rec for rec in report.step_params if rec.kind == "four-step"]
     flushes = [rec for rec in gates if undoes_its_compensation(rec)]
-    assert [rec.column for rec in flushes] == [3, 7, 9]
+    assert [rec.column for rec in flushes] == [2, 6, 8, 10]
     assert all(rec.params["fourier_compensation"] == 3 for rec in flushes)
     kinds = {rec.column: rec.kind for rec in report.step_params if rec.kind != "pad"}
-    assert kinds[4] == kinds[8] == "connection"
-    assert max(kinds) == 9
+    assert kinds[3] == kinds[7] == kinds[9] == "connection"
+    assert max(kinds) == 10
     # a real gate compensates without an identity gate
-    (compensated,) = [rec for rec in gates if rec.column == 1]
+    (compensated,) = [rec for rec in gates if rec.column == 4]
     assert compensated.params["fourier_compensation"] == 3
     assert not undoes_its_compensation(compensated)
     assert report.replay_residual < 1e-9
 
-    # Three identity gates share a column with a real gate instead of opening
-    # their own: 233 ancillas in 15 columns, not 281 in 18.
+    # Identity gates share a column with a real gate instead of opening their
+    # own, and the disjoint splitters on (0, 1) and (2, 3) share column 5:
+    # 205 ancillas in 13 columns.
     program, report = compile(FOLD)
-    assert report.ancilla_count == 233
+    assert report.ancilla_count == 205
     gates = [rec for rec in report.step_params if rec.kind == "four-step"]
-    assert 1 + max(rec.column for rec in report.step_params) == 15
+    assert 1 + max(rec.column for rec in report.step_params) == 13
     shared = {rec.column for rec in gates if undoes_its_compensation(rec)} & {
         rec.column for rec in gates if not undoes_its_compensation(rec)
     }
-    assert sorted(shared) == [4, 6, 14]
+    assert sorted(shared) == [2, 12]
+    column5 = {rec.wires for rec in report.step_params if rec.column == 5}
+    assert column5 == {(0, 1), (2, 3)}
     assert report.replay_residual < 1e-9
     excess = np.trace(exact_replay(program).excess_covariance(db_to_r(10.0)))
-    assert excess == pytest.approx(7.3289, abs=1e-4)
+    assert excess == pytest.approx(6.5171, abs=1e-4)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_compile_packs_disjoint_splitters_into_columns(n):
+    # Each passive is a mesh of at most n splitter layers, so the program has
+    # at most 2n splitter columns, each after at most one one-mode column,
+    # and one final one-mode column.
+    for seed in range(2):
+        _, report = compile(random_symplectic(n, seed))
+        pairs = {}
+        for rec in report.step_params:
+            if rec.kind == "connection" and rec.params["step"] == 0:
+                pairs.setdefault(rec.column, []).append(rec.wires)
+        for column, wires in pairs.items():
+            used = [w for pair in wires for w in pair]
+            assert len(used) == len(set(used)), (column, wires)
+        assert len(pairs) <= 2 * n
+        assert 1 + max(rec.column for rec in report.step_params) <= 4 * n + 1
+        assert report.replay_residual < 1e-9
 
 
 def splitter_products(count: int) -> list:
