@@ -29,8 +29,6 @@ from .ir import (
 from .multimode import (
     BlochMessiahFactors,
     ConnectionGateParams,
-    ReckElement,
-    ReckNetwork,
     beam_splitter_program,
     bloch_messiah,
     compile,
@@ -48,7 +46,6 @@ from .simulator import (
     effective_map,
     extract_effective_map,
     homodyne_measure,
-    predicted_excess,
     r_to_db,
     run_program,
     sampled,

@@ -227,7 +227,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"i/o error: cannot parse JSON: {exc}", file=sys.stderr)
         return EXIT_IO
     except SchemaError as exc:

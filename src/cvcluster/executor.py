@@ -34,6 +34,8 @@ from .teleport import BELL_SPLITTER
 
 #: A measurement must overlap an unresolved ancilla noise at least this much.
 PIVOT_TOL = 1e-9
+#: A feedforward rule is kept when one of its gains exceeds this magnitude.
+FEEDFORWARD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ class ExactReplay:
         var = np.exp(-2.0 * r) / 4.0
         return var * (self.noise_response @ self.noise_response.T)
 
-    def feedforward_rules(self, tol: float = 1e-12) -> tuple:
+    def feedforward_rules(self) -> tuple:
         """Feedforward rules whose gains cancel the outcome terms of the outputs."""
         rules = []
         n = self.matrix.shape[0] // 2
@@ -70,7 +72,7 @@ class ExactReplay:
             for port, target in enumerate(self.output_ids):
                 gx = -self.outcome_response[port, k]
                 gp = -self.outcome_response[n + port, k]
-                if abs(gx) > tol or abs(gp) > tol:
+                if abs(gx) > FEEDFORWARD_TOL or abs(gp) > FEEDFORWARD_TOL:
                     rules.append(FeedforwardRule(src, target, float(gx), float(gp)))
         return tuple(rules)
 

@@ -32,9 +32,7 @@ from .ir import (
 from .single_mode import decompose_four_step
 from .symplectic import (
     SymplecticMap,
-    beam_splitter_matrix,
     compose,
-    embed,
     fourier_power,
     require_symplectic,
     rotation,
@@ -48,6 +46,11 @@ REPLAY_TOL = 1e-9
 SQUEEZE_SKIP_TOL = 1e-12
 #: Phase shifters below this magnitude are dropped from splitter meshes.
 PHASE_SKIP_TOL = 1e-14
+#: Bloch-Messiah eigenvalues this close (relative), or this close to 1, form
+#: one cluster.
+CLUSTER_TOL = 1e-8
+#: Candidate basis vectors whose norms differ by less than this are tied.
+TIE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -109,46 +112,57 @@ class BlochMessiahFactors:
         return self.passive_out.matrix @ self.squeeze_matrix() @ self.passive_in.matrix
 
 
+def _canonical_vectors(cluster: np.ndarray, count: int, j: np.ndarray) -> list:
+    """``count`` orthonormal vectors in the span of ``cluster``'s columns,
+    each orthogonal to J times the others.
+
+    Each is the projected standard basis vector, less its components along
+    the vectors already chosen and their J images, of largest norm; ties
+    within round-off go to the lowest index, so canonical inputs (the
+    identity, pure beam splitters, equal squeezers) yield canonical factors.
+    """
+    projector = cluster @ cluster.T
+    chosen = []
+    while len(chosen) < count:
+        cands = projector.copy()
+        for v in chosen:
+            for b in (v, j @ v):
+                cands -= np.outer(b, b @ cands)
+        norms = np.linalg.norm(cands, axis=0)
+        k = int(np.argmax(norms > norms.max() - TIE_TOL))
+        chosen.append(cands[:, k] / norms[k])
+    return chosen
+
+
 def _symplectic_pair_basis(p: np.ndarray, n: int) -> tuple:
     """Columns (v_1..v_n) with P v_i = lam_i v_i, lam_i >= 1, such that
-    K = [V | -J V] is orthogonal-symplectic and P = K diag(lam, 1/lam) K^T."""
+    K = [V | -J V] is orthogonal-symplectic and P = K diag(lam, 1/lam) K^T.
+
+    A lone eigenvalue above 1 keeps eigh's vector.  A repeated one, and the
+    eigenvalue-1 subspace (J-invariant, so it also needs a symplectic
+    pairing), get ``_canonical_vectors`` instead of eigh's arbitrary basis.
+    """
     j = symplectic_form(n)
     lam, vec = np.linalg.eigh(p)
     order = np.argsort(-lam)
     lam, vec = lam[order], vec[:, order]
-    eps = 1e-8
     cols, rs = [], []
-    cluster_cols = []
-    for i in range(2 * n):
-        if lam[i] > 1.0 + eps:
-            cols.append(vec[:, i])
-            rs.append(math.log(lam[i]))
-        elif abs(lam[i] - 1.0) <= eps:
-            cluster_cols.append(vec[:, i])
-    # Eigenvalue-1 subspace: J-invariant, needs an explicit symplectic pairing.
-    # Seed from projected standard basis vectors so canonical inputs (identity,
-    # pure beam splitters) yield canonical factors.
-    if cluster_cols:
-        cb = np.column_stack(cluster_cols)
-        projector = cb @ cb.T
-        chosen = []
-        m = len(cluster_cols) // 2
-        while len(chosen) < m:
-            used = []
-            for v in chosen:
-                used.append(v)
-                used.append(j @ v)
-            best_norm, best = -1.0, None
-            for k in range(2 * n):
-                cand = projector[:, k].copy()
-                for bvec in used:
-                    cand -= (bvec @ cand) * bvec
-                norm = float(np.linalg.norm(cand))
-                if norm > best_norm:
-                    best_norm, best = norm, cand
-            chosen.append(best / best_norm)
-        cols.extend(chosen)
-        rs.extend([0.0] * m)
+    start = 0
+    squeezed = lam > 1.0 + CLUSTER_TOL
+    while squeezed[start]:
+        end = start + 1
+        while squeezed[end] and lam[end - 1] - lam[end] <= CLUSTER_TOL * lam[end]:
+            end += 1
+        if end - start == 1:
+            cols.append(vec[:, start])
+        else:
+            cols += _canonical_vectors(vec[:, start:end], end - start, j)
+        rs += [math.log(x) for x in lam[start:end]]
+        start = end
+    unit = vec[:, np.abs(lam - 1.0) <= CLUSTER_TOL]
+    m = unit.shape[1] // 2
+    cols += _canonical_vectors(unit, m, j)
+    rs += [0.0] * m
     return np.column_stack(cols), np.array(rs)
 
 
@@ -174,42 +188,6 @@ def bloch_messiah(target: SymplecticMap) -> BlochMessiahFactors:
     return BlochMessiahFactors(passive_out=u, squeezings=tuple(rs), passive_in=v)
 
 
-@dataclass(frozen=True)
-class ReckElement:
-    """One element of a rectangular splitter mesh: ("ps", (mode,), theta) or
-    ("bs", (i, i + 1), R)."""
-
-    kind: str
-    modes: tuple
-    value: float
-
-    def as_map(self, n: int) -> SymplecticMap:
-        if self.kind == "ps":
-            return embed(rotation(self.value), n, list(self.modes))
-        return embed(beam_splitter_matrix(self.value), n, list(self.modes))
-
-
-@dataclass(frozen=True)
-class ReckNetwork:
-    """A rectangular mesh of phase shifters and phase-free beam splitters on
-    adjacent modes, in application order."""
-
-    n: int
-    elements: tuple
-
-    def matrix(self) -> np.ndarray:
-        m = np.eye(2 * self.n)
-        for el in self.elements:
-            m = el.as_map(self.n).matrix @ m
-        return m
-
-    def beam_splitter_count(self) -> int:
-        return sum(1 for el in self.elements if el.kind == "bs")
-
-    def phase_shifter_count(self) -> int:
-        return sum(1 for el in self.elements if el.kind == "ps")
-
-
 def _passive_to_unitary(p: SymplecticMap) -> np.ndarray:
     n = p.n
     a, b, c, d = p.block_a, p.block_b, p.block_c, p.block_d
@@ -218,7 +196,7 @@ def _passive_to_unitary(p: SymplecticMap) -> np.ndarray:
     return a + 1j * c
 
 
-def reck_decompose(passive: SymplecticMap) -> ReckNetwork:
+def reck_decompose(passive: SymplecticMap) -> list:
     """Rectangular nearest-neighbour mesh (Clements et al., Optica 3, 1460
     (2016)) of a passive map: at most n(n-1)/2 phase-free beam splitters on
     adjacent modes, at most n layers deep, and n(n+1)/2 phase shifters.
@@ -229,14 +207,24 @@ def reck_decompose(passive: SymplecticMap) -> ReckNetwork:
     (c, c+1), the others by left-multiplied nulls L on rows (r-1, r).  Each
     null is one phase shifter and one splitter; what is left is a diagonal
     D, and U = L_1^-1 ... L_m^-1 D R_k^-1 ... R_1^-1.
+
+    Returns the mesh as wire ops in application order: ("onemode", mode,
+    rotation matrix) per phase shifter above ``PHASE_SKIP_TOL`` and ("bs",
+    (i, i + 1), R) per splitter.
     """
     require_symplectic(passive, tol=1e-10)
     n = passive.n
     eye = np.eye(2 * n)
     if float(np.max(np.abs(passive.matrix.T @ passive.matrix - eye))) > 1e-10:
         raise ValueError("map is not passive: fails orthogonality")
+
+    def phase(mode: int, theta: float) -> list:
+        if abs(theta) > PHASE_SKIP_TOL:
+            return [("onemode", mode, rotation(theta).matrix)]
+        return []
+
     w = _passive_to_unitary(passive).astype(complex)
-    right, left = [], []  # elements of each R^-1 and L^-1, in nulling order
+    right, left = [], []  # the ops of R_1^-1 ... R_k^-1 and of L_m^-1 ... L_1^-1
     for k in range(n - 1):
         for m in range(k + 1):
             if k % 2 == 0:
@@ -250,25 +238,19 @@ def reck_decompose(passive: SymplecticMap) -> ReckNetwork:
             refl = abs(v) ** 2 / (abs(u) ** 2 + abs(v) ** 2)
             sr, st = math.sqrt(refl), math.sqrt(1.0 - refl)
             mix = np.array([[sr, st], [st, -sr]])
-            bs = ReckElement("bs", tuple(pair), refl)
+            bs = ("bs", tuple(pair), refl)
             if k % 2 == 0:  # w <- w R: phase column c, then mix; R^-1 = ps, then bs
                 theta = float(np.angle(-u / v)) if v else 0.0
                 w[:, c] *= np.exp(-1j * theta)
                 w[:, pair] = w[:, pair] @ mix
-                right.append([ReckElement("ps", (c,), theta), bs])
+                right += [*phase(c, theta), bs]
             else:  # w <- L w: phase row r-1, then mix; L^-1 = bs, then ps
                 theta = float(np.angle(v / u)) if v else 0.0
                 w[r - 1] *= np.exp(-1j * theta)
                 w[pair] = mix @ w[pair]
-                left.append([bs, ReckElement("ps", (r - 1,), theta)])
-    diagonal = [[ReckElement("ps", (k,), float(np.angle(w[k, k])))] for k in range(n)]
-    elements = tuple(
-        el
-        for group in right + diagonal + left[::-1]
-        for el in group
-        if el.kind == "bs" or abs(el.value) > PHASE_SKIP_TOL
-    )
-    return ReckNetwork(n=n, elements=elements)
+                left[:0] = [bs, *phase(r - 1, theta)]
+    diagonal = [op for k in range(n) for op in phase(k, float(np.angle(w[k, k])))]
+    return right + diagonal + left
 
 
 # ---------------------------------------------------------------------------
@@ -425,21 +407,18 @@ class _Builder:
 
 
 def _gate_sequence(target: SymplecticMap) -> list:
-    """Wire-level ops: ("onemode", wire, matrix) or ("bs", pair, R)."""
+    """Wire-level ops, ("onemode", wire, matrix) or ("bs", pair, R), in
+    application order: the mesh of the first passive, the squeezers, the
+    mesh of the second passive."""
     if target.n == 1:
         return [("onemode", 0, target.matrix)]
     factors = bloch_messiah(target)
-    ops = []
-    for passive, rs in ((factors.passive_in, factors.squeezings), (factors.passive_out, ())):
-        for el in reck_decompose(passive).elements:
-            if el.kind == "bs":
-                ops.append(("bs", el.modes, el.value))
-            else:
-                ops.append(("onemode", el.modes[0], rotation(el.value).matrix))
-        for wire, r in enumerate(rs):  # the squeezers sit between the passives
-            if abs(r) > SQUEEZE_SKIP_TOL:
-                ops.append(("onemode", wire, squeeze(r).matrix))
-    return ops
+    squeezers = [
+        ("onemode", wire, squeeze(r).matrix)
+        for wire, r in enumerate(factors.squeezings)
+        if abs(r) > SQUEEZE_SKIP_TOL
+    ]
+    return reck_decompose(factors.passive_in) + squeezers + reck_decompose(factors.passive_out)
 
 
 def compile(target: SymplecticMap, kappa1: float = None):

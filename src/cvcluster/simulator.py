@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConditioningError
-from .executor import _Frontier, exact_replay
+from .executor import _Frontier
 from .ir import ClusterGraph, MeasurementProgram
 from .symplectic import (
     SymplecticMap,
@@ -397,9 +397,3 @@ def _channel_excess(program: MeasurementProgram, r: float) -> np.ndarray:
     _, joint = state.read([p.id for p in program.graph.output_ports()])
     excess = joint.reshape(2, 2 * n, 2, 2 * n).sum(axis=(0, 2))
     return (excess + excess.T) / 2.0
-
-
-def predicted_excess(program: MeasurementProgram, r: float) -> np.ndarray:
-    """Exact excess covariance of the corrected outputs at squeezing r,
-    from the linear replay's ancilla-noise response."""
-    return exact_replay(program).excess_covariance(r)

@@ -32,6 +32,31 @@ def four_step_product(kappas):
     return total
 
 
+def mesh_census(n, ops):
+    """Plain product of a splitter mesh's wire ops, ("onemode", mode, 2x2
+    matrix) or ("bs", (i, j), R), in application order, and its counts:
+    (matrix, splitter pairs, one-mode ops, splitter layers by wire
+    dependency).  A splitter acts as ((sqrt R, sqrt(1-R)), (sqrt(1-R),
+    -sqrt R)) on both the x and the p block of its pair."""
+    total = np.eye(2 * n)
+    pairs, phases, level = [], 0, [0] * n
+    for kind, modes, value in ops:
+        step = np.eye(2 * n)
+        if kind == "onemode":
+            phases += 1
+            idx = [modes, n + modes]
+            step[np.ix_(idx, idx)] = value
+        else:
+            pairs.append(modes)
+            t, u = np.sqrt(value), np.sqrt(1.0 - value)
+            for offset in (0, n):
+                idx = [offset + m for m in modes]
+                step[np.ix_(idx, idx)] = [[t, u], [u, -t]]
+            level[modes[0]] = level[modes[1]] = max(level[m] for m in modes) + 1
+        total = step @ total
+    return total, pairs, phases, max(level)
+
+
 def dense_run_program(program, input_state, r, policy):
     """Reference execution with the dense remove-and-renumber homodyne loop.
 

@@ -25,7 +25,6 @@ from cvcluster import (
     identity,
     db_to_r,
     mtel,
-    predicted_excess,
     random_symplectic,
     rotation,
     run_program,
@@ -268,7 +267,7 @@ def test_criterion_11_feedforward_scatter():
     base, _ = run_program(program, vacuum(1), r, PINNED_ZERO)
     unconditional = (
         replay.matrix @ (np.eye(2) / 4) @ replay.matrix.T
-        + predicted_excess(program, r)
+        + replay.excess_covariance(r)
     )
     scatter_cov = unconditional - base.cov
     inv = np.linalg.inv(scatter_cov)

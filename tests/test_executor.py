@@ -18,7 +18,6 @@ from cvcluster import (
     exact_replay,
     extract_effective_map,
     identity,
-    predicted_excess,
     random_symplectic,
     run_program,
 )
@@ -77,7 +76,7 @@ def test_predicted_excess_tracks_simulator():
         out, _ = run_program(program, vacuum(1), r, sampled(shot))
         means.append(out.mean)
     ensemble = np.cov(np.array(means).T) + base.cov
-    expected = np.eye(2) / 4 + predicted_excess(program, r)
+    expected = np.eye(2) / 4 + exact_replay(program).excess_covariance(r)
     assert np.max(np.abs(ensemble - expected)) < 0.02
 
 

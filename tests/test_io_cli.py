@@ -342,6 +342,17 @@ def test_cli_missing_file_is_io_error(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify --program", "compile --target"])
+def test_cli_undecodable_document_is_io_error(tmp_path, capsys, command):
+    # Bytes that are not UTF-8 fail as malformed JSON does, not as a
+    # validation error.
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(b"\xff\xfe")
+    out = ["--out", str(tmp_path / "out.json")] if command.startswith("compile") else []
+    assert main([*command.split(), str(doc), *out]) == 3
+    assert "i/o error: cannot parse JSON" in capsys.readouterr().err
+
+
 def test_cli_schema_error_is_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"version": "cluster-program/1", "mystery": 1}')
@@ -456,7 +467,7 @@ round_off_targets = pytest.mark.parametrize(
 def test_cli_verify_excess_trace_is_exact_at_default_db(tmp_path, target):
     # At the default 130 dB the excess is far below the simulator's
     # covariance round-off floor; the report carries the exact value.
-    from cvcluster import db_to_r, predicted_excess
+    from cvcluster import db_to_r, exact_replay
     from cvcluster.cli import DEFAULT_VERIFY_DB
 
     target_file = write_target(tmp_path, target)
@@ -466,7 +477,7 @@ def test_cli_verify_excess_trace_is_exact_at_default_db(tmp_path, target):
     assert main(["verify", "--program", program_file, "--out", report_file]) == 0
     doc = json.loads(Path(report_file).read_text())
     program = serialize.load_program(program_file)
-    exact = np.trace(predicted_excess(program, db_to_r(DEFAULT_VERIFY_DB)))
+    exact = np.trace(exact_replay(program).excess_covariance(db_to_r(DEFAULT_VERIFY_DB)))
     assert doc["db"] == DEFAULT_VERIFY_DB
     assert doc["excessTrace"] >= 0.0
     assert doc["excessTrace"] == pytest.approx(exact, rel=0, abs=1e-12)
@@ -476,7 +487,7 @@ def test_cli_verify_excess_trace_is_exact_at_default_db(tmp_path, target):
 def test_cli_sweep_excess_trace_is_exact_at_high_db(tmp_path, target):
     # At 100 and 130 dB the simulated excess is covariance round-off and can
     # be negative; the column carries the exact value.
-    from cvcluster import db_to_r, predicted_excess
+    from cvcluster import db_to_r, exact_replay
 
     target_file = write_target(tmp_path, target)
     program_file = str(tmp_path / "prog.json")
@@ -486,7 +497,7 @@ def test_cli_sweep_excess_trace_is_exact_at_high_db(tmp_path, target):
     program = serialize.load_program(program_file)
     for line in Path(csv_file).read_text().splitlines()[1:]:
         db, _, trace = (float(tok) for tok in line.split(","))
-        exact = np.trace(predicted_excess(program, db_to_r(db)))
+        exact = np.trace(exact_replay(program).excess_covariance(db_to_r(db)))
         assert trace >= 0.0
         assert trace == pytest.approx(exact, rel=1e-12, abs=0)
 

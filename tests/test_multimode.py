@@ -29,6 +29,7 @@ from cvcluster import (
     symplectic_residual,
 )
 from cvcluster.ir import ROLE_INPUT, ROLE_OUTPUT
+from oracles import mesh_census
 
 
 def connection_cube(reflectivity: float) -> np.ndarray:
@@ -115,28 +116,29 @@ def test_bloch_messiah_random():
 
 
 def test_reck_counts_n1():
-    network = reck_decompose(rotation(0.7))
-    assert network.beam_splitter_count() == 0
-    assert network.phase_shifter_count() == 1
-    assert_allclose(network.matrix(), rotation(0.7).matrix, atol=1e-12)
+    matrix, pairs, phases, _ = mesh_census(1, reck_decompose(rotation(0.7)))
+    assert len(pairs) == 0
+    assert phases == 1
+    assert_allclose(matrix, rotation(0.7).matrix, atol=1e-12)
 
 
 def test_reck_balanced_splitter():
-    network = reck_decompose(beam_splitter_matrix(0.5))
-    bs = [el for el in network.elements if el.kind == "bs"]
+    ops = reck_decompose(beam_splitter_matrix(0.5))
+    bs = [op for op in ops if op[0] == "bs"]
     assert len(bs) == 1
-    assert bs[0].value == pytest.approx(0.5)
-    assert np.max(np.abs(network.matrix() - beam_splitter_matrix(0.5).matrix)) < 1e-10
+    assert bs[0][2] == pytest.approx(0.5)
+    matrix, _, _, _ = mesh_census(2, ops)
+    assert np.max(np.abs(matrix - beam_splitter_matrix(0.5).matrix)) < 1e-10
 
 
 def test_reck_random_passive():
     for seed in range(10):
         factors = bloch_messiah(random_symplectic(3, 50 + seed))
         for passive in (factors.passive_out, factors.passive_in):
-            network = reck_decompose(passive)
-            assert network.beam_splitter_count() <= 3
-            assert network.phase_shifter_count() <= 6
-            assert np.max(np.abs(network.matrix() - passive.matrix)) < 1e-9
+            matrix, pairs, phases, _ = mesh_census(3, reck_decompose(passive))
+            assert len(pairs) <= 3
+            assert phases <= 6
+            assert np.max(np.abs(matrix - passive.matrix)) < 1e-9
 
 
 def test_reck_rejects_active_maps():
@@ -161,7 +163,10 @@ def passives(draw):
         order = draw(st.permutations(range(n)))
         phases = draw(st.lists(st.floats(-np.pi, np.pi), min_size=n, max_size=n))
         return passive(np.eye(n)[order] * np.exp(1j * np.array(phases)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return haar_passive(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+def haar_passive(n: int, rng) -> SymplecticMap:
     q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     return passive(q * (np.diag(r) / np.abs(np.diag(r))))
 
@@ -170,17 +175,59 @@ def passives(draw):
 @given(target=passives())
 def test_reck_mesh_is_rectangular(target):
     n = target.n
-    network = reck_decompose(target)
-    assert np.max(np.abs(network.matrix() - target.matrix)) < 1e-10
-    assert network.beam_splitter_count() <= n * (n - 1) // 2
-    assert network.phase_shifter_count() <= n * (n + 1) // 2
-    level = [0] * n  # splitter layers each wire has passed, by wire dependency
-    for el in network.elements:
-        if el.kind == "bs":
-            i, j = el.modes
-            assert j == i + 1, el
-            level[i] = level[j] = max(level[i], level[j]) + 1
-    assert max(level) <= n
+    matrix, pairs, phases, layers = mesh_census(n, reck_decompose(target))
+    assert np.max(np.abs(matrix - target.matrix)) < 1e-10
+    assert len(pairs) <= n * (n - 1) // 2
+    assert all(j == i + 1 for i, j in pairs), pairs
+    assert phases <= n * (n + 1) // 2
+    assert layers <= n
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=passives())
+def test_bloch_messiah_leaves_a_passive_whole(target):
+    # All eigenvalues of P are 1: the cluster's canonical basis is the
+    # standard one, so the first passive is the target and the second is I.
+    factors = bloch_messiah(target)
+    assert factors.squeezings == (0.0,) * target.n
+    assert np.max(np.abs(factors.passive_out.matrix - np.eye(2 * target.n))) < 1e-12
+    assert np.max(np.abs(factors.passive_in.matrix - target.matrix)) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rs=st.lists(st.sampled_from([0.0, 0.4, 0.8, 1.2]), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bloch_messiah_of_equal_squeezers_has_identity_passives(rs, seed):
+    # Repeated squeezings get the canonical basis of their eigenspace, not
+    # eigh's arbitrary one; between Haar passives that basis still factors
+    # the target.
+    rs = sorted(rs, reverse=True)
+    n = len(rs)
+    squeezers = SymplecticMap(n, np.diag(np.exp(np.concatenate([rs, np.negative(rs)]))))
+    factors = bloch_messiah(squeezers)
+    assert_allclose(factors.squeezings, rs, atol=1e-12)
+    for passive in (factors.passive_out, factors.passive_in):
+        assert np.max(np.abs(passive.matrix - np.eye(2 * n))) < 1e-12
+
+    rng = np.random.default_rng(seed)
+    u, v = (haar_passive(n, rng) for _ in range(2))
+    target = compose(u, compose(squeezers, v))
+    factors = bloch_messiah(target)
+    assert_allclose(factors.squeezings, rs, atol=1e-9)
+    assert_allclose(factors.reconstruct(), target.matrix, atol=1e-9)
+    for passive in (factors.passive_out, factors.passive_in):
+        assert symplectic_residual(passive) < 1e-10
+        assert np.max(np.abs(passive.matrix.T @ passive.matrix - np.eye(2 * n))) < 1e-10
+
+
+def test_compile_equal_squeezers_needs_no_splitter():
+    squeezers = compose(embed(squeeze(0.8), 2, [0]), embed(squeeze(0.8), 2, [1]))
+    _, report = compile(squeezers)
+    assert report.ancilla_count == 8
+    assert report.gate_census() == {"four-step": 2}
+    assert report.replay_residual < 1e-9
 
 
 def test_pad_fourier_commutes_through_beam_splitters():
@@ -279,13 +326,19 @@ FOLD = compose(
     embed(beam_splitter_matrix(0.3), 4, [1, 2]),
     compose(embed(rotation(0.4), 4, [3]), embed(beam_splitter_matrix(0.5), 4, [0, 1])),
 )
+#: Two splitters on disjoint pairs.
+DISJOINT = compose(
+    embed(beam_splitter_matrix(0.3), 4, [2, 3]),
+    embed(beam_splitter_matrix(0.5), 4, [0, 1]),
+)
 
 
 def test_compile_flushes_pad_fourier_transforms():
     # A splitter column pads each idle wire with F^3.  The wire's next real
     # gate undoes it (fourier_compensation); a splitter on two wires owing
     # different powers, and the end of the program, get an identity four-step
-    # gate that undoes it in the column before.
+    # gate that undoes it in the column before.  Bloch-Messiah leaves these
+    # passive targets whole in the first mesh (the second passive is I).
     _, report = compile(embed(beam_splitter_matrix(0.5), 3, [0, 1]))
     assert report.ancilla_count == 24
     gates = [rec for rec in report.step_params if rec.kind == "four-step"]
@@ -294,37 +347,43 @@ def test_compile_flushes_pad_fourier_transforms():
     assert gates[0].params["fourier_compensation"] == 3
     assert report.replay_residual < 1e-9
 
+    # Identity gates before the splitter on (1, 2) and at the end.
     _, report = compile(TWO_SPLITTERS)
-    assert report.ancilla_count == 132
+    assert report.ancilla_count == 48
     gates = [rec for rec in report.step_params if rec.kind == "four-step"]
-    flushes = [rec for rec in gates if undoes_its_compensation(rec)]
-    assert [rec.column for rec in flushes] == [2, 6, 8, 10]
-    assert all(rec.params["fourier_compensation"] == 3 for rec in flushes)
+    assert [(rec.wires, rec.column) for rec in gates] == [((2,), 1), ((0,), 3)]
+    assert all(undoes_its_compensation(rec) for rec in gates)
+    assert all(rec.params["fourier_compensation"] == 3 for rec in gates)
     kinds = {rec.column: rec.kind for rec in report.step_params if rec.kind != "pad"}
-    assert kinds[3] == kinds[7] == kinds[9] == "connection"
-    assert max(kinds) == 10
-    # a real gate compensates without an identity gate
-    (compensated,) = [rec for rec in gates if rec.column == 4]
-    assert compensated.params["fourier_compensation"] == 3
-    assert not undoes_its_compensation(compensated)
+    assert kinds == {0: "connection", 1: "four-step", 2: "connection", 3: "four-step"}
     assert report.replay_residual < 1e-9
 
-    # Identity gates share a column with a real gate instead of opening their
-    # own, and the disjoint splitters on (0, 1) and (2, 3) share column 5:
-    # 205 ancillas in 13 columns.
+    # The end's identity gate shares column 3 with the rotation, a real gate
+    # that compensates without an identity gate: 62 ancillas in 4 columns.
     program, report = compile(FOLD)
-    assert report.ancilla_count == 205
+    assert report.ancilla_count == 62
     gates = [rec for rec in report.step_params if rec.kind == "four-step"]
-    assert 1 + max(rec.column for rec in report.step_params) == 13
+    assert 1 + max(rec.column for rec in report.step_params) == 4
     shared = {rec.column for rec in gates if undoes_its_compensation(rec)} & {
         rec.column for rec in gates if not undoes_its_compensation(rec)
     }
-    assert sorted(shared) == [2, 12]
-    column5 = {rec.wires for rec in report.step_params if rec.column == 5}
-    assert column5 == {(0, 1), (2, 3)}
+    assert sorted(shared) == [3]
+    (compensated,) = [rec for rec in gates if rec.wires == (3,)]
+    assert compensated.params["fourier_compensation"] == 2
+    assert not undoes_its_compensation(compensated)
     assert report.replay_residual < 1e-9
     excess = np.trace(exact_replay(program).excess_covariance(db_to_r(10.0)))
-    assert excess == pytest.approx(6.5171, abs=1e-4)
+    assert excess == pytest.approx(1.8235, abs=1e-4)
+
+    # The disjoint splitters on (0, 1) and (2, 3) share column 0, and no
+    # wire owes a count: 18 ancillas in 1 column.
+    _, report = compile(DISJOINT)
+    assert report.ancilla_count == 18
+    assert {(rec.wires, rec.column) for rec in report.step_params} == {
+        ((0, 1), 0),
+        ((2, 3), 0),
+    }
+    assert report.replay_residual < 1e-9
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -368,7 +427,7 @@ def test_compile_keeps_wires_step_aligned():
     # Every column advances every wire by the same number of steps; a
     # connection record is one step on each of its two wires.
     targets = [random_symplectic(n, seed) for n in range(2, 6) for seed in range(4)]
-    targets += [embed(beam_splitter_matrix(0.5), 3, [0, 1]), TWO_SPLITTERS, FOLD]
+    targets += [embed(beam_splitter_matrix(0.5), 3, [0, 1]), TWO_SPLITTERS, FOLD, DISJOINT]
     targets += splitter_products(40)
     flushed = 0
     for target in targets:

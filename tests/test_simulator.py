@@ -21,7 +21,6 @@ from cvcluster import (
     fourier,
     homodyne_measure,
     identity,
-    predicted_excess,
     r_to_db,
     random_symplectic,
     run_program,
@@ -389,13 +388,14 @@ def test_extract_excess_is_the_corrected_channel_excess(make_program, monkeypatc
 
     program = make_program()
     radii = [db_to_r(db) for db in (5.0, 10.0, 15.0, 20.0, 25.0)]
-    expected = [predicted_excess(program, r) for r in radii]
+    replay = exact_replay(program)
+    expected = [replay.excess_covariance(r) for r in radii]
 
     def unavailable(*args, **kwargs):
         raise AssertionError("the simulator must not call the executor")
 
     monkeypatch.setattr(executor, "exact_replay", unavailable)
-    monkeypatch.setattr(simulator, "exact_replay", unavailable)
+    assert not hasattr(simulator, "exact_replay")
     for r, pred in zip(radii, expected):
         _, excess = extract_effective_map(program, r)
         assert_allclose(excess, pred, rtol=0, atol=1e-9 * np.max(np.abs(pred)))
@@ -431,7 +431,7 @@ def test_feedforward_gains_do_not_depend_on_squeezing():
 def test_predicted_excess_matches_teleport_closed_form():
     program = teleport_identity_program()
     r = 2.0
-    pred = predicted_excess(program, r)
+    pred = exact_replay(program).excess_covariance(r)
     assert_allclose(pred, np.exp(-2 * r) / 4 * np.eye(2), atol=1e-12)
 
 
