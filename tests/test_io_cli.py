@@ -47,6 +47,58 @@ def test_version_mismatch_rejected(compiled_program):
         serialize.program_from_dict(doc)
 
 
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+    return edit
+
+
+def _set(path, value):
+    """An edit that sets doc[path[0]]...[path[-1]] to value."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, path, message",
+    [
+        (_set(["graph", "nodes", 0], 5), "graph.nodes[0]", "expected an object, got int"),
+        (_drop("schedule"), "program.schedule", "missing required field"),
+        (_set(["schedule", 1, "angle"], "0.5"), "schedule[1].angle", "expected a number, got str"),
+        (_set(["schedule", 0, "nodeId"], 1.0), "schedule[0].nodeId", "expected an integer, got float"),
+        (_set(["targetMap", "matrix"], [[1.0, 0.0]]), "targetMap.matrix", "expected 2 rows"),
+        (_set(["targetMap", "matrix", 1], [0.0, 1.0, 0.0]), "targetMap.matrix[1]", "expected 2 entries"),
+        (_set(["targetMap", "displacement"], [0.0]), "targetMap.displacement", "expected 2 entries"),
+        (_set(["targetMap", "n"], 0), "targetMap.n", "mode count must be >= 1"),
+        (_set(["graph", "nodes"], {}), "graph.nodes", "expected a list"),
+        (_set(["graph", "edges"], None), "graph.edges", "expected a list"),
+        (_set(["schedule"], "all"), "schedule", "expected a list"),
+        (_set(["feedforward"], 0), "feedforward", "expected a list"),
+        (_set(["graph", "nodes", 1, "role"], 1), "graph.nodes[1].role", "expected a string"),
+        (_set(["graph", "nodes", 0, "coupling"], ["qnd"]), "graph.nodes[0].coupling", "expected a string"),
+        (_set(["graph", "edges", 2], [0, 1, 2]), "graph.edges[2]", "expected a pair of node ids"),
+    ],
+    ids=[
+        "record-not-an-object", "missing-field", "non-number", "non-integer",
+        "matrix-rows", "matrix-row-entries", "vector-entries", "no-modes",
+        "nodes-not-a-list", "edges-not-a-list", "schedule-not-a-list",
+        "feedforward-not-a-list", "non-string-role", "non-string-coupling",
+        "bad-edge-pair",
+    ],
+)
+def test_schema_errors_name_their_path(compiled_program, edit, path, message):
+    doc = json.loads(serialize.dumps(serialize.program_to_dict(compiled_program)))
+    edit(doc)
+    with pytest.raises(SchemaError) as err:
+        serialize.program_from_dict(doc)
+    assert type(err.value) is SchemaError
+    assert err.value.path == path
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_target_round_trip(tmp_path):
     target = random_symplectic(2, 3)
     path = tmp_path / "target.json"

@@ -130,3 +130,59 @@ def test_gate_census_shape():
     census = report.gate_census()
     assert set(census) <= {"four-step", "connection", "pad"}
     assert census["four-step"] >= 1
+
+
+def two_port_graph(*replacements) -> ClusterGraph:
+    """Two input ports, each linked to one of two output ports; each node in
+    ``replacements`` takes the place of the node with its id."""
+    nodes = [
+        Node(0, ROLE_INPUT, coupling=COUPLING_QND, port=0),
+        Node(1, ROLE_INPUT, coupling=COUPLING_QND, port=1),
+        Node(2, ROLE_OUTPUT, port=0),
+        Node(3, ROLE_OUTPUT, port=1),
+    ]
+    for node in replacements:
+        nodes[node.id] = node
+    return ClusterGraph(nodes=tuple(nodes), edges=((0, 2), (1, 3)))
+
+
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        (two_port_graph(Node(2, "detector", port=0)), "node 2: unknown role 'detector'"),
+        (two_port_graph(Node(1, ROLE_INPUT, coupling=COUPLING_QND)), "input-port 1 lacks a port index"),
+        (two_port_graph(Node(3, ROLE_OUTPUT)), "output-port 3 lacks a port index"),
+        (
+            ClusterGraph(nodes=two_port_graph().nodes, edges=((0, 2), (1, 7))),
+            "edge (1, 7) references unknown node",
+        ),
+        (
+            two_port_graph(Node(1, ROLE_INPUT, coupling=COUPLING_QND, port=2)),
+            "input port indices must cover 0..k-1 uniquely",
+        ),
+        (two_port_graph(Node(3, ROLE_OUTPUT, port=0)), "output port indices must cover 0..k-1 uniquely"),
+    ],
+    ids=["unknown-role", "input-port-index", "output-port-index", "unknown-endpoint",
+         "input-port-gap", "output-port-repeat"],
+)
+def test_graph_validation_errors(graph, message):
+    with pytest.raises(ProgramError) as err:
+        graph.validate()
+    assert str(err.value) == message
+
+
+def test_port_counts_must_match():
+    nodes = (
+        Node(0, ROLE_INPUT, coupling=COUPLING_QND, port=0),
+        Node(1, ROLE_INPUT, coupling=COUPLING_QND, port=1),
+        Node(2, ROLE_OUTPUT, port=0),
+    )
+    program = MeasurementProgram(
+        graph=ClusterGraph(nodes=nodes, edges=((0, 2), (1, 2))),
+        schedule=(ScheduleEntry(0, 0.0), ScheduleEntry(1, 0.0)),
+        feedforward=(),
+        target=identity(2),
+    )
+    with pytest.raises(ProgramError) as err:
+        program.validate()
+    assert str(err.value) == "input and output port counts differ"

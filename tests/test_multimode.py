@@ -146,6 +146,16 @@ def test_reck_rejects_active_maps():
         reck_decompose(squeeze(0.5))
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [embed(squeeze(0.5), 2, [1]).matrix, np.diag([1.0, 1.0, 1.0, -1.0])],
+    ids=["symplectic-not-orthogonal", "orthogonal-not-symplectic"],
+)
+def test_reck_rejects_maps_that_are_not_passive(matrix):
+    with pytest.raises(ValueError, match="is not (passive|symplectic)"):
+        reck_decompose(SymplecticMap(2, matrix))
+
+
 def passive(unitary: np.ndarray) -> SymplecticMap:
     """The passive map of an n-by-n unitary U: x + ip -> U (x + ip)."""
     re, im = unitary.real, unitary.imag

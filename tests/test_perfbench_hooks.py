@@ -1,0 +1,48 @@
+"""The benchmark's hooks into the package: every name its tracer patches and
+every report field its workloads read must exist, or ``--trace 1`` breaks."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(BENCH))
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+
+def _holders() -> dict:
+    """(owner, attribute) -> the original and every module that holds it."""
+    modules = [m for k, m in sys.modules.items() if k == "cvcluster" or k.startswith("cvcluster.")]
+    out = {}
+    for owner, attr, _ in tracing.TRACED:
+        original = getattr(owner, attr)
+        holders = [owner] if isinstance(owner, type) else [
+            m for m in modules if getattr(m, attr, None) is original
+        ]
+        out[(owner, attr)] = (original, holders)
+    return out
+
+
+def test_tracer_sees_a_compile_wide_target_and_restores_every_alias(tmp_path):
+    before = _holders()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        workload = workloads.QUICK_WORKLOADS["compile_wide"]
+        target, rng = workloads.make_target(workload, [1], 0)
+        ctx = workloads.Context(tmp_path, tracer)
+        outcome = workloads.run_target(workload.pipeline, 0, target, rng, ctx)
+    finally:
+        tracer.uninstall()
+    assert outcome.failures == []
+    assert outcome.ancillas > 0 and outcome.columns > 0
+    totals = tracer.totals()
+    for name in ("multimode.compile", "multimode.reck_decompose", "executor.exact_replay",
+                 "single_mode.select_free_kappa1", "serialize.load_program"):
+        assert totals[name]["calls"] >= 1, name
+    assert tracer.count("single_mode.noise_proxy", "single_mode.select_free_kappa1") >= 1
+    for (owner, attr), (original, holders) in before.items():
+        for holder in holders:
+            assert getattr(holder, attr) is original, (holder, attr)
+

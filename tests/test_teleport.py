@@ -1,5 +1,7 @@
 """Teleportation coupling: M_tel algebra and the teleport+two-step synthesis."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,3 +270,28 @@ def test_bell_splitter():
     expected_row = np.zeros(4)
     expected_row[3] = -1.0
     assert_allclose(twice[0], expected_row, atol=1e-15)
+
+
+@pytest.mark.parametrize("theta0, theta1", [(0.9, 0.9 - np.pi / 2), (0.2, 0.2 + 3 * np.pi / 2)])
+def test_canonicalize_rejects_a_degenerate_teleportation(theta0, theta1):
+    angles = TelepAngles(theta0, theta1)
+    with pytest.raises(DegenerateMeasurementError, match=re.escape(f"theta_minus={angles.theta_minus}")):
+        canonicalize(angles)
+
+
+@pytest.mark.parametrize("theta_minus", [np.pi / 2, -np.pi / 2 + 1e-12, 3 * np.pi / 2])
+def test_mtel_factored_rejects_a_degenerate_teleportation(theta_minus):
+    with pytest.raises(DegenerateMeasurementError, match=re.escape(f"theta_minus={theta_minus}")):
+        mtel_factored(0.4, theta_minus)
+
+
+@pytest.mark.parametrize("theta_plus, theta_minus", [(0.3, 2.5), (-1.1, -2.9), (2.0, np.pi)])
+def test_mtel_factored_when_cos_theta_minus_is_negative(theta_plus, theta_minus):
+    # Both angles shift by pi, which leaves M_tel unchanged.
+    assert np.cos(theta_minus) < 0.0
+    phi1, r, phi2 = mtel_factored(theta_plus, theta_minus)
+    assert phi1 == pytest.approx(-(theta_plus + np.pi) / 2.0 + np.pi / 4.0, abs=1e-15)
+    assert phi2 == pytest.approx(-(theta_plus + np.pi) / 2.0 - np.pi / 4.0, abs=1e-15)
+    assert np.tanh(r) == pytest.approx(np.sin(theta_minus + np.pi), abs=1e-15)
+    rebuilt = rotation(phi1).matrix @ squeeze(r).matrix @ rotation(phi2).matrix
+    assert_allclose(rebuilt, mtel(theta_plus, theta_minus).matrix, atol=1e-12)
