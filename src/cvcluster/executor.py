@@ -76,18 +76,16 @@ class ExactReplay:
                     rules.append(FeedforwardRule(src, target, float(gx), float(gp)))
         return tuple(rules)
 
-    def feedforward_error(self, rules) -> tuple:
-        """max|G + outcome_response| for the gains G that ``rules`` install
-        (zero when they make the outputs outcome-independent), and the
-        (source node id, output port) of that entry."""
+    def feedforward_error(self, gains: dict) -> tuple:
+        """max|G + outcome_response| for the gains G of
+        ``MeasurementProgram.feedforward_gains`` (zero when they make the
+        outputs outcome-independent), and the (source node id, output port)
+        of that entry."""
         n = self.matrix.shape[0] // 2
-        column = {node: k for k, node in enumerate(self.measured_ids)}
-        port = {node: w for w, node in enumerate(self.output_ids)}
         diff = self.outcome_response.copy()
-        for rule in rules:
-            k, w = column[rule.source_id], port[rule.target_id]
-            diff[w, k] += rule.gain_x
-            diff[n + w, k] += rule.gain_p
+        for k, node in enumerate(self.measured_ids):
+            if node in gains:
+                diff[:, k] += gains[node]
         diff = np.abs(diff)
         row, k = np.unravel_index(int(np.argmax(diff)), diff.shape)
         return float(diff[row, k]), (self.measured_ids[k], int(row) % n)

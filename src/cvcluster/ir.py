@@ -8,6 +8,7 @@ self-contained verification.
 
 from dataclasses import dataclass, field
 
+import numpy as np
 
 from .errors import ProgramError
 from .symplectic import SymplecticMap
@@ -124,6 +125,18 @@ class MeasurementProgram:
     @property
     def n(self) -> int:
         return len(self.graph.input_ports())
+
+    def feedforward_gains(self) -> dict:
+        """Measured node id -> the 2n output displacement (x-then-p, port
+        order) that the feedforward rules install per unit outcome."""
+        n = self.n
+        port = {p.id: p.port for p in self.graph.output_ports()}
+        gains = {}
+        for rule in self.feedforward:
+            g = gains.setdefault(rule.source_id, np.zeros(2 * n))
+            g[port[rule.target_id]] += rule.gain_x
+            g[n + port[rule.target_id]] += rule.gain_p
+        return gains
 
     def validate(self) -> None:
         self.graph.validate()

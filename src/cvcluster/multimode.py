@@ -31,6 +31,7 @@ from .ir import (
 )
 from .single_mode import decompose_four_step
 from .symplectic import (
+    SYMPLECTIC_TOL,
     SymplecticMap,
     compose,
     fourier_power,
@@ -104,12 +105,10 @@ class BlochMessiahFactors:
     squeezings: tuple  # per-mode squeezing parameters r_i, descending
     passive_in: SymplecticMap  # V, applied first
 
-    def squeeze_matrix(self) -> np.ndarray:
-        r = np.asarray(self.squeezings)
-        return np.diag(np.concatenate([np.exp(r), np.exp(-r)]))
-
     def reconstruct(self) -> np.ndarray:
-        return self.passive_out.matrix @ self.squeeze_matrix() @ self.passive_in.matrix
+        r = np.asarray(self.squeezings)
+        squeezers = np.diag(np.concatenate([np.exp(r), np.exp(-r)]))
+        return self.passive_out.matrix @ squeezers @ self.passive_in.matrix
 
 
 def _canonical_vectors(cluster: np.ndarray, count: int, j: np.ndarray) -> list:
@@ -174,7 +173,7 @@ def bloch_messiah(target: SymplecticMap) -> BlochMessiahFactors:
     diagonalizes P in an orthogonal-symplectic eigenbasis; the eigenvalues
     come in reciprocal pairs e^{+-r_i}.
     """
-    require_symplectic(target, tol=1e-8)
+    require_symplectic(target)
     n = target.n
     s = target.matrix
     w, q = np.linalg.eigh(s @ s.T)
@@ -186,14 +185,6 @@ def bloch_messiah(target: SymplecticMap) -> BlochMessiahFactors:
     u = SymplecticMap(n, k)
     v = SymplecticMap(n, k.T @ o)
     return BlochMessiahFactors(passive_out=u, squeezings=tuple(rs), passive_in=v)
-
-
-def _passive_to_unitary(p: SymplecticMap) -> np.ndarray:
-    n = p.n
-    a, b, c, d = p.block_a, p.block_b, p.block_c, p.block_d
-    if max(np.max(np.abs(a - d)), np.max(np.abs(b + c))) > 1e-10:
-        raise ValueError("map is not passive: blocks fail A = D, B = -C")
-    return a + 1j * c
 
 
 def reck_decompose(passive: SymplecticMap) -> list:
@@ -212,18 +203,23 @@ def reck_decompose(passive: SymplecticMap) -> list:
     rotation matrix) per phase shifter above ``PHASE_SKIP_TOL`` and ("bs",
     (i, i + 1), R) per splitter.
     """
-    require_symplectic(passive, tol=1e-10)
-    n = passive.n
-    eye = np.eye(2 * n)
-    if float(np.max(np.abs(passive.matrix.T @ passive.matrix - eye))) > 1e-10:
-        raise ValueError("map is not passive: fails orthogonality")
+    n, mat = passive.n, passive.matrix
+    j = symplectic_form(n)
+    # Orthogonal and commuting with J (A = D, B = -C), hence symplectic.
+    off = np.concatenate([mat.T @ mat - np.eye(2 * n), mat @ j - j @ mat])
+    violation = float(np.max(np.abs(off)))
+    if not violation <= SYMPLECTIC_TOL:
+        raise ValueError(
+            f"map is not passive: M^T M = I or M J = J M fails by {violation:.3e}"
+            f" (tolerance {SYMPLECTIC_TOL:.1e})"
+        )
 
     def phase(mode: int, theta: float) -> list:
         if abs(theta) > PHASE_SKIP_TOL:
             return [("onemode", mode, rotation(theta).matrix)]
         return []
 
-    w = _passive_to_unitary(passive).astype(complex)
+    w = mat[:n, :n] + 1j * mat[n:, :n]  # the unitary A + iC
     right, left = [], []  # the ops of R_1^-1 ... R_k^-1 and of L_m^-1 ... L_1^-1
     for k in range(n - 1):
         for m in range(k + 1):
@@ -353,22 +349,13 @@ class _Builder:
         for pair, reflectivity in splitters:
             i, j = pair
             for step, params in enumerate(beam_splitter_program(reflectivity)):
-                node_a, node_b, ctrl = (self._new_node() for _ in range(3))
-                head_i, head_j = self.heads[i], self.heads[j]
-                self.edges.extend(
-                    [(head_i, node_a), (head_j, node_b), (head_i, ctrl), (head_j, ctrl)]
-                )
-                self.schedule.extend(
-                    [
-                        ScheduleEntry(head_i, float(np.arctan(params.kappa1))),
-                        ScheduleEntry(head_j, float(np.arctan(params.kappa2))),
-                        ScheduleEntry(ctrl, float(np.arctan2(1.0, params.eta3))),
-                    ]
-                )
-                self.heads[i], self.heads[j] = node_a, node_b
-                self.total_proxy += (
-                    3.0 + params.kappa1 ** 2 + params.kappa2 ** 2 + params.eta3 ** 2
-                )
+                heads = self.heads[i], self.heads[j]
+                self._chain_steps(i, (params.kappa1,))
+                self._chain_steps(j, (params.kappa2,))
+                ctrl = self._new_node()  # measured along x + eta3 p
+                self.edges += [(heads[0], ctrl), (heads[1], ctrl)]
+                self.schedule.append(ScheduleEntry(ctrl, float(np.arctan2(1.0, params.eta3))))
+                self.total_proxy += 1.0 + params.eta3 ** 2
                 record = {
                     "step": step,
                     "reflectivity": float(reflectivity),
@@ -449,7 +436,7 @@ def compile(target: SymplecticMap, kappa1: float = None):
     matrix entries, and a residual above ``REPLAY_TOL`` raises CompileError
     naming the worst entry.
     """
-    require_symplectic(target, tol=1e-8)
+    require_symplectic(target)
     n = target.n
     if kappa1 is not None and n != 1:
         raise ValueError(f"kappa1 pins a one-mode synthesis; the target has {n} modes")

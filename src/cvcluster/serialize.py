@@ -261,18 +261,24 @@ def report_to_dict(report: SynthesisReport) -> dict:
 # --- files ------------------------------------------------------------------
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2)
+    """Indented JSON; a non-finite number raises ValueError, as the reader
+    would reject it."""
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def save(doc: dict, path: str) -> None:
+    text = dumps(doc)  # before the file is opened, so a refused doc writes nothing
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(doc))
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        text = handle.read()
+    try:
+        return json.loads(text)
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise json.JSONDecodeError("document nests too deeply", text, 0) from None
 
 
 def save_program(program: MeasurementProgram, path: str) -> None:

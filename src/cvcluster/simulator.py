@@ -16,6 +16,7 @@ is measured.  Feedforward displacements are accumulated on the side and
 added to the outputs at read-out, after all of their edges.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -285,16 +286,19 @@ def homodyne_measure(
     return outcome, GaussianState(mean[keep], cov[np.ix_(keep, keep)])
 
 
-def _feedforward_gains(program: MeasurementProgram) -> dict:
-    """Measured node id -> the 2n output displacement per unit outcome."""
-    n = program.n
-    port = {p.id: p.port for p in program.graph.output_ports()}
-    gains = {}
-    for rule in program.feedforward:
-        g = gains.setdefault(rule.source_id, np.zeros(2 * n))
-        g[port[rule.target_id]] += rule.gain_x
-        g[n + port[rule.target_id]] += rule.gain_p
-    return gains
+@contextlib.contextmanager
+def _finite_moments(r: float):
+    """Raise DegenerateConditioningError, naming the squeezing, where the
+    moments overflow: first where a Schur update multiplies two antisqueezed
+    variances, about e^{4r}/16, which leaves the double range above r = 178."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise DegenerateConditioningError(
+            f"ancilla squeezing of {r_to_db(r):.6g} dB (r = {r:.6g}) overflows "
+            "the Gaussian moments in double precision"
+        ) from None
 
 
 def _execute(program: MeasurementProgram, mean, cov, r, rng=None, validate=False):
@@ -303,18 +307,19 @@ def _execute(program: MeasurementProgram, mean, cov, r, rng=None, validate=False
     (x-then-p) and the outcome record.  ``validate`` checks the live modes
     after every step."""
     program.validate()
-    state = _Moments(program.graph, r, mean, cov)
-    outcomes = {}
-    for entry in program.schedule:
-        node = entry.node_id
-        xr = state.couple(node)
-        outcomes[node] = _condition(
-            state.mean, state.cov, xr, xr + 1, entry.angle, rng, f"node {node}"
-        )
-        state.release(node)
-        if validate:
-            state.validate()
-    out_mean, out_cov = state.read([p.id for p in program.graph.output_ports()])
+    with _finite_moments(r):
+        state = _Moments(program.graph, r, mean, cov)
+        outcomes = {}
+        for entry in program.schedule:
+            node = entry.node_id
+            xr = state.couple(node)
+            outcomes[node] = _condition(
+                state.mean, state.cov, xr, xr + 1, entry.angle, rng, f"node {node}"
+            )
+            state.release(node)
+            if validate:
+                state.validate()
+        out_mean, out_cov = state.read([p.id for p in program.graph.output_ports()])
     return out_mean, out_cov, outcomes
 
 
@@ -339,7 +344,7 @@ def run_program(
         program, input_state.mean, input_state.cov, r, rng, validate
     )
     # Feedforward lands after every edge of the outputs, so it is added here.
-    gains = _feedforward_gains(program)
+    gains = program.feedforward_gains()
     for node, value in outcomes.items():
         if value and node in gains:
             mean += value * gains[node]
@@ -380,20 +385,21 @@ def extract_effective_map(program: MeasurementProgram, r: float):
 def _channel_excess(program: MeasurementProgram, r: float) -> np.ndarray:
     """The deferred-measurement pass of ``extract_effective_map``."""
     n = program.n
-    state = _Moments(program.graph, r, np.zeros(2 * n), np.zeros((2 * n, 2 * n)), 2 * n)
-    gains = _feedforward_gains(program)
-    for entry in program.schedule:
-        xr = state.couple(entry.node_id)
-        gain = gains.get(entry.node_id)
-        if gain is not None:
-            # acc += gain * q: rows, then columns
-            cov = state.cov
-            sin, cos = math.sin(entry.angle), math.cos(entry.angle)
-            cq = sin * cov[:, xr] + cos * cov[:, xr + 1]
-            cov[-2 * n :] += np.outer(gain, cq)
-            cq[-2 * n :] += gain * (sin * cq[xr] + cos * cq[xr + 1])
-            cov[:, -2 * n :] += np.outer(cq, gain)
-        state.release(entry.node_id)
-    _, joint = state.read([p.id for p in program.graph.output_ports()])
+    gains = program.feedforward_gains()
+    with _finite_moments(r):
+        state = _Moments(program.graph, r, np.zeros(2 * n), np.zeros((2 * n, 2 * n)), 2 * n)
+        for entry in program.schedule:
+            xr = state.couple(entry.node_id)
+            gain = gains.get(entry.node_id)
+            if gain is not None:
+                # acc += gain * q: rows, then columns
+                cov = state.cov
+                sin, cos = math.sin(entry.angle), math.cos(entry.angle)
+                cq = sin * cov[:, xr] + cos * cov[:, xr + 1]
+                cov[-2 * n :] += np.outer(gain, cq)
+                cq[-2 * n :] += gain * (sin * cq[xr] + cos * cq[xr + 1])
+                cov[:, -2 * n :] += np.outer(cq, gain)
+            state.release(entry.node_id)
+        _, joint = state.read([p.id for p in program.graph.output_ports()])
     excess = joint.reshape(2, 2 * n, 2, 2 * n).sum(axis=(0, 2))
     return (excess + excess.T) / 2.0

@@ -16,7 +16,8 @@ from .symplectic import SymplecticMap, compose_many, elementary_step, require_sy
 
 #: |kappa3| below this (relative) scale is treated as a pole of the formulas.
 KAPPA3_SINGULAR_TOL = 1e-9
-#: Numerators below this magnitude count as vanishing (legitimate kappa3 = 0).
+#: Numerators below this magnitude count as vanishing (legitimate kappa3 = 0,
+#: and the 0/0 branches of the teleport chart).
 DEGENERATE_NUMERATOR_TOL = 1e-9
 #: A selected decomposition reproduces the target to this, relative to its
 #: largest entry.  Next to a pole the closed forms lose digits.
@@ -88,8 +89,13 @@ def decompose_four_step(target: SymplecticMap, kappa1: float = None) -> FourStep
         kappa1 = select_free_kappa1(target)
     elif not np.isfinite(kappa1):
         raise SingularParameterError(f"kappa1={kappa1} is not finite")
-    kappas = _solve(a, b, c, d, float(kappa1))
-    return FourStepParams(kappas=kappas, free_param=float(kappa1), noise_proxy=noise_proxy(kappas))
+    return _params(a, b, c, d, float(kappa1))
+
+
+def _params(a: float, b: float, c: float, d: float, kappa1: float) -> FourStepParams:
+    """The decomposition for a fixed kappa1; see :func:`_solve`."""
+    kappas = _solve(a, b, c, d, kappa1)
+    return FourStepParams(kappas=kappas, free_param=kappa1, noise_proxy=noise_proxy(kappas))
 
 
 def select_free_kappa1(target: SymplecticMap) -> float:
@@ -109,22 +115,27 @@ def select_free_kappa1(target: SymplecticMap) -> float:
     candidates = list(_stationary_points(k1 ** 2 + k3 ** 2, q, k3))
     if d != 0.0:
         candidates.append(c / d)
+    return _select(target, candidates, lambda kappa1: _params(a, b, c, d, kappa1), "kappa1")
+
+
+def _select(target: SymplecticMap, candidates, params_at, name: str) -> float:
+    """The free-parameter choice of both one-mode charts: the first candidate
+    of lowest ``noise_proxy`` among those not at a pole whose
+    ``params_at(candidate)`` reproduces the target to :data:`RECONSTRUCTION_TOL`
+    (relative to its largest entry).  Raises SingularParameterError, naming
+    the free parameter ``name``, when no candidate is admissible."""
+    limit = RECONSTRUCTION_TOL * max(1.0, np.max(np.abs(target.matrix)))
     scored = {}
-    for kappa1 in map(float, candidates):
+    for x in map(float, candidates):
         try:
-            kappas = _solve(a, b, c, d, kappa1)
+            params = params_at(x)
         except SingularParameterError:
             continue
-        params = FourStepParams(kappas=kappas, free_param=kappa1, noise_proxy=noise_proxy(kappas))
-        if _reproduces(params, target):
-            scored[kappa1] = params.noise_proxy
+        if np.max(np.abs(params.reconstruct().matrix - target.matrix)) <= limit:
+            scored[x] = params.noise_proxy
+    if not scored:
+        raise SingularParameterError(f"no {name} is admissible for this target")
     return min(scored, key=scored.get)
-
-
-def _reproduces(params, target: SymplecticMap) -> bool:
-    """Whether params.reconstruct() matches target to RECONSTRUCTION_TOL."""
-    residual = np.max(np.abs(params.reconstruct().matrix - target.matrix))
-    return residual <= RECONSTRUCTION_TOL * max(1.0, np.max(np.abs(target.matrix)))
 
 
 def _stationary_points(s: Polynomial, q: Polynomial, g: Polynomial) -> np.ndarray:

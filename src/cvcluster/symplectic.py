@@ -73,23 +73,6 @@ class SymplecticMap:
             and np.array_equal(self.displacement, other.displacement)
         )
 
-    # n-by-n blocks of (A B; C D)
-    @property
-    def block_a(self) -> np.ndarray:
-        return self.matrix[: self.n, : self.n]
-
-    @property
-    def block_b(self) -> np.ndarray:
-        return self.matrix[: self.n, self.n :]
-
-    @property
-    def block_c(self) -> np.ndarray:
-        return self.matrix[self.n :, : self.n]
-
-    @property
-    def block_d(self) -> np.ndarray:
-        return self.matrix[self.n :, self.n :]
-
     def abcd(self) -> tuple[float, float, float, float]:
         """Scalar entries (a, b, c, d) of a one-mode map."""
         if self.n != 1:
@@ -105,12 +88,16 @@ def symplectic_form(n: int) -> np.ndarray:
     return np.block([[z, i], [-i, z]])
 
 
+def _violation(mat: np.ndarray) -> np.ndarray:
+    """|M^T J M - J|, entry by entry."""
+    j = symplectic_form(len(mat) // 2)
+    return np.abs(mat.T @ j @ mat - j)
+
+
 def symplectic_residual(m) -> float:
     """Max-abs violation of M^T J M = J."""
     mat = m.matrix if isinstance(m, SymplecticMap) else np.asarray(m, dtype=float)
-    n = mat.shape[0] // 2
-    j = symplectic_form(n)
-    return float(np.max(np.abs(mat.T @ j @ mat - j)))
+    return float(_violation(mat).max())
 
 
 def require_symplectic(m, tol: float = SYMPLECTIC_TOL) -> None:
@@ -118,9 +105,7 @@ def require_symplectic(m, tol: float = SYMPLECTIC_TOL) -> None:
     mat = m.matrix if isinstance(m, SymplecticMap) else np.asarray(m, dtype=float)
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix is not symplectic: it has a non-finite entry")
-    n = mat.shape[0] // 2
-    j = symplectic_form(n)
-    viol = np.abs(mat.T @ j @ mat - j)
+    viol = _violation(mat)
     worst = float(viol.max())
     if worst > tol:
         r, c = np.unravel_index(int(np.argmax(viol)), viol.shape)

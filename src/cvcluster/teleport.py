@@ -13,15 +13,13 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import DegenerateMeasurementError, SingularParameterError
-from .single_mode import _reproduces, _stationary_points
+from .single_mode import DEGENERATE_NUMERATOR_TOL, _select, _stationary_points
 from .symplectic import SymplecticMap, compose_many, elementary_step, require_symplectic
 
 #: |cos(theta_minus)| below this is rejected as a failed teleportation.
 DEGENERACY_TOL = 1e-9
 #: Zero-denominator guard for the explicit parameter formulas.
 SINGULAR_DENOM_TOL = 1e-9
-#: Vanishing-numerator tolerance for the 0/0 branches.
-DEGENERATE_NUMERATOR_TOL = 1e-9
 
 
 def _wrap_angle(theta: float) -> float:
@@ -57,12 +55,26 @@ class TelepPlusTwoParams:
     kappa4: float
     free_param: float  # the chosen theta0
 
+    @property
+    def noise_proxy(self) -> float:
+        return telep_noise_proxy(self.angles, self.kappa3, self.kappa4)
+
     def reconstruct(self) -> SymplecticMap:
         return compose_many(
             elementary_step(self.kappa4),
             elementary_step(self.kappa3),
             mtel(self.angles.theta_plus, self.angles.theta_minus),
         )
+
+
+def _cos_theta_minus(theta_minus: float) -> float:
+    """cos(theta_minus), checked against the degenerate pi/2 + n pi."""
+    cm = np.cos(theta_minus)
+    if abs(cm) < DEGENERACY_TOL:
+        raise DegenerateMeasurementError(
+            f"theta_minus={theta_minus} is within {DEGENERACY_TOL} of pi/2 + n*pi"
+        )
+    return cm
 
 
 def mtel(theta_plus: float, theta_minus: float) -> SymplecticMap:
@@ -76,11 +88,7 @@ def mtel(theta_plus: float, theta_minus: float) -> SymplecticMap:
             where one input quadrature is measured outright and the
             teleportation fails.
     """
-    cm = np.cos(theta_minus)
-    if abs(cm) < DEGENERACY_TOL:
-        raise DegenerateMeasurementError(
-            f"theta_minus={theta_minus} is within {DEGENERACY_TOL} of pi/2 + n*pi"
-        )
+    cm = _cos_theta_minus(theta_minus)
     cp, sp, sm = np.cos(theta_plus), np.sin(theta_plus), np.sin(theta_minus)
     m = np.array([[cp, sm + sp], [sm - sp, cp]]) / cm
     return SymplecticMap(1, m)
@@ -92,11 +100,7 @@ def canonicalize(angles: TelepAngles) -> TelepAngles:
     The transformation is unchanged; afterwards cos(theta_minus) > 0.  Both
     stored phases are wrapped to (-pi, pi].
     """
-    cm = np.cos(angles.theta_minus)
-    if abs(cm) < DEGENERACY_TOL:
-        raise DegenerateMeasurementError(
-            f"theta_minus={angles.theta_minus} is degenerate"
-        )
+    cm = _cos_theta_minus(angles.theta_minus)
     t0, t1 = angles.theta0, angles.theta1
     if cm < 0.0:
         t0 += np.pi  # adds pi to both theta_plus and theta_minus
@@ -110,12 +114,7 @@ def mtel_factored(theta_plus: float, theta_minus: float) -> tuple[float, float, 
     phi1 = -theta_plus/2 + pi/4, phi2 = -theta_plus/2 - pi/4 and
     tanh(r) = sin(theta_minus): a 45-degree squeeze sandwiched by rotations.
     """
-    cm = np.cos(theta_minus)
-    if abs(cm) < DEGENERACY_TOL:
-        raise DegenerateMeasurementError(
-            f"theta_minus={theta_minus} is degenerate"
-        )
-    if cm < 0:  # shifting both angles by pi leaves M_tel unchanged
+    if _cos_theta_minus(theta_minus) < 0:  # shifting both angles by pi leaves M_tel unchanged
         theta_plus, theta_minus = theta_plus + np.pi, theta_minus + np.pi
     r = float(np.arctanh(np.sin(theta_minus)))
     phi1 = -theta_plus / 2.0 + np.pi / 4.0
@@ -181,17 +180,15 @@ def select_free_theta0(target: SymplecticMap) -> float:
     u = Polynomial([0.0, 1.0])
     kappa3 = c - (1.0 + d) * u
     q = ((1.0 - d) - u * (2.0 * c - (1.0 + d) * u)) ** 2 / 2.0 + (1.0 - a + b * u) ** 2
-    scored = {}
-    for theta0 in (math.atan2(1.0, x) for x in _stationary_points(kappa3 ** 2, q, c - d * u)):
-        try:
-            params = TelepPlusTwoParams(*_solve_telep(a, b, c, d, theta0), free_param=theta0)
-        except SingularParameterError:
-            continue
-        if _reproduces(params, target):
-            scored[theta0] = telep_noise_proxy(params.angles, params.kappa3, params.kappa4)
-    if not scored:
-        raise SingularParameterError("no theta0 in (0, pi) is admissible for this target")
-    return min(scored, key=scored.get)
+    candidates = (math.atan2(1.0, x) for x in _stationary_points(kappa3 ** 2, q, c - d * u))
+    return _select(
+        target, candidates, lambda theta0: _params(a, b, c, d, theta0), "theta0 in (0, pi)"
+    )
+
+
+def _params(a: float, b: float, c: float, d: float, theta0: float) -> TelepPlusTwoParams:
+    """The decomposition for a fixed theta0; see :func:`_solve_telep`."""
+    return TelepPlusTwoParams(*_solve_telep(a, b, c, d, theta0), free_param=theta0)
 
 
 def decompose_telep_plus_two(
@@ -212,10 +209,7 @@ def decompose_telep_plus_two(
         theta0 = select_free_theta0(target)
     elif not np.isfinite(theta0):
         raise SingularParameterError(f"theta0={theta0} is not finite")
-    angles, kappa3, kappa4 = _solve_telep(a, b, c, d, float(theta0))
-    return TelepPlusTwoParams(
-        angles=angles, kappa3=kappa3, kappa4=kappa4, free_param=float(theta0)
-    )
+    return _params(a, b, c, d, float(theta0))
 
 
 #: Matrix of ``bell_splitter_relations`` on (x0, x1, p0, p1).

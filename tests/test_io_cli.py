@@ -405,6 +405,56 @@ def test_cli_undecodable_document_is_io_error(tmp_path, capsys, command):
     assert "i/o error: cannot parse JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify --program", "compile --target"])
+def test_cli_deeply_nested_document_is_io_error(tmp_path, capsys, command):
+    # json's decoder recurses once per level; the RecursionError is reported
+    # as malformed JSON is.
+    doc = tmp_path / "doc.json"
+    doc.write_text("[" * 100_000 + "]" * 100_000)
+    out = ["--out", str(tmp_path / "out.json")] if command.startswith("compile") else []
+    assert main([*command.split(), str(doc), *out]) == 3
+    assert "i/o error: cannot parse JSON" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.fixture()
+def two_mode_program_file(tmp_path):
+    path = str(tmp_path / "prog.json")
+    serialize.save_program(compile(random_symplectic(2, 3))[0], path)
+    return path
+
+
+@pytest.mark.parametrize("db", ["2000", "3100"])
+@pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+def test_cli_squeezing_beyond_double_range_is_a_validation_error(
+    tmp_path, capsys, two_mode_program_file, command, db
+):
+    # The moments of this program overflow above about 1550 dB.  Each command
+    # names the squeezing, writes nothing, and warns nothing (warnings are
+    # errors in this suite).
+    out = tmp_path / "out"
+    assert main([command, "--program", two_mode_program_file, "--db", db, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"validation error: ancilla squeezing of {db} dB" in err
+    assert "overflows the Gaussian moments" in err
+    assert not out.exists()
+
+
+def test_cli_verify_passes_at_1500_db(capsys, two_mode_program_file):
+    assert main(["verify", "--program", two_mode_program_file, "--db", "1500"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_documents_refuse_non_finite_numbers(tmp_path):
+    # The writer refuses what the reader would reject, and creates no file.
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        serialize.dumps({"db": float("nan")})
+    path = tmp_path / "result.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        serialize.save({"mean": [0.0, float("inf")]}, str(path))
+    assert not path.exists()
+
+
 def test_cli_schema_error_is_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"version": "cluster-program/1", "mystery": 1}')

@@ -482,6 +482,19 @@ def test_compile_rejects_non_symplectic():
         compile(bad)
 
 
+def test_compile_checks_the_target_at_the_symplectic_tolerance():
+    # A residual of 3.8e-10 fails at compile's own check of the target, not
+    # later at a check of a Bloch-Messiah passive.
+    matrix = random_symplectic(3, 1).matrix.copy()
+    matrix[0, 0] += 5e-10
+    with pytest.raises(ValueError) as err:
+        compile(SymplecticMap(3, matrix))
+    assert str(err.value) == (
+        "matrix is not symplectic: max violation 3.834e-10 at entry (0, 3)"
+        " exceeds tolerance 1.0e-10"
+    )
+
+
 def test_compiled_connection_steps_match_angles():
     # every connection step contributes exactly three scheduled homodynes
     target = beam_splitter_matrix(0.3)
