@@ -224,7 +224,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

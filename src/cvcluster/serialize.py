@@ -1,10 +1,15 @@
 """Versioned JSON serialization of programs, targets, states and reports.
 
-Documents are strict: unknown fields and non-finite numbers (NaN and
-Infinity, which Python's json reads) are rejected with their path, and a
-version tag mismatch is an explicit incompatibility error.  Floats use
-Python's shortest round-trip representation (lossless, 17 significant
-digits where needed).
+Documents are written compact, without indentation or spaces, and read
+whatever their whitespace.  They are strict: unknown fields and non-finite
+numbers (NaN and Infinity, which Python's json reads) are rejected with
+their path, and a version tag mismatch is an explicit incompatibility
+error.  Floats use Python's shortest round-trip representation (lossless,
+17 significant digits where needed).
+
+A program's ``schedule``, ``feedforward`` and ``graph.edges`` grow with its
+ancilla count, so they are checked a column at a time; only a column that
+fails is walked entry by entry, to name the first bad entry.
 """
 
 import json
@@ -68,6 +73,38 @@ def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(path, f"expected an integer, got {type(value).__name__}")
     return value
+
+
+def _objects(value, path: str, keys: frozenset) -> list:
+    """The list at ``path``, each entry an object with exactly ``keys``."""
+    if not isinstance(value, list):
+        raise SchemaError(path, "expected a list")
+    if not all(type(doc) is dict and doc.keys() == keys for doc in value):
+        for i, doc in enumerate(value):
+            _check_keys(doc, f"{path}[{i}]", keys)
+    return value
+
+
+def _integers(values: list, path: str, field: str) -> list:
+    """``values``, one ``field`` of each entry of the list at ``path``, all
+    integers."""
+    if not all(type(v) is int for v in values):
+        for i, v in enumerate(values):
+            _integer(v, f"{path}[{i}]{field}")
+    return values
+
+
+def _numbers(values: list, path: str, field: str) -> list:
+    """``values``, one ``field`` of each entry of the list at ``path``, as
+    floats; each must be a finite number."""
+    try:
+        if set(map(type, values)) <= {int, float}:  # no bool, str or None
+            column = np.array(values, dtype=float)
+            if np.isfinite(column).all():
+                return column.tolist()
+    except OverflowError:  # an integer literal beyond the float range
+        pass
+    return [_number(v, f"{path}[{i}]{field}") for i, v in enumerate(values)]
 
 
 def _matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
@@ -143,6 +180,10 @@ def program_to_dict(program: MeasurementProgram) -> dict:
     }
 
 
+_SCHEDULE_KEYS = frozenset({"nodeId", "angle"})
+_RULE_KEYS = frozenset({"sourceNodeId", "targetNodeId", "gainX", "gainP"})
+
+
 def program_from_dict(doc: dict) -> MeasurementProgram:
     _check_keys(doc, "program", {"version", "graph", "schedule", "feedforward", "targetMap"})
     _check_version(doc, PROGRAM_VERSION, "program")
@@ -171,45 +212,36 @@ def program_from_dict(doc: dict) -> MeasurementProgram:
                 port=port,
             )
         )
-    if not isinstance(gdoc["edges"], list):
+    edocs = gdoc["edges"]
+    if not isinstance(edocs, list):
         raise SchemaError("graph.edges", "expected a list")
-    edges = []
-    for i, edoc in enumerate(gdoc["edges"]):
-        path = f"graph.edges[{i}]"
-        if not isinstance(edoc, list) or len(edoc) != 2:
-            raise SchemaError(path, "expected a pair of node ids")
-        edges.append((_integer(edoc[0], f"{path}[0]"), _integer(edoc[1], f"{path}[1]")))
-    if not isinstance(doc["schedule"], list):
-        raise SchemaError("schedule", "expected a list")
-    schedule = []
-    for i, sdoc in enumerate(doc["schedule"]):
-        path = f"schedule[{i}]"
-        _check_keys(sdoc, path, {"nodeId", "angle"})
-        schedule.append(
-            ScheduleEntry(
-                node_id=_integer(sdoc["nodeId"], f"{path}.nodeId"),
-                angle=_number(sdoc["angle"], f"{path}.angle"),
-            )
-        )
-    if not isinstance(doc["feedforward"], list):
-        raise SchemaError("feedforward", "expected a list")
-    feedforward = []
-    for i, fdoc in enumerate(doc["feedforward"]):
-        path = f"feedforward[{i}]"
-        _check_keys(fdoc, path, {"sourceNodeId", "targetNodeId", "gainX", "gainP"})
-        feedforward.append(
-            FeedforwardRule(
-                source_id=_integer(fdoc["sourceNodeId"], f"{path}.sourceNodeId"),
-                target_id=_integer(fdoc["targetNodeId"], f"{path}.targetNodeId"),
-                gain_x=_number(fdoc["gainX"], f"{path}.gainX"),
-                gain_p=_number(fdoc["gainP"], f"{path}.gainP"),
-            )
-        )
+    if not all(type(edoc) is list and len(edoc) == 2 for edoc in edocs):
+        for i, edoc in enumerate(edocs):
+            if not isinstance(edoc, list) or len(edoc) != 2:
+                raise SchemaError(f"graph.edges[{i}]", "expected a pair of node ids")
+    edges = tuple(zip(
+        _integers([edoc[0] for edoc in edocs], "graph.edges", "[0]"),
+        _integers([edoc[1] for edoc in edocs], "graph.edges", "[1]"),
+    ))
+    sdocs = _objects(doc["schedule"], "schedule", _SCHEDULE_KEYS)
+    schedule = tuple(map(
+        ScheduleEntry,
+        _integers([s["nodeId"] for s in sdocs], "schedule", ".nodeId"),
+        _numbers([s["angle"] for s in sdocs], "schedule", ".angle"),
+    ))
+    fdocs = _objects(doc["feedforward"], "feedforward", _RULE_KEYS)
+    feedforward = tuple(map(
+        FeedforwardRule,
+        _integers([f["sourceNodeId"] for f in fdocs], "feedforward", ".sourceNodeId"),
+        _integers([f["targetNodeId"] for f in fdocs], "feedforward", ".targetNodeId"),
+        _numbers([f["gainX"] for f in fdocs], "feedforward", ".gainX"),
+        _numbers([f["gainP"] for f in fdocs], "feedforward", ".gainP"),
+    ))
     target = map_from_dict(doc["targetMap"], "targetMap")
     program = MeasurementProgram(
-        graph=ClusterGraph(nodes=tuple(nodes), edges=tuple(edges)),
-        schedule=tuple(schedule),
-        feedforward=tuple(feedforward),
+        graph=ClusterGraph(nodes=tuple(nodes), edges=edges),
+        schedule=schedule,
+        feedforward=feedforward,
         target=target,
     )
     program.validate()
@@ -261,9 +293,9 @@ def report_to_dict(report: SynthesisReport) -> dict:
 # --- files ------------------------------------------------------------------
 
 def dumps(doc: dict) -> str:
-    """Indented JSON; a non-finite number raises ValueError, as the reader
-    would reject it."""
-    return json.dumps(doc, indent=2, allow_nan=False)
+    """Compact JSON, without indentation or spaces; a non-finite number raises
+    ValueError, as the reader would reject it."""
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False)
 
 
 def save(doc: dict, path: str) -> None:

@@ -9,10 +9,9 @@ measure-zero family {d = 0, b != 1}; four always suffice.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .errors import SingularParameterError
-from .symplectic import SymplecticMap, compose_many, elementary_step, require_symplectic
+from .symplectic import SymplecticMap, elementary_matrix, require_symplectic
 
 #: |kappa3| below this (relative) scale is treated as a pole of the formulas.
 KAPPA3_SINGULAR_TOL = 1e-9
@@ -35,11 +34,12 @@ class FourStepParams:
     def reconstruct(self) -> SymplecticMap:
         """Product M(k4) M(k3) M(k2) M(k1) of the four steps."""
         k1, k2, k3, k4 = self.kappas
-        return compose_many(
-            elementary_step(k4),
-            elementary_step(k3),
-            elementary_step(k2),
-            elementary_step(k1),
+        return SymplecticMap(
+            1,
+            elementary_matrix(k4)
+            @ elementary_matrix(k3)
+            @ elementary_matrix(k2)
+            @ elementary_matrix(k1),
         )
 
 
@@ -109,13 +109,20 @@ def select_free_kappa1(target: SymplecticMap) -> float:
     the first of lowest proxy wins.  The identity gets exactly 0.
     """
     a, b, c, d = target.abcd()
-    k1 = Polynomial([0.0, 1.0])
-    k3 = c - d * k1
-    q = (1.0 - d) ** 2 + (1.0 - a + b * k1) ** 2
-    candidates = list(_stationary_points(k1 ** 2 + k3 ** 2, q, k3))
+    candidates = list(_kappa1_stationary_points(a, b, c, d))
     if d != 0.0:
         candidates.append(c / d)
     return _select(target, candidates, lambda kappa1: _params(a, b, c, d, kappa1), "kappa1")
+
+
+def _kappa1_stationary_points(a: float, b: float, c: float, d: float) -> np.ndarray:
+    """The real stationary points of the proxy of :func:`select_free_kappa1`:
+    S = kappa1^2 + kappa3^2, Q = (1 - d)^2 + (1 - a + b kappa1)^2, G = kappa3."""
+    k3 = _trim(np.array([c, -d]))
+    lin = np.array([1.0 - a, b])
+    s = _add(np.array([0.0, 0.0, 1.0]), _mul(k3, k3))
+    q = _add(np.array([(1.0 - d) ** 2]), _mul(lin, lin))
+    return _stationary_points(s, q, k3)
 
 
 def _select(target: SymplecticMap, candidates, params_at, name: str) -> float:
@@ -138,12 +145,66 @@ def _select(target: SymplecticMap, candidates, params_at, name: str) -> float:
     return min(scored, key=scored.get)
 
 
-def _stationary_points(s: Polynomial, q: Polynomial, g: Polynomial) -> np.ndarray:
+def _stationary_points(s: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Real roots of S' G^3 + Q' G - 2 G' Q, the numerator of the derivative
     of 4 + S + Q / G^2 (S quadratic, G linear, Q of degree <= 4).  A common
-    root of G and Q is a multiple root, which round-off may turn complex."""
-    roots = (s.deriv() * g ** 3 + q.deriv() * g - 2.0 * g.deriv() * q).roots()
-    return roots.real[roots.imag == 0.0]
+    root of G and Q is a multiple root, which round-off may turn complex.
+
+    Each polynomial is an array of ascending coefficients without trailing
+    zeros (see :func:`_trim`), so a vanishing leading coefficient lowers the
+    degree.  Products are ``np.convolve`` of trimmed arrays and the roots are
+    the sorted eigenvalues of the companion matrix."""
+    g3 = _mul(_mul(g, g), g)
+    num = _add(_mul(_deriv(s), g3), _mul(_deriv(q), g))
+    num = _add(num, _mul(-2.0 * _deriv(g), q))
+    roots = _roots(num)
+    # + 0.0 turns a root at -0.0 into 0.0, which would otherwise reach the
+    # program as a homodyne angle of -0.0.
+    return roots.real[roots.imag == 0.0] + 0.0
+
+
+def _trim(c: np.ndarray) -> np.ndarray:
+    """Coefficients without trailing zeros; at least one is kept."""
+    end = len(c)
+    while end > 1 and c[end - 1] == 0.0:
+        end -= 1
+    return c[:end]
+
+
+def _add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sum of two coefficient arrays, trimmed."""
+    if len(x) < len(y):
+        x, y = y, x
+    out = x.copy()
+    out[: len(y)] += y
+    return _trim(out)
+
+
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Product of two coefficient arrays, trimmed."""
+    return _trim(np.convolve(_trim(x), _trim(y)))
+
+
+def _deriv(c: np.ndarray) -> np.ndarray:
+    """Derivative of a coefficient array; a constant's is [0]."""
+    if len(c) == 1:
+        return c * 0.0
+    return c[1:] * np.arange(1, len(c))
+
+
+def _roots(c: np.ndarray) -> np.ndarray:
+    """Roots of a trimmed coefficient array, sorted; real when all are."""
+    if len(c) < 2:
+        return np.array([])
+    if len(c) == 2:
+        return np.array([-c[0] / c[1]])
+    n = len(c) - 1
+    companion = np.zeros((n, n))
+    companion.reshape(-1)[n :: n + 1] = 1.0
+    companion[:, -1] -= c[:-1] / c[-1]
+    roots = np.linalg.eigvals(companion)
+    roots.sort()
+    return roots
 
 
 def three_step_reachable(target: SymplecticMap) -> bool:

@@ -83,9 +83,11 @@ class SymplecticMap:
 
 def symplectic_form(n: int) -> np.ndarray:
     """J = (0 I; -I 0) for n modes in x-then-p ordering."""
-    z = np.zeros((n, n))
+    j = np.zeros((2 * n, 2 * n))
     i = np.eye(n)
-    return np.block([[z, i], [-i, z]])
+    j[:n, n:] = i
+    j[n:, :n] = -i
+    return j
 
 
 def _violation(mat: np.ndarray) -> np.ndarray:
@@ -141,9 +143,14 @@ def quad_phase(kappa: float) -> SymplecticMap:
     return SymplecticMap(1, np.array([[1.0, 0.0], [kappa, 1.0]]))
 
 
+def elementary_matrix(kappa: float) -> np.ndarray:
+    """The 2x2 matrix ((-kappa, -1), (1, 0)) of :func:`elementary_step`."""
+    return np.array([[-kappa, -1.0], [1.0, 0.0]])
+
+
 def elementary_step(kappa: float) -> SymplecticMap:
     """One gate-teleportation step M(kappa) = F O(kappa) = ((-kappa,-1),(1,0))."""
-    return SymplecticMap(1, np.array([[-kappa, -1.0], [1.0, 0.0]]))
+    return SymplecticMap(1, elementary_matrix(kappa))
 
 
 def squeeze(r: float) -> SymplecticMap:

@@ -10,11 +10,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .errors import DegenerateMeasurementError, SingularParameterError
-from .single_mode import DEGENERATE_NUMERATOR_TOL, _select, _stationary_points
-from .symplectic import SymplecticMap, compose_many, elementary_step, require_symplectic
+from .single_mode import DEGENERATE_NUMERATOR_TOL, _add, _mul, _select, _stationary_points, _trim
+from .symplectic import SymplecticMap, elementary_matrix, require_symplectic
 
 #: |cos(theta_minus)| below this is rejected as a failed teleportation.
 DEGENERACY_TOL = 1e-9
@@ -60,10 +59,11 @@ class TelepPlusTwoParams:
         return telep_noise_proxy(self.angles, self.kappa3, self.kappa4)
 
     def reconstruct(self) -> SymplecticMap:
-        return compose_many(
-            elementary_step(self.kappa4),
-            elementary_step(self.kappa3),
-            mtel(self.angles.theta_plus, self.angles.theta_minus),
+        return SymplecticMap(
+            1,
+            elementary_matrix(self.kappa4)
+            @ elementary_matrix(self.kappa3)
+            @ _mtel_matrix(self.angles.theta_plus, self.angles.theta_minus),
         )
 
 
@@ -88,10 +88,14 @@ def mtel(theta_plus: float, theta_minus: float) -> SymplecticMap:
             where one input quadrature is measured outright and the
             teleportation fails.
     """
+    return SymplecticMap(1, _mtel_matrix(theta_plus, theta_minus))
+
+
+def _mtel_matrix(theta_plus: float, theta_minus: float) -> np.ndarray:
+    """The 2x2 matrix of :func:`mtel`."""
     cm = _cos_theta_minus(theta_minus)
     cp, sp, sm = np.cos(theta_plus), np.sin(theta_plus), np.sin(theta_minus)
-    m = np.array([[cp, sm + sp], [sm - sp, cp]]) / cm
-    return SymplecticMap(1, m)
+    return np.array([[cp, sm + sp], [sm - sp, cp]]) / cm
 
 
 def canonicalize(angles: TelepAngles) -> TelepAngles:
@@ -149,10 +153,11 @@ def _solve_telep(a: float, b: float, c: float, d: float, theta0: float):
     else:
         kappa4 = num4 / den4
 
-    angles = TelepAngles(float(theta0), theta1)
-    if abs(np.cos(angles.theta_minus)) < DEGENERACY_TOL:
-        raise SingularParameterError("theta0 leads to a degenerate teleportation")
-    return canonicalize(angles), float(kappa3), float(kappa4)
+    try:
+        angles = canonicalize(TelepAngles(float(theta0), theta1))
+    except DegenerateMeasurementError:
+        raise SingularParameterError("theta0 leads to a degenerate teleportation") from None
+    return angles, float(kappa3), float(kappa4)
 
 
 def telep_noise_proxy(angles: TelepAngles, kappa3: float, kappa4: float) -> float:
@@ -177,13 +182,21 @@ def select_free_theta0(target: SymplecticMap) -> float:
             rotation(pi), whose proxy 4 + 6 / cot(theta0)^2 has no minimum.
     """
     a, b, c, d = target.abcd()
-    u = Polynomial([0.0, 1.0])
-    kappa3 = c - (1.0 + d) * u
-    q = ((1.0 - d) - u * (2.0 * c - (1.0 + d) * u)) ** 2 / 2.0 + (1.0 - a + b * u) ** 2
-    candidates = (math.atan2(1.0, x) for x in _stationary_points(kappa3 ** 2, q, c - d * u))
+    candidates = (math.atan2(1.0, x) for x in _cot_theta0_stationary_points(a, b, c, d))
     return _select(
         target, candidates, lambda theta0: _params(a, b, c, d, theta0), "theta0 in (0, pi)"
     )
+
+
+def _cot_theta0_stationary_points(a: float, b: float, c: float, d: float) -> np.ndarray:
+    """The real stationary points, in u = cot(theta0), of the proxy of
+    :func:`select_free_theta0`: S = kappa3^2, Q = A^2/2 + (1 - a + b u)^2 and
+    G = c - d u."""
+    kappa3 = np.array([c, -(1.0 + d)])
+    big_a = np.array([1.0 - d, -2.0 * c, 1.0 + d])
+    lin = np.array([1.0 - a, b])
+    q = _add(_mul(big_a, big_a) / 2.0, _mul(lin, lin))
+    return _stationary_points(_mul(kappa3, kappa3), q, _trim(np.array([c, -d])))
 
 
 def _params(a: float, b: float, c: float, d: float, theta0: float) -> TelepPlusTwoParams:

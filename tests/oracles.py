@@ -1,6 +1,9 @@
 """Independent numerical oracles shared by the test modules."""
 
+import math
+
 import numpy as np
+from numpy.polynomial import Polynomial
 
 
 def three_step_grid_minimum(target, lo=-10.0, hi=10.0, step=0.05):
@@ -311,3 +314,57 @@ def _grid_then_golden(objective, grid, optimize):
         except ValueError:
             pass  # bracket not strictly unimodal at grid resolution
     return best_x
+
+
+def kappa1_stationary_polynomial(target):
+    """S' G^3 + Q' G - 2 G' Q of the four-step proxy in kappa1 (see
+    ``single_mode.select_free_kappa1``), in numpy's Polynomial class."""
+    a, b, c, d = target.abcd()
+    k1 = Polynomial([0.0, 1.0])
+    k3 = c - d * k1
+    q = (1.0 - d) ** 2 + (1.0 - a + b * k1) ** 2
+    return _stationary_polynomial(k1 ** 2 + k3 ** 2, q, k3)
+
+
+def cot_theta0_stationary_polynomial(target):
+    """S' G^3 + Q' G - 2 G' Q of the teleport proxy in u = cot(theta0) (see
+    ``teleport.select_free_theta0``), in numpy's Polynomial class."""
+    a, b, c, d = target.abcd()
+    u = Polynomial([0.0, 1.0])
+    kappa3 = c - (1.0 + d) * u
+    q = ((1.0 - d) - u * (2.0 * c - (1.0 + d) * u)) ** 2 / 2.0 + (1.0 - a + b * u) ** 2
+    return _stationary_polynomial(kappa3 ** 2, q, c - d * u)
+
+
+def _stationary_polynomial(s, q, g):
+    return s.deriv() * g ** 3 + q.deriv() * g - 2.0 * g.deriv() * q
+
+
+def real_roots(polynomial):
+    roots = polynomial.roots()
+    return roots.real[roots.imag == 0.0]
+
+
+def polynomial_free_kappa1(target):
+    """The package's kappa1 choice, from the roots of
+    :func:`kappa1_stationary_polynomial` and the pole c/d."""
+    from cvcluster.single_mode import _params, _select
+
+    a, b, c, d = target.abcd()
+    candidates = list(real_roots(kappa1_stationary_polynomial(target)))
+    if d != 0.0:
+        candidates.append(c / d)
+    return _select(target, candidates, lambda kappa1: _params(a, b, c, d, kappa1), "kappa1")
+
+
+def polynomial_free_theta0(target):
+    """The package's theta0 choice, from the roots of
+    :func:`cot_theta0_stationary_polynomial`."""
+    from cvcluster.single_mode import _select
+    from cvcluster.teleport import _params
+
+    a, b, c, d = target.abcd()
+    candidates = (math.atan2(1.0, x) for x in real_roots(cot_theta0_stationary_polynomial(target)))
+    return _select(
+        target, candidates, lambda theta0: _params(a, b, c, d, theta0), "theta0 in (0, pi)"
+    )

@@ -47,9 +47,12 @@ def test_version_mismatch_rejected(compiled_program):
         serialize.program_from_dict(doc)
 
 
-def _drop(key):
+def _drop(*path):
+    """An edit that deletes doc[path[0]]...[path[-1]]."""
     def edit(doc):
-        del doc[key]
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
     return edit
 
 
@@ -80,13 +83,19 @@ def _set(path, value):
         (_set(["graph", "nodes", 1, "role"], 1), "graph.nodes[1].role", "expected a string"),
         (_set(["graph", "nodes", 0, "coupling"], ["qnd"]), "graph.nodes[0].coupling", "expected a string"),
         (_set(["graph", "edges", 2], [0, 1, 2]), "graph.edges[2]", "expected a pair of node ids"),
+        (_set(["feedforward", 3, "gainX"], True), "feedforward[3].gainX", "expected a number, got bool"),
+        (_set(["graph", "edges", 1], [0, True]), "graph.edges[1][1]", "expected an integer, got bool"),
+        (_drop("feedforward", -1, "gainP"), "feedforward[3].gainP", "missing required field"),
+        (_set(["schedule", 2, "colour"], "red"), "schedule[2].colour", "unknown field"),
+        (_set(["feedforward", 1], [1, 2]), "feedforward[1]", "expected an object, got list"),
     ],
     ids=[
         "record-not-an-object", "missing-field", "non-number", "non-integer",
         "matrix-rows", "matrix-row-entries", "vector-entries", "no-modes",
         "nodes-not-a-list", "edges-not-a-list", "schedule-not-a-list",
         "feedforward-not-a-list", "non-string-role", "non-string-coupling",
-        "bad-edge-pair",
+        "bad-edge-pair", "bool-gain", "bool-edge-id", "rule-missing-field",
+        "schedule-unknown-field", "rule-not-an-object",
     ],
 )
 def test_schema_errors_name_their_path(compiled_program, edit, path, message):
@@ -97,6 +106,19 @@ def test_schema_errors_name_their_path(compiled_program, edit, path, message):
     assert type(err.value) is SchemaError
     assert err.value.path == path
     assert str(err.value) == f"{path}: {message}"
+
+
+def test_indented_program_file_loads_as_the_compact_one(tmp_path, compiled_program):
+    # cluster-program/1 files were once written with indent=2; only the
+    # whitespace differs.
+    compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+    serialize.save_program(compiled_program, str(compact))
+    doc = serialize.program_to_dict(compiled_program)
+    indented.write_text(json.dumps(doc, indent=2) + "\n")
+    text = compact.read_text()
+    assert text == json.dumps(doc, separators=(",", ":")) + "\n"
+    assert serialize.load_program(str(indented)) == serialize.load_program(str(compact))
+    assert serialize.load_program(str(compact)) == compiled_program
 
 
 def test_target_round_trip(tmp_path):
@@ -392,6 +414,15 @@ def test_import_loads_no_scipy():
 def test_cli_missing_file_is_io_error(tmp_path, capsys):
     assert main(["verify", "--program", str(tmp_path / "nope.json")]) == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target, out", [("t.json/x.json", "p.json"), ("t.json", "t.json/p.json")])
+def test_cli_path_through_a_file_is_io_error(tmp_path, capsys, target, out):
+    # t.json is a regular file, so either path fails with NotADirectoryError.
+    write_target(tmp_path, identity(1), "t.json")
+    assert main(["compile", "--target", str(tmp_path / target), "--out", str(tmp_path / out)]) == 3
+    assert "i/o error: " in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
 
 
 @pytest.mark.parametrize("command", ["verify --program", "compile --target"])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -21,8 +21,20 @@ from cvcluster import (
 )
 
 
-from oracles import d_zero_family, grid_free_kappa1, near_d_one_targets, three_step_grid_minimum
+from oracles import (
+    cot_theta0_stationary_polynomial,
+    d_zero_family,
+    grid_free_kappa1,
+    kappa1_stationary_polynomial,
+    near_d_one_targets,
+    polynomial_free_kappa1,
+    polynomial_free_theta0,
+    real_roots,
+    three_step_grid_minimum,
+)
 from cvcluster import elementary_step
+from cvcluster.single_mode import _kappa1_stationary_points
+from cvcluster.teleport import _cot_theta0_stationary_points, select_free_theta0
 
 
 def test_identity_is_all_zero():
@@ -131,6 +143,63 @@ def test_select_never_worse_than_any_pinned_kappa1(seed, kappa1):
     except SingularParameterError:
         return
     assert decompose_four_step(target).noise_proxy <= pinned * (1.0 + 1e-12)
+
+
+_entries = st.floats(-4.0, 4.0).map(lambda v: round(v, 6))
+_nonzero = _entries.filter(lambda v: abs(v) >= 0.1)
+
+
+@st.composite
+def degree_dropping_targets(draw):
+    """Det-1 targets, with the families where a leading coefficient of the
+    stationary polynomials vanishes: d = 0, b = 0, d = -1 (the teleport kappa3
+    slope 1 + d), d = 1 and the identity."""
+    family = draw(st.sampled_from(["generic", "d=0", "b=0", "d=-1", "d=1", "identity"]))
+    if family == "generic":
+        return random_symplectic(1, draw(st.integers(0, 10**6)))
+    if family == "identity":
+        return identity(1)
+    x, y, nonzero = draw(_entries), draw(_entries), draw(_nonzero)
+    matrix = {
+        "d=0": [[x, nonzero], [-1.0 / nonzero, 0.0]],
+        "b=0": [[nonzero, 0.0], [x, 1.0 / nonzero]],
+        "d=-1": [[-1.0 - x * y, x], [y, -1.0]],
+        "d=1": [[1.0 + x * y, x], [y, 1.0]],
+    }[family]
+    return SymplecticMap(1, np.array(matrix))
+
+
+def _choice(select, target):
+    """The chosen parameter bit for bit (sign of zero included), or the error."""
+    try:
+        return float(select(target)).hex()
+    except SingularParameterError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(target=degree_dropping_targets())
+@example(target=identity(1))
+@example(target=SymplecticMap(1, np.array([[0.5, 2.0], [-0.5, 0.0]])))
+@example(target=SymplecticMap(1, np.array([[2.0, 0.0], [0.3, 0.5]])))
+@example(target=SymplecticMap(1, np.array([[-1.6, 2.0], [0.3, -1.0]])))
+@example(target=SymplecticMap(1, np.array([[1.0, -2.0], [0.5, 0.0]])))  # a root at 0
+def test_stationary_points_match_the_polynomial_oracle(target):
+    a, b, c, d = target.abcd()
+    charts = (
+        (_kappa1_stationary_points, kappa1_stationary_polynomial,
+         select_free_kappa1, polynomial_free_kappa1),
+        (_cot_theta0_stationary_points, cot_theta0_stationary_polynomial,
+         select_free_theta0, polynomial_free_theta0),
+    )
+    for points, polynomial, select, oracle in charts:
+        expected = real_roots(polynomial(target))
+        got = points(a, b, c, d)
+        assert got.shape == expected.shape
+        assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+        # a root at -0.0 would reach the program as a homodyne angle of -0.0
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        assert _choice(select, target) == _choice(oracle, target)
 
 
 def test_select_deterministic():

@@ -1,5 +1,6 @@
 """Teleportation coupling: M_tel algebra and the teleport+two-step synthesis."""
 
+import math
 import re
 
 import numpy as np
@@ -205,6 +206,21 @@ def test_pinned_theta0_at_the_kappa4_zero_over_zero():
         params = decompose_telep_plus_two(target, theta0=np.arctan2(1.0, c))
         assert params.kappa4 == -b
         assert_allclose(params.reconstruct().matrix, target.matrix, atol=1e-12)
+
+
+def test_pinned_theta0_of_a_degenerate_teleportation_is_singular():
+    # theta1 = theta0 - pi/2 puts theta_minus at pi/2.  Solving
+    # cot(theta1) = (1 - d) / (2c - (1 + d) cot(theta0)) = -tan(theta0) for c
+    # gives c = d cot(theta0), where the kappa4 denominator c - d cot(theta0)
+    # vanishes too; with b = 0 and det 1 its numerator 1 - a = 1 - 1/d is
+    # within the 0/0 tolerance at d = 1 - 2^-30.  With cot(theta0) = 4 every
+    # step of the closed forms is exact.
+    theta0 = math.atan2(1.0, 4.0)
+    assert np.cos(theta0) / np.sin(theta0) == 4.0
+    d = 1.0 - 2.0 ** -30
+    target = SymplecticMap(1, np.array([[1.0 / d, 0.0], [4.0 * d, d]]))
+    with pytest.raises(SingularParameterError, match="theta0 leads to a degenerate teleportation"):
+        decompose_telep_plus_two(target, theta0=theta0)
 
 
 def test_select_reproduces_targets_next_to_d_equal_one():
