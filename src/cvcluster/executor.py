@@ -65,16 +65,19 @@ class ExactReplay:
         return var * (self.noise_response @ self.noise_response.T)
 
     def feedforward_rules(self) -> tuple:
-        """Feedforward rules whose gains cancel the outcome terms of the outputs."""
-        rules = []
+        """Feedforward rules whose gains cancel the outcome terms of the
+        outputs, ordered by measurement, then by output port."""
         n = self.matrix.shape[0] // 2
-        for k, src in enumerate(self.measured_ids):
-            for port, target in enumerate(self.output_ids):
-                gx = -self.outcome_response[port, k]
-                gp = -self.outcome_response[n + port, k]
-                if abs(gx) > FEEDFORWARD_TOL or abs(gp) > FEEDFORWARD_TOL:
-                    rules.append(FeedforwardRule(src, target, float(gx), float(gp)))
-        return tuple(rules)
+        gains = -self.outcome_response.T  # row k: x gains, then p gains, port order
+        keep = abs(gains) > FEEDFORWARD_TOL
+        k, port = np.nonzero(keep[:, :n] | keep[:, n:])
+        return tuple(map(
+            FeedforwardRule,
+            [self.measured_ids[i] for i in k.tolist()],
+            [self.output_ids[i] for i in port.tolist()],
+            gains[k, port].tolist(),
+            gains[k, n + port].tolist(),
+        ))
 
     def feedforward_error(self, gains: dict) -> tuple:
         """max|G + outcome_response| for the gains G of
@@ -238,10 +241,11 @@ def exact_replay(program: MeasurementProgram) -> ExactReplay:
         delta = q / -c
         delta[w0 + pivot] = -1.0
         delta[s0 + k] = 1.0 / c
-        # Rank-1 substitution in the live rows that reference the pivot noise.
+        # Rank-1 substitution in the live rows that reference the pivot noise;
+        # the measured node's own rows are released (zeroed) first.
+        frontier.release(entry.node_id)
         for row in np.flatnonzero(rows[:, w0 + pivot]):
             rows[row] += rows[row, w0 + pivot] * delta
-        frontier.release(entry.node_id)
 
     matrix = np.zeros((2 * n, 2 * n))
     outcome = np.zeros((2 * n, n_meas))

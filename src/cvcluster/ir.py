@@ -7,6 +7,7 @@ self-contained verification.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,14 +39,13 @@ class Node:
     port: int = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: callers dataclasses.replace entries
 class ScheduleEntry:
     node_id: int
     angle: float  # homodyne angle theta; measured quadrature x sin + p cos
 
 
-@dataclass(frozen=True)
-class FeedforwardRule:
+class FeedforwardRule(NamedTuple):
     source_id: int  # measured node whose outcome drives the displacement
     target_id: int  # surviving node receiving it
     gain_x: float
@@ -129,14 +129,19 @@ class MeasurementProgram:
     def feedforward_gains(self) -> dict:
         """Measured node id -> the 2n output displacement (x-then-p, port
         order) that the feedforward rules install per unit outcome."""
+        if not self.feedforward:
+            return {}
         n = self.n
         port = {p.id: p.port for p in self.graph.output_ports()}
-        gains = {}
-        for rule in self.feedforward:
-            g = gains.setdefault(rule.source_id, np.zeros(2 * n))
-            g[port[rule.target_id]] += rule.gain_x
-            g[n + port[rule.target_id]] += rule.gain_p
-        return gains
+        source, target, gain_x, gain_p = zip(*self.feedforward)
+        rows = {}  # source id -> its row of the table, in order of first rule
+        row = np.array([rows.setdefault(s, len(rows)) for s in source])
+        col = np.array([port[t] for t in target])
+        # ufunc.at adds repeated (source, target) rules in rule order.
+        table = np.zeros((len(rows), 2 * n))
+        np.add.at(table, (row, col), gain_x)
+        np.add.at(table, (row, n + col), gain_p)
+        return dict(zip(rows, table))
 
     def validate(self) -> None:
         self.graph.validate()

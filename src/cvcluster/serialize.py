@@ -7,9 +7,11 @@ their path, and a version tag mismatch is an explicit incompatibility
 error.  Floats use Python's shortest round-trip representation (lossless,
 17 significant digits where needed).
 
-A program's ``schedule``, ``feedforward`` and ``graph.edges`` grow with its
-ancilla count, so they are checked a column at a time; only a column that
-fails is walked entry by entry, to name the first bad entry.
+A program's ``schedule`` and ``feedforward`` grow with its ancilla count, so
+``cluster-program/2`` stores each as an object of equal-length columns, one
+per field (``schedule.angle[k]`` is the angle of measurement k).  Each column,
+and each endpoint column of ``graph.edges``, is checked at once; only a column
+that fails is walked entry by entry, to name its first bad entry.
 """
 
 import json
@@ -29,7 +31,7 @@ from .ir import (
 from .simulator import GaussianState
 from .symplectic import SymplecticMap
 
-PROGRAM_VERSION = "cluster-program/1"
+PROGRAM_VERSION = "cluster-program/2"
 TARGET_VERSION = "symplectic-target/1"
 STATE_VERSION = "gaussian-state/1"
 REPORT_VERSION = "synthesis-report/1"
@@ -75,28 +77,33 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _objects(value, path: str, keys: frozenset) -> list:
-    """The list at ``path``, each entry an object with exactly ``keys``."""
-    if not isinstance(value, list):
-        raise SchemaError(path, "expected a list")
-    if not all(type(doc) is dict and doc.keys() == keys for doc in value):
-        for i, doc in enumerate(value):
-            _check_keys(doc, f"{path}[{i}]", keys)
-    return value
+def _columns(value, path: str, checks: dict) -> list:
+    """The columns of the object at ``path``, lists of equal length, each
+    checked by its entry of ``checks``."""
+    _check_keys(value, path, set(checks))
+    columns = []
+    for name, check in checks.items():
+        column, column_path = value[name], f"{path}.{name}"
+        if not isinstance(column, list):
+            raise SchemaError(column_path, "expected a list")
+        if columns and len(column) != len(columns[0]):
+            raise SchemaError(column_path, f"expected {len(columns[0])} entries")
+        columns.append(check(column, column_path))
+    return columns
 
 
-def _integers(values: list, path: str, field: str) -> list:
-    """``values``, one ``field`` of each entry of the list at ``path``, all
-    integers."""
-    if not all(type(v) is int for v in values):
+def _integers(values: list, path: str, field: str = "") -> list:
+    """``values``, the column at ``path``, all integers; ``field`` follows an
+    entry's index in its path (``graph.edges[3][1]``)."""
+    if not set(map(type, values)) <= {int}:  # no bool
         for i, v in enumerate(values):
             _integer(v, f"{path}[{i}]{field}")
     return values
 
 
-def _numbers(values: list, path: str, field: str) -> list:
-    """``values``, one ``field`` of each entry of the list at ``path``, as
-    floats; each must be a finite number."""
+def _numbers(values: list, path: str) -> list:
+    """``values``, the column at ``path``, as floats; each must be a finite
+    number."""
     try:
         if set(map(type, values)) <= {int, float}:  # no bool, str or None
             column = np.array(values, dtype=float)
@@ -104,7 +111,7 @@ def _numbers(values: list, path: str, field: str) -> list:
                 return column.tolist()
     except OverflowError:  # an integer literal beyond the float range
         pass
-    return [_number(v, f"{path}[{i}]{field}") for i, v in enumerate(values)]
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(values)]
 
 
 def _matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
@@ -149,6 +156,15 @@ def map_from_dict(doc: dict, path: str) -> SymplecticMap:
 
 # --- programs --------------------------------------------------------------
 
+_SCHEDULE_COLUMNS = {"nodeId": _integers, "angle": _numbers}
+_RULE_COLUMNS = {  # FeedforwardRule's field order
+    "sourceNodeId": _integers,
+    "targetNodeId": _integers,
+    "gainX": _numbers,
+    "gainP": _numbers,
+}
+
+
 def program_to_dict(program: MeasurementProgram) -> dict:
     nodes = []
     for node in program.graph.nodes:
@@ -158,30 +174,20 @@ def program_to_dict(program: MeasurementProgram) -> dict:
         if node.port is not None:
             entry["port"] = node.port
         nodes.append(entry)
+    rules = zip(*program.feedforward) if program.feedforward else [()] * len(_RULE_COLUMNS)
     return {
         "version": PROGRAM_VERSION,
         "graph": {
             "nodes": nodes,
             "edges": [[u, v] for u, v in program.graph.edges],
         },
-        "schedule": [
-            {"nodeId": s.node_id, "angle": s.angle} for s in program.schedule
-        ],
-        "feedforward": [
-            {
-                "sourceNodeId": f.source_id,
-                "targetNodeId": f.target_id,
-                "gainX": f.gain_x,
-                "gainP": f.gain_p,
-            }
-            for f in program.feedforward
-        ],
+        "schedule": {
+            "nodeId": [s.node_id for s in program.schedule],
+            "angle": [s.angle for s in program.schedule],
+        },
+        "feedforward": {name: list(column) for name, column in zip(_RULE_COLUMNS, rules)},
         "targetMap": map_to_dict(program.target),
     }
-
-
-_SCHEDULE_KEYS = frozenset({"nodeId", "angle"})
-_RULE_KEYS = frozenset({"sourceNodeId", "targetNodeId", "gainX", "gainP"})
 
 
 def program_from_dict(doc: dict) -> MeasurementProgram:
@@ -223,26 +229,13 @@ def program_from_dict(doc: dict) -> MeasurementProgram:
         _integers([edoc[0] for edoc in edocs], "graph.edges", "[0]"),
         _integers([edoc[1] for edoc in edocs], "graph.edges", "[1]"),
     ))
-    sdocs = _objects(doc["schedule"], "schedule", _SCHEDULE_KEYS)
-    schedule = tuple(map(
-        ScheduleEntry,
-        _integers([s["nodeId"] for s in sdocs], "schedule", ".nodeId"),
-        _numbers([s["angle"] for s in sdocs], "schedule", ".angle"),
-    ))
-    fdocs = _objects(doc["feedforward"], "feedforward", _RULE_KEYS)
-    feedforward = tuple(map(
-        FeedforwardRule,
-        _integers([f["sourceNodeId"] for f in fdocs], "feedforward", ".sourceNodeId"),
-        _integers([f["targetNodeId"] for f in fdocs], "feedforward", ".targetNodeId"),
-        _numbers([f["gainX"] for f in fdocs], "feedforward", ".gainX"),
-        _numbers([f["gainP"] for f in fdocs], "feedforward", ".gainP"),
-    ))
-    target = map_from_dict(doc["targetMap"], "targetMap")
+    schedule = _columns(doc["schedule"], "schedule", _SCHEDULE_COLUMNS)
+    feedforward = _columns(doc["feedforward"], "feedforward", _RULE_COLUMNS)
     program = MeasurementProgram(
         graph=ClusterGraph(nodes=tuple(nodes), edges=edges),
-        schedule=schedule,
-        feedforward=feedforward,
-        target=target,
+        schedule=tuple(map(ScheduleEntry, *schedule)),
+        feedforward=tuple(map(FeedforwardRule, *feedforward)),
+        target=map_from_dict(doc["targetMap"], "targetMap"),
     )
     program.validate()
     return program

@@ -21,6 +21,7 @@ from cvcluster import (
     random_symplectic,
     run_program,
 )
+from cvcluster.executor import FEEDFORWARD_TOL
 from cvcluster.ir import (
     COUPLING_QND,
     COUPLING_TELEPORT,
@@ -142,6 +143,23 @@ def test_probe_feedforward_standalone():
     program, _ = compile(identity(1))
     stripped = dataclasses.replace(program, feedforward=())
     assert exact_replay(stripped).feedforward_rules() == program.feedforward
+
+
+def test_feedforward_rules_are_the_outcome_loop_in_schedule_then_port_order():
+    for program in (compile(random_symplectic(3, 5))[0], teleport_program(0.3, -0.4)):
+        replay = exact_replay(program)
+        n = program.n
+        expected = []
+        for k, src in enumerate(replay.measured_ids):
+            for port, target in enumerate(replay.output_ids):
+                gx = -replay.outcome_response[port, k]
+                gp = -replay.outcome_response[n + port, k]
+                if abs(gx) > FEEDFORWARD_TOL or abs(gp) > FEEDFORWARD_TOL:
+                    expected.append((src, target, float(gx).hex(), float(gp).hex()))
+        rules = replay.feedforward_rules()
+        assert len(expected) > 0
+        assert [(r.source_id, r.target_id, r.gain_x.hex(), r.gain_p.hex()) for r in rules] == expected
+        assert all(list(map(type, rule)) == [int, int, float, float] for rule in rules)
 
 
 def test_effective_map_close_to_exact_replay_at_high_squeezing():

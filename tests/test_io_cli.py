@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvcluster import SchemaError, VersionError, compile, identity, random_symplectic
 from cvcluster import serialize
@@ -70,32 +72,36 @@ def _set(path, value):
     [
         (_set(["graph", "nodes", 0], 5), "graph.nodes[0]", "expected an object, got int"),
         (_drop("schedule"), "program.schedule", "missing required field"),
-        (_set(["schedule", 1, "angle"], "0.5"), "schedule[1].angle", "expected a number, got str"),
-        (_set(["schedule", 0, "nodeId"], 1.0), "schedule[0].nodeId", "expected an integer, got float"),
+        (_set(["schedule", "angle", 1], "0.5"), "schedule.angle[1]", "expected a number, got str"),
+        (_set(["schedule", "nodeId", 0], 1.0), "schedule.nodeId[0]", "expected an integer, got float"),
         (_set(["targetMap", "matrix"], [[1.0, 0.0]]), "targetMap.matrix", "expected 2 rows"),
         (_set(["targetMap", "matrix", 1], [0.0, 1.0, 0.0]), "targetMap.matrix[1]", "expected 2 entries"),
         (_set(["targetMap", "displacement"], [0.0]), "targetMap.displacement", "expected 2 entries"),
         (_set(["targetMap", "n"], 0), "targetMap.n", "mode count must be >= 1"),
         (_set(["graph", "nodes"], {}), "graph.nodes", "expected a list"),
         (_set(["graph", "edges"], None), "graph.edges", "expected a list"),
-        (_set(["schedule"], "all"), "schedule", "expected a list"),
-        (_set(["feedforward"], 0), "feedforward", "expected a list"),
+        (_set(["schedule"], "all"), "schedule", "expected an object, got str"),
+        (_set(["feedforward"], [0]), "feedforward", "expected an object, got list"),
         (_set(["graph", "nodes", 1, "role"], 1), "graph.nodes[1].role", "expected a string"),
         (_set(["graph", "nodes", 0, "coupling"], ["qnd"]), "graph.nodes[0].coupling", "expected a string"),
         (_set(["graph", "edges", 2], [0, 1, 2]), "graph.edges[2]", "expected a pair of node ids"),
-        (_set(["feedforward", 3, "gainX"], True), "feedforward[3].gainX", "expected a number, got bool"),
+        (_set(["feedforward", "gainX", 3], True), "feedforward.gainX[3]", "expected a number, got bool"),
         (_set(["graph", "edges", 1], [0, True]), "graph.edges[1][1]", "expected an integer, got bool"),
-        (_drop("feedforward", -1, "gainP"), "feedforward[3].gainP", "missing required field"),
-        (_set(["schedule", 2, "colour"], "red"), "schedule[2].colour", "unknown field"),
-        (_set(["feedforward", 1], [1, 2]), "feedforward[1]", "expected an object, got list"),
+        (_drop("feedforward", "gainP"), "feedforward.gainP", "missing required field"),
+        (_set(["schedule", "colour"], ["red"] * 4), "schedule.colour", "unknown field"),
+        (_set(["feedforward", "targetNodeId"], {}), "feedforward.targetNodeId", "expected a list"),
+        (_drop("feedforward", "gainP", -1), "feedforward.gainP", "expected 4 entries"),
+        (_set(["schedule", "angle"], [0.0] * 5), "schedule.angle", "expected 4 entries"),
+        (_set(["schedule", "nodeId"], 7), "schedule.nodeId", "expected a list"),
     ],
     ids=[
         "record-not-an-object", "missing-field", "non-number", "non-integer",
         "matrix-rows", "matrix-row-entries", "vector-entries", "no-modes",
-        "nodes-not-a-list", "edges-not-a-list", "schedule-not-a-list",
-        "feedforward-not-a-list", "non-string-role", "non-string-coupling",
+        "nodes-not-a-list", "edges-not-a-list", "schedule-not-an-object",
+        "feedforward-not-an-object", "non-string-role", "non-string-coupling",
         "bad-edge-pair", "bool-gain", "bool-edge-id", "rule-missing-field",
-        "schedule-unknown-field", "rule-not-an-object",
+        "schedule-unknown-field", "column-not-a-list", "short-column", "long-column",
+        "first-column-not-a-list",
     ],
 )
 def test_schema_errors_name_their_path(compiled_program, edit, path, message):
@@ -109,8 +115,7 @@ def test_schema_errors_name_their_path(compiled_program, edit, path, message):
 
 
 def test_indented_program_file_loads_as_the_compact_one(tmp_path, compiled_program):
-    # cluster-program/1 files were once written with indent=2; only the
-    # whitespace differs.
+    # The reader takes any whitespace; only the whitespace differs.
     compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
     serialize.save_program(compiled_program, str(compact))
     doc = serialize.program_to_dict(compiled_program)
@@ -119,6 +124,55 @@ def test_indented_program_file_loads_as_the_compact_one(tmp_path, compiled_progr
     assert text == json.dumps(doc, separators=(",", ":")) + "\n"
     assert serialize.load_program(str(indented)) == serialize.load_program(str(compact))
     assert serialize.load_program(str(compact)) == compiled_program
+
+
+def assert_loads_bit_for_bit(program, path):
+    """Save ``program`` to ``path`` and check that it loads back equal, with
+    every angle and gain bit for bit and the rules in order."""
+    serialize.save_program(program, str(path))
+    back = serialize.load_program(str(path))
+    assert back == program
+    assert [(s.node_id, float.hex(s.angle)) for s in back.schedule] == [
+        (s.node_id, float.hex(s.angle)) for s in program.schedule
+    ]
+    assert [(*rule[:2], *map(float.hex, rule[2:])) for rule in back.feedforward] == [
+        (*rule[:2], *map(float.hex, rule[2:])) for rule in program.feedforward
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_saved_program_loads_bit_for_bit(tmp_path_factory, n, seed):
+    path = tmp_path_factory.mktemp("round-trip") / "program.json"
+    assert_loads_bit_for_bit(compile(random_symplectic(n, seed))[0], path)
+
+
+def test_n8_program_file_is_columnar(tmp_path):
+    # One object per rule made this file 773 564 bytes; columns make it
+    # 415 615.
+    path = tmp_path / "program.json"
+    serialize.save_program(compile(random_symplectic(8, 7))[0], str(path))
+    assert path.stat().st_size <= 450_000
+
+
+def test_cli_rejects_a_version_1_program(tmp_path, capsys, compiled_program):
+    # cluster-program/1 kept one object per schedule entry and per rule.
+    doc = serialize.program_to_dict(compiled_program)
+    for key in ("schedule", "feedforward"):
+        columns = doc[key]
+        doc[key] = [dict(zip(columns, entry)) for entry in zip(*columns.values())]
+    doc["version"] = "cluster-program/1"
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(VersionError) as err:
+        serialize.load_program(str(path))
+    assert err.value.path == "program.version"
+    for command in ("verify", "simulate"):
+        assert main([command, "--program", str(path)]) == 1
+        assert (
+            "incompatible format version 'cluster-program/1'; "
+            "this build reads 'cluster-program/2'"
+        ) in capsys.readouterr().err
 
 
 def test_target_round_trip(tmp_path):
@@ -173,7 +227,7 @@ def test_cli_verify_fails_on_tampered_angle(tmp_path, capsys):
     program_file = str(tmp_path / "prog.json")
     main(["compile", "--target", target_file, "--out", program_file])
     doc = json.loads(Path(program_file).read_text())
-    doc["schedule"][1]["angle"] += 0.1
+    doc["schedule"]["angle"][1] += 0.1
     with open(program_file, "w") as handle:
         json.dump(doc, handle)
     code = main(["verify", "--program", program_file])
@@ -195,11 +249,13 @@ def test_cli_verify_checks_the_feedforward(tmp_path, capsys, tamper):
     # The pinned-zero map never reads the gains; verify compares them with the
     # exact outcome response and names the worst (source node, output port).
     doc, program_file = compiled_document(tmp_path, random_symplectic(2, 1))
-    rule = doc["feedforward"][0]
+    columns = doc["feedforward"]
+    rule = {name: column[0] for name, column in columns.items()}
     if tamper == "raised-gain":
-        rule["gainX"] += 5.0
+        columns["gainX"][0] += 5.0
     else:
-        del doc["feedforward"][0]
+        for column in columns.values():
+            del column[0]
     expected = abs(rule["gainX"]) if tamper == "dropped-rule" else 5.0
     Path(program_file).write_text(json.dumps(doc))
     capsys.readouterr()
@@ -230,10 +286,10 @@ def test_cli_verify_reports_an_exact_feedforward(tmp_path, capsys):
 @pytest.mark.parametrize(
     "field, value",
     [
-        (("schedule", 3, "angle"), float("nan")),
-        (("feedforward", 0, "gainP"), float("inf")),
+        (("schedule", "angle", 3), float("nan")),
+        (("feedforward", "gainP", 0), float("inf")),
         (("targetMap", "matrix", 0, 1), float("-inf")),
-        (("feedforward", 1, "gainX"), 10 ** 400),
+        (("feedforward", "gainX", 1), 10 ** 400),
     ],
     ids=["nan-angle", "inf-gain", "minus-inf-target", "huge-integer-gain"],
 )
@@ -488,7 +544,7 @@ def test_documents_refuse_non_finite_numbers(tmp_path):
 
 def test_cli_schema_error_is_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"version": "cluster-program/1", "mystery": 1}')
+    bad.write_text('{"version": "cluster-program/2", "mystery": 1}')
     assert main(["verify", "--program", str(bad)]) == 1
     assert "validation error" in capsys.readouterr().err
 
@@ -564,8 +620,7 @@ def test_cli_teleport_program_end_to_end(tmp_path, capsys):
     )
     program = dataclasses.replace(program, feedforward=exact_replay(program).feedforward_rules())
     path = str(tmp_path / "teleport.json")
-    serialize.save_program(program, path)
-    assert serialize.load_program(path) == program
+    assert_loads_bit_for_bit(program, path)
     result = str(tmp_path / "sim.json")
     assert main(
         ["simulate", "--program", path, "--db", "10", "--policy", "sampled",

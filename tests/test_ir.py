@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from cvcluster import CONVENTION, ProgramError, compile, identity, random_symplectic
@@ -186,3 +187,51 @@ def test_port_counts_must_match():
     with pytest.raises(ProgramError) as err:
         program.validate()
     assert str(err.value) == "input and output port counts differ"
+
+
+def loop_feedforward_gains(program: MeasurementProgram) -> dict:
+    """The gains of ``feedforward_gains``, summed rule by rule."""
+    n = program.n
+    port = {p.id: p.port for p in program.graph.output_ports()}
+    gains = {}
+    for rule in program.feedforward:
+        g = gains.setdefault(rule.source_id, np.zeros(2 * n))
+        g[port[rule.target_id]] += rule.gain_x
+        g[n + port[rule.target_id]] += rule.gain_p
+    return gains
+
+
+def test_feedforward_gains_sum_repeated_rules_in_rule_order():
+    # 1e16 + 1 rounds back to 1e16, so rule order gives 1e16 where the
+    # reverse order, 1 + 1 + 1e16, gives 1e16 + 2.
+    rules = (
+        FeedforwardRule(0, 1, 1e16, 0.5),
+        FeedforwardRule(0, 1, 1.0, -0.0),
+        FeedforwardRule(0, 1, 1.0, 0.25),
+    )
+    program = dataclasses.replace(small_program(), feedforward=rules)
+    gains = program.feedforward_gains()
+    assert list(gains) == [0]
+    assert gains[0].tolist() == [1e16, 0.75]
+    assert (1.0 + 1.0) + 1e16 == 1e16 + 2
+    assert dataclasses.replace(small_program(), feedforward=()).feedforward_gains() == {}
+
+
+@pytest.mark.parametrize("n, seed", [(2, 12), (3, 5), (4, 1)])
+def test_feedforward_gains_match_the_rule_loop(n, seed):
+    program, _ = compile(random_symplectic(n, seed))
+    gains, expected = program.feedforward_gains(), loop_feedforward_gains(program)
+    assert list(gains) == list(expected)
+    for node, gain in expected.items():
+        assert [float.hex(g) for g in gains[node]] == [float.hex(g) for g in gain]
+
+
+def test_schedule_entries_and_rules_are_immutable_records():
+    rule = FeedforwardRule(source_id=3, target_id=4, gain_x=0.5, gain_p=-0.25)
+    assert rule == FeedforwardRule(3, 4, 0.5, -0.25)
+    assert (rule.source_id, rule.target_id, rule.gain_x, rule.gain_p) == (3, 4, 0.5, -0.25)
+    entry = ScheduleEntry(node_id=2, angle=0.125)
+    assert (entry.node_id, entry.angle) == (2, 0.125)
+    for record, name in ((rule, "gain_x"), (entry, "angle")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1.0)
