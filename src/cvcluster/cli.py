@@ -117,7 +117,7 @@ def cmd_simulate(args) -> int:
         print("error: sampled policy requires shots >= 1", file=sys.stderr)
         return EXIT_VALIDATION
     # Pre-flight on the exact linear algebra: rejects degenerate teleport
-    # angles and schedules that leave antisqueezed noise on an output.
+    # angles and other measurements that resolve no ancilla noise.
     exact_replay(program)
     pinned = args.policy == "pinned"
     policies = [PINNED_ZERO] if pinned else [sampled(args.seed + k) for k in range(args.shots)]

@@ -24,7 +24,7 @@ class CompileError(RuntimeError):
 class SchemaError(ValueError):
     """A serialized document violates the expected schema.
 
-    Carries the path of the offending field, e.g. ``graph.nodes[3].role``.
+    Carries the path of the offending field, e.g. ``graph.nodes.role[3]``.
     """
 
     def __init__(self, path: str, message: str):

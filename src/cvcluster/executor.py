@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMeasurementError, ProgramError
+from .errors import DegenerateMeasurementError
 from .ir import COUPLING_TELEPORT, MeasurementProgram, ROLE_INPUT, FeedforwardRule
 from .teleport import BELL_SPLITTER
 
@@ -209,7 +209,13 @@ class _Rows(_Frontier):
 def exact_replay(program: MeasurementProgram) -> ExactReplay:
     """Execute the program on symbolic quadratures; see module docstring.
 
-    Edges are applied when ``_Frontier`` schedules them.
+    Edges are applied when ``_Frontier`` schedules them.  No w survives to
+    an output: ``validate`` makes the schedule exactly the non-output nodes
+    and the port counts equal, so there is one measurement per w (per
+    non-input node).  Each measurement either raises
+    DegenerateMeasurementError or eliminates a w that is still live, and
+    the -1 that ``delta`` puts at its pivot leaves that column exactly 0 in
+    every live row, where no later step can bring it back.
     """
     program.validate()
     graph = program.graph
@@ -254,12 +260,6 @@ def exact_replay(program: MeasurementProgram) -> ExactReplay:
         xr = frontier.couple(port.id)
         x_expr, p_expr = frontier.rows[xr : xr + 2]
         for out_row, expr in ((port.port, x_expr), (n + port.port, p_expr)):
-            wmax = float(np.max(np.abs(expr[w0:u0]))) if n_anc else 0.0
-            if wmax > 1e-9:
-                raise ProgramError(
-                    f"output port {port.id} retains antisqueezed ancilla noise "
-                    f"(coefficient {wmax:.2e}); the program under-measures"
-                )
             matrix[out_row] = expr[z0 : z0 + 2 * n]
             noise[out_row] = expr[u0:s0]
             outcome[out_row] = expr[s0:]

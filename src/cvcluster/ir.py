@@ -24,8 +24,7 @@ COUPLING_TELEPORT = "teleport"
 COUPLINGS = (COUPLING_QND, COUPLING_TELEPORT)
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """A cluster node.
 
     ``coupling`` is set on input ports only (how the runtime input mode

@@ -7,11 +7,13 @@ their path, and a version tag mismatch is an explicit incompatibility
 error.  Floats use Python's shortest round-trip representation (lossless,
 17 significant digits where needed).
 
-A program's ``schedule`` and ``feedforward`` grow with its ancilla count, so
-``cluster-program/2`` stores each as an object of equal-length columns, one
-per field (``schedule.angle[k]`` is the angle of measurement k).  Each column,
-and each endpoint column of ``graph.edges``, is checked at once; only a column
-that fails is walked entry by entry, to name its first bad entry.
+A program's node, edge, schedule and rule lists grow with its ancilla count,
+so ``cluster-program/3`` stores each as an object of equal-length columns, one
+per field: ``graph.nodes.role[k]`` is the role of node k, ``graph.edges.u[k]``
+and ``graph.edges.v[k]`` the endpoints of edge k, ``schedule.angle[k]`` the
+angle of measurement k.  A node column holds ``null`` where the node has no
+such field.  Each column is checked at once; only a column that fails is
+walked entry by entry, to name its first bad entry.
 """
 
 import json
@@ -28,10 +30,9 @@ from .ir import (
     ScheduleEntry,
     SynthesisReport,
 )
-from .simulator import GaussianState
 from .symplectic import SymplecticMap
 
-PROGRAM_VERSION = "cluster-program/2"
+PROGRAM_VERSION = "cluster-program/3"
 TARGET_VERSION = "symplectic-target/1"
 STATE_VERSION = "gaussian-state/1"
 REPORT_VERSION = "synthesis-report/1"
@@ -92,13 +93,20 @@ def _columns(value, path: str, checks: dict) -> list:
     return columns
 
 
-def _integers(values: list, path: str, field: str = "") -> list:
-    """``values``, the column at ``path``, all integers; ``field`` follows an
-    entry's index in its path (``graph.edges[3][1]``)."""
-    if not set(map(type, values)) <= {int}:  # no bool
-        for i, v in enumerate(values):
-            _integer(v, f"{path}[{i}]{field}")
-    return values
+def _typed(types: set, expected: str):
+    """A column check: every entry of the column is of one of ``types``
+    (exactly, so a bool is not an int)."""
+    def check(values: list, path: str) -> list:
+        if not set(map(type, values)) <= types:
+            i = next(i for i, v in enumerate(values) if type(v) not in types)
+            raise SchemaError(
+                f"{path}[{i}]", f"expected {expected}, got {type(values[i]).__name__}"
+            )
+        return values
+    return check
+
+
+_integers = _typed({int}, "an integer")
 
 
 def _numbers(values: list, path: str) -> list:
@@ -114,22 +122,16 @@ def _numbers(values: list, path: str) -> list:
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(values)]
 
 
-def _matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != rows:
-        raise SchemaError(path, f"expected {rows} rows")
-    out = np.zeros((rows, cols))
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != cols:
-            raise SchemaError(f"{path}[{i}]", f"expected {cols} entries")
-        for j, entry in enumerate(row):
-            out[i, j] = _number(entry, f"{path}[{i}][{j}]")
-    return out
-
-
 def _vector(value, size: int, path: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != size:
         raise SchemaError(path, f"expected {size} entries")
-    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(value)])
+    return np.array(_numbers(value, path))
+
+
+def _matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
+    if not isinstance(value, list) or len(value) != rows:
+        raise SchemaError(path, f"expected {rows} rows")
+    return np.array([_vector(row, cols, f"{path}[{i}]") for i, row in enumerate(value)])
 
 
 # --- symplectic maps -------------------------------------------------------
@@ -156,6 +158,13 @@ def map_from_dict(doc: dict, path: str) -> SymplecticMap:
 
 # --- programs --------------------------------------------------------------
 
+_NODE_COLUMNS = {  # Node's field order
+    "id": _integers,
+    "role": _typed({str}, "a string"),
+    "coupling": _typed({str, type(None)}, "a string"),
+    "port": _typed({int, type(None)}, "an integer"),
+}
+_EDGE_COLUMNS = {"u": _integers, "v": _integers}
 _SCHEDULE_COLUMNS = {"nodeId": _integers, "angle": _numbers}
 _RULE_COLUMNS = {  # FeedforwardRule's field order
     "sourceNodeId": _integers,
@@ -165,27 +174,24 @@ _RULE_COLUMNS = {  # FeedforwardRule's field order
 }
 
 
+def _to_columns(records, names) -> dict:
+    """The tuples ``records``, in the field order of ``names``, as one list
+    per name."""
+    columns = zip(*records) if records else [()] * len(names)
+    return {name: list(column) for name, column in zip(names, columns)}
+
+
 def program_to_dict(program: MeasurementProgram) -> dict:
-    nodes = []
-    for node in program.graph.nodes:
-        entry = {"id": node.id, "role": node.role}
-        if node.coupling is not None:
-            entry["coupling"] = node.coupling
-        if node.port is not None:
-            entry["port"] = node.port
-        nodes.append(entry)
-    rules = zip(*program.feedforward) if program.feedforward else [()] * len(_RULE_COLUMNS)
     return {
         "version": PROGRAM_VERSION,
         "graph": {
-            "nodes": nodes,
-            "edges": [[u, v] for u, v in program.graph.edges],
+            "nodes": _to_columns(program.graph.nodes, _NODE_COLUMNS),
+            "edges": _to_columns(program.graph.edges, _EDGE_COLUMNS),
         },
-        "schedule": {
-            "nodeId": [s.node_id for s in program.schedule],
-            "angle": [s.angle for s in program.schedule],
-        },
-        "feedforward": {name: list(column) for name, column in zip(_RULE_COLUMNS, rules)},
+        "schedule": _to_columns(
+            [(s.node_id, s.angle) for s in program.schedule], _SCHEDULE_COLUMNS
+        ),
+        "feedforward": _to_columns(program.feedforward, _RULE_COLUMNS),
         "targetMap": map_to_dict(program.target),
     }
 
@@ -195,44 +201,12 @@ def program_from_dict(doc: dict) -> MeasurementProgram:
     _check_version(doc, PROGRAM_VERSION, "program")
     gdoc = doc["graph"]
     _check_keys(gdoc, "graph", {"nodes", "edges"})
-    if not isinstance(gdoc["nodes"], list):
-        raise SchemaError("graph.nodes", "expected a list")
-    nodes = []
-    for i, ndoc in enumerate(gdoc["nodes"]):
-        path = f"graph.nodes[{i}]"
-        _check_keys(ndoc, path, {"id", "role"}, {"coupling", "port"})
-        role = ndoc["role"]
-        if not isinstance(role, str):
-            raise SchemaError(f"{path}.role", "expected a string")
-        coupling = ndoc.get("coupling")
-        if coupling is not None and not isinstance(coupling, str):
-            raise SchemaError(f"{path}.coupling", "expected a string")
-        port = ndoc.get("port")
-        if port is not None:
-            port = _integer(port, f"{path}.port")
-        nodes.append(
-            Node(
-                id=_integer(ndoc["id"], f"{path}.id"),
-                role=role,
-                coupling=coupling,
-                port=port,
-            )
-        )
-    edocs = gdoc["edges"]
-    if not isinstance(edocs, list):
-        raise SchemaError("graph.edges", "expected a list")
-    if not all(type(edoc) is list and len(edoc) == 2 for edoc in edocs):
-        for i, edoc in enumerate(edocs):
-            if not isinstance(edoc, list) or len(edoc) != 2:
-                raise SchemaError(f"graph.edges[{i}]", "expected a pair of node ids")
-    edges = tuple(zip(
-        _integers([edoc[0] for edoc in edocs], "graph.edges", "[0]"),
-        _integers([edoc[1] for edoc in edocs], "graph.edges", "[1]"),
-    ))
+    nodes = _columns(gdoc["nodes"], "graph.nodes", _NODE_COLUMNS)
+    edges = _columns(gdoc["edges"], "graph.edges", _EDGE_COLUMNS)
     schedule = _columns(doc["schedule"], "schedule", _SCHEDULE_COLUMNS)
     feedforward = _columns(doc["feedforward"], "feedforward", _RULE_COLUMNS)
     program = MeasurementProgram(
-        graph=ClusterGraph(nodes=tuple(nodes), edges=edges),
+        graph=ClusterGraph(nodes=tuple(map(Node, *nodes)), edges=tuple(zip(*edges))),
         schedule=tuple(map(ScheduleEntry, *schedule)),
         feedforward=tuple(map(FeedforwardRule, *feedforward)),
         target=map_from_dict(doc["targetMap"], "targetMap"),
@@ -256,7 +230,8 @@ def target_from_dict(doc: dict) -> SymplecticMap:
     return map_from_dict(inner, "target")
 
 
-def state_to_dict(state: GaussianState) -> dict:
+def state_to_dict(state) -> dict:
+    """The document of a ``simulator.GaussianState``."""
     return {
         "version": STATE_VERSION,
         "n": state.n,

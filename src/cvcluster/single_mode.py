@@ -193,15 +193,23 @@ def _deriv(c: np.ndarray) -> np.ndarray:
 
 
 def _roots(c: np.ndarray) -> np.ndarray:
-    """Roots of a trimmed coefficient array, sorted; real when all are."""
+    """Roots of a trimmed coefficient array, sorted; real when all are.  A
+    leading coefficient too small to divide by (a subnormal one) puts a root
+    beyond the float range: it is dropped, and that root with it."""
+    while len(c) > 1:
+        with np.errstate(over="ignore"):
+            monic = c[:-1] / c[-1]
+        if np.isfinite(monic).all():
+            break
+        c = c[:-1]
     if len(c) < 2:
         return np.array([])
     if len(c) == 2:
-        return np.array([-c[0] / c[1]])
+        return -monic
     n = len(c) - 1
     companion = np.zeros((n, n))
     companion.reshape(-1)[n :: n + 1] = 1.0
-    companion[:, -1] -= c[:-1] / c[-1]
+    companion[:, -1] -= monic
     roots = np.linalg.eigvals(companion)
     roots.sort()
     return roots

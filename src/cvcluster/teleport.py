@@ -130,7 +130,11 @@ def _solve_telep(a: float, b: float, c: float, d: float, theta0: float):
     """Angles and kappas for a fixed theta0, or raise at a singular choice."""
     st0 = np.sin(theta0)
     if abs(st0) < 1e-12:
-        raise SingularParameterError(f"theta0={theta0}: cot(theta0) diverges")
+        if abs(1.0 + d) > DEGENERATE_NUMERATOR_TOL:
+            raise SingularParameterError(f"theta0={theta0}: cot(theta0) diverges")
+        # For d = -1 the closed forms stay finite as cot(theta0) diverges:
+        # cot(theta1) tends to 1/c, kappa3 to c and kappa4 to b.
+        return _canonical(theta0, math.atan(c) % math.pi), c + 0.0, b + 0.0
     ct0 = np.cos(theta0) / st0
 
     # cot(theta1) = num1 / den1; den1 = 0 != num1 is theta1 = 0, 0/0 is pi/2.
@@ -152,12 +156,16 @@ def _solve_telep(a: float, b: float, c: float, d: float, theta0: float):
         kappa4 = -b + 0.0
     else:
         kappa4 = num4 / den4
+    return _canonical(theta0, theta1), float(kappa3), float(kappa4)
 
+
+def _canonical(theta0: float, theta1: float) -> TelepAngles:
+    """The canonical angles of a chart point; a degenerate teleportation is
+    a singular choice of theta0."""
     try:
-        angles = canonicalize(TelepAngles(float(theta0), theta1))
+        return canonicalize(TelepAngles(float(theta0), theta1))
     except DegenerateMeasurementError:
         raise SingularParameterError("theta0 leads to a degenerate teleportation") from None
-    return angles, float(kappa3), float(kappa4)
 
 
 def telep_noise_proxy(angles: TelepAngles, kappa3: float, kappa4: float) -> float:
@@ -168,23 +176,24 @@ def telep_noise_proxy(angles: TelepAngles, kappa3: float, kappa4: float) -> floa
 
 
 def select_free_theta0(target: SymplecticMap) -> float:
-    """Pick the theta0 in (0, pi) minimizing the gain proxy.
+    """Pick the theta0 in [0, pi) minimizing the gain proxy.
 
     In u = cot(theta0) the proxy is 4 + kappa3^2 + (A^2/2 + (1 - a + b u)^2) / G^2
     with kappa3 = c - (1 + d) u, G = c - d u, A = (1 - d) - u (2c - (1 + d) u).
-    The candidates are its real stationary points.  Among those whose
-    decomposition reproduces the target (see
-    :data:`~cvcluster.single_mode.RECONSTRUCTION_TOL`) the first of lowest
-    proxy wins.  The identity gets exactly pi/2.
+    The candidates are, for d = -1, theta0 = 0, where the proxy has the finite
+    limit 4 + 3c^2 + b^2 (4 for rotation(pi) and -I), then its real
+    stationary points.  Among those whose decomposition reproduces the
+    target (see :data:`~cvcluster.single_mode.RECONSTRUCTION_TOL`) the first
+    of lowest proxy wins.  The identity gets exactly pi/2.
 
     Raises:
-        SingularParameterError: no theta0 in (0, pi) is admissible, as for
-            rotation(pi), whose proxy 4 + 6 / cot(theta0)^2 has no minimum.
+        SingularParameterError: no theta0 in [0, pi) is admissible.
     """
     a, b, c, d = target.abcd()
-    candidates = (math.atan2(1.0, x) for x in _cot_theta0_stationary_points(a, b, c, d))
+    candidates = [0.0] if abs(1.0 + d) <= DEGENERATE_NUMERATOR_TOL else []
+    candidates += [math.atan2(1.0, x) for x in _cot_theta0_stationary_points(a, b, c, d)]
     return _select(
-        target, candidates, lambda theta0: _params(a, b, c, d, theta0), "theta0 in (0, pi)"
+        target, candidates, lambda theta0: _params(a, b, c, d, theta0), "theta0 in [0, pi)"
     )
 
 
@@ -212,7 +221,7 @@ def decompose_telep_plus_two(
     theta0 is a free parameter; when absent it is chosen to minimize the
     gain proxy.  Raises SingularParameterError when an explicitly supplied
     theta0 is not finite or hits a zero denominator of the closed forms, or
-    when no theta0 in (0, pi) is admissible.
+    when no theta0 in [0, pi) is admissible.
     """
     if target.n != 1:
         raise ValueError("teleport+two-step synthesis applies to one-mode maps")

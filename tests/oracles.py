@@ -358,13 +358,14 @@ def polynomial_free_kappa1(target):
 
 
 def polynomial_free_theta0(target):
-    """The package's theta0 choice, from the roots of
-    :func:`cot_theta0_stationary_polynomial`."""
-    from cvcluster.single_mode import _select
+    """The package's theta0 choice, from theta0 = 0 for d = -1 and the roots
+    of :func:`cot_theta0_stationary_polynomial`."""
+    from cvcluster.single_mode import DEGENERATE_NUMERATOR_TOL, _select
     from cvcluster.teleport import _params
 
     a, b, c, d = target.abcd()
-    candidates = (math.atan2(1.0, x) for x in real_roots(cot_theta0_stationary_polynomial(target)))
+    candidates = [0.0] if abs(1.0 + d) <= DEGENERATE_NUMERATOR_TOL else []
+    candidates += [math.atan2(1.0, x) for x in real_roots(cot_theta0_stationary_polynomial(target))]
     return _select(
-        target, candidates, lambda theta0: _params(a, b, c, d, theta0), "theta0 in (0, pi)"
+        target, candidates, lambda theta0: _params(a, b, c, d, theta0), "theta0 in [0, pi)"
     )

@@ -108,8 +108,9 @@ def degenerate_teleport_program() -> MeasurementProgram:
 
 
 def under_measured_program() -> MeasurementProgram:
-    # two unmeasured cluster nodes feeding one output: the antisqueezed
-    # noise of the unmeasured neighbour survives to the output
+    # node 0's p measurement resolves w1, the x noise of node 1, and node 1's
+    # x measurement then re-measures it: the replay stops at node 1, so no
+    # antisqueezed noise is left unresolved to reach the output
     nodes = (
         Node(0, ROLE_INPUT, coupling=COUPLING_QND, port=0),
         Node(1, ROLE_ANCILLA),
@@ -135,7 +136,8 @@ def test_degenerate_teleport_angles_detected():
 
 
 def test_under_measured_program_rejected():
-    with pytest.raises((ProgramError, DegenerateMeasurementError)):
+    message = "measurement on node 1 resolves no ancilla noise"
+    with pytest.raises(DegenerateMeasurementError, match=message):
         exact_replay(under_measured_program())
 
 

@@ -36,10 +36,10 @@ def test_round_trip_preserves_angles_exactly(compiled_program):
 
 def test_unknown_field_rejected(compiled_program):
     doc = serialize.program_to_dict(compiled_program)
-    doc["graph"]["nodes"][2]["colour"] = "red"
+    doc["graph"]["nodes"]["colour"] = ["red"] * len(compiled_program.graph.nodes)
     with pytest.raises(SchemaError) as err:
         serialize.program_from_dict(doc)
-    assert "graph.nodes[2].colour" in str(err.value)
+    assert str(err.value) == "graph.nodes.colour: unknown field"
 
 
 def test_version_mismatch_rejected(compiled_program):
@@ -70,7 +70,7 @@ def _set(path, value):
 @pytest.mark.parametrize(
     "edit, path, message",
     [
-        (_set(["graph", "nodes", 0], 5), "graph.nodes[0]", "expected an object, got int"),
+        (_set(["graph", "nodes"], 5), "graph.nodes", "expected an object, got int"),
         (_drop("schedule"), "program.schedule", "missing required field"),
         (_set(["schedule", "angle", 1], "0.5"), "schedule.angle[1]", "expected a number, got str"),
         (_set(["schedule", "nodeId", 0], 1.0), "schedule.nodeId[0]", "expected an integer, got float"),
@@ -78,30 +78,39 @@ def _set(path, value):
         (_set(["targetMap", "matrix", 1], [0.0, 1.0, 0.0]), "targetMap.matrix[1]", "expected 2 entries"),
         (_set(["targetMap", "displacement"], [0.0]), "targetMap.displacement", "expected 2 entries"),
         (_set(["targetMap", "n"], 0), "targetMap.n", "mode count must be >= 1"),
-        (_set(["graph", "nodes"], {}), "graph.nodes", "expected a list"),
-        (_set(["graph", "edges"], None), "graph.edges", "expected a list"),
+        (_set(["targetMap", "n"], 1.0), "targetMap.n", "expected an integer, got float"),
+        (_set(["graph", "nodes", "id"], {}), "graph.nodes.id", "expected a list"),
+        (_set(["graph", "edges", "u"], None), "graph.edges.u", "expected a list"),
         (_set(["schedule"], "all"), "schedule", "expected an object, got str"),
         (_set(["feedforward"], [0]), "feedforward", "expected an object, got list"),
-        (_set(["graph", "nodes", 1, "role"], 1), "graph.nodes[1].role", "expected a string"),
-        (_set(["graph", "nodes", 0, "coupling"], ["qnd"]), "graph.nodes[0].coupling", "expected a string"),
-        (_set(["graph", "edges", 2], [0, 1, 2]), "graph.edges[2]", "expected a pair of node ids"),
+        (_set(["graph", "nodes", "role", 3], 1), "graph.nodes.role[3]", "expected a string, got int"),
+        (_set(["graph", "nodes", "coupling", 0], ["qnd"]), "graph.nodes.coupling[0]",
+         "expected a string, got list"),
+        (_drop("graph", "edges", "v", -1), "graph.edges.v", "expected 4 entries"),
         (_set(["feedforward", "gainX", 3], True), "feedforward.gainX[3]", "expected a number, got bool"),
-        (_set(["graph", "edges", 1], [0, True]), "graph.edges[1][1]", "expected an integer, got bool"),
+        (_set(["graph", "edges", "v", 1], True), "graph.edges.v[1]", "expected an integer, got bool"),
         (_drop("feedforward", "gainP"), "feedforward.gainP", "missing required field"),
         (_set(["schedule", "colour"], ["red"] * 4), "schedule.colour", "unknown field"),
         (_set(["feedforward", "targetNodeId"], {}), "feedforward.targetNodeId", "expected a list"),
         (_drop("feedforward", "gainP", -1), "feedforward.gainP", "expected 4 entries"),
         (_set(["schedule", "angle"], [0.0] * 5), "schedule.angle", "expected 4 entries"),
         (_set(["schedule", "nodeId"], 7), "schedule.nodeId", "expected a list"),
+        (_set(["graph", "nodes", "port", 2], True), "graph.nodes.port[2]", "expected an integer, got bool"),
+        (_set(["graph", "nodes", "port", 1], "0"), "graph.nodes.port[1]", "expected an integer, got str"),
+        (_drop("graph", "nodes", "port"), "graph.nodes.port", "missing required field"),
+        (_drop("graph", "nodes", "role", 0), "graph.nodes.role", "expected 5 entries"),
+        (_set(["graph", "nodes", "id", 4], 4.0), "graph.nodes.id[4]", "expected an integer, got float"),
+        (_set(["graph", "edges"], [[0, 1]]), "graph.edges", "expected an object, got list"),
     ],
     ids=[
         "record-not-an-object", "missing-field", "non-number", "non-integer",
-        "matrix-rows", "matrix-row-entries", "vector-entries", "no-modes",
+        "matrix-rows", "matrix-row-entries", "vector-entries", "no-modes", "float-mode-count",
         "nodes-not-a-list", "edges-not-a-list", "schedule-not-an-object",
         "feedforward-not-an-object", "non-string-role", "non-string-coupling",
         "bad-edge-pair", "bool-gain", "bool-edge-id", "rule-missing-field",
         "schedule-unknown-field", "column-not-a-list", "short-column", "long-column",
-        "first-column-not-a-list",
+        "first-column-not-a-list", "bool-port", "string-port", "missing-node-column",
+        "short-node-column", "float-node-id", "edges-as-pairs",
     ],
 )
 def test_schema_errors_name_their_path(compiled_program, edit, path, message):
@@ -148,31 +157,44 @@ def test_saved_program_loads_bit_for_bit(tmp_path_factory, n, seed):
 
 
 def test_n8_program_file_is_columnar(tmp_path):
-    # One object per rule made this file 773 564 bytes; columns make it
-    # 415 615.
+    # One object per rule made this file 773 564 bytes; schedule and rule
+    # columns made it 415 615, and node and edge columns 408 402.
     path = tmp_path / "program.json"
     serialize.save_program(compile(random_symplectic(8, 7))[0], str(path))
     assert path.stat().st_size <= 450_000
 
 
+def _records(columns: dict) -> list:
+    """Equal-length columns as one object per entry, without its nulls."""
+    return [
+        {key: value for key, value in zip(columns, entry) if value is not None}
+        for entry in zip(*columns.values())
+    ]
+
+
 def test_cli_rejects_a_version_1_program(tmp_path, capsys, compiled_program):
-    # cluster-program/1 kept one object per schedule entry and per rule.
+    # cluster-program/2 kept one object per node and one id pair per edge;
+    # cluster-program/1 also one object per schedule entry and per rule.
     doc = serialize.program_to_dict(compiled_program)
-    for key in ("schedule", "feedforward"):
-        columns = doc[key]
-        doc[key] = [dict(zip(columns, entry)) for entry in zip(*columns.values())]
-    doc["version"] = "cluster-program/1"
-    path = tmp_path / "old.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(VersionError) as err:
-        serialize.load_program(str(path))
-    assert err.value.path == "program.version"
-    for command in ("verify", "simulate"):
-        assert main([command, "--program", str(path)]) == 1
-        assert (
-            "incompatible format version 'cluster-program/1'; "
-            "this build reads 'cluster-program/2'"
-        ) in capsys.readouterr().err
+    graph = doc["graph"]
+    graph["nodes"] = _records(graph["nodes"])
+    graph["edges"] = [list(pair) for pair in zip(graph["edges"]["u"], graph["edges"]["v"])]
+    for version in (2, 1):
+        if version == 1:
+            doc["schedule"] = _records(doc["schedule"])
+            doc["feedforward"] = _records(doc["feedforward"])
+        doc["version"] = f"cluster-program/{version}"
+        path = tmp_path / f"v{version}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(VersionError) as err:
+            serialize.load_program(str(path))
+        assert err.value.path == "program.version"
+        for command in ("verify", "simulate"):
+            assert main([command, "--program", str(path)]) == 1
+            assert capsys.readouterr().err == (
+                f"validation error: program.version: incompatible format version "
+                f"'cluster-program/{version}'; this build reads 'cluster-program/3'\n"
+            )
 
 
 def test_target_round_trip(tmp_path):
@@ -396,6 +418,38 @@ def test_cli_compile_rejects_bad_free_param(tmp_path, capsys, target, free_param
     assert not program_file.exists()
 
 
+def test_cli_rejects_an_unparsable_db(tmp_path, capsys):
+    target_file = write_target(tmp_path, identity(1))
+    program_file = str(tmp_path / "prog.json")
+    main(["compile", "--target", target_file, "--out", program_file])
+    capsys.readouterr()
+    assert main(["simulate", "--program", program_file, "--db", "abc"]) == 1
+    assert "argument --db: cannot parse squeezing 'abc'" in capsys.readouterr().err
+
+
+def _csv_rows(text: str) -> list:
+    return [line.split(",") for line in text.splitlines()]
+
+
+@pytest.mark.parametrize(
+    "command, options, parse",
+    [
+        ("simulate", ["--policy", "sampled", "--seed", "3", "--shots", "2"], json.loads),
+        ("sweep", ["--db", "5,10"], _csv_rows),
+    ],
+    ids=["simulate-json", "sweep-csv"],
+)
+def test_cli_prints_what_out_would_write(tmp_path, capsys, command, options, parse):
+    target_file = write_target(tmp_path, random_symplectic(1, 5))
+    program_file = str(tmp_path / "prog.json")
+    main(["compile", "--target", target_file, "--out", program_file])
+    out_file = tmp_path / "out"
+    assert main([command, "--program", program_file, *options, "--out", str(out_file)]) == 0
+    capsys.readouterr()
+    assert main([command, "--program", program_file, *options]) == 0
+    assert parse(capsys.readouterr().out) == parse(out_file.read_text())
+
+
 @pytest.mark.parametrize(
     "command, db",
     [("simulate", "nan"), ("verify", "nan"), ("verify", "-inf"), ("sweep", "nan,10")],
@@ -453,14 +507,19 @@ def test_cli_sweep_rejects_empty_list(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_test_dependency():
+    # Run time needs numpy alone; scipy, hypothesis and pytest are the test
+    # extra of pyproject.toml.
     import subprocess
     import sys
     from pathlib import Path
 
     import cvcluster
 
-    code = "import sys, cvcluster; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, cvcluster, cvcluster.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in {'scipy', 'hypothesis', 'pytest', '_pytest'}))"
+    )
     env = {"PYTHONPATH": str(Path(cvcluster.__file__).parents[1]), "PATH": ""}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
@@ -544,7 +603,7 @@ def test_documents_refuse_non_finite_numbers(tmp_path):
 
 def test_cli_schema_error_is_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"version": "cluster-program/2", "mystery": 1}')
+    bad.write_text('{"version": "cluster-program/3", "mystery": 1}')
     assert main(["verify", "--program", str(bad)]) == 1
     assert "validation error" in capsys.readouterr().err
 

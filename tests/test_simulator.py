@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from cvcluster import (
     DegenerateConditioningError,
     GaussianState,
+    OutcomePolicy,
     PINNED_ZERO,
     apply_map,
     build_cluster,
@@ -446,3 +447,47 @@ def test_validate_state_rejects_unphysical():
     bad = GaussianState(np.zeros(2), np.diag([0.1, 0.1]))
     with pytest.raises(ValueError, match="unphysical"):
         validate_state(bad)
+
+
+def test_apply_map_on_chosen_modes():
+    state = coherent(2, [0.1, 0.2, 0.3, 0.4])  # x0, x1, p0, p1
+    out = apply_map(state, squeeze(0.3), modes=[1])
+    assert_allclose(out.mean, [0.1, 0.2 * np.exp(0.3), 0.3, 0.4 * np.exp(-0.3)], rtol=1e-15)
+    assert_allclose(np.diag(out.cov), [0.25, np.exp(0.6) / 4, 0.25, np.exp(-0.6) / 4], rtol=1e-15)
+    assert np.count_nonzero(out.cov - np.diag(np.diag(out.cov))) == 0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GaussianState(np.zeros(3), np.eye(3)), "mean must be a vector of even length"),
+        (lambda: GaussianState(np.zeros((2, 2)), np.eye(4)), "mean must be a vector of even length"),
+        (lambda: GaussianState(np.zeros(2), np.eye(4)), "covariance shape does not match the mean"),
+        (lambda: OutcomePolicy("random"), "unknown outcome policy 'random'"),
+        (lambda: apply_map(vacuum(2), squeeze(0.3)), "map acts on 1 modes, state has 2"),
+        (
+            lambda: validate_state(GaussianState(np.zeros(2), [[0.25, 0.1], [0.0, 0.25]])),
+            "covariance asymmetry 1.00e-01 exceeds 1e-12",
+        ),
+        (lambda: build_cluster(ClusterGraph(nodes=(), edges=()), 1.0), "graph has no nodes"),
+        (
+            lambda: run_program(teleport_identity_program(), vacuum(2), 1.0),
+            "program has 1 ports but input has 2 modes",
+        ),
+        (lambda: homodyne_measure(vacuum(1), 1, 0.0), "mode 1 out of range for n=1"),
+        (lambda: homodyne_measure(vacuum(2), -1, 0.0), "mode -1 out of range for n=2"),
+    ],
+    ids=[
+        "odd-mean", "matrix-mean", "cov-shape", "unknown-policy", "map-size",
+        "asymmetric-cov", "empty-cluster", "input-size", "mode-above", "mode-below",
+    ],
+)
+def test_bad_arguments_are_named(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_states_and_maps_are_unequal_to_other_types():
+    assert vacuum(1) != "vacuum"
+    assert identity(1) != "identity"

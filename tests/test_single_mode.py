@@ -10,6 +10,7 @@ from cvcluster import (
     SingularParameterError,
     SymplecticMap,
     decompose_four_step,
+    decompose_telep_plus_two,
     fourier,
     identity,
     random_symplectic,
@@ -33,7 +34,7 @@ from oracles import (
     three_step_grid_minimum,
 )
 from cvcluster import elementary_step
-from cvcluster.single_mode import _kappa1_stationary_points
+from cvcluster.single_mode import _kappa1_stationary_points, _params, _roots, _select
 from cvcluster.teleport import _cot_theta0_stationary_points, select_free_theta0
 
 
@@ -277,3 +278,36 @@ def test_rsr_random_reconstruction():
         assert xi >= 0.0
         rebuilt = rotation(phi1).matrix @ squeeze(xi).matrix @ rotation(phi2).matrix
         assert np.max(np.abs(rebuilt - target.matrix)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (decompose_four_step, "four-step synthesis applies to one-mode maps"),
+        (three_step_reachable, "reachability test applies to one-mode maps"),
+        (rsr_decompose, "rotation-squeeze-rotation applies to one-mode maps"),
+        (decompose_telep_plus_two, "teleport+two-step synthesis applies to one-mode maps"),
+    ],
+    ids=["four-step", "three-step", "rsr", "teleport"],
+)
+def test_one_mode_charts_refuse_two_modes(call, message):
+    with pytest.raises(ValueError) as err:
+        call(identity(2))
+    assert str(err.value) == message
+
+
+def test_roots_drop_a_root_beyond_the_float_range():
+    # A subnormal leading coefficient puts a root near -1/5e-324, which no
+    # float holds; dividing by it overflows.
+    assert _roots(np.array([1.0, 5e-324])).size == 0
+    assert_allclose(_roots(np.array([1.0, 2.0, 5e-324])), [-0.5], rtol=1e-15)
+
+
+def test_select_names_the_free_parameter_when_no_candidate_is_admissible():
+    # kappa1 = c/d zeroes kappa3 while the numerators of kappa2 and kappa4
+    # stay nonzero: a pole, which select skips.
+    target = random_symplectic(1, 3)
+    a, b, c, d = target.abcd()
+    with pytest.raises(SingularParameterError) as err:
+        _select(target, [c / d], lambda kappa1: _params(a, b, c, d, kappa1), "kappa1")
+    assert str(err.value) == "no kappa1 is admissible for this target"

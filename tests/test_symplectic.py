@@ -203,3 +203,26 @@ def test_random_symplectic():
     assert symplectic_residual(a) < 1e-10
     one = random_symplectic(1, 7)
     assert abs(np.linalg.det(one.matrix) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SymplecticMap(1, np.eye(4)), "matrix shape (4, 4) does not match n=1"),
+        (lambda: SymplecticMap(1, np.eye(2), [0.0]), "displacement shape (1,) does not match n=1"),
+        (lambda: identity(2).abcd(), "abcd() is defined for one-mode maps only"),
+        (lambda: qnd_gate(2, 0, 2), "mode indices (0, 2) out of range for n=2"),
+        (lambda: qnd_gate(2, -1, 1), "mode indices (-1, 1) out of range for n=2"),
+        (lambda: embed(squeeze(0.3), 2, [2]), "mode indices [2] out of range for n=2"),
+        (lambda: embed(squeeze(0.3), 2, [0, 1]), "expected 1 mode indices, got 2"),
+        (lambda: random_symplectic(0), "n must be >= 1"),
+    ],
+    ids=[
+        "matrix-shape", "displacement-shape", "abcd-two-mode", "qnd-mode-above",
+        "qnd-mode-below", "embed-mode-out-of-range", "embed-mode-count", "no-modes",
+    ],
+)
+def test_bad_arguments_are_named(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -26,7 +26,8 @@ from cvcluster import (
     squeeze,
     symplectic_residual,
 )
-from cvcluster.teleport import select_free_theta0, telep_noise_proxy
+from cvcluster.single_mode import RECONSTRUCTION_TOL
+from cvcluster.teleport import _wrap_angle, select_free_theta0, telep_noise_proxy
 
 from oracles import d_one_family, d_zero_family, grid_free_theta0, near_d_one_targets
 
@@ -151,20 +152,48 @@ def test_pinned_theta0_must_be_finite():
             decompose_telep_plus_two(fourier(), theta0=theta0)
 
 
-def test_rotation_by_pi_family_has_no_admissible_theta0():
+def test_rotation_by_pi_family_decomposes_at_theta0_zero():
     # (-1 b; 0 -1) zeroes the cot(theta1) denominator 2c - (1 + d) cot(theta0)
     # for every theta0 while its numerator 1 - d = 2 stays, so theta1 = 0.  In
     # v = 1/cot(theta0) the proxy is 4 + 6 v^2 + 4 b v + b^2, smallest at
-    # v = -b/3 with 4 + b^2/3.  For b = 0 that is theta0 = 0, outside the chart.
+    # v = -b/3 with 4 + b^2/3.  For b = 0 that is v = 0, theta0 = 0, where the
+    # closed forms have the finite limits theta1 = 0, kappa3 = c, kappa4 = b.
     for target in (rotation(np.pi), SymplecticMap(1, -np.eye(2))):
-        with pytest.raises(SingularParameterError, match=r"no theta0 in \(0, pi\) is admissible"):
-            decompose_telep_plus_two(target)
+        params = decompose_telep_plus_two(target)
+        assert params.free_param == 0.0
+        assert proxy(params) == 4.0
+        assert np.max(np.abs(params.reconstruct().matrix - target.matrix)) < 1e-12
     for b in (0.7, -2.0):
         target = SymplecticMap(1, np.array([[-1.0, b], [0.0, -1.0]]))
         params = decompose_telep_plus_two(target)
         assert params.angles.theta1 == 0.0
         assert proxy(params) == pytest.approx(4.0 + b * b / 3.0, rel=1e-12)
         assert np.max(np.abs(params.reconstruct().matrix - target.matrix)) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=st.floats(-10.0, 10.0), c=st.floats(-10.0, 10.0))
+@example(b=0.0, c=2.225073858507e-311)  # the root of a subnormal-led linear overflows
+def test_d_minus_one_family_decomposes_within_its_theta0_zero_proxy(b, c):
+    # (a b; c -1) with a = -1 - bc: at theta0 = 0, theta1 = atan(c) mod pi,
+    # kappa3 = c and kappa4 = b reproduce it exactly with proxy 4 + 3c^2 + b^2.
+    target = SymplecticMap(1, np.array([[-1.0 - b * c, b], [c, -1.0]]))
+    params = decompose_telep_plus_two(target)
+    limit = RECONSTRUCTION_TOL * max(1.0, np.max(np.abs(target.matrix)))
+    assert np.max(np.abs(params.reconstruct().matrix - target.matrix)) <= limit
+    assert proxy(params) <= (4.0 + 3.0 * c * c + b * b) * (1.0 + 1e-12)
+    at_zero = decompose_telep_plus_two(target, theta0=0.0)
+    assert (at_zero.kappa3, at_zero.kappa4) == (c + 0.0, b + 0.0)
+    assert np.max(np.abs(at_zero.reconstruct().matrix - target.matrix)) <= limit
+
+
+def test_pinned_theta0_zero_needs_d_minus_one():
+    # Only for d = -1 do the closed forms have finite limits at theta0 = 0.
+    target = SymplecticMap(1, np.array([[2.0, 0.5], [0.0, 0.5]]))
+    for theta0 in (0.0, np.pi):
+        with pytest.raises(SingularParameterError) as err:
+            decompose_telep_plus_two(target, theta0=theta0)
+        assert str(err.value) == f"theta0={theta0}: cot(theta0) diverges"
 
 
 def test_select_on_the_theta1_zero_edge():
@@ -311,3 +340,11 @@ def test_mtel_factored_when_cos_theta_minus_is_negative(theta_plus, theta_minus)
     assert np.tanh(r) == pytest.approx(np.sin(theta_minus + np.pi), abs=1e-15)
     rebuilt = rotation(phi1).matrix @ squeeze(r).matrix @ rotation(phi2).matrix
     assert_allclose(rebuilt, mtel(theta_plus, theta_minus).matrix, atol=1e-12)
+
+
+def test_wrap_angle_takes_minus_pi_to_pi():
+    # math.remainder rounds half to even, so -pi and 3 pi land on -pi first.
+    for theta in (-math.pi, 3.0 * math.pi, -5.0 * math.pi):
+        assert _wrap_angle(theta) == math.pi
+    assert _wrap_angle(math.pi) == math.pi
+    assert _wrap_angle(-0.5) == -0.5
