@@ -22,6 +22,16 @@ frontier, the nodes that are coupled but not yet measured, so its memory is
 O(live frontier x basis width) rather than O(nodes x basis width).  The
 frontier's edge scheduler, ``_Frontier``, is shared with the simulator,
 which drives it with Gaussian moments in place of coefficient rows.
+
+Internally the rows order their columns by event, so that every row
+operation touches only the prefix in use: first a pool of w columns, one
+per frontier slot, then the 2n input quadratures, then each u_j when its
+node opens and each s_k when measurement k happens.  A pool of one column
+per slot is enough, as each measurement eliminates one w, so the w's in use
+never outnumber the live non-input slots.  A pivot's column is exactly 0 in
+every live row after its substitution, so the next node to open takes it.
+The outputs' u and s columns are gathered back to graph and schedule order
+at the end; ``ExactReplay`` holds the [z | w | u | s] responses above.
 """
 
 from dataclasses import dataclass
@@ -172,38 +182,55 @@ class _Frontier:
 
 
 class _Rows(_Frontier):
-    """Coefficient rows of the live quadratures over the replay's basis,
-    whose first 2n columns are the input quadratures."""
+    """Coefficient rows of the live quadratures over the replay's internal
+    columns: the w pool, the 2n input quadratures, then each u and each s
+    in the order it appears; every operation acts on ``rows[:, :end]``."""
 
-    def __init__(self, graph, basis: dict, width: int):
+    def __init__(self, graph, n_meas: int):
         super().__init__(graph)
-        self.basis = basis  # ancilla id -> (x column, p column) of its own noises
         n = self.size // 2
-        self.rows = np.zeros((self.size, width))
-        self.rows[0::2, :n] = np.eye(n)
-        self.rows[1::2, n : 2 * n] = np.eye(n)
+        self.ancillas = {anc.id: j for j, anc in enumerate(graph.ancilla_nodes())}
+        self.pool = n  # w columns, one per slot
+        self.spare = list(range(n))  # w columns that no live row references
+        self.owner = np.zeros(n, dtype=int)  # graph-order ancilla of each w column
+        self.u = np.zeros(len(self.ancillas), dtype=int)  # u column of each ancilla, past the pool
+        self.end = 3 * n  # columns in use
+        self.rows = np.zeros((self.size, self.end + len(self.ancillas) + n_meas))
+        self.rows[0::2, n : 2 * n] = np.eye(n)
+        self.rows[1::2, 2 * n : 3 * n] = np.eye(n)
 
     def _grow(self, size: int) -> None:
-        grown = np.zeros((size, self.rows.shape[1]))
-        grown[: len(self.rows)] = self.rows
+        old, pool = self.pool, size // 2
+        grown = np.zeros((size, pool + self.rows.shape[1] - old))
+        grown[: len(self.rows), :old] = self.rows[:, :old]
+        grown[: len(self.rows), pool : pool + self.end - old] = self.rows[:, old : self.end]
         self.rows = grown
+        self.spare += range(old, pool)
+        self.owner = np.concatenate((self.owner, np.zeros(pool - old, dtype=int)))
+        self.end += pool - old
+        self.pool = pool
 
     def _open(self, node_id, xr: int) -> None:
-        xc, pc = self.basis[node_id]
-        self.rows[xr, xc] = 1.0
-        self.rows[xr + 1, pc] = 1.0
+        j = self.ancillas[node_id]
+        w = self.spare.pop()
+        self.owner[w] = j
+        self.u[j] = self.end - self.pool
+        self.rows[xr, w] = 1.0
+        self.rows[xr + 1, self.end] = 1.0
+        self.end += 1
 
     def _qnd(self, xu: int, xv: int) -> None:
         # QND: p_u += x_v, p_v += x_u
-        self.rows[xu + 1] += self.rows[xv]
-        self.rows[xv + 1] += self.rows[xu]
+        rows, end = self.rows, self.end
+        rows[xu + 1, :end] += rows[xv, :end]
+        rows[xv + 1, :end] += rows[xu, :end]
 
     def _bell(self, xa: int, xb: int) -> None:
         idx = [xa, xb, xa + 1, xb + 1]
-        self.rows[idx] = BELL_SPLITTER @ self.rows[idx]
+        self.rows[idx, : self.end] = BELL_SPLITTER @ self.rows[idx, : self.end]
 
     def _clear(self, xr: int) -> None:
-        self.rows[xr : xr + 2] = 0.0
+        self.rows[xr : xr + 2, : self.end] = 0.0
 
 
 def exact_replay(program: MeasurementProgram) -> ExactReplay:
@@ -215,28 +242,32 @@ def exact_replay(program: MeasurementProgram) -> ExactReplay:
     non-input node).  Each measurement either raises
     DegenerateMeasurementError or eliminates a w that is still live, and
     the -1 that ``delta`` puts at its pivot leaves that column exactly 0 in
-    every live row, where no later step can bring it back.
+    every live row; the eliminated w never comes back, and its column
+    returns to the pool for the next node that opens.
+
+    The rows use the internal column layout of the module docstring.  The
+    pivot is the largest |coefficient| in the w pool, ties going to the
+    lowest graph-order ancilla; the measurement is degenerate when that
+    coefficient is below PIVOT_TOL times max(1, max |coefficient|), the
+    max taken over every column in use (unused columns are exact zeros).
     """
     program.validate()
     graph = program.graph
-    ports = graph.input_ports()
-    ancillas = graph.ancilla_nodes()
-    n = len(ports)
-    n_anc = len(ancillas)
+    n = len(graph.input_ports())
     n_meas = len(program.schedule)
-
-    z0, w0, u0, s0 = 0, 2 * n, 2 * n + n_anc, 2 * n + 2 * n_anc
-    basis = {anc.id: (w0 + j, u0 + j) for j, anc in enumerate(ancillas)}
-    frontier = _Rows(graph, basis, s0 + n_meas)
+    frontier = _Rows(graph, n_meas)
+    outcomes = np.zeros(n_meas, dtype=int)  # s column of each outcome, past the pool
 
     for k, entry in enumerate(program.schedule):
         xr = frontier.couple(entry.node_id)
-        rows = frontier.rows
-        q = np.sin(entry.angle) * rows[xr] + np.cos(entry.angle) * rows[xr + 1]
-        wcoeff = q[w0:u0]
-        pivot = int(np.argmax(np.abs(wcoeff)))
-        c = wcoeff[pivot]
-        if abs(c) < PIVOT_TOL * max(1.0, float(np.max(np.abs(q)))):
+        rows, pool, s = frontier.rows, frontier.pool, frontier.end
+        # q spans the columns in use and the new outcome's, which is still 0.
+        q = np.sin(entry.angle) * rows[xr, : s + 1] + np.cos(entry.angle) * rows[xr + 1, : s + 1]
+        wabs = abs(q[:pool])
+        ties = (wabs == wabs.max()).nonzero()[0]
+        pivot = int(ties[frontier.owner[ties].argmin()] if len(ties) > 1 else ties[0])
+        c = q[pivot]
+        if abs(c) < PIVOT_TOL * max(1.0, float(abs(q).max())):
             raise DegenerateMeasurementError(
                 f"measurement on node {entry.node_id} resolves no ancilla noise "
                 "(degenerate or redundant homodyne setting)"
@@ -244,30 +275,28 @@ def exact_replay(program: MeasurementProgram) -> ExactReplay:
         # Pin q = s_k and solve for the pivot noise variable,
         #   w_pivot = (s_k - (q - c w_pivot)) / c,
         # as the change delta = w_pivot - (old w_pivot) of every row using it.
-        delta = q / -c
-        delta[w0 + pivot] = -1.0
-        delta[s0 + k] = 1.0 / c
+        delta = np.divide(q, -c, out=q)
+        delta[pivot] = -1.0
+        delta[s] = 1.0 / c
+        outcomes[k] = s - pool
+        frontier.end = s + 1
         # Rank-1 substitution in the live rows that reference the pivot noise;
-        # the measured node's own rows are released (zeroed) first.
+        # the measured node's own rows are released (zeroed) first, and the
+        # pivot column, now 0 in every live row, returns to the pool.
         frontier.release(entry.node_id)
-        for row in np.flatnonzero(rows[:, w0 + pivot]):
-            rows[row] += rows[row, w0 + pivot] * delta
+        frontier.spare.append(pivot)
+        for row in rows[:, pivot].nonzero()[0]:
+            rows[row, : s + 1] += rows[row, pivot] * delta
 
-    matrix = np.zeros((2 * n, 2 * n))
-    outcome = np.zeros((2 * n, n_meas))
-    noise = np.zeros((2 * n, n_anc))
+    out = np.zeros(2 * n, dtype=int)
     for port in graph.output_ports():
         xr = frontier.couple(port.id)
-        x_expr, p_expr = frontier.rows[xr : xr + 2]
-        for out_row, expr in ((port.port, x_expr), (n + port.port, p_expr)):
-            matrix[out_row] = expr[z0 : z0 + 2 * n]
-            noise[out_row] = expr[u0:s0]
-            outcome[out_row] = expr[s0:]
+        out[port.port], out[n + port.port] = xr, xr + 1
+    picked, pool = frontier.rows[out], frontier.pool
     return ExactReplay(
-        matrix=matrix,
-        outcome_response=outcome,
-        noise_response=noise,
+        matrix=picked[:, pool : pool + 2 * n].copy(),
+        outcome_response=picked[:, pool + outcomes],
+        noise_response=picked[:, pool + frontier.u],
         measured_ids=tuple(e.node_id for e in program.schedule),
         output_ids=tuple(p.id for p in graph.output_ports()),
     )
-

@@ -171,11 +171,34 @@ def test_effective_map_close_to_exact_replay_at_high_squeezing():
     assert np.max(np.abs(effective.matrix - replay.matrix)) < 1e-8
 
 
-def shuffled_schedule_program() -> MeasurementProgram:
-    program, _ = compile(random_symplectic(2, 21))
+def shuffled_schedule_program(n: int = 2, seed: int = 21) -> MeasurementProgram:
+    # most of the cluster is live at once, so the replay's w pool grows
+    # several times and recycles the columns its pivots free
+    program, _ = compile(random_symplectic(n, seed))
     schedule = list(program.schedule)
     np.random.default_rng(3).shuffle(schedule)
     return dataclasses.replace(program, schedule=tuple(schedule))
+
+
+def qnd_chain_program() -> MeasurementProgram:
+    # input 0 -> ancilla 1 -> output 2: at node 1 the pivot |c| ~ 1.2e-9 is
+    # degenerate only against the u and s coefficients (max |q| ~ 1.414);
+    # the z and w coefficients reach 1.0
+    nodes = (
+        Node(0, ROLE_INPUT, coupling=COUPLING_QND, port=0),
+        Node(1, ROLE_ANCILLA),
+        Node(2, ROLE_OUTPUT, port=0),
+    )
+    graph = ClusterGraph(nodes=nodes, edges=((0, 1), (1, 2)))
+    return MeasurementProgram(
+        graph=graph,
+        schedule=(
+            ScheduleEntry(0, -0.7853593730871928),
+            ScheduleEntry(1, 1.5707963279585941),
+        ),
+        feedforward=(),
+        target=identity(1),
+    )
 
 
 def output_edge_program() -> MeasurementProgram:
@@ -205,6 +228,7 @@ def output_edge_program() -> MeasurementProgram:
         lambda: compile(random_symplectic(4, 2))[0],
         lambda: teleport_program(0.0, 0.0),
         shuffled_schedule_program,
+        lambda: shuffled_schedule_program(4, 2),
         output_edge_program,
     ],
     ids=[
@@ -214,6 +238,7 @@ def output_edge_program() -> MeasurementProgram:
         "random-n4",
         "teleport-identity",
         "shuffled-n2",
+        "shuffled-n4",
         "output-edge",
     ],
 )
@@ -226,7 +251,9 @@ def test_replay_matches_dense_oracle(make_program):
     assert np.max(np.abs(replay.noise_response - noise)) < 1e-12
 
 
-@pytest.mark.parametrize("make_program", [degenerate_teleport_program, under_measured_program])
+@pytest.mark.parametrize(
+    "make_program", [degenerate_teleport_program, under_measured_program, qnd_chain_program]
+)
 def test_replay_fails_like_dense_oracle(make_program):
     program = make_program()
     with pytest.raises((ProgramError, DegenerateMeasurementError)) as oracle_error:
