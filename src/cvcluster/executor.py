@@ -20,8 +20,9 @@ exp(-2r)/4) gives the exact finite-squeezing excess covariance.
 The replay streams over the schedule and keeps rows only for the live
 frontier, the nodes that are coupled but not yet measured, so its memory is
 O(live frontier x basis width) rather than O(nodes x basis width).  The
-frontier's edge scheduler, ``_Frontier``, is shared with the simulator,
-which drives it with Gaussian moments in place of coefficient rows.
+frontier's edge scheduler, ``_Frontier``, is shared with the simulator: its
+``_Recorder`` writes a program's schedule once as a ``Tape`` of blocks, which
+every simulator pass replays on Gaussian moments in place of coefficient rows.
 
 Internally the rows order their columns by event, so that every row
 operation touches only the prefix in use: first a pool of w columns, one
@@ -35,6 +36,7 @@ at the end; ``ExactReplay`` holds the [z | w | u | s] responses above.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +48,8 @@ from .teleport import BELL_SPLITTER
 PIVOT_TOL = 1e-9
 #: A feedforward rule is kept when one of its gains exceeds this magnitude.
 FEEDFORWARD_TOL = 1e-12
+#: Schedule entries per tape block, the homodynes the simulator conditions at once.
+TAPE_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,12 @@ class _Frontier:
     linear map that commutes with measurements on other nodes, so an edge is
     applied just before the first measurement or read-out of either endpoint
     (``couple``), and a teleport port's Bell splitter after every QND edge of
-    its partner, shared-partner splitters in edge order.
+    its partner, shared-partner splitters in edge order.  QND gates add x's
+    to p's and leave every x as it is, so any set of them commutes and acts
+    as one map.  A splitter mixes x's with p's, so it does not commute with
+    its partner's QND gates and must follow them; only splitters order the
+    couplings.  ``_Recorder`` writes this order once per program as a
+    ``Tape`` for the simulator; ``exact_replay`` drives the frontier live.
 
     A slot is two adjacent rows (x, then p).  Input port p holds rows 2p and
     2p + 1 from the start, as the inputs may be correlated; any other node
@@ -179,6 +188,152 @@ class _Frontier:
             self.slot[node_id] = xr
             self._open(node_id, xr)
         return xr
+
+
+class Block(NamedTuple):
+    """At most ``TAPE_BLOCK`` consecutive schedule entries, as ``Tape``
+    replays them: open the slots ``opens`` (whose rows are zero), apply
+    ``coupling`` to ``rows``, condition on the homodynes, then clear their
+    slots.  Homodyne i measures ``weights[i]`` x + ``weights[k + i]`` p
+    (sin and cos of its angle) at rows ``measured[i]`` and ``measured[k +
+    i]``.
+
+    Every coupling of the block comes before its first homodyne.  That is
+    exact: a coupling never touches a node measured before it, since
+    ``couple`` applied all of that node's edges first, and a linear map on
+    other modes commutes with conditioning.  A slot the block releases is
+    reused only by a later block.  ``coupling`` is the product of the
+    block's couplings in the order ``_Frontier`` applied them, so each Bell
+    splitter still follows its partner's QND edges.
+    """
+
+    nodes: tuple  # ids of the k homodynes, schedule order
+    opens: np.ndarray  # x rows of the slots the block opens
+    rows: np.ndarray  # x and p rows its couplings touch, ascending
+    coupling: np.ndarray  # its couplings' product, acting on ``rows``
+    measured: np.ndarray  # the homodynes' x rows, then their p rows
+    weights: np.ndarray  # the homodyne angles' sines, then their cosines
+    live: tuple  # x rows of the slots live after the block, ascending
+
+
+@dataclass(frozen=True)
+class Tape:
+    """A schedule's frontier, recorded once by ``record`` and replayed by
+    every simulator pass in place of ``_Frontier``'s bookkeeping.
+
+    Storage has ``size`` rows; input port p holds rows 2p and 2p + 1.  The
+    blocks run in schedule order.  The last one also applies the edges
+    left at the read-out nodes, whose x rows, then p rows, are ``out``:
+    those edges touch no measured node, so they too may come before its
+    homodynes.  A tape without homodynes is one block that only reads out.
+    """
+
+    ports: int  # input ports
+    blocks: tuple  # Block, schedule order
+    out: np.ndarray
+    size: int
+    gains: np.ndarray  # m-by-2n output displacement per unit outcome, schedule order
+
+
+class _Recorder(_Frontier):
+    """A frontier that only keeps books: it logs the slots it opens and the
+    couplings it applies, and cuts them into ``Block``s."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.opens, self.ops, self.out = [], [], []
+
+    def block(self, entries, weights, readout=()) -> Block:
+        """Couple the entries' nodes and the ``readout`` nodes (whose x rows
+        go to ``out``), then release the entries; return the block of
+        everything applied since the last one."""
+        measured = [self.couple(e.node_id) for e in entries]
+        self.out = [self.couple(node_id) for node_id in readout]
+        for entry in entries:
+            self.release(entry.node_id)
+        slots = sorted({a for a, _, _ in self.ops} | {b for _, b, _ in self.ops})
+        local = {x: 2 * i for i, x in enumerate(slots)}  # local x row; p follows
+        size = 2 * len(slots)
+        coupling = None
+        run = list(range(0, size * size, size + 1))  # flat entries of I and a QND run
+        for a, b, bell in self.ops:
+            a, b = local[a], local[b]
+            if bell:
+                coupling = _qnd_run(size, run, coupling)
+                run = []
+                idx = [a, b, a + 1, b + 1]
+                coupling[idx] = BELL_SPLITTER @ coupling[idx]
+            else:  # QND: p_a += x_b, p_b += x_a
+                run += ((a + 1) * size + b, (b + 1) * size + a)
+        block = Block(
+            nodes=tuple(e.node_id for e in entries),
+            opens=np.array(self.opens, dtype=int),
+            rows=np.array([r for x in slots for r in (x, x + 1)], dtype=int),
+            coupling=_qnd_run(size, run, coupling),
+            measured=np.array(measured + [x + 1 for x in measured], dtype=int),
+            weights=weights,
+            live=tuple(sorted(self.slot.values())),
+        )
+        self.opens, self.ops = [], []
+        return block
+
+    def _grow(self, size: int) -> None:
+        pass
+
+    def _open(self, node_id, xr: int) -> None:
+        self.opens.append(xr)
+
+    def _qnd(self, xu: int, xv: int) -> None:
+        self.ops.append((xu, xv, False))
+
+    def _bell(self, xa: int, xb: int) -> None:
+        self.ops.append((xa, xb, True))
+
+    def _clear(self, xr: int) -> None:
+        pass
+
+
+def _qnd_run(size: int, run, coupling) -> np.ndarray:
+    """``coupling`` after a run of QND gates, each given as the flat (p row,
+    x row) entries it adds to the identity.  No gate of the run changes an x
+    row, so the run is I + C, C the entries' count matrix.  A ``coupling``
+    of None is the identity, and ``run`` then lists its diagonal too."""
+    counts = np.bincount(run, minlength=size * size).reshape(size, size)
+    return counts.astype(float) if coupling is None else coupling + (counts @ coupling)
+
+
+def record(graph, schedule, readout, gains=None, block: int = TAPE_BLOCK) -> Tape:
+    """Record the frontier of a schedule, ``block`` entries a block, and of
+    the read-out of the nodes ``readout``; ``gains`` maps measured node ids
+    to their feedforward displacements (``feedforward_gains``)."""
+    frontier = _Recorder(graph)
+    ports = frontier.size // 2
+    angles = np.array([entry.angle for entry in schedule])
+    sin, cos = np.sin(angles), np.cos(angles)
+    starts = range(0, max(len(schedule), 1), block)
+    blocks = tuple(
+        frontier.block(
+            schedule[k : k + block],
+            np.concatenate((sin[k : k + block], cos[k : k + block])),
+            readout if k == starts[-1] else (),
+        )
+        for k in starts
+    )
+    table = np.zeros((len(schedule), 2 * ports))
+    for k, entry in enumerate(schedule):
+        if gains and entry.node_id in gains:
+            table[k] = gains[entry.node_id]
+    out = frontier.out + [x + 1 for x in frontier.out]
+    return Tape(ports, blocks, np.array(out, dtype=int), frontier.size, table)
+
+
+def program_tape(program: MeasurementProgram, block: int = TAPE_BLOCK) -> Tape:
+    """``record`` of a program's schedule and feedforward, read out at its
+    output ports.  ``MeasurementProgram.tape`` holds the one for
+    ``TAPE_BLOCK``."""
+    graph = program.graph
+    readout = [port.id for port in graph.output_ports()]
+    return record(graph, program.schedule, readout, program.feedforward_gains(), block)
 
 
 class _Rows(_Frontier):

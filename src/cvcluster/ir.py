@@ -7,6 +7,7 @@ self-contained verification.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -124,6 +125,16 @@ class MeasurementProgram:
     @property
     def n(self) -> int:
         return len(self.graph.input_ports())
+
+    @cached_property
+    def tape(self):
+        """The program's frontier schedule (``executor.program_tape``),
+        recorded once, after ``validate``; a ``dataclasses.replace``d
+        program records its own."""
+        from .executor import program_tape  # the executor imports this module
+
+        self.validate()
+        return program_tape(self)
 
     def feedforward_gains(self) -> dict:
         """Measured node id -> the 2n output displacement (x-then-p, port

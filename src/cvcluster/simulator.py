@@ -5,15 +5,22 @@ States are (mean, covariance) pairs in x-then-p ordering with hbar = 1/2
 the nodes that are coupled but not yet measured.  The executor's edge
 scheduler (``executor._Frontier``) decides when each QND edge and Bell
 splitter is applied and when a node's p-squeezed vacuum slot is opened or
-freed; this module holds only the Gaussian arithmetic on the slots, with a
-slot's x and p adjacent.  The state is therefore only as large as the
-frontier; ``run_program``, ``effective_map`` and ``extract_effective_map``
-never call the executor's replay.
+freed.  Its ``executor.record`` writes that schedule once per program as a
+tape (``MeasurementProgram.tape``), and this module holds only the Gaussian
+arithmetic that replays it on the slots, with a slot's x and p adjacent.
+The state is therefore only as large as the frontier; ``run_program``,
+``effective_map`` and ``extract_effective_map`` never call the executor's
+replay.
 
-Every homodyne detection is one in-place Schur-complement step
-(``_condition``), its outcome pinned to zero or drawn from its prior as it
-is measured.  Feedforward displacements are accumulated on the side and
-added to the outputs at read-out, after all of their edges.
+A tape block is up to ``executor.TAPE_BLOCK`` consecutive homodynes.  It
+opens its slots, applies its couplings as one matrix, conditions on its k
+homodynes at once and clears their slots.  The homodyne angles never wait
+on an outcome, since every correction is a displacement, so the k
+conditionings are one Schur complement with their k-by-k covariance; its
+Cholesky factor draws sampled outcomes exactly as k one-at-a-time draws
+would.  Feedforward displacements are added to the outputs at read-out,
+after all of their edges, as one product of the outcomes with the
+program's gain table.
 """
 
 import contextlib
@@ -23,14 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConditioningError
-from .executor import _Frontier
+from .executor import program_tape, record
 from .ir import ClusterGraph, MeasurementProgram
 from .symplectic import (
     SymplecticMap,
     VACUUM_QUADRATURE_VARIANCE,
     symplectic_form,
 )
-from .teleport import BELL_SPLITTER
 
 #: Physicality slack on the symplectic-eigenvalue bound >= 1/4.
 PHYSICALITY_TOL = 1e-9
@@ -169,81 +175,142 @@ def build_cluster(graph: ClusterGraph, r: float) -> GaussianState:
         raise ValueError("build_cluster expects a graph without input ports")
     if not graph.nodes:
         raise ValueError("graph has no nodes")
-    state = _Moments(graph, r, np.zeros(0), np.zeros((0, 0)))
-    return GaussianState(*state.read([node.id for node in graph.nodes]))
+    tape = record(graph, (), [node.id for node in graph.nodes])
+    state = _Moments(tape, r, np.zeros(0), np.zeros((0, 0)))
+    state.couple(tape.blocks[0])
+    return GaussianState(*state.read())
 
 
-class _Moments(_Frontier):
-    """Mean and covariance of the live slots, as ``_Frontier`` schedules them.
+class _Moments:
+    """Mean and covariance of a tape's storage rows, which the tape's
+    blocks update in place.
 
     ``mean`` is a vector, or has one column per input-mean direction.  The
-    ``tail`` rows after the slots are registers that no edge touches.
+    ``tail`` rows after the storage are registers that no coupling touches.
     """
 
-    def __init__(self, graph, r: float, mean, cov, tail: int = 0):
-        super().__init__(graph)
-        n = self.size // 2
+    def __init__(self, tape, r: float, mean, cov, tail: int = 0):
+        n = tape.ports
         if len(mean) != 2 * n:
             raise ValueError(f"program has {n} ports but input has {len(mean) // 2} modes")
         order = np.arange(2 * n).reshape(2, n).T.ravel()  # x0, p0, x1, p1, ...
-        self.tail = tail
-        self.mean = np.zeros((2 * n + tail,) + np.shape(mean)[1:])
+        rows = tape.size + tail
+        self.tape, self.tail = tape, tail
+        self.mean = np.zeros((rows,) + np.shape(mean)[1:])
         self.mean[: 2 * n] = mean[order]
-        self.cov = np.zeros((2 * n + tail, 2 * n + tail))
+        self.cov = np.zeros((rows, rows))
         self.cov[: 2 * n, : 2 * n] = cov[order[:, None], order]
         self.squeezed = (np.exp(2.0 * r) / 4.0, np.exp(-2.0 * r) / 4.0)
 
-    def read(self, node_ids):
-        """Couple the nodes; return the mean and covariance of their x's,
-        their p's and the tail."""
-        xs = [self.couple(node_id) for node_id in node_ids]
-        rows = len(self.cov)
-        sel = np.array(xs + [x + 1 for x in xs] + list(range(rows - self.tail, rows)))
-        return self.mean[sel], self.cov[sel[:, None], sel]
-
-    def validate(self) -> None:
-        """Check the physicality of the live slots' state."""
-        xs = sorted(self.slot.values())
-        sel = xs + [x + 1 for x in xs]
-        validate_state(GaussianState(np.zeros(len(sel)), self.cov[np.ix_(sel, sel)]))
-
-    def _grow(self, size: int) -> None:
-        keep = np.arange(len(self.cov))  # old row -> new row; the tail moves to the end
-        keep[keep >= len(self.cov) - self.tail] += size + self.tail - len(self.cov)
-        mean = np.zeros((size + self.tail,) + self.mean.shape[1:])
-        cov = np.zeros((size + self.tail, size + self.tail))
-        mean[keep] = self.mean
-        cov[keep[:, None], keep] = self.cov
-        self.mean, self.cov = mean, cov
-
-    def _open(self, node_id, xr: int) -> None:
-        self.cov[xr, xr], self.cov[xr + 1, xr + 1] = self.squeezed
-
-    def _qnd(self, xu: int, xv: int) -> None:
-        # p_u += x_v, p_v += x_u: rows, then columns
+    def couple(self, block) -> None:
+        """Open the block's slots and apply its couplings."""
         mean, cov = self.mean, self.cov
-        mean[xu + 1] += mean[xv]
-        mean[xv + 1] += mean[xu]
-        cov[xu + 1] += cov[xv]
-        cov[xv + 1] += cov[xu]
-        cov[:, xu + 1] += cov[:, xv]
-        cov[:, xv + 1] += cov[:, xu]
+        cov[block.opens, block.opens], cov[block.opens + 1, block.opens + 1] = self.squeezed
+        if len(block.rows):
+            rows, coupling = block.rows, block.coupling
+            mean[rows] = coupling @ mean[rows]
+            cov[rows] = coupling @ cov[rows]
+            cov[:, rows] = cov[:, rows] @ coupling.T
 
-    def _bell(self, xa: int, xb: int) -> None:
-        idx = [xa, xb, xa + 1, xb + 1]
-        self.mean[idx] = BELL_SPLITTER @ self.mean[idx]
-        self.cov[idx] = BELL_SPLITTER @ self.cov[idx]
-        self.cov[:, idx] = self.cov[:, idx] @ BELL_SPLITTER.T
+    def quadratures(self, block):
+        """cov q for each homodyne q of the block (a column each), and
+        their k-by-k covariance."""
+        k, rows, weights = len(block.nodes), block.measured, block.weights
+        both = self.cov[:, rows] * weights
+        cq = both[:, :k] + both[:, k:]
+        both = cq[rows] * weights[:, None]
+        return cq, both[:k] + both[k:]
 
-    def _clear(self, xr: int) -> None:
-        self.mean[xr : xr + 2] = 0.0
-        self.cov[xr : xr + 2] = 0.0
-        self.cov[:, xr : xr + 2] = 0.0
+    def condition(self, block, rng) -> np.ndarray:
+        """Condition on the block's k homodynes at once; return their outcomes.
+
+        With S the homodynes' k-by-k covariance and L its Cholesky factor,
+        the outcomes are prior + L z: z is drawn standard normal with
+        ``rng`` (the draws of k one-at-a-time conditionings), or makes the
+        outcomes 0 when ``rng`` is None.  The update is one solve with S,
+        mean += (cov q) S^-1 (outcomes - prior) and cov -= (cov q) S^-1
+        (cov q)^T.  It takes no square root: (cov q) L^-T would round each
+        antisqueezed entry by about eps e^{2r}/4, where elimination keeps
+        exact cancellations exact.
+        """
+        cq, var = self.quadratures(block)
+        try:
+            low = np.linalg.cholesky(var)
+        except np.linalg.LinAlgError:
+            raise _degenerate(var, block.nodes) from None
+        k, mean = len(block.nodes), self.mean
+        both = (mean[block.measured].T * block.weights).T
+        prior = both[:k] + both[k:]  # a row per homodyne
+        if rng is None:
+            outcomes, shift = np.zeros(k), -prior
+        else:
+            shift = low @ rng.standard_normal(k)
+            outcomes = prior + shift
+        rhs = np.concatenate((cq.T, shift.reshape(k, -1)), axis=1)
+        update = cq @ np.linalg.solve(var, rhs)
+        self.cov -= update[:, : len(cq)]
+        mean += update[:, len(cq) :].reshape(mean.shape)
+        return outcomes
+
+    def clear(self, block) -> None:
+        """Free the block's measured slots."""
+        self.mean[block.measured] = 0.0
+        self.cov[block.measured] = 0.0
+        self.cov[:, block.measured] = 0.0
+
+    def validate(self, block) -> None:
+        """Check the physicality of the slots live after the block."""
+        sel = list(block.live) + [x + 1 for x in block.live]
+        cov = _symmetric(self.cov[np.ix_(sel, sel)])
+        validate_state(GaussianState(np.zeros(len(sel)), cov))
+
+    def read(self):
+        """The mean and covariance of the read-out nodes' x's, their p's
+        and the tail, checked finite."""
+        rows, sel = len(self.cov), self.tape.out
+        if self.tail:
+            sel = np.concatenate((sel, np.arange(rows - self.tail, rows)))
+        mean, cov = self.mean[sel], _symmetric(self.cov[sel[:, None], sel])
+        _check_finite(mean, cov)
+        return mean, cov
+
+
+def _symmetric(cov):
+    # The in-place updates keep cov symmetric up to rounding only.
+    return (cov + cov.T) / 2.0
+
+
+def _check_finite(*arrays) -> None:
+    # LAPACK calls and matrix products do not trap under np.errstate.
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise FloatingPointError("non-finite Gaussian moments")
+
+
+def _degenerate(var, nodes) -> Exception:
+    """The error for a block whose homodyne covariance ``var`` has no
+    Cholesky factor: the first homodyne, in schedule order, whose
+    conditional variance is <= 0 (or the smallest, should rounding make
+    each one positive)."""
+    _check_finite(var)
+    var = var.copy()  # the loop reads the lower triangle, as Cholesky does
+    conditional = []
+    for i in range(len(nodes)):
+        conditional.append(var[i, i])
+        if not var[i, i] > 0.0:
+            break
+        var[i + 1 :, i + 1 :] -= np.outer(var[i + 1 :, i], var[i + 1 :, i]) / var[i, i]
+    i = int(np.argmin(conditional))
+    return DegenerateConditioningError(
+        f"measured quadrature on node {nodes[i]} has non-positive variance "
+        f"{conditional[i]:.3e}"
+    )
 
 
 def _condition(mean, cov, ix: int, ip: int, theta: float, rng, name: str) -> float:
     """Condition (mean, cov) in place on x sin(theta) + p cos(theta), with x
-    and p at indices ix and ip; return the outcome.
+    and p at indices ix and ip; return the outcome.  This is the one-mode
+    step of ``homodyne_measure``; program passes condition a tape block at
+    a time (``_Moments.condition``).
 
     The outcome is drawn from its prior with ``rng``, or pinned to zero when
     ``rng`` is None; a ``mean`` with columns is conditioned column by column.
@@ -289,8 +356,10 @@ def homodyne_measure(
 @contextlib.contextmanager
 def _finite_moments(r: float):
     """Raise DegenerateConditioningError, naming the squeezing, where the
-    moments overflow: first where a Schur update multiplies two antisqueezed
-    variances, about e^{4r}/16, which leaves the double range above r = 178."""
+    moments overflow.  No step forms a product of two antisqueezed
+    variances, so the moments are at most a few times e^{2r}/4: e^{2r}
+    itself leaves the double range above r = 354.9 (3082.6 dB), and sums
+    of such terms may overflow a few dB before that."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
@@ -301,25 +370,23 @@ def _finite_moments(r: float):
         ) from None
 
 
-def _execute(program: MeasurementProgram, mean, cov, r, rng=None, validate=False):
-    """Condition on the scheduled homodynes, drawing outcomes with ``rng``
-    (pinned to zero if None); return the output ports' mean and covariance
-    (x-then-p) and the outcome record.  ``validate`` checks the live modes
-    after every step."""
-    program.validate()
+def _execute(tape, mean, cov, r, rng=None, validate=False):
+    """Condition on a tape's homodynes, drawing outcomes with ``rng``
+    (pinned to zero if None); return the read-out's mean and covariance
+    (x-then-p) and the outcomes in schedule order.  ``validate`` checks the
+    live modes after every block."""
     with _finite_moments(r):
-        state = _Moments(program.graph, r, mean, cov)
-        outcomes = {}
-        for entry in program.schedule:
-            node = entry.node_id
-            xr = state.couple(node)
-            outcomes[node] = _condition(
-                state.mean, state.cov, xr, xr + 1, entry.angle, rng, f"node {node}"
-            )
-            state.release(node)
+        state = _Moments(tape, r, mean, cov)
+        outcomes = []
+        for block in tape.blocks:
+            state.couple(block)
+            outcomes.append(state.condition(block, rng))
+            state.clear(block)
             if validate:
-                state.validate()
-        out_mean, out_cov = state.read([p.id for p in program.graph.output_ports()])
+                state.validate(block)
+        outcomes = np.concatenate(outcomes) if outcomes else np.zeros(0)
+        _check_finite(outcomes)
+        out_mean, out_cov = state.read()
     return out_mean, out_cov, outcomes
 
 
@@ -340,15 +407,16 @@ def run_program(
     record).  The output modes follow the program's output-port order.
     """
     rng = np.random.default_rng(policy.seed) if policy.kind == "sampled" else None
-    mean, cov, outcomes = _execute(
-        program, input_state.mean, input_state.cov, r, rng, validate
-    )
+    if validate:  # a fresh tape of one homodyne a block, checked after each
+        program.validate()
+        tape = program_tape(program, 1)
+    else:
+        tape = program.tape
+    mean, cov, outcomes = _execute(tape, input_state.mean, input_state.cov, r, rng, validate)
     # Feedforward lands after every edge of the outputs, so it is added here.
-    gains = program.feedforward_gains()
-    for node, value in outcomes.items():
-        if value and node in gains:
-            mean += value * gains[node]
-    return GaussianState(mean + program.target.displacement, cov), outcomes
+    mean += outcomes @ tape.gains
+    record = dict(zip((e.node_id for e in program.schedule), outcomes.tolist()))
+    return GaussianState(mean + program.target.displacement, cov), record
 
 
 def effective_map(program: MeasurementProgram, r: float) -> SymplecticMap:
@@ -361,7 +429,7 @@ def effective_map(program: MeasurementProgram, r: float) -> SymplecticMap:
     converges to the compile target as r grows.
     """
     n = program.n
-    matrix, _, _ = _execute(program, np.eye(2 * n), vacuum(n).cov, r)
+    matrix, _, _ = _execute(program.tape, np.eye(2 * n), vacuum(n).cov, r)
     return SymplecticMap(n, matrix, program.target.displacement)
 
 
@@ -383,23 +451,23 @@ def extract_effective_map(program: MeasurementProgram, r: float):
 
 
 def _channel_excess(program: MeasurementProgram, r: float) -> np.ndarray:
-    """The deferred-measurement pass of ``extract_effective_map``."""
-    n = program.n
-    gains = program.feedforward_gains()
+    """The deferred-measurement pass of ``extract_effective_map``: each
+    block adds G q to the accumulators, G the 2n-by-k gains of its k
+    homodynes q."""
+    n, tape = program.n, program.tape
     with _finite_moments(r):
-        state = _Moments(program.graph, r, np.zeros(2 * n), np.zeros((2 * n, 2 * n)), 2 * n)
-        for entry in program.schedule:
-            xr = state.couple(entry.node_id)
-            gain = gains.get(entry.node_id)
-            if gain is not None:
-                # acc += gain * q: rows, then columns
-                cov = state.cov
-                sin, cos = math.sin(entry.angle), math.cos(entry.angle)
-                cq = sin * cov[:, xr] + cos * cov[:, xr + 1]
-                cov[-2 * n :] += np.outer(gain, cq)
-                cq[-2 * n :] += gain * (sin * cq[xr] + cos * cq[xr + 1])
-                cov[:, -2 * n :] += np.outer(cq, gain)
-            state.release(entry.node_id)
-        _, joint = state.read([p.id for p in program.graph.output_ports()])
+        state = _Moments(tape, r, np.zeros(2 * n), np.zeros((2 * n, 2 * n)), 2 * n)
+        cov, acc, start = state.cov, slice(tape.size, None), 0
+        for block in tape.blocks:
+            state.couple(block)
+            stop = start + len(block.nodes)
+            gains, start = tape.gains[start:stop].T, stop
+            cq, var = state.quadratures(block)
+            # acc += G q: rows, then columns
+            cov[acc] += gains @ cq.T
+            cq[acc] += gains @ var
+            cov[:, acc] += cq @ gains.T
+            state.clear(block)
+        _, joint = state.read()
     excess = joint.reshape(2, 2 * n, 2, 2 * n).sum(axis=(0, 2))
     return (excess + excess.T) / 2.0

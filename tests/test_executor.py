@@ -21,6 +21,7 @@ from cvcluster import (
     random_symplectic,
     run_program,
 )
+from cvcluster import executor
 from cvcluster.executor import FEEDFORWARD_TOL
 from cvcluster.ir import (
     COUPLING_QND,
@@ -309,3 +310,42 @@ def test_replay_does_not_depend_on_edge_order(data):
     moved_map, moved_excess = extract_effective_map(moved_program, r)
     assert np.max(np.abs(moved_map.matrix - base_map.matrix)) < 1e-12
     assert np.max(np.abs(moved_excess - base_excess)) < 1e-12
+
+
+def test_replay_pivot_ties_go_to_the_lowest_graph_order_ancilla(monkeypatch):
+    # p of node 2 is u_2 + w_1 + w_3: the first measurement ties |1| on the
+    # w columns of nodes 1 and 3.  Node 3 opened last and took the lower
+    # pool column, so a plain argmax would eliminate w_3; the rule takes
+    # node 1, first in graph order.  Every later pivot is unique.
+    nodes = (
+        Node(0, ROLE_INPUT, coupling=COUPLING_QND, port=0),
+        Node(1, ROLE_ANCILLA),
+        Node(2, ROLE_ANCILLA),
+        Node(3, ROLE_ANCILLA),
+        Node(4, ROLE_OUTPUT, port=0),
+    )
+    graph = ClusterGraph(nodes=nodes, edges=((1, 2), (2, 3), (0, 1), (3, 4)))
+    angles = {2: 0.0, 0: 0.0, 1: 0.3, 3: 0.7}
+    program = MeasurementProgram(
+        graph=graph,
+        schedule=tuple(ScheduleEntry(node, theta) for node, theta in angles.items()),
+        feedforward=(),
+        target=identity(1),
+    )
+    eliminated = []  # node whose w each measurement eliminates, in order
+
+    class Rows(executor._Rows):
+        def __init__(self, graph, n_meas):
+            super().__init__(graph, n_meas)
+            ancillas, rows = graph.ancilla_nodes(), self
+
+            class Spare(list):
+                def append(self, column):  # the pivot's column returns to the pool
+                    eliminated.append(ancillas[rows.owner[column]].id)
+                    super().append(column)
+
+            self.spare = Spare(self.spare)
+
+    monkeypatch.setattr(executor, "_Rows", Rows)
+    exact_replay(program)
+    assert eliminated == [1, 3, 2, 4]

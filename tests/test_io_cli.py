@@ -570,12 +570,13 @@ def two_mode_program_file(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("db", ["2000", "3100"])
+@pytest.mark.parametrize("db", ["3083", "3100"])
 @pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
 def test_cli_squeezing_beyond_double_range_is_a_validation_error(
     tmp_path, capsys, two_mode_program_file, command, db
 ):
-    # The moments of this program overflow above about 1550 dB.  Each command
+    # The moments of this program overflow above 3082.55 dB, where e^{2r}
+    # itself leaves the double range (measured by bisection).  Each command
     # names the squeezing, writes nothing, and warns nothing (warnings are
     # errors in this suite).
     out = tmp_path / "out"
@@ -588,6 +589,13 @@ def test_cli_squeezing_beyond_double_range_is_a_validation_error(
 
 def test_cli_verify_passes_at_1500_db(capsys, two_mode_program_file):
     assert main(["verify", "--program", two_mode_program_file, "--db", "1500"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_cli_verify_passes_at_2000_db(capsys, two_mode_program_file):
+    # No conditioning step multiplies two antisqueezed variances, so the
+    # moments stay finite well past the e^{4r}/16 of a rank-1 Schur update.
+    assert main(["verify", "--program", two_mode_program_file, "--db", "2000"]) == 0
     assert "PASS" in capsys.readouterr().out
 
 

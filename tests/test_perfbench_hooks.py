@@ -24,17 +24,28 @@ def _holders() -> dict:
     return out
 
 
-def test_tracer_sees_a_compile_wide_target_and_restores_every_alias(tmp_path):
+def _traced_target(tmp_path, name: str):
+    """Push one quick target of a workload through the installed tracer;
+    return its outcome and the tracer, after checking that every alias the
+    tracer patched holds its original again."""
     before = _holders()
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        workload = workloads.QUICK_WORKLOADS["compile_wide"]
+        workload = workloads.QUICK_WORKLOADS[name]
         target, rng = workloads.make_target(workload, [1], 0)
         ctx = workloads.Context(tmp_path, tracer)
         outcome = workloads.run_target(workload.pipeline, 0, target, rng, ctx)
     finally:
         tracer.uninstall()
+    for (owner, attr), (original, holders) in before.items():
+        for holder in holders:
+            assert getattr(holder, attr) is original, (holder, attr)
+    return outcome, tracer
+
+
+def test_tracer_sees_a_compile_wide_target_and_restores_every_alias(tmp_path):
+    outcome, tracer = _traced_target(tmp_path, "compile_wide")
     assert outcome.failures == []
     assert outcome.ancillas > 0 and outcome.columns > 0
     totals = tracer.totals()
@@ -42,7 +53,11 @@ def test_tracer_sees_a_compile_wide_target_and_restores_every_alias(tmp_path):
                  "single_mode.select_free_kappa1", "serialize.load_program"):
         assert totals[name]["calls"] >= 1, name
     assert tracer.count("single_mode.noise_proxy", "single_mode.select_free_kappa1") >= 1
-    for (owner, attr), (original, holders) in before.items():
-        for holder in holders:
-            assert getattr(holder, attr) is original, (holder, attr)
 
+
+def test_tracer_sees_a_simulate_target_and_restores_every_alias(tmp_path):
+    outcome, tracer = _traced_target(tmp_path, "simulate")
+    assert outcome.failures == []
+    totals = tracer.totals()
+    for name in ("simulator.run_program", "simulator.extract_effective_map"):
+        assert totals[name]["calls"] >= 1, name

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvcluster import (
@@ -33,7 +35,9 @@ from cvcluster import (
     vacuum,
     validate_state,
 )
+from cvcluster import executor, simulator
 from cvcluster.ir import (
+    COUPLING_QND,
     COUPLING_TELEPORT,
     ClusterGraph,
     MeasurementProgram,
@@ -337,6 +341,97 @@ def test_simulator_memory_follows_the_live_frontier(run):
 def test_physicality_along_a_run():
     program, _ = compile(random_symplectic(2, 33))
     run_program(program, vacuum(2), 1.0, validate=True)  # validates every step
+
+
+def test_validate_checks_the_live_modes_after_every_homodyne(monkeypatch):
+    program, _ = compile(random_symplectic(2, 33))
+    checked = []
+    check = simulator.validate_state
+
+    def counting(state, *args):
+        checked.append(state.n)
+        return check(state, *args)
+
+    monkeypatch.setattr(simulator, "validate_state", counting)
+    run_program(program, vacuum(2), 1.0, validate=True)
+    assert len(checked) == len(program.schedule)
+    assert len(program.tape.blocks) < len(program.schedule)
+
+
+def test_the_tape_is_recorded_once_per_program(monkeypatch):
+    recorded = []
+    record = executor.program_tape
+
+    def counting(program, *args):
+        recorded.append(program)
+        return record(program, *args)
+
+    monkeypatch.setattr(executor, "program_tape", counting)
+    program, _ = compile(random_symplectic(2, 5))
+    r = db_to_r(13.0)
+    run_program(program, vacuum(2), r, sampled(1))
+    run_program(program, vacuum(2), r)
+    extract_effective_map(program, r)
+    assert len(recorded) == 1 and recorded[0] is program
+    assert program.tape is program.tape
+    reversed_program = dataclasses.replace(program, schedule=program.schedule[::-1])
+    effective_map(reversed_program, r)
+    assert len(recorded) == 2 and recorded[1] is reversed_program
+    assert reversed_program.tape is not program.tape
+    assert reversed_program.tape.blocks[0].nodes == tuple(
+        entry.node_id for entry in program.schedule[::-1][: executor.TAPE_BLOCK]
+    )
+
+
+def test_block_conditioning_names_the_first_degenerate_homodyne():
+    # Two input ports without edges whose p's are perfectly correlated, both
+    # measured in one block: the first p has variance 1/4, and the second
+    # has none left once the first is known.
+    nodes = (
+        Node(0, ROLE_INPUT, coupling=COUPLING_QND, port=0),
+        Node(1, ROLE_INPUT, coupling=COUPLING_QND, port=1),
+        Node(2, ROLE_OUTPUT, port=0),
+        Node(3, ROLE_OUTPUT, port=1),
+    )
+    program = MeasurementProgram(
+        graph=ClusterGraph(nodes=nodes, edges=()),
+        schedule=(ScheduleEntry(0, 0.0), ScheduleEntry(1, 0.0)),
+        feedforward=(),
+        target=identity(2),
+    )
+    assert len(program.tape.blocks) == 1
+    cov = np.eye(4) / 4
+    cov[2, 3] = cov[3, 2] = 0.25
+    with pytest.raises(
+        DegenerateConditioningError,
+        match=r"^measured quadrature on node 1 has non-positive variance 0\.000e\+00$",
+    ):
+        run_program(program, GaussianState(np.zeros(4), cov), 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_blocks_of_eight_match_one_homodyne_a_block(data):
+    # validate=True replays a tape of one homodyne a block, the order of
+    # one-at-a-time conditioning; the default tape conditions eight at once.
+    kind = data.draw(st.sampled_from(["compiled", "shuffled", "teleport", "correlated"]))
+    if kind == "teleport":
+        program = teleport_identity_program()
+    else:
+        n, seed = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 99))
+        program, _ = compile(random_symplectic(n, seed))
+    if kind == "shuffled":
+        schedule = data.draw(st.permutations(program.schedule))
+        program = dataclasses.replace(program, schedule=tuple(schedule))
+    input_state = (correlated_input if kind == "correlated" else coherent_input)(program.n)
+    policy = data.draw(st.sampled_from([PINNED_ZERO, sampled(data.draw(st.integers(0, 2**16)))]))
+    r = db_to_r(13.0)
+    out, record = run_program(program, input_state, r, policy)
+    one, one_record = run_program(program, input_state, r, policy, validate=True)
+    assert_allclose(out.mean, one.mean, rtol=0, atol=1e-12)
+    assert_allclose(out.cov, one.cov, rtol=0, atol=1e-12)
+    assert list(record) == list(one_record)
+    assert_allclose(list(record.values()), list(one_record.values()), rtol=0, atol=1e-12)
 
 
 def test_extract_effective_map_identity():
