@@ -8,6 +8,7 @@ self-contained verification.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -136,6 +137,24 @@ class MeasurementProgram:
         self.validate()
         return program_tape(self)
 
+    def plan(self, r: float, cov: np.ndarray):
+        """The ``tape``'s conditioned covariance at squeezing r for the
+        input covariance ``cov`` (``simulator.covariance_plan``).
+
+        Outcomes only displace later modes, so every shot on such an input
+        shares it.  One plan is kept, keyed by r and the bytes of ``cov``,
+        until a call with another key replaces it; a pass that raises keeps
+        nothing, and a ``dataclasses.replace``d program starts without one.
+        """
+        from .simulator import covariance_plan  # the simulator imports this module
+
+        key = (r, cov.tobytes())
+        entry = self.__dict__.get("_plan")
+        if entry is None or entry[0] != key:
+            entry = (key, covariance_plan(self.tape, r, cov))
+            self.__dict__["_plan"] = entry
+        return entry[1]
+
     def feedforward_gains(self) -> dict:
         """Measured node id -> the 2n output displacement (x-then-p, port
         order) that the feedforward rules install per unit outcome."""
@@ -174,7 +193,12 @@ class MeasurementProgram:
                 f"unexpected nodes {sorted(extra)}"
             )
         surviving = {n.id for n in self.graph.output_ports()}
-        for rule in self.feedforward:
+        rules = self.feedforward
+        if got.issuperset(map(itemgetter(0), rules)) and surviving.issuperset(
+            map(itemgetter(1), rules)
+        ):
+            return
+        for rule in rules:  # name the first offending rule
             if rule.source_id not in got:
                 raise ProgramError(
                     f"feedforward source {rule.source_id} is not a scheduled node"

@@ -21,11 +21,23 @@ Cholesky factor draws sampled outcomes exactly as k one-at-a-time draws
 would.  Feedforward displacements are added to the outputs at read-out,
 after all of their edges, as one product of the outcomes with the
 program's gain table.
+
+Since outcomes only displace, the conditioned covariance is the same for
+every outcome record.  A pass is therefore split in two.  The plan
+(``covariance_plan``) conditions the covariance alone and keeps, per
+block, the Cholesky factor L of the homodynes' covariance and the gain K
+that moves the mean per unit outcome, and the read-out covariance.  A
+shot (``shot``) replays the plan on a mean: couplings, outcomes prior +
+L z or 0, the K update and the cleared rows.  ``MeasurementProgram.plan``
+keeps the last plan of a program, keyed by r and the input covariance's
+bytes, so repeated shots and ``effective_map`` at one squeezing share one
+covariance pass.
 """
 
 import contextlib
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -176,39 +188,38 @@ def build_cluster(graph: ClusterGraph, r: float) -> GaussianState:
     if not graph.nodes:
         raise ValueError("graph has no nodes")
     tape = record(graph, (), [node.id for node in graph.nodes])
-    state = _Moments(tape, r, np.zeros(0), np.zeros((0, 0)))
+    state = _Covariance(tape, r, np.zeros((0, 0)))
     state.couple(tape.blocks[0])
-    return GaussianState(*state.read())
+    return GaussianState(np.zeros(2 * len(graph.nodes)), state.read())
 
 
-class _Moments:
-    """Mean and covariance of a tape's storage rows, which the tape's
-    blocks update in place.
+def _interleaved(n: int) -> np.ndarray:
+    """The x-then-p indices of n modes in slot order: x0, p0, x1, p1, ..."""
+    return np.arange(2 * n).reshape(2, n).T.ravel()
 
-    ``mean`` is a vector, or has one column per input-mean direction.  The
-    ``tail`` rows after the storage are registers that no coupling touches.
-    """
 
-    def __init__(self, tape, r: float, mean, cov, tail: int = 0):
+class _Covariance:
+    """Covariance of a tape's storage rows, which the tape's blocks update
+    in place.  The ``tail`` rows after the storage are registers that no
+    coupling touches."""
+
+    def __init__(self, tape, r: float, cov, tail: int = 0):
         n = tape.ports
-        if len(mean) != 2 * n:
-            raise ValueError(f"program has {n} ports but input has {len(mean) // 2} modes")
-        order = np.arange(2 * n).reshape(2, n).T.ravel()  # x0, p0, x1, p1, ...
+        if len(cov) != 2 * n:
+            raise ValueError(f"program has {n} ports but input has {len(cov) // 2} modes")
+        order = _interleaved(n)
         rows = tape.size + tail
         self.tape, self.tail = tape, tail
-        self.mean = np.zeros((rows,) + np.shape(mean)[1:])
-        self.mean[: 2 * n] = mean[order]
         self.cov = np.zeros((rows, rows))
         self.cov[: 2 * n, : 2 * n] = cov[order[:, None], order]
         self.squeezed = (np.exp(2.0 * r) / 4.0, np.exp(-2.0 * r) / 4.0)
 
     def couple(self, block) -> None:
         """Open the block's slots and apply its couplings."""
-        mean, cov = self.mean, self.cov
+        cov = self.cov
         cov[block.opens, block.opens], cov[block.opens + 1, block.opens + 1] = self.squeezed
         if len(block.rows):
             rows, coupling = block.rows, block.coupling
-            mean[rows] = coupling @ mean[rows]
             cov[rows] = coupling @ cov[rows]
             cov[:, rows] = cov[:, rows] @ coupling.T
 
@@ -221,40 +232,26 @@ class _Moments:
         both = cq[rows] * weights[:, None]
         return cq, both[:k] + both[k:]
 
-    def condition(self, block, rng) -> np.ndarray:
-        """Condition on the block's k homodynes at once; return their outcomes.
+    def condition(self, block):
+        """Condition on the block's k homodynes at once; return (L, K).
 
-        With S the homodynes' k-by-k covariance and L its Cholesky factor,
-        the outcomes are prior + L z: z is drawn standard normal with
-        ``rng`` (the draws of k one-at-a-time conditionings), or makes the
-        outcomes 0 when ``rng`` is None.  The update is one solve with S,
-        mean += (cov q) S^-1 (outcomes - prior) and cov -= (cov q) S^-1
-        (cov q)^T.  It takes no square root: (cov q) L^-T would round each
-        antisqueezed entry by about eps e^{2r}/4, where elimination keeps
-        exact cancellations exact.
+        With S the homodynes' k-by-k covariance, L is its Cholesky factor
+        (which also finds a degenerate homodyne) and K = S^-1 (cov q)^T,
+        and cov -= (cov q) K.  The update takes no square root: (cov q)
+        L^-T would round each antisqueezed entry by about eps e^{2r}/4,
+        where elimination keeps exact cancellations exact.
         """
         cq, var = self.quadratures(block)
         try:
             low = np.linalg.cholesky(var)
         except np.linalg.LinAlgError:
             raise _degenerate(var, block.nodes) from None
-        k, mean = len(block.nodes), self.mean
-        both = (mean[block.measured].T * block.weights).T
-        prior = both[:k] + both[k:]  # a row per homodyne
-        if rng is None:
-            outcomes, shift = np.zeros(k), -prior
-        else:
-            shift = low @ rng.standard_normal(k)
-            outcomes = prior + shift
-        rhs = np.concatenate((cq.T, shift.reshape(k, -1)), axis=1)
-        update = cq @ np.linalg.solve(var, rhs)
-        self.cov -= update[:, : len(cq)]
-        mean += update[:, len(cq) :].reshape(mean.shape)
-        return outcomes
+        gain = np.linalg.solve(var, cq.T)
+        self.cov -= cq @ gain
+        return low, gain
 
     def clear(self, block) -> None:
         """Free the block's measured slots."""
-        self.mean[block.measured] = 0.0
         self.cov[block.measured] = 0.0
         self.cov[:, block.measured] = 0.0
 
@@ -264,15 +261,15 @@ class _Moments:
         cov = _symmetric(self.cov[np.ix_(sel, sel)])
         validate_state(GaussianState(np.zeros(len(sel)), cov))
 
-    def read(self):
-        """The mean and covariance of the read-out nodes' x's, their p's
-        and the tail, checked finite."""
+    def read(self) -> np.ndarray:
+        """The covariance of the read-out nodes' x's, their p's and the
+        tail, checked finite."""
         rows, sel = len(self.cov), self.tape.out
         if self.tail:
             sel = np.concatenate((sel, np.arange(rows - self.tail, rows)))
-        mean, cov = self.mean[sel], _symmetric(self.cov[sel[:, None], sel])
-        _check_finite(mean, cov)
-        return mean, cov
+        cov = _symmetric(self.cov[sel[:, None], sel])
+        _check_finite(cov)
+        return cov
 
 
 def _symmetric(cov):
@@ -310,7 +307,7 @@ def _condition(mean, cov, ix: int, ip: int, theta: float, rng, name: str) -> flo
     """Condition (mean, cov) in place on x sin(theta) + p cos(theta), with x
     and p at indices ix and ip; return the outcome.  This is the one-mode
     step of ``homodyne_measure``; program passes condition a tape block at
-    a time (``_Moments.condition``).
+    a time (``covariance_plan`` and ``shot``).
 
     The outcome is drawn from its prior with ``rng``, or pinned to zero when
     ``rng`` is None; a ``mean`` with columns is conditioned column by column.
@@ -370,24 +367,70 @@ def _finite_moments(r: float):
         ) from None
 
 
-def _execute(tape, mean, cov, r, rng=None, validate=False):
-    """Condition on a tape's homodynes, drawing outcomes with ``rng``
-    (pinned to zero if None); return the read-out's mean and covariance
-    (x-then-p) and the outcomes in schedule order.  ``validate`` checks the
-    live modes after every block."""
+class Plan(NamedTuple):
+    """A tape's conditioned covariance at squeezing r for one input
+    covariance (``covariance_plan``): every shot of the program on such an
+    input replays it with ``shot``."""
+
+    tape: object  # executor.Tape
+    r: float
+    steps: tuple  # (L, K) of each block, schedule order (``_Covariance.condition``)
+    cov: np.ndarray  # read-out covariance, x-then-p, read-only
+
+
+def covariance_plan(tape, r: float, cov, validate: bool = False) -> Plan:
+    """Condition the covariance ``cov`` of a tape's inputs on its
+    homodynes, a block at a time.  ``validate`` checks the live modes after
+    every block."""
     with _finite_moments(r):
-        state = _Moments(tape, r, mean, cov)
-        outcomes = []
+        state = _Covariance(tape, r, cov)
+        steps = []
         for block in tape.blocks:
             state.couple(block)
-            outcomes.append(state.condition(block, rng))
+            steps.append(state.condition(block))
             state.clear(block)
             if validate:
                 state.validate(block)
-        outcomes = np.concatenate(outcomes) if outcomes else np.zeros(0)
-        _check_finite(outcomes)
-        out_mean, out_cov = state.read()
-    return out_mean, out_cov, outcomes
+        cov = state.read()
+    cov.flags.writeable = False
+    return Plan(tape, r, tuple(steps), cov)
+
+
+def shot(plan: Plan, mean, rng=None):
+    """Replay a plan on an input mean, drawing outcomes with ``rng`` (pinned
+    to zero if None); return the read-out's mean (x-then-p) and the
+    outcomes in schedule order.
+
+    Each block applies its coupling to the mean.  Its k outcomes are
+    prior + L z, z drawn standard normal with ``rng`` (the draws of k
+    one-at-a-time conditionings), or 0 when ``rng`` is None; the mean then
+    moves by K^T (outcomes - prior), and the measured rows are cleared.  A
+    ``mean`` with columns is conditioned column by column.
+    """
+    tape = plan.tape
+    n = tape.ports
+    with _finite_moments(plan.r):
+        state = np.zeros((tape.size,) + np.shape(mean)[1:])
+        state[: 2 * n] = mean[_interleaved(n)]
+        outcomes = []
+        for block, (low, gain) in zip(tape.blocks, plan.steps):
+            if len(block.rows):
+                state[block.rows] = block.coupling @ state[block.rows]
+            k = len(block.nodes)
+            both = (state[block.measured].T * block.weights).T
+            prior = both[:k] + both[k:]  # a row per homodyne
+            if rng is None:
+                outcomes.append(np.zeros(k))
+                shift = -prior
+            else:
+                shift = low @ rng.standard_normal(k)
+                outcomes.append(prior + shift)
+            state += gain.T @ shift
+            state[block.measured] = 0.0
+        outcomes = np.concatenate(outcomes)
+        mean = state[tape.out]
+        _check_finite(mean, outcomes)
+    return mean, outcomes
 
 
 def run_program(
@@ -405,31 +448,38 @@ def run_program(
     before it, applies the outcome-proportional feedforward displacements
     and the target's post-displacement, and returns (output state, outcome
     record).  The output modes follow the program's output-port order.
+
+    The covariance comes from the program's plan for (r, input covariance)
+    (``MeasurementProgram.plan``), which lives as long as the program or
+    until a run with another r or input covariance replaces it; the run
+    itself is one mean-only ``shot``.  ``validate`` builds a plan of one
+    homodyne a block, checks the live modes after each, and keeps nothing.
     """
     rng = np.random.default_rng(policy.seed) if policy.kind == "sampled" else None
-    if validate:  # a fresh tape of one homodyne a block, checked after each
+    if validate:
         program.validate()
-        tape = program_tape(program, 1)
+        plan = covariance_plan(program_tape(program, 1), r, input_state.cov, validate)
     else:
-        tape = program.tape
-    mean, cov, outcomes = _execute(tape, input_state.mean, input_state.cov, r, rng, validate)
+        plan = program.plan(r, input_state.cov)
+    mean, outcomes = shot(plan, input_state.mean, rng)
     # Feedforward lands after every edge of the outputs, so it is added here.
-    mean += outcomes @ tape.gains
+    mean += outcomes @ plan.tape.gains
     record = dict(zip((e.node_id for e in program.schedule), outcomes.tolist()))
-    return GaussianState(mean + program.target.displacement, cov), record
+    return GaussianState(mean + program.target.displacement, plan.cov), record
 
 
 def effective_map(program: MeasurementProgram, r: float) -> SymplecticMap:
     """The program's effective map SymplecticMap(n, M, target displacement).
 
     M is the input response at pinned-zero outcomes, the map that
-    ``run_program`` under ``PINNED_ZERO`` applies.  One conditioned pass on
-    vacuum input carries the mean as a 2n-column linear function of the
-    input mean.  M is only approximately symplectic at finite squeezing and
-    converges to the compile target as r grows.
+    ``run_program`` under ``PINNED_ZERO`` applies: one pinned shot of the
+    program's vacuum-input plan (``MeasurementProgram.plan``) carries the
+    mean as a 2n-column linear function of the input mean.  M is only
+    approximately symplectic at finite squeezing and converges to the
+    compile target as r grows.
     """
     n = program.n
-    matrix, _, _ = _execute(program.tape, np.eye(2 * n), vacuum(n).cov, r)
+    matrix, _ = shot(program.plan(r, vacuum(n).cov), np.eye(2 * n))
     return SymplecticMap(n, matrix, program.target.displacement)
 
 
@@ -456,7 +506,7 @@ def _channel_excess(program: MeasurementProgram, r: float) -> np.ndarray:
     homodynes q."""
     n, tape = program.n, program.tape
     with _finite_moments(r):
-        state = _Moments(tape, r, np.zeros(2 * n), np.zeros((2 * n, 2 * n)), 2 * n)
+        state = _Covariance(tape, r, np.zeros((2 * n, 2 * n)), 2 * n)
         cov, acc, start = state.cov, slice(tape.size, None), 0
         for block in tape.blocks:
             state.couple(block)
@@ -468,6 +518,6 @@ def _channel_excess(program: MeasurementProgram, r: float) -> np.ndarray:
             cq[acc] += gains @ var
             cov[:, acc] += cq @ gains.T
             state.clear(block)
-        _, joint = state.read()
+        joint = state.read()
     excess = joint.reshape(2, 2 * n, 2, 2 * n).sum(axis=(0, 2))
     return (excess + excess.T) / 2.0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cvcluster import SchemaError, VersionError, compile, identity, random_symplectic
 from cvcluster import serialize
 from cvcluster.cli import main
+from cvcluster.simulator import db_to_r, run_program, sampled, vacuum
 from cvcluster.symplectic import SymplecticMap
 
 
@@ -348,6 +349,22 @@ def test_cli_simulate_deterministic(tmp_path):
     doc = json.loads(Path(result_a).read_text())
     assert len(doc["outcomes"]) == 3
     assert doc["output"]["version"] == "gaussian-state/1"
+
+
+def test_cli_simulate_shots_are_separate_runs(tmp_path):
+    # Every shot replays one conditioned covariance; each mean is that of a
+    # run of its own, and the reported covariance is the pinned run's.
+    program_file = str(tmp_path / "prog.json")
+    serialize.save_program(compile(random_symplectic(2, 4))[0], program_file)
+    out = str(tmp_path / "res.json")
+    command = ["simulate", "--program", program_file, "--db", "13", "--out", out]
+    assert main([*command, "--policy", "sampled", "--seed", "5", "--shots", "4"]) == 0
+    doc = json.loads(Path(out).read_text())
+    program, r = serialize.load_program(program_file), db_to_r(13.0)
+    means = [run_program(program, vacuum(2), r, sampled(5 + k))[0].mean.tolist() for k in range(4)]
+    assert doc["perShotMeans"] == means
+    pinned, _ = run_program(serialize.load_program(program_file), vacuum(2), r)
+    assert doc["output"]["cov"] == pinned.cov.tolist()
 
 
 def test_cli_simulate_pinned_identity(tmp_path):

@@ -119,6 +119,36 @@ def test_feedforward_target_must_survive():
         bad.validate()
 
 
+@pytest.mark.parametrize(
+    "rules, message",
+    [
+        (((1, 1),), "feedforward source 1 is not a scheduled node"),
+        (((0, 0),), "feedforward target 0 is not a surviving node"),
+        (((1, 0),), "feedforward source 1 is not a scheduled node"),
+        (((0, 1), (7, 1), (5, 1)), "feedforward source 7 is not a scheduled node"),
+        (((0, 1), (0, 7), (0, 5)), "feedforward target 7 is not a surviving node"),
+        (((0, 1), (0, 0), (1, 1)), "feedforward target 0 is not a surviving node"),
+        (((0, 1), (1, 1), (0, 0)), "feedforward source 1 is not a scheduled node"),
+    ],
+    ids=[
+        "source",
+        "target",
+        "source-before-target",
+        "first-of-two-sources",
+        "first-of-two-targets",
+        "target-rule-first",
+        "source-rule-first",
+    ],
+)
+def test_feedforward_errors_name_the_first_bad_rule(rules, message):
+    program = dataclasses.replace(
+        small_program(),
+        feedforward=tuple(FeedforwardRule(s, t, 1.0, 0.0) for s, t in rules),
+    )
+    with pytest.raises(ProgramError, match=f"^{message}$"):
+        program.validate()
+
+
 def test_target_mode_count_must_match_ports():
     program = small_program()
     bad = dataclasses.replace(program, target=identity(2))

@@ -383,10 +383,11 @@ def test_the_tape_is_recorded_once_per_program(monkeypatch):
     )
 
 
-def test_block_conditioning_names_the_first_degenerate_homodyne():
-    # Two input ports without edges whose p's are perfectly correlated, both
-    # measured in one block: the first p has variance 1/4, and the second
-    # has none left once the first is known.
+def correlated_ports():
+    """Two input ports without edges whose p's are perfectly correlated,
+    both measured in one block: the first p has variance 1/4, and the
+    second has none left once the first is known.  Returns (program,
+    input state)."""
     nodes = (
         Node(0, ROLE_INPUT, coupling=COUPLING_QND, port=0),
         Node(1, ROLE_INPUT, coupling=COUPLING_QND, port=1),
@@ -399,14 +400,89 @@ def test_block_conditioning_names_the_first_degenerate_homodyne():
         feedforward=(),
         target=identity(2),
     )
-    assert len(program.tape.blocks) == 1
     cov = np.eye(4) / 4
     cov[2, 3] = cov[3, 2] = 0.25
-    with pytest.raises(
-        DegenerateConditioningError,
-        match=r"^measured quadrature on node 1 has non-positive variance 0\.000e\+00$",
-    ):
-        run_program(program, GaussianState(np.zeros(4), cov), 1.0)
+    return program, GaussianState(np.zeros(4), cov)
+
+
+DEGENERATE_NODE_1 = r"^measured quadrature on node 1 has non-positive variance 0\.000e\+00$"
+
+
+def test_block_conditioning_names_the_first_degenerate_homodyne():
+    program, input_state = correlated_ports()
+    assert len(program.tape.blocks) == 1
+    with pytest.raises(DegenerateConditioningError, match=DEGENERATE_NODE_1):
+        run_program(program, input_state, 1.0)
+
+
+def squeezed_input(n: int) -> GaussianState:
+    # p-squeezed ports, a different squeezing on each.
+    s = np.linspace(0.5, 1.0, n)
+    cov = np.diag(np.concatenate((np.exp(2.0 * s), np.exp(-2.0 * s)))) / 4.0
+    return GaussianState(coherent_input(n).mean, cov)
+
+
+def counted_plans(monkeypatch) -> list:
+    """Spy on the simulator's covariance passes; returns the list that
+    records the squeezing of each."""
+    plans = []
+    plan = simulator.covariance_plan
+
+    def counting(tape, r, *args):
+        plans.append(r)
+        return plan(tape, r, *args)
+
+    monkeypatch.setattr(simulator, "covariance_plan", counting)
+    return plans
+
+
+def test_every_shot_on_one_plan_matches_the_dense_oracle(monkeypatch):
+    # The shots on one input share a plan; each new input covariance gets
+    # its own, and so does every shot that follows it.
+    plans = counted_plans(monkeypatch)
+    program, _ = compile(random_symplectic(2, 8))
+    r = db_to_r(13.0)
+    policies = [sampled(1), PINNED_ZERO, sampled(2), sampled(3)]
+    inputs = [coherent_input, correlated_input, squeezed_input, coherent_input]
+    for make_input in inputs:
+        input_state = make_input(program.n)
+        for policy in policies:
+            out, record = run_program(program, input_state, r, policy)
+            mean, cov, expected = dense_run_program(program, input_state, r, policy)
+            assert_allclose(out.mean, mean, rtol=0, atol=1e-12)
+            assert_allclose(out.cov, cov, rtol=0, atol=1e-12)
+            assert list(record) == list(expected)
+            assert_allclose(list(record.values()), list(expected.values()), rtol=0, atol=1e-12)
+    assert plans == [r] * len(inputs)
+
+
+def test_a_plan_is_kept_per_program_squeezing_and_input_covariance(monkeypatch):
+    plans = counted_plans(monkeypatch)
+    program, _ = compile(random_symplectic(2, 5))
+    r, other = db_to_r(13.0), db_to_r(14.0)
+    state = coherent_input(2)
+    run_program(program, state, r, sampled(1))
+    run_program(program, coherent(2, [0.3, -0.2, 0.1, 0.5]), r)  # another mean
+    effective_map(program, r)  # a vacuum covariance, as a coherent input's
+    assert program.plan(r, state.cov) is program.plan(r, vacuum(2).cov)
+    assert plans == [r]
+    run_program(program, state, other)
+    run_program(program, correlated_input(2), other)
+    run_program(program, state, r)  # one entry: the first plan was replaced
+    run_program(dataclasses.replace(program), state, r)
+    assert plans == [r, other, other, r, r]
+    run_program(program, state, r, validate=True)  # its own plan, not kept
+    run_program(program, state, r)
+    assert plans == [r, other, other, r, r, r]
+
+
+def test_a_degenerate_plan_is_not_kept(monkeypatch):
+    plans = counted_plans(monkeypatch)
+    program, input_state = correlated_ports()
+    for _ in range(2):
+        with pytest.raises(DegenerateConditioningError, match=DEGENERATE_NODE_1):
+            run_program(program, input_state, 1.0)
+    assert plans == [1.0, 1.0]
 
 
 @settings(max_examples=30, deadline=None)
