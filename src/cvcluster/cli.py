@@ -160,7 +160,7 @@ def cmd_verify(args) -> int:
     # simulator's excess is below its covariance round-off floor (eps *
     # e^{2r}); the replay's closed form is exact.
     replay = exact_replay(program)
-    ff_error, (source, port) = replay.feedforward_error(program.feedforward_gains())
+    ff_error, (source, port) = replay.feedforward_error(program.gain_table)
     excess_trace = float(np.trace(replay.excess_covariance(r)))
     passed = error < args.tol and ff_error < args.tol
     report = {

@@ -93,17 +93,13 @@ class ExactReplay:
             gains[k, n + port].tolist(),
         ))
 
-    def feedforward_error(self, gains: dict) -> tuple:
-        """max|G + outcome_response| for the gains G of
-        ``MeasurementProgram.feedforward_gains`` (zero when they make the
-        outputs outcome-independent), and the (source node id, output port)
-        of that entry."""
+    def feedforward_error(self, gains: np.ndarray) -> tuple:
+        """max|outcome_response + G^T| for the m-by-2n gain table G of
+        ``MeasurementProgram.gain_table`` (zero when it makes the outputs
+        outcome-independent), and the (source node id, output port) of that
+        entry."""
         n = self.matrix.shape[0] // 2
-        diff = self.outcome_response.copy()
-        for k, node in enumerate(self.measured_ids):
-            if node in gains:
-                diff[:, k] += gains[node]
-        diff = np.abs(diff)
+        diff = np.abs(self.outcome_response + gains.T)
         row, k = np.unravel_index(int(np.argmax(diff)), diff.shape)
         return float(diff[row, k]), (self.measured_ids[k], int(row) % n)
 
@@ -194,9 +190,9 @@ class Block(NamedTuple):
     """At most ``TAPE_BLOCK`` consecutive schedule entries, as ``Tape``
     replays them: open the slots ``opens`` (whose rows are zero), apply
     ``coupling`` to ``rows``, condition on the homodynes, then clear their
-    slots.  Homodyne i measures ``weights[i]`` x + ``weights[k + i]`` p
-    (sin and cos of its angle) at rows ``measured[i]`` and ``measured[k +
-    i]``.
+    slots.  Homodyne i of the k measures ``weights[i]`` x + ``weights[k +
+    i]`` p (sin and cos of its angle) at rows ``measured[i]`` and
+    ``measured[k + i]``.
 
     Every coupling of the block comes before its first homodyne.  That is
     exact: a coupling never touches a node measured before it, since
@@ -213,13 +209,13 @@ class Block(NamedTuple):
     coupling: np.ndarray  # its couplings' product, acting on ``rows``
     measured: np.ndarray  # the homodynes' x rows, then their p rows
     weights: np.ndarray  # the homodyne angles' sines, then their cosines
-    live: tuple  # x rows of the slots live after the block, ascending
 
 
 @dataclass(frozen=True)
 class Tape:
     """A schedule's frontier, recorded once by ``record`` and replayed by
-    every simulator pass in place of ``_Frontier``'s bookkeeping.
+    every simulator pass in place of ``_Frontier``'s bookkeeping.  It holds
+    the frontier alone: a program's feedforward is its ``gain_table``.
 
     Storage has ``size`` rows; input port p holds rows 2p and 2p + 1.  The
     blocks run in schedule order.  The last one also applies the edges
@@ -232,7 +228,6 @@ class Tape:
     blocks: tuple  # Block, schedule order
     out: np.ndarray
     size: int
-    gains: np.ndarray  # m-by-2n output displacement per unit outcome, schedule order
 
 
 class _Recorder(_Frontier):
@@ -272,7 +267,6 @@ class _Recorder(_Frontier):
             coupling=_qnd_run(size, run, coupling),
             measured=np.array(measured + [x + 1 for x in measured], dtype=int),
             weights=weights,
-            live=tuple(sorted(self.slot.values())),
         )
         self.opens, self.ops = [], []
         return block
@@ -302,38 +296,31 @@ def _qnd_run(size: int, run, coupling) -> np.ndarray:
     return counts.astype(float) if coupling is None else coupling + (counts @ coupling)
 
 
-def record(graph, schedule, readout, gains=None, block: int = TAPE_BLOCK) -> Tape:
-    """Record the frontier of a schedule, ``block`` entries a block, and of
-    the read-out of the nodes ``readout``; ``gains`` maps measured node ids
-    to their feedforward displacements (``feedforward_gains``)."""
+def record(graph, schedule, readout) -> Tape:
+    """Record the frontier of a schedule, ``TAPE_BLOCK`` entries a block,
+    and of the read-out of the nodes ``readout``."""
     frontier = _Recorder(graph)
     ports = frontier.size // 2
     angles = np.array([entry.angle for entry in schedule])
     sin, cos = np.sin(angles), np.cos(angles)
-    starts = range(0, max(len(schedule), 1), block)
+    starts = range(0, max(len(schedule), 1), TAPE_BLOCK)
     blocks = tuple(
         frontier.block(
-            schedule[k : k + block],
-            np.concatenate((sin[k : k + block], cos[k : k + block])),
+            schedule[k : k + TAPE_BLOCK],
+            np.concatenate((sin[k : k + TAPE_BLOCK], cos[k : k + TAPE_BLOCK])),
             readout if k == starts[-1] else (),
         )
         for k in starts
     )
-    table = np.zeros((len(schedule), 2 * ports))
-    for k, entry in enumerate(schedule):
-        if gains and entry.node_id in gains:
-            table[k] = gains[entry.node_id]
     out = frontier.out + [x + 1 for x in frontier.out]
-    return Tape(ports, blocks, np.array(out, dtype=int), frontier.size, table)
+    return Tape(ports, blocks, np.array(out, dtype=int), frontier.size)
 
 
-def program_tape(program: MeasurementProgram, block: int = TAPE_BLOCK) -> Tape:
-    """``record`` of a program's schedule and feedforward, read out at its
-    output ports.  ``MeasurementProgram.tape`` holds the one for
-    ``TAPE_BLOCK``."""
+def program_tape(program: MeasurementProgram) -> Tape:
+    """``record`` of a program's schedule, read out at its output ports;
+    ``MeasurementProgram.tape`` keeps it."""
     graph = program.graph
-    readout = [port.id for port in graph.output_ports()]
-    return record(graph, program.schedule, readout, program.feedforward_gains(), block)
+    return record(graph, program.schedule, [port.id for port in graph.output_ports()])
 
 
 class _Rows(_Frontier):

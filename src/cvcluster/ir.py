@@ -130,7 +130,8 @@ class MeasurementProgram:
     @cached_property
     def tape(self):
         """The program's frontier schedule (``executor.program_tape``),
-        recorded once, after ``validate``; a ``dataclasses.replace``d
+        recorded once, after ``validate``, in blocks of
+        ``executor.TAPE_BLOCK`` homodynes; a ``dataclasses.replace``d
         program records its own."""
         from .executor import program_tape  # the executor imports this module
 
@@ -155,22 +156,26 @@ class MeasurementProgram:
             self.__dict__["_plan"] = entry
         return entry[1]
 
-    def feedforward_gains(self) -> dict:
-        """Measured node id -> the 2n output displacement (x-then-p, port
-        order) that the feedforward rules install per unit outcome."""
-        if not self.feedforward:
-            return {}
+    @cached_property
+    def gain_table(self) -> np.ndarray:
+        """The feedforward as an m-by-2n read-only table, built after
+        ``validate``: row k is the output displacement (x-then-p, port
+        order) per unit outcome of measurement k, in schedule order.
+        Repeated rules add up in rule order."""
+        self.validate()
         n = self.n
-        port = {p.id: p.port for p in self.graph.output_ports()}
-        source, target, gain_x, gain_p = zip(*self.feedforward)
-        rows = {}  # source id -> its row of the table, in order of first rule
-        row = np.array([rows.setdefault(s, len(rows)) for s in source])
-        col = np.array([port[t] for t in target])
-        # ufunc.at adds repeated (source, target) rules in rule order.
-        table = np.zeros((len(rows), 2 * n))
-        np.add.at(table, (row, col), gain_x)
-        np.add.at(table, (row, n + col), gain_p)
-        return dict(zip(rows, table))
+        table = np.zeros((len(self.schedule), 2 * n))
+        if self.feedforward:
+            measured = {entry.node_id: k for k, entry in enumerate(self.schedule)}
+            port = {p.id: p.port for p in self.graph.output_ports()}
+            source, target, gain_x, gain_p = zip(*self.feedforward)
+            row = np.array([measured[s] for s in source])
+            col = np.array([port[t] for t in target])
+            # ufunc.at adds repeated (source, target) rules in rule order.
+            np.add.at(table, (row, col), gain_x)
+            np.add.at(table, (row, n + col), gain_p)
+        table.flags.writeable = False
+        return table
 
     def validate(self) -> None:
         self.graph.validate()

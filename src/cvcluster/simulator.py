@@ -18,9 +18,9 @@ homodynes at once and clears their slots.  The homodyne angles never wait
 on an outcome, since every correction is a displacement, so the k
 conditionings are one Schur complement with their k-by-k covariance; its
 Cholesky factor draws sampled outcomes exactly as k one-at-a-time draws
-would.  Feedforward displacements are added to the outputs at read-out,
-after all of their edges, as one product of the outcomes with the
-program's gain table.
+would.  The tape holds only the frontier.  Feedforward displacements are
+added to the outputs at read-out, after all of their edges, as one
+product of the outcomes with the program's ``gain_table``.
 
 Since outcomes only displace, the conditioned covariance is the same for
 every outcome record.  A pass is therefore split in two.  The plan
@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateConditioningError
-from .executor import program_tape, record
+from .executor import record
 from .ir import ClusterGraph, MeasurementProgram
 from .symplectic import (
     SymplecticMap,
@@ -255,12 +255,6 @@ class _Covariance:
         self.cov[block.measured] = 0.0
         self.cov[:, block.measured] = 0.0
 
-    def validate(self, block) -> None:
-        """Check the physicality of the slots live after the block."""
-        sel = list(block.live) + [x + 1 for x in block.live]
-        cov = _symmetric(self.cov[np.ix_(sel, sel)])
-        validate_state(GaussianState(np.zeros(len(sel)), cov))
-
     def read(self) -> np.ndarray:
         """The covariance of the read-out nodes' x's, their p's and the
         tail, checked finite."""
@@ -303,29 +297,6 @@ def _degenerate(var, nodes) -> Exception:
     )
 
 
-def _condition(mean, cov, ix: int, ip: int, theta: float, rng, name: str) -> float:
-    """Condition (mean, cov) in place on x sin(theta) + p cos(theta), with x
-    and p at indices ix and ip; return the outcome.  This is the one-mode
-    step of ``homodyne_measure``; program passes condition a tape block at
-    a time (``covariance_plan`` and ``shot``).
-
-    The outcome is drawn from its prior with ``rng``, or pinned to zero when
-    ``rng`` is None; a ``mean`` with columns is conditioned column by column.
-    """
-    sin, cos = math.sin(theta), math.cos(theta)
-    cv = sin * cov[:, ix] + cos * cov[:, ip]
-    var = sin * cv[ix] + cos * cv[ip]
-    if var <= 0.0:
-        raise DegenerateConditioningError(
-            f"measured quadrature on {name} has non-positive variance {var:.3e}"
-        )
-    prior = sin * mean[ix] + cos * mean[ip]
-    outcome = 0.0 if rng is None else float(rng.normal(prior, math.sqrt(var)))
-    mean += np.multiply.outer(cv / var, outcome - prior)
-    cov -= np.outer(cv, cv) / var
-    return outcome
-
-
 def homodyne_measure(
     state: GaussianState,
     mode: int,
@@ -335,18 +306,31 @@ def homodyne_measure(
 ):
     """Measure x sin(theta) + p cos(theta) on a mode.
 
-    Returns (outcome, conditional state with the mode removed).  The
-    conditional covariance does not depend on the outcome value.
+    Returns (outcome, conditional state with the mode removed).  A sampled
+    outcome is drawn from its prior with ``rng`` (or a generator seeded by
+    the policy); a pinned one is zero.  The conditional covariance does not
+    depend on the outcome value.  Program passes condition a tape block at
+    a time instead (``covariance_plan`` and ``shot``).
     """
     n = state.n
     if not 0 <= mode < n:
         raise ValueError(f"mode {mode} out of range for n={n}")
-    if policy.kind == "sampled" and rng is None:
-        rng = np.random.default_rng(policy.seed)
-    rng = rng if policy.kind == "sampled" else None
-    mean, cov = state.mean.copy(), state.cov.copy()
-    outcome = _condition(mean, cov, mode, n + mode, theta, rng, f"mode {mode}")
-    keep = [i for i in range(2 * n) if i not in (mode, n + mode)]
+    ix, ip = mode, n + mode
+    sin, cos = math.sin(theta), math.cos(theta)
+    cv = sin * state.cov[:, ix] + cos * state.cov[:, ip]
+    var = sin * cv[ix] + cos * cv[ip]
+    if var <= 0.0:
+        raise DegenerateConditioningError(
+            f"measured quadrature on mode {mode} has non-positive variance {var:.3e}"
+        )
+    prior = sin * state.mean[ix] + cos * state.mean[ip]
+    outcome = 0.0
+    if policy.kind == "sampled":
+        rng = np.random.default_rng(policy.seed) if rng is None else rng
+        outcome = float(rng.normal(prior, math.sqrt(var)))
+    mean = state.mean + cv / var * (outcome - prior)
+    cov = state.cov - np.outer(cv, cv) / var
+    keep = [i for i in range(2 * n) if i not in (ix, ip)]
     return outcome, GaussianState(mean[keep], cov[np.ix_(keep, keep)])
 
 
@@ -378,10 +362,10 @@ class Plan(NamedTuple):
     cov: np.ndarray  # read-out covariance, x-then-p, read-only
 
 
-def covariance_plan(tape, r: float, cov, validate: bool = False) -> Plan:
+def covariance_plan(tape, r: float, cov) -> Plan:
     """Condition the covariance ``cov`` of a tape's inputs on its
-    homodynes, a block at a time.  ``validate`` checks the live modes after
-    every block."""
+    homodynes, a block at a time; ``MeasurementProgram.plan`` keeps the
+    program's last one."""
     with _finite_moments(r):
         state = _Covariance(tape, r, cov)
         steps = []
@@ -389,8 +373,6 @@ def covariance_plan(tape, r: float, cov, validate: bool = False) -> Plan:
             state.couple(block)
             steps.append(state.condition(block))
             state.clear(block)
-            if validate:
-                state.validate(block)
         cov = state.read()
     cov.flags.writeable = False
     return Plan(tape, r, tuple(steps), cov)
@@ -438,7 +420,6 @@ def run_program(
     input_state: GaussianState,
     r: float,
     policy: OutcomePolicy = PINNED_ZERO,
-    validate: bool = False,
 ):
     """Execute a compiled program on an input state at ancilla squeezing r.
 
@@ -452,18 +433,14 @@ def run_program(
     The covariance comes from the program's plan for (r, input covariance)
     (``MeasurementProgram.plan``), which lives as long as the program or
     until a run with another r or input covariance replaces it; the run
-    itself is one mean-only ``shot``.  ``validate`` builds a plan of one
-    homodyne a block, checks the live modes after each, and keeps nothing.
+    itself is one mean-only ``shot``.  The feedforward is the outcomes
+    times the program's ``gain_table``.
     """
     rng = np.random.default_rng(policy.seed) if policy.kind == "sampled" else None
-    if validate:
-        program.validate()
-        plan = covariance_plan(program_tape(program, 1), r, input_state.cov, validate)
-    else:
-        plan = program.plan(r, input_state.cov)
+    plan = program.plan(r, input_state.cov)
     mean, outcomes = shot(plan, input_state.mean, rng)
     # Feedforward lands after every edge of the outputs, so it is added here.
-    mean += outcomes @ plan.tape.gains
+    mean += outcomes @ program.gain_table
     record = dict(zip((e.node_id for e in program.schedule), outcomes.tolist()))
     return GaussianState(mean + program.target.displacement, plan.cov), record
 
@@ -504,14 +481,14 @@ def _channel_excess(program: MeasurementProgram, r: float) -> np.ndarray:
     """The deferred-measurement pass of ``extract_effective_map``: each
     block adds G q to the accumulators, G the 2n-by-k gains of its k
     homodynes q."""
-    n, tape = program.n, program.tape
+    n, tape, table = program.n, program.tape, program.gain_table
     with _finite_moments(r):
         state = _Covariance(tape, r, np.zeros((2 * n, 2 * n)), 2 * n)
         cov, acc, start = state.cov, slice(tape.size, None), 0
         for block in tape.blocks:
             state.couple(block)
             stop = start + len(block.nodes)
-            gains, start = tape.gains[start:stop].T, stop
+            gains, start = table[start:stop].T, stop
             cq, var = state.quadratures(block)
             # acc += G q: rows, then columns
             cov[acc] += gains @ cq.T

@@ -219,16 +219,17 @@ def test_port_counts_must_match():
     assert str(err.value) == "input and output port counts differ"
 
 
-def loop_feedforward_gains(program: MeasurementProgram) -> dict:
-    """The gains of ``feedforward_gains``, summed rule by rule."""
+def loop_gain_table(program: MeasurementProgram) -> np.ndarray:
+    """The ``gain_table``, summed rule by rule into rows in schedule order."""
     n = program.n
     port = {p.id: p.port for p in program.graph.output_ports()}
-    gains = {}
-    for rule in program.feedforward:
-        g = gains.setdefault(rule.source_id, np.zeros(2 * n))
-        g[port[rule.target_id]] += rule.gain_x
-        g[n + port[rule.target_id]] += rule.gain_p
-    return gains
+    table = np.zeros((len(program.schedule), 2 * n))
+    for k, entry in enumerate(program.schedule):
+        for rule in program.feedforward:
+            if rule.source_id == entry.node_id:
+                table[k, port[rule.target_id]] += rule.gain_x
+                table[k, n + port[rule.target_id]] += rule.gain_p
+    return table
 
 
 def test_feedforward_gains_sum_repeated_rules_in_rule_order():
@@ -240,20 +241,30 @@ def test_feedforward_gains_sum_repeated_rules_in_rule_order():
         FeedforwardRule(0, 1, 1.0, 0.25),
     )
     program = dataclasses.replace(small_program(), feedforward=rules)
-    gains = program.feedforward_gains()
-    assert list(gains) == [0]
-    assert gains[0].tolist() == [1e16, 0.75]
+    assert [entry.node_id for entry in program.schedule] == [0]
+    assert program.gain_table.tolist() == [[1e16, 0.75]]
     assert (1.0 + 1.0) + 1e16 == 1e16 + 2
-    assert dataclasses.replace(small_program(), feedforward=()).feedforward_gains() == {}
+    table = dataclasses.replace(small_program(), feedforward=()).gain_table
+    assert table.shape == (1, 2) and not table.any()
 
 
 @pytest.mark.parametrize("n, seed", [(2, 12), (3, 5), (4, 1)])
 def test_feedforward_gains_match_the_rule_loop(n, seed):
     program, _ = compile(random_symplectic(n, seed))
-    gains, expected = program.feedforward_gains(), loop_feedforward_gains(program)
-    assert list(gains) == list(expected)
-    for node, gain in expected.items():
-        assert [float.hex(g) for g in gains[node]] == [float.hex(g) for g in gain]
+    table, expected = program.gain_table, loop_gain_table(program)
+    assert table.shape == (len(program.schedule), 2 * n)
+    assert [list(map(float.hex, row)) for row in table.tolist()] == [
+        list(map(float.hex, row)) for row in expected.tolist()
+    ]
+
+
+def test_the_gain_table_is_kept_and_read_only():
+    program, _ = compile(random_symplectic(2, 12))
+    table = program.gain_table
+    assert program.gain_table is table
+    assert dataclasses.replace(program).gain_table is not table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0
 
 
 def test_schedule_entries_and_rules_are_immutable_records():

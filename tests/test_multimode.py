@@ -1,5 +1,7 @@
 """Connection gates, Bloch-Messiah, splitter meshes, and full compilation."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -465,6 +467,28 @@ def test_compile_refuses_a_wrong_lowering(monkeypatch):
     monkeypatch.setattr(multimode, "decompose_four_step", lambda *args, **kwargs: wrong)
     with pytest.raises(CompileError, match=r"at entry \(\d, \d\)"):
         compile(squeeze(0.5))
+
+
+def cluster_structure(program) -> tuple:
+    """A program's graph (nodes and edges) and schedule node order."""
+    graph = program.graph
+    return graph.nodes, graph.edges, tuple(entry.node_id for entry in program.schedule)
+
+
+@functools.cache
+def reference_program(n: int):
+    return compile(random_symplectic(n, 0))[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([2, 3, 4]), seed=st.integers(1, 2**32 - 1))
+def test_generic_targets_of_one_n_compile_to_one_fixed_cluster(n, seed):
+    # The paper's claim: one finite cluster per n realises every generic
+    # target; only the homodyne angles and the feedforward depend on it.
+    program, reference = compile(random_symplectic(n, seed))[0], reference_program(n)
+    assert cluster_structure(program) == cluster_structure(reference)
+    angles = [entry.angle for entry in program.schedule]
+    assert angles != [entry.angle for entry in reference.schedule]
 
 
 def test_compile_multimode_identity():

@@ -338,26 +338,6 @@ def test_simulator_memory_follows_the_live_frontier(run):
     assert peak < 10e6
 
 
-def test_physicality_along_a_run():
-    program, _ = compile(random_symplectic(2, 33))
-    run_program(program, vacuum(2), 1.0, validate=True)  # validates every step
-
-
-def test_validate_checks_the_live_modes_after_every_homodyne(monkeypatch):
-    program, _ = compile(random_symplectic(2, 33))
-    checked = []
-    check = simulator.validate_state
-
-    def counting(state, *args):
-        checked.append(state.n)
-        return check(state, *args)
-
-    monkeypatch.setattr(simulator, "validate_state", counting)
-    run_program(program, vacuum(2), 1.0, validate=True)
-    assert len(checked) == len(program.schedule)
-    assert len(program.tape.blocks) < len(program.schedule)
-
-
 def test_the_tape_is_recorded_once_per_program(monkeypatch):
     recorded = []
     record = executor.program_tape
@@ -471,9 +451,6 @@ def test_a_plan_is_kept_per_program_squeezing_and_input_covariance(monkeypatch):
     run_program(program, state, r)  # one entry: the first plan was replaced
     run_program(dataclasses.replace(program), state, r)
     assert plans == [r, other, other, r, r]
-    run_program(program, state, r, validate=True)  # its own plan, not kept
-    run_program(program, state, r)
-    assert plans == [r, other, other, r, r, r]
 
 
 def test_a_degenerate_plan_is_not_kept(monkeypatch):
@@ -488,8 +465,8 @@ def test_a_degenerate_plan_is_not_kept(monkeypatch):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_blocks_of_eight_match_one_homodyne_a_block(data):
-    # validate=True replays a tape of one homodyne a block, the order of
-    # one-at-a-time conditioning; the default tape conditions eight at once.
+    # The dense oracle conditions one homodyne at a time on the whole
+    # cluster, with its own coupling; the tape conditions eight at once.
     kind = data.draw(st.sampled_from(["compiled", "shuffled", "teleport", "correlated"]))
     if kind == "teleport":
         program = teleport_identity_program()
@@ -503,9 +480,10 @@ def test_blocks_of_eight_match_one_homodyne_a_block(data):
     policy = data.draw(st.sampled_from([PINNED_ZERO, sampled(data.draw(st.integers(0, 2**16)))]))
     r = db_to_r(13.0)
     out, record = run_program(program, input_state, r, policy)
-    one, one_record = run_program(program, input_state, r, policy, validate=True)
-    assert_allclose(out.mean, one.mean, rtol=0, atol=1e-12)
-    assert_allclose(out.cov, one.cov, rtol=0, atol=1e-12)
+    mean, cov, one_record = dense_run_program(program, input_state, r, policy)
+    assert_allclose(out.mean, mean, rtol=0, atol=1e-12)
+    assert_allclose(out.cov, cov, rtol=0, atol=1e-12)
+    validate_state(out)
     assert list(record) == list(one_record)
     assert_allclose(list(record.values()), list(one_record.values()), rtol=0, atol=1e-12)
 
