@@ -17,6 +17,10 @@ M is the noise-free replay of the program, -B gives the feedforward gains
 that cancel outcome dependence, and N (whose u variables have variance
 exp(-2r)/4) gives the exact finite-squeezing excess covariance.
 
+The pass is deterministic on a frozen program, so it runs once per program
+object: ``MeasurementProgram.replay`` keeps its result, ``exact_replay``
+returns that one object to every caller, and its arrays are read-only.
+
 The replay streams over the schedule and keeps rows only for the live
 frontier, the nodes that are coupled but not yet measured, so its memory is
 O(live frontier x basis width) rather than O(nodes x basis width).  The
@@ -55,6 +59,9 @@ TAPE_BLOCK = 8
 @dataclass(frozen=True)
 class ExactReplay:
     """Exact linear response of a program's outputs.
+
+    One instance is kept per program (``MeasurementProgram.replay``) and
+    shared by every caller, so its arrays are read-only.
 
     Attributes:
         matrix: 2n-by-2n input response (the noise-free replay of the program).
@@ -376,7 +383,16 @@ class _Rows(_Frontier):
 
 
 def exact_replay(program: MeasurementProgram) -> ExactReplay:
-    """Execute the program on symbolic quadratures; see module docstring.
+    """The program's exact replay, ``MeasurementProgram.replay``: computed
+    once per program object and then shared, so every call returns the same
+    read-only ``ExactReplay``.  A program from ``compile`` holds the replay
+    that checked it; see ``_replay`` for the pass."""
+    return program.replay
+
+
+def _replay(program: MeasurementProgram) -> ExactReplay:
+    """Execute a validated program on symbolic quadratures; see module
+    docstring.
 
     Edges are applied when ``_Frontier`` schedules them.  No w survives to
     an output: ``validate`` makes the schedule exactly the non-output nodes
@@ -393,7 +409,6 @@ def exact_replay(program: MeasurementProgram) -> ExactReplay:
     coefficient is below PIVOT_TOL times max(1, max |coefficient|), the
     max taken over every column in use (unused columns are exact zeros).
     """
-    program.validate()
     graph = program.graph
     n = len(graph.input_ports())
     n_meas = len(program.schedule)
@@ -435,10 +450,13 @@ def exact_replay(program: MeasurementProgram) -> ExactReplay:
         xr = frontier.couple(port.id)
         out[port.port], out[n + port.port] = xr, xr + 1
     picked, pool = frontier.rows[out], frontier.pool
-    return ExactReplay(
+    replay = ExactReplay(
         matrix=picked[:, pool : pool + 2 * n].copy(),
         outcome_response=picked[:, pool + outcomes],
         noise_response=picked[:, pool + frontier.u],
         measured_ids=tuple(e.node_id for e in program.schedule),
         output_ids=tuple(p.id for p in graph.output_ports()),
     )
+    for array in (replay.matrix, replay.outcome_response, replay.noise_response):
+        array.flags.writeable = False  # every caller shares the one replay
+    return replay

@@ -138,6 +138,18 @@ class MeasurementProgram:
         self.validate()
         return program_tape(self)
 
+    @cached_property
+    def replay(self):
+        """The program's exact replay (``executor.exact_replay``), run once,
+        after ``validate``, and shared read-only by every caller.  A program
+        from ``compile`` already holds the replay that checked it; a
+        ``dataclasses.replace``d or loaded program runs its own on first
+        use, and a pass that raises keeps nothing."""
+        from .executor import _replay  # the executor imports this module
+
+        self.validate()
+        return _replay(self)
+
     def plan(self, r: float, cov: np.ndarray):
         """The ``tape``'s conditioned covariance at squeezing r for the
         input covariance ``cov`` (``simulator.covariance_plan``).

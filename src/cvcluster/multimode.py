@@ -434,7 +434,8 @@ def compile(target: SymplecticMap, kappa1: float = None):
     The program's one check is its exact replay, which also yields the
     feedforward: ``replay_residual`` is max|replay - target| over the
     matrix entries, and a residual above ``REPLAY_TOL`` raises CompileError
-    naming the worst entry.
+    naming the worst entry.  The returned program keeps that replay, so a
+    later ``exact_replay`` of it runs no second pass.
     """
     require_symplectic(target)
     n = target.n
@@ -459,9 +460,9 @@ def compile(target: SymplecticMap, kappa1: float = None):
         splitters.append((wires, value))
     for before, splitters in columns:
         builder.bs_column(before, splitters)
-    program = builder.finish(gates, target)
+    bare = builder.finish(gates, target)
 
-    check = exact_replay(program)
+    check = exact_replay(bare)
     diff = np.abs(check.matrix - target.matrix)
     residual = float(diff.max())
     if residual > REPLAY_TOL:
@@ -470,7 +471,10 @@ def compile(target: SymplecticMap, kappa1: float = None):
             f"noise-free replay misses the target by {residual:.3e} at entry "
             f"{worst} (> {REPLAY_TOL})"
         )
-    program = replace(program, feedforward=check.feedforward_rules())
+    program = replace(bare, feedforward=check.feedforward_rules())
+    # The replay reads the graph and the schedule, never the rules, so the
+    # check is the returned program's replay too (``MeasurementProgram.replay``).
+    program.__dict__["replay"] = check
     report = SynthesisReport(
         ancilla_count=len(program.graph.nodes) - n,
         step_params=builder.records,

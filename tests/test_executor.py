@@ -21,7 +21,7 @@ from cvcluster import (
     random_symplectic,
     run_program,
 )
-from cvcluster import executor
+from cvcluster import executor, serialize
 from cvcluster.executor import FEEDFORWARD_TOL
 from cvcluster.ir import (
     COUPLING_QND,
@@ -349,3 +349,58 @@ def test_replay_pivot_ties_go_to_the_lowest_graph_order_ancilla(monkeypatch):
     monkeypatch.setattr(executor, "_Rows", Rows)
     exact_replay(program)
     assert eliminated == [1, 3, 2, 4]
+
+
+def test_compile_hands_its_replay_to_the_program(replay_passes):
+    program, _ = compile(random_symplectic(2, 5))
+    replay = exact_replay(program)
+    assert exact_replay(program) is replay is program.replay
+    # The one pass ran on compile's rule-free program, before the rules existed.
+    [bare] = replay_passes
+    assert bare.feedforward == () and program.feedforward
+    assert bare.graph is program.graph and bare.schedule is program.schedule
+
+
+def test_a_shared_replay_is_read_only():
+    replay = exact_replay(compile(random_symplectic(2, 5))[0])
+    for array in (replay.matrix, replay.outcome_response, replay.noise_response):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+
+
+def test_a_replaced_program_runs_its_own_replay(replay_passes):
+    program, _ = compile(random_symplectic(2, 5))
+    replay = exact_replay(program)
+    reversed_program = dataclasses.replace(program, schedule=program.schedule[::-1])
+    fewer_rules = dataclasses.replace(program, feedforward=program.feedforward[:-1])
+    for copy in (reversed_program, fewer_rules):
+        assert exact_replay(copy) is not replay
+        assert exact_replay(copy) is copy.replay
+    assert len(replay_passes) == 3  # compile's pass, then one for each copy
+    assert replay_passes[1] is reversed_program and replay_passes[2] is fewer_rules
+    assert exact_replay(reversed_program).measured_ids == replay.measured_ids[::-1]
+    # The replay never reads the rules.
+    assert np.array_equal(exact_replay(fewer_rules).outcome_response, replay.outcome_response)
+
+
+def test_a_loaded_program_replays_once_on_first_use(replay_passes, tmp_path):
+    program, _ = compile(random_symplectic(2, 5))
+    path = tmp_path / "program.json"
+    serialize.save_program(program, str(path))
+    loaded = serialize.load_program(str(path))
+    replay = exact_replay(loaded)
+    assert exact_replay(loaded) is replay is not program.replay
+    assert len(replay_passes) == 2 and replay_passes[1] is loaded  # after compile's own pass
+    assert np.array_equal(replay.matrix, program.replay.matrix)
+
+
+@pytest.mark.parametrize("make_program", [degenerate_teleport_program, under_measured_program])
+def test_a_replay_that_raises_keeps_nothing(make_program, replay_passes):
+    program = make_program()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(DegenerateMeasurementError) as info:
+            exact_replay(program)
+        messages.append(str(info.value))
+        assert "replay" not in program.__dict__
+    assert len(replay_passes) == 2 and messages[0] == messages[1]

@@ -61,3 +61,19 @@ def test_tracer_sees_a_simulate_target_and_restores_every_alias(tmp_path):
     totals = tracer.totals()
     for name in ("simulator.run_program", "simulator.extract_effective_map"):
         assert totals[name]["calls"] >= 1, name
+
+
+def test_a_simulate_target_replays_its_program_once(replay_passes, tmp_path):
+    # compile replays the program, and the gate reads that kept replay.
+    outcome, tracer = _traced_target(tmp_path, "simulate")
+    assert outcome.failures == []
+    assert tracer.totals()["executor.exact_replay"]["calls"] == 2
+    assert len(replay_passes) == 1
+
+
+def test_a_compile_wide_target_replays_compiled_and_reloaded_programs(replay_passes, tmp_path):
+    # The gate verifies the program reloaded from its file, which runs its own pass.
+    outcome, tracer = _traced_target(tmp_path, "compile_wide")
+    assert outcome.failures == []
+    assert tracer.totals()["executor.exact_replay"]["calls"] == 2
+    assert len(replay_passes) == 2 and replay_passes[0] is not replay_passes[1]

@@ -532,24 +532,26 @@ def test_excess_trace_decreases_on_identity_chain():
 def test_extract_excess_is_the_corrected_channel_excess(make_program, monkeypatch):
     # The simulator's excess is the outcome-averaged, feedforward-corrected
     # channel's; the executor's N N^T e^{-2r}/4 is the same quantity, derived
-    # independently.  The executor is disabled during extraction so that the
-    # comparison stays a cross-check.
-    from cvcluster import executor, simulator
-
+    # independently.  The extraction runs on a copy that holds no replay,
+    # with the executor disabled, so that the comparison stays a
+    # cross-check: a simulator that read ``program.replay`` fails here.
     program = make_program()
     radii = [db_to_r(db) for db in (5.0, 10.0, 15.0, 20.0, 25.0)]
     replay = exact_replay(program)
     expected = [replay.excess_covariance(r) for r in radii]
+    copy = dataclasses.replace(program)
 
     def unavailable(*args, **kwargs):
         raise AssertionError("the simulator must not call the executor")
 
     monkeypatch.setattr(executor, "exact_replay", unavailable)
+    monkeypatch.setattr(executor, "_replay", unavailable)
     assert not hasattr(simulator, "exact_replay")
     for r, pred in zip(radii, expected):
-        _, excess = extract_effective_map(program, r)
+        _, excess = extract_effective_map(copy, r)
         assert_allclose(excess, pred, rtol=0, atol=1e-9 * np.max(np.abs(pred)))
         assert np.linalg.eigvalsh(excess).min() >= 0.0
+    assert "replay" not in copy.__dict__
 
 
 def test_feedforward_gains_elementary_step():
