@@ -24,9 +24,14 @@ returns that one object to every caller, and its arrays are read-only.
 The replay streams over the schedule and keeps rows only for the live
 frontier, the nodes that are coupled but not yet measured, so its memory is
 O(live frontier x basis width) rather than O(nodes x basis width).  The
-frontier's edge scheduler, ``_Frontier``, is shared with the simulator: its
-``_Recorder`` writes a program's schedule once as a ``Tape`` of blocks, which
-every simulator pass replays on Gaussian moments in place of coefficient rows.
+frontier's edge scheduler, ``_Frontier``, decides when each coupling is
+applied and which rows each node's slot takes.  None of that depends on an
+angle, only on the cluster's structure: the graph and the order of the
+measured nodes.  So ``_script`` walks the frontier once per structure and
+keeps its events as a ``Script``, for the last ``SCRIPTS`` structures.  The
+replay runs a script's events on coefficient rows, and a simulator ``Tape``
+is the script's blocks, cut once per structure, with the program's own
+sines and cosines; every simulator pass replays a tape on Gaussian moments.
 
 Internally the rows order their columns by event, so that every row
 operation touches only the prefix in use: first a pool of w columns, one
@@ -40,6 +45,7 @@ at the end; ``ExactReplay`` holds the [z | w | u | s] responses above.
 """
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -54,6 +60,8 @@ PIVOT_TOL = 1e-9
 FEEDFORWARD_TOL = 1e-12
 #: Schedule entries per tape block, the homodynes the simulator conditions at once.
 TAPE_BLOCK = 8
+#: Cluster structures whose frontier scripts ``_script`` keeps.
+SCRIPTS = 8
 
 
 @dataclass(frozen=True)
@@ -122,15 +130,16 @@ class _Frontier:
     to p's and leave every x as it is, so any set of them commutes and acts
     as one map.  A splitter mixes x's with p's, so it does not commute with
     its partner's QND gates and must follow them; only splitters order the
-    couplings.  ``_Recorder`` writes this order once per program as a
-    ``Tape`` for the simulator; ``exact_replay`` drives the frontier live.
+    couplings.  The order depends on the graph and on the order of the
+    nodes measured, never on an angle, so its one subclass, ``_Log``,
+    writes it down once per cluster structure (``_script``).
 
     A slot is two adjacent rows (x, then p).  Input port p holds rows 2p and
     2p + 1 from the start, as the inputs may be correlated; any other node
     gets a slot when its first edge is applied or it is measured, reused
-    once it is measured.  Subclasses hold the arithmetic: ``_grow`` (to
-    ``size`` rows), ``_open`` (a new slot), ``_qnd``, ``_bell`` and
-    ``_clear`` (a released slot), all given x rows.
+    once it is released; ``size`` rows of storage hold the slots.  The
+    subclass is told of each event: ``_open`` (a new slot), ``_qnd`` and
+    ``_bell``, all given x rows.
     """
 
     def __init__(self, graph):
@@ -170,9 +179,7 @@ class _Frontier:
 
     def release(self, node_id) -> None:
         """Free a measured node's slot for reuse."""
-        xr = self.slot.pop(node_id)
-        self._clear(xr)
-        self.free.append(xr)
+        self.free.append(self.slot.pop(node_id))
 
     def _apply_qnd(self, node_id) -> None:
         partners, self.qnd[node_id] = self.qnd[node_id], []
@@ -185,7 +192,6 @@ class _Frontier:
         if xr is None:
             if not self.free:
                 old, self.size = self.size, max(2, 2 * self.size)
-                self._grow(self.size)
                 self.free = list(range(self.size - 2, old - 2, -2))
             xr = self.free.pop()
             self.slot[node_id] = xr
@@ -193,13 +199,38 @@ class _Frontier:
         return xr
 
 
+class _Log(_Frontier):
+    """A frontier that writes its events down: each slot it opens, as (x
+    row, graph-order ancilla index), and each coupling, as (x row, x row,
+    is a Bell splitter), in the order applied."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.ancilla = {node.id: j for j, node in enumerate(graph.ancilla_nodes())}
+        self.opens, self.pairs = [], []
+
+    def cut(self) -> tuple:
+        """The (opens, couplings) logged since the last cut."""
+        events = (tuple(self.opens), tuple(self.pairs))
+        self.opens, self.pairs = [], []
+        return events
+
+    def _open(self, node_id, xr: int) -> None:
+        self.opens.append((xr, self.ancilla[node_id]))
+
+    def _qnd(self, xu: int, xv: int) -> None:
+        self.pairs.append((xu, xv, False))
+
+    def _bell(self, xa: int, xb: int) -> None:
+        self.pairs.append((xa, xb, True))
+
+
 class Block(NamedTuple):
     """At most ``TAPE_BLOCK`` consecutive schedule entries, as ``Tape``
     replays them: open the slots ``opens`` (whose rows are zero), apply
     ``coupling`` to ``rows``, condition on the homodynes, then clear their
-    slots.  Homodyne i of the k measures ``weights[i]`` x + ``weights[k +
-    i]`` p (sin and cos of its angle) at rows ``measured[i]`` and
-    ``measured[k + i]``.
+    slots.  Homodyne i of the k is at rows ``measured[i]`` (x) and
+    ``measured[k + i]`` (p); the tape's weights hold its angle.
 
     Every coupling of the block comes before its first homodyne.  That is
     exact: a coupling never touches a node measured before it, since
@@ -207,7 +238,8 @@ class Block(NamedTuple):
     other modes commutes with conditioning.  A slot the block releases is
     reused only by a later block.  ``coupling`` is the product of the
     block's couplings in the order ``_Frontier`` applied them, so each Bell
-    splitter still follows its partner's QND edges.
+    splitter still follows its partner's QND edges.  A block belongs to a
+    cluster structure and is shared, so its arrays are read-only.
     """
 
     nodes: tuple  # ids of the k homodynes, schedule order
@@ -215,83 +247,103 @@ class Block(NamedTuple):
     rows: np.ndarray  # x and p rows its couplings touch, ascending
     coupling: np.ndarray  # its couplings' product, acting on ``rows``
     measured: np.ndarray  # the homodynes' x rows, then their p rows
-    weights: np.ndarray  # the homodyne angles' sines, then their cosines
 
 
-@dataclass(frozen=True)
-class Tape:
-    """A schedule's frontier, recorded once by ``record`` and replayed by
-    every simulator pass in place of ``_Frontier``'s bookkeeping.  It holds
-    the frontier alone: a program's feedforward is its ``gain_table``.
+@dataclass(frozen=True, eq=False)
+class Script:
+    """The frontier events of one cluster structure (a graph, the order of
+    its measured nodes and its read-out nodes), logged once by ``_script``
+    and run by every exact replay and every tape of that structure.
 
-    Storage has ``size`` rows; input port p holds rows 2p and 2p + 1.  The
-    blocks run in schedule order.  The last one also applies the edges
-    left at the read-out nodes, whose x rows, then p rows, are ``out``:
-    those edges touch no measured node, so they too may come before its
-    homodynes.  A tape without homodynes is one block that only reads out.
+    ``events`` holds, for each schedule entry and then for the read-out,
+    the slots opened as (x row, graph-order ancilla index) and the
+    couplings applied as (x row, x row, is a Bell splitter), in order.
+    Entry k is measured at x row ``measured[k]``; the read-out nodes' x
+    rows, then their p rows, are ``out``.  Storage has ``size`` rows, and
+    input port p holds rows 2p and 2p + 1.
+
+    The slots are handed out as a tape uses them: the entries of a block
+    release their slots only once the whole block, and the read-out, are
+    coupled.  The exact replay measures each entry at once but runs the
+    same events on the same rows; which row holds a node changes none of
+    its arithmetic.
     """
 
     ports: int  # input ports
-    blocks: tuple  # Block, schedule order
+    nodes: tuple  # measured node ids, schedule order
+    events: tuple  # ((opens, couplings), ...): one per entry, then the read-out
+    measured: tuple  # x row of each entry
     out: np.ndarray
     size: int
 
+    @cached_property
+    def blocks(self) -> tuple:
+        """The events cut into ``Block``s of ``TAPE_BLOCK`` entries, the
+        read-out's with the last; cut on a tape's first use."""
+        m = len(self.nodes)
+        blocks = []
+        for k in range(0, max(m, 1), TAPE_BLOCK):
+            stop = min(k + TAPE_BLOCK, m)
+            last = stop == m  # then the read-out's events come too
+            blocks.append(_block(
+                self.nodes[k:stop], self.events[k : stop + last], self.measured[k:stop]
+            ))
+        return tuple(blocks)
 
-class _Recorder(_Frontier):
-    """A frontier that only keeps books: it logs the slots it opens and the
-    couplings it applies, and cuts them into ``Block``s."""
 
-    def __init__(self, graph):
-        super().__init__(graph)
-        self.opens, self.ops, self.out = [], [], []
+@lru_cache(maxsize=SCRIPTS)
+def _script(graph, measured: tuple, readout: tuple) -> Script:
+    """Walk the frontier of a graph that measures the nodes ``measured``,
+    in order, ``TAPE_BLOCK`` to a block, and reads out the nodes
+    ``readout``.  The last ``SCRIPTS`` structures are kept."""
+    log = _Log(graph)
+    ports = log.size // 2
+    events, rows = [], []
+    starts = range(0, max(len(measured), 1), TAPE_BLOCK)
+    for k in starts:
+        block = measured[k : k + TAPE_BLOCK]
+        for node_id in block:
+            rows.append(log.couple(node_id))
+            events.append(log.cut())
+        if k == starts[-1]:
+            out = [log.couple(node_id) for node_id in readout]
+            events.append(log.cut())
+        for node_id in block:
+            log.release(node_id)
+    out = np.array(out + [x + 1 for x in out], dtype=int)
+    out.flags.writeable = False
+    return Script(ports, measured, tuple(events), tuple(rows), out, log.size)
 
-    def block(self, entries, weights, readout=()) -> Block:
-        """Couple the entries' nodes and the ``readout`` nodes (whose x rows
-        go to ``out``), then release the entries; return the block of
-        everything applied since the last one."""
-        measured = [self.couple(e.node_id) for e in entries]
-        self.out = [self.couple(node_id) for node_id in readout]
-        for entry in entries:
-            self.release(entry.node_id)
-        slots = sorted({a for a, _, _ in self.ops} | {b for _, b, _ in self.ops})
-        local = {x: 2 * i for i, x in enumerate(slots)}  # local x row; p follows
-        size = 2 * len(slots)
-        coupling = None
-        run = list(range(0, size * size, size + 1))  # flat entries of I and a QND run
-        for a, b, bell in self.ops:
-            a, b = local[a], local[b]
-            if bell:
-                coupling = _qnd_run(size, run, coupling)
-                run = []
-                idx = [a, b, a + 1, b + 1]
-                coupling[idx] = BELL_SPLITTER @ coupling[idx]
-            else:  # QND: p_a += x_b, p_b += x_a
-                run += ((a + 1) * size + b, (b + 1) * size + a)
-        block = Block(
-            nodes=tuple(e.node_id for e in entries),
-            opens=np.array(self.opens, dtype=int),
-            rows=np.array([r for x in slots for r in (x, x + 1)], dtype=int),
-            coupling=_qnd_run(size, run, coupling),
-            measured=np.array(measured + [x + 1 for x in measured], dtype=int),
-            weights=weights,
-        )
-        self.opens, self.ops = [], []
-        return block
 
-    def _grow(self, size: int) -> None:
-        pass
-
-    def _open(self, node_id, xr: int) -> None:
-        self.opens.append(xr)
-
-    def _qnd(self, xu: int, xv: int) -> None:
-        self.ops.append((xu, xv, False))
-
-    def _bell(self, xa: int, xb: int) -> None:
-        self.ops.append((xa, xb, True))
-
-    def _clear(self, xr: int) -> None:
-        pass
+def _block(nodes, events, measured) -> Block:
+    """The ``Block`` of the homodynes ``nodes`` at x rows ``measured``,
+    after the opens and couplings of ``events``."""
+    opens = [xr for slots, _ in events for xr, _ in slots]
+    pairs = [pair for _, couplings in events for pair in couplings]
+    slots = sorted({a for a, _, _ in pairs} | {b for _, b, _ in pairs})
+    local = {x: 2 * i for i, x in enumerate(slots)}  # local x row; p follows
+    size = 2 * len(slots)
+    coupling = None
+    run = list(range(0, size * size, size + 1))  # flat entries of I and a QND run
+    for a, b, bell in pairs:
+        a, b = local[a], local[b]
+        if bell:
+            coupling = _qnd_run(size, run, coupling)
+            run = []
+            idx = [a, b, a + 1, b + 1]
+            coupling[idx] = BELL_SPLITTER @ coupling[idx]
+        else:  # QND: p_a += x_b, p_b += x_a
+            run += ((a + 1) * size + b, (b + 1) * size + a)
+    block = Block(
+        nodes=nodes,
+        opens=np.array(opens, dtype=int),
+        rows=np.array([r for x in slots for r in (x, x + 1)], dtype=int),
+        coupling=_qnd_run(size, run, coupling),
+        measured=np.array(measured + tuple(x + 1 for x in measured), dtype=int),
+    )
+    for array in block[1:]:
+        array.flags.writeable = False  # every tape of the structure shares it
+    return block
 
 
 def _qnd_run(size: int, run, coupling) -> np.ndarray:
@@ -303,24 +355,45 @@ def _qnd_run(size: int, run, coupling) -> np.ndarray:
     return counts.astype(float) if coupling is None else coupling + (counts @ coupling)
 
 
+@dataclass(frozen=True)
+class Tape:
+    """A schedule's frontier, as every simulator pass replays it in place
+    of ``_Frontier``'s bookkeeping: its structure's blocks (``Script.blocks``,
+    shared by every program of that structure) and the schedule's own
+    homodyne angles.  It holds the frontier alone: a program's feedforward
+    is its ``gain_table``.
+
+    Storage has ``size`` rows; input port p holds rows 2p and 2p + 1.  The
+    blocks run in schedule order.  The last one also applies the edges
+    left at the read-out nodes, whose x rows, then p rows, are ``out``:
+    those edges touch no measured node, so they too may come before its
+    homodynes.  A tape without homodynes is one block that only reads out.
+    """
+
+    ports: int  # input ports
+    blocks: tuple  # Block, schedule order
+    weights: tuple  # per block: its homodyne angles' sines, then their cosines
+    out: np.ndarray
+    size: int
+
+
+def _sin_cos(schedule) -> tuple:
+    """The sines and the cosines of a schedule's homodyne angles."""
+    angles = np.array([entry.angle for entry in schedule], dtype=float)
+    return np.sin(angles), np.cos(angles)
+
+
 def record(graph, schedule, readout) -> Tape:
-    """Record the frontier of a schedule, ``TAPE_BLOCK`` entries a block,
-    and of the read-out of the nodes ``readout``."""
-    frontier = _Recorder(graph)
-    ports = frontier.size // 2
-    angles = np.array([entry.angle for entry in schedule])
-    sin, cos = np.sin(angles), np.cos(angles)
-    starts = range(0, max(len(schedule), 1), TAPE_BLOCK)
-    blocks = tuple(
-        frontier.block(
-            schedule[k : k + TAPE_BLOCK],
-            np.concatenate((sin[k : k + TAPE_BLOCK], cos[k : k + TAPE_BLOCK])),
-            readout if k == starts[-1] else (),
-        )
-        for k in starts
+    """The tape of a schedule, read out at the nodes ``readout``: the
+    blocks of its structure's script (``_script``), ``TAPE_BLOCK`` entries
+    a block, with the sines and cosines of the schedule's angles."""
+    script = _script(graph, tuple(entry.node_id for entry in schedule), tuple(readout))
+    sin, cos = _sin_cos(schedule)
+    weights = tuple(
+        np.concatenate((sin[k : k + TAPE_BLOCK], cos[k : k + TAPE_BLOCK]))
+        for k in range(0, max(len(schedule), 1), TAPE_BLOCK)
     )
-    out = frontier.out + [x + 1 for x in frontier.out]
-    return Tape(ports, blocks, np.array(out, dtype=int), frontier.size)
+    return Tape(script.ports, script.blocks, weights, script.out, script.size)
 
 
 def program_tape(program: MeasurementProgram) -> Tape:
@@ -328,58 +401,6 @@ def program_tape(program: MeasurementProgram) -> Tape:
     ``MeasurementProgram.tape`` keeps it."""
     graph = program.graph
     return record(graph, program.schedule, [port.id for port in graph.output_ports()])
-
-
-class _Rows(_Frontier):
-    """Coefficient rows of the live quadratures over the replay's internal
-    columns: the w pool, the 2n input quadratures, then each u and each s
-    in the order it appears; every operation acts on ``rows[:, :end]``."""
-
-    def __init__(self, graph, n_meas: int):
-        super().__init__(graph)
-        n = self.size // 2
-        self.ancillas = {anc.id: j for j, anc in enumerate(graph.ancilla_nodes())}
-        self.pool = n  # w columns, one per slot
-        self.spare = list(range(n))  # w columns that no live row references
-        self.owner = np.zeros(n, dtype=int)  # graph-order ancilla of each w column
-        self.u = np.zeros(len(self.ancillas), dtype=int)  # u column of each ancilla, past the pool
-        self.end = 3 * n  # columns in use
-        self.rows = np.zeros((self.size, self.end + len(self.ancillas) + n_meas))
-        self.rows[0::2, n : 2 * n] = np.eye(n)
-        self.rows[1::2, 2 * n : 3 * n] = np.eye(n)
-
-    def _grow(self, size: int) -> None:
-        old, pool = self.pool, size // 2
-        grown = np.zeros((size, pool + self.rows.shape[1] - old))
-        grown[: len(self.rows), :old] = self.rows[:, :old]
-        grown[: len(self.rows), pool : pool + self.end - old] = self.rows[:, old : self.end]
-        self.rows = grown
-        self.spare += range(old, pool)
-        self.owner = np.concatenate((self.owner, np.zeros(pool - old, dtype=int)))
-        self.end += pool - old
-        self.pool = pool
-
-    def _open(self, node_id, xr: int) -> None:
-        j = self.ancillas[node_id]
-        w = self.spare.pop()
-        self.owner[w] = j
-        self.u[j] = self.end - self.pool
-        self.rows[xr, w] = 1.0
-        self.rows[xr + 1, self.end] = 1.0
-        self.end += 1
-
-    def _qnd(self, xu: int, xv: int) -> None:
-        # QND: p_u += x_v, p_v += x_u
-        rows, end = self.rows, self.end
-        rows[xu + 1, :end] += rows[xv, :end]
-        rows[xv + 1, :end] += rows[xu, :end]
-
-    def _bell(self, xa: int, xb: int) -> None:
-        idx = [xa, xb, xa + 1, xb + 1]
-        self.rows[idx, : self.end] = BELL_SPLITTER @ self.rows[idx, : self.end]
-
-    def _clear(self, xr: int) -> None:
-        self.rows[xr : xr + 2, : self.end] = 0.0
 
 
 def exact_replay(program: MeasurementProgram) -> ExactReplay:
@@ -390,72 +411,100 @@ def exact_replay(program: MeasurementProgram) -> ExactReplay:
     return program.replay
 
 
+def _pivot(absq: np.ndarray, owner: np.ndarray) -> int:
+    """The w pool column with the largest |coefficient| ``absq``, ties
+    going to the lowest graph-order ancilla ``owner`` of a column."""
+    ties = (absq == absq.max()).nonzero()[0]
+    return int(ties[owner[ties].argmin()] if len(ties) > 1 else ties[0])
+
+
 def _replay(program: MeasurementProgram) -> ExactReplay:
     """Execute a validated program on symbolic quadratures; see module
     docstring.
 
-    Edges are applied when ``_Frontier`` schedules them.  No w survives to
-    an output: ``validate`` makes the schedule exactly the non-output nodes
-    and the port counts equal, so there is one measurement per w (per
-    non-input node).  Each measurement either raises
-    DegenerateMeasurementError or eliminates a w that is still live, and
-    the -1 that ``delta`` puts at its pivot leaves that column exactly 0 in
-    every live row; the eliminated w never comes back, and its column
-    returns to the pool for the next node that opens.
+    The pass runs the events of the program's structure (``_script``) on
+    coefficient rows: storage sized once to the script's, the w pool one
+    column per slot.  No w survives to an output: ``validate`` makes the
+    schedule exactly the non-output nodes and the port counts equal, so
+    there is one measurement per w (per non-input node).  Each measurement
+    either raises DegenerateMeasurementError or eliminates a w that is
+    still live, and the -1 that ``delta`` puts at its pivot leaves that
+    column exactly 0 in every live row; the eliminated w never comes back,
+    and its column returns to the pool for the next node that opens.
 
     The rows use the internal column layout of the module docstring.  The
     pivot is the largest |coefficient| in the w pool, ties going to the
-    lowest graph-order ancilla; the measurement is degenerate when that
-    coefficient is below PIVOT_TOL times max(1, max |coefficient|), the
-    max taken over every column in use (unused columns are exact zeros).
+    lowest graph-order ancilla (``_pivot``); the measurement is degenerate
+    when that coefficient is below PIVOT_TOL times max(1, max
+    |coefficient|), the max taken over every column in use (unused columns
+    are exact zeros).
     """
-    graph = program.graph
-    n = len(graph.input_ports())
-    n_meas = len(program.schedule)
-    frontier = _Rows(graph, n_meas)
-    outcomes = np.zeros(n_meas, dtype=int)  # s column of each outcome, past the pool
+    graph, schedule = program.graph, program.schedule
+    readout = tuple(port.id for port in graph.output_ports())
+    script = _script(graph, tuple(entry.node_id for entry in schedule), readout)
+    n, pool, m = script.ports, script.size // 2, len(schedule)
+    n_anc = len(graph.ancilla_nodes())
+    rows = np.zeros((script.size, pool + 2 * n + n_anc + m))
+    rows[0 : 2 * n : 2, pool : pool + n] = np.eye(n)
+    rows[1 : 2 * n : 2, pool + n : pool + 2 * n] = np.eye(n)
+    spare = list(range(pool))  # w columns that no live row references
+    owner = np.zeros(pool, dtype=int)  # graph-order ancilla of each w column
+    u = np.zeros(n_anc, dtype=int)  # u column of each ancilla, past the pool
+    outcomes = np.zeros(m, dtype=int)  # s column of each outcome, past the pool
+    end = pool + 2 * n  # columns in use
+    sin, cos = (values.tolist() for values in _sin_cos(schedule))
 
-    for k, entry in enumerate(program.schedule):
-        xr = frontier.couple(entry.node_id)
-        rows, pool, s = frontier.rows, frontier.pool, frontier.end
+    for k, (opens, pairs) in enumerate(script.events):
+        for xr, j in opens:
+            w = spare.pop()
+            owner[w] = j
+            u[j] = end - pool
+            rows[xr, w] = 1.0
+            rows[xr + 1, end] = 1.0
+            end += 1
+        for a, b, bell in pairs:
+            if bell:
+                idx = [a, b, a + 1, b + 1]
+                rows[idx, :end] = BELL_SPLITTER @ rows[idx, :end]
+            else:  # QND: p_a += x_b, p_b += x_a
+                rows[a + 1, :end] += rows[b, :end]
+                rows[b + 1, :end] += rows[a, :end]
+        if k == m:
+            break  # those were the read-out's events
+        xr, s = script.measured[k], end
         # q spans the columns in use and the new outcome's, which is still 0.
-        q = np.sin(entry.angle) * rows[xr, : s + 1] + np.cos(entry.angle) * rows[xr + 1, : s + 1]
-        wabs = abs(q[:pool])
-        ties = (wabs == wabs.max()).nonzero()[0]
-        pivot = int(ties[frontier.owner[ties].argmin()] if len(ties) > 1 else ties[0])
-        c = q[pivot]
-        if abs(c) < PIVOT_TOL * max(1.0, float(abs(q).max())):
+        q = sin[k] * rows[xr, : s + 1] + cos[k] * rows[xr + 1, : s + 1]
+        absq = np.abs(q)
+        pivot = _pivot(absq[:pool], owner)
+        if absq[pivot] < PIVOT_TOL * max(1.0, float(absq.max())):
             raise DegenerateMeasurementError(
-                f"measurement on node {entry.node_id} resolves no ancilla noise "
+                f"measurement on node {script.nodes[k]} resolves no ancilla noise "
                 "(degenerate or redundant homodyne setting)"
             )
         # Pin q = s_k and solve for the pivot noise variable,
         #   w_pivot = (s_k - (q - c w_pivot)) / c,
         # as the change delta = w_pivot - (old w_pivot) of every row using it.
+        c = q[pivot]
         delta = np.divide(q, -c, out=q)
         delta[pivot] = -1.0
         delta[s] = 1.0 / c
         outcomes[k] = s - pool
-        frontier.end = s + 1
+        end = s + 1
         # Rank-1 substitution in the live rows that reference the pivot noise;
         # the measured node's own rows are released (zeroed) first, and the
         # pivot column, now 0 in every live row, returns to the pool.
-        frontier.release(entry.node_id)
-        frontier.spare.append(pivot)
+        rows[xr : xr + 2, :end] = 0.0
+        spare.append(pivot)
         for row in rows[:, pivot].nonzero()[0]:
-            rows[row, : s + 1] += rows[row, pivot] * delta
+            rows[row, :end] += rows[row, pivot] * delta
 
-    out = np.zeros(2 * n, dtype=int)
-    for port in graph.output_ports():
-        xr = frontier.couple(port.id)
-        out[port.port], out[n + port.port] = xr, xr + 1
-    picked, pool = frontier.rows[out], frontier.pool
+    picked = rows[script.out]
     replay = ExactReplay(
         matrix=picked[:, pool : pool + 2 * n].copy(),
         outcome_response=picked[:, pool + outcomes],
-        noise_response=picked[:, pool + frontier.u],
-        measured_ids=tuple(e.node_id for e in program.schedule),
-        output_ids=tuple(p.id for p in graph.output_ports()),
+        noise_response=picked[:, pool + u],
+        measured_ids=script.nodes,
+        output_ids=readout,
     )
     for array in (replay.matrix, replay.outcome_response, replay.noise_response):
         array.flags.writeable = False  # every caller shares the one replay

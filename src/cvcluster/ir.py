@@ -130,9 +130,11 @@ class MeasurementProgram:
     @cached_property
     def tape(self):
         """The program's frontier schedule (``executor.program_tape``),
-        recorded once, after ``validate``, in blocks of
-        ``executor.TAPE_BLOCK`` homodynes; a ``dataclasses.replace``d
-        program records its own."""
+        built once, after ``validate``, in blocks of
+        ``executor.TAPE_BLOCK`` homodynes: the blocks of its cluster
+        structure, shared with every program of that graph and schedule
+        order, and the sines and cosines of its own angles.  A
+        ``dataclasses.replace``d program builds its own."""
         from .executor import program_tape  # the executor imports this module
 
         self.validate()
@@ -144,7 +146,8 @@ class MeasurementProgram:
         after ``validate``, and shared read-only by every caller.  A program
         from ``compile`` already holds the replay that checked it; a
         ``dataclasses.replace``d or loaded program runs its own on first
-        use, and a pass that raises keeps nothing."""
+        use, and a pass that raises keeps nothing.  The pass runs the
+        events that its cluster structure's frontier logged once."""
         from .executor import _replay  # the executor imports this module
 
         self.validate()
@@ -190,6 +193,13 @@ class MeasurementProgram:
         return table
 
     def validate(self) -> None:
+        """Check the program's structure, raising ProgramError at the first
+        fault.  The checks run once per program object: a program that
+        passed keeps that, so ``replay``, ``tape``, ``gain_table`` and
+        ``serialize.load_program`` share one pass, and one that failed
+        keeps nothing and raises the same error again."""
+        if "_valid" in self.__dict__:
+            return
         self.graph.validate()
         if len(self.graph.input_ports()) != len(self.graph.output_ports()):
             raise ProgramError("input and output port counts differ")
@@ -214,6 +224,7 @@ class MeasurementProgram:
         if got.issuperset(map(itemgetter(0), rules)) and surviving.issuperset(
             map(itemgetter(1), rules)
         ):
+            self.__dict__["_valid"] = True
             return
         for rule in rules:  # name the first offending rule
             if rule.source_id not in got:

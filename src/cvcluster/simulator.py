@@ -5,12 +5,14 @@ States are (mean, covariance) pairs in x-then-p ordering with hbar = 1/2
 the nodes that are coupled but not yet measured.  The executor's edge
 scheduler (``executor._Frontier``) decides when each QND edge and Bell
 splitter is applied and when a node's p-squeezed vacuum slot is opened or
-freed.  Its ``executor.record`` writes that schedule once per program as a
-tape (``MeasurementProgram.tape``), and this module holds only the Gaussian
-arithmetic that replays it on the slots, with a slot's x and p adjacent.
-The state is therefore only as large as the frontier; ``run_program``,
-``effective_map`` and ``extract_effective_map`` never call the executor's
-replay.
+freed.  That bookkeeping runs once per cluster structure (graph and
+schedule order), shared with the executor's replay.  A program's tape
+(``MeasurementProgram.tape``, from ``executor.record``) is that
+structure's blocks plus the program's own homodyne angles, and this module
+holds only the Gaussian arithmetic that replays it on the slots, with a
+slot's x and p adjacent.  The state is therefore only as large as the
+frontier; ``run_program``, ``effective_map`` and ``extract_effective_map``
+never call the executor's replay.
 
 A tape block is up to ``executor.TAPE_BLOCK`` consecutive homodynes.  It
 opens its slots, applies its couplings as one matrix, conditions on its k
@@ -223,16 +225,16 @@ class _Covariance:
             cov[rows] = coupling @ cov[rows]
             cov[:, rows] = cov[:, rows] @ coupling.T
 
-    def quadratures(self, block):
+    def quadratures(self, block, weights):
         """cov q for each homodyne q of the block (a column each), and
-        their k-by-k covariance."""
-        k, rows, weights = len(block.nodes), block.measured, block.weights
+        their k-by-k covariance; ``weights`` are the tape's for the block."""
+        k, rows = len(block.nodes), block.measured
         both = self.cov[:, rows] * weights
         cq = both[:, :k] + both[:, k:]
         both = cq[rows] * weights[:, None]
         return cq, both[:k] + both[k:]
 
-    def condition(self, block):
+    def condition(self, block, weights):
         """Condition on the block's k homodynes at once; return (L, K).
 
         With S the homodynes' k-by-k covariance, L is its Cholesky factor
@@ -241,7 +243,7 @@ class _Covariance:
         L^-T would round each antisqueezed entry by about eps e^{2r}/4,
         where elimination keeps exact cancellations exact.
         """
-        cq, var = self.quadratures(block)
+        cq, var = self.quadratures(block, weights)
         try:
             low = np.linalg.cholesky(var)
         except np.linalg.LinAlgError:
@@ -369,9 +371,9 @@ def covariance_plan(tape, r: float, cov) -> Plan:
     with _finite_moments(r):
         state = _Covariance(tape, r, cov)
         steps = []
-        for block in tape.blocks:
+        for block, weights in zip(tape.blocks, tape.weights):
             state.couple(block)
-            steps.append(state.condition(block))
+            steps.append(state.condition(block, weights))
             state.clear(block)
         cov = state.read()
     cov.flags.writeable = False
@@ -395,11 +397,11 @@ def shot(plan: Plan, mean, rng=None):
         state = np.zeros((tape.size,) + np.shape(mean)[1:])
         state[: 2 * n] = mean[_interleaved(n)]
         outcomes = []
-        for block, (low, gain) in zip(tape.blocks, plan.steps):
+        for block, weights, (low, gain) in zip(tape.blocks, tape.weights, plan.steps):
             if len(block.rows):
                 state[block.rows] = block.coupling @ state[block.rows]
             k = len(block.nodes)
-            both = (state[block.measured].T * block.weights).T
+            both = (state[block.measured].T * weights).T
             prior = both[:k] + both[k:]  # a row per homodyne
             if rng is None:
                 outcomes.append(np.zeros(k))
@@ -485,11 +487,11 @@ def _channel_excess(program: MeasurementProgram, r: float) -> np.ndarray:
     with _finite_moments(r):
         state = _Covariance(tape, r, np.zeros((2 * n, 2 * n)), 2 * n)
         cov, acc, start = state.cov, slice(tape.size, None), 0
-        for block in tape.blocks:
+        for block, weights in zip(tape.blocks, tape.weights):
             state.couple(block)
             stop = start + len(block.nodes)
             gains, start = table[start:stop].T, stop
-            cq, var = state.quadratures(block)
+            cq, var = state.quadratures(block, weights)
             # acc += G q: rows, then columns
             cov[acc] += gains @ cq.T
             cq[acc] += gains @ var

@@ -24,3 +24,14 @@ def replay_passes(monkeypatch) -> list:
 
     monkeypatch.setattr(executor, "_replay", counting)
     return passes
+
+
+@pytest.fixture
+def scripts():
+    """``executor._script``, the cache of frontier scripts, emptied before
+    and after the test, so that no test sees another's structures."""
+    from cvcluster import executor
+
+    executor._script.cache_clear()
+    yield executor._script
+    executor._script.cache_clear()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cvcluster import (
     DegenerateMeasurementError,
     ProgramError,
+    build_cluster,
     coherent,
     compile,
     db_to_r,
@@ -333,20 +334,14 @@ def test_replay_pivot_ties_go_to_the_lowest_graph_order_ancilla(monkeypatch):
         target=identity(1),
     )
     eliminated = []  # node whose w each measurement eliminates, in order
+    ancillas, pivot = graph.ancilla_nodes(), executor._pivot
 
-    class Rows(executor._Rows):
-        def __init__(self, graph, n_meas):
-            super().__init__(graph, n_meas)
-            ancillas, rows = graph.ancilla_nodes(), self
+    def spying(absq, owner):
+        column = pivot(absq, owner)
+        eliminated.append(ancillas[owner[column]].id)
+        return column
 
-            class Spare(list):
-                def append(self, column):  # the pivot's column returns to the pool
-                    eliminated.append(ancillas[rows.owner[column]].id)
-                    super().append(column)
-
-            self.spare = Spare(self.spare)
-
-    monkeypatch.setattr(executor, "_Rows", Rows)
+    monkeypatch.setattr(executor, "_pivot", spying)
     exact_replay(program)
     assert eliminated == [1, 3, 2, 4]
 
@@ -404,3 +399,60 @@ def test_a_replay_that_raises_keeps_nothing(make_program, replay_passes):
         messages.append(str(info.value))
         assert "replay" not in program.__dict__
     assert len(replay_passes) == 2 and messages[0] == messages[1]
+
+
+def test_two_compiles_of_one_n_share_one_script_and_one_tape_structure(scripts):
+    a, _ = compile(random_symplectic(3, 1))
+    b, _ = compile(random_symplectic(3, 2))
+    assert a.graph == b.graph and a.graph is not b.graph
+    assert scripts.cache_info().misses == 1  # b's compile replayed a's script
+    assert b.tape.blocks is a.tape.blocks
+    assert b.tape.out is a.tape.out and b.tape.size == a.tape.size
+    assert scripts.cache_info().misses == 1
+    # Only the angles' sines and cosines are the program's own.
+    assert len(b.tape.weights) == len(a.tape.blocks)
+    assert not np.array_equal(b.tape.weights[0], a.tape.weights[0])
+    for block in a.tape.blocks:
+        for array in block[1:]:
+            assert not array.flags.writeable
+
+
+def test_another_schedule_order_or_edge_list_gets_its_own_script(scripts):
+    program, _ = compile(random_symplectic(2, 5))
+    graph = program.graph
+    variants = [
+        dataclasses.replace(program, schedule=program.schedule[::-1]),
+        dataclasses.replace(program, graph=dataclasses.replace(graph, edges=graph.edges[::-1])),
+        dataclasses.replace(
+            program, graph=dataclasses.replace(graph, edges=tuple((v, u) for u, v in graph.edges))
+        ),
+    ]
+    for i, variant in enumerate(variants):
+        exact_replay(variant)
+        assert scripts.cache_info().misses == 2 + i
+        assert variant.tape.blocks is not program.tape.blocks
+        assert scripts.cache_info().misses == 2 + i
+    # QND gates commute, so only the rounding may move.
+    for variant in variants[1:]:
+        assert np.max(np.abs(exact_replay(variant).matrix - program.replay.matrix)) < 1e-12
+
+
+def test_a_loaded_program_reuses_compiles_script(scripts, tmp_path):
+    program, _ = compile(random_symplectic(2, 5))
+    path = tmp_path / "program.json"
+    serialize.save_program(program, str(path))
+    loaded = serialize.load_program(str(path))
+    exact_replay(loaded)
+    loaded.tape
+    info = scripts.cache_info()
+    assert info.misses == 1 and info.hits == 2
+
+
+def test_the_script_cache_keeps_at_most_its_bound(scripts):
+    for length in range(1, executor.SCRIPTS + 4):
+        nodes = tuple(Node(i, ROLE_ANCILLA) for i in range(length))
+        graph = ClusterGraph(nodes=nodes, edges=tuple((i, i + 1) for i in range(length - 1)))
+        build_cluster(graph, 1.0)
+    info = scripts.cache_info()
+    assert info.misses == executor.SCRIPTS + 3
+    assert info.currsize == executor.SCRIPTS

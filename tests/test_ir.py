@@ -276,3 +276,51 @@ def test_schedule_entries_and_rules_are_immutable_records():
     for record, name in ((rule, "gain_x"), (entry, "angle")):
         with pytest.raises(AttributeError):
             setattr(record, name, 1.0)
+
+
+def counting_graph_checks(monkeypatch) -> list:
+    """The graphs whose checks run from here on: ``ClusterGraph.validate``
+    is the first of ``MeasurementProgram.validate``'s checks."""
+    checked = []
+    real = ClusterGraph.validate
+
+    def counting(graph):
+        checked.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(ClusterGraph, "validate", counting)
+    return checked
+
+
+def test_a_valid_program_runs_its_checks_once(monkeypatch, tmp_path):
+    from cvcluster import serialize
+
+    program, _ = compile(random_symplectic(2, 5))
+    path = tmp_path / "program.json"
+    serialize.save_program(program, str(path))
+    checked = counting_graph_checks(monkeypatch)
+    loaded = serialize.load_program(str(path))
+    assert len(checked) == 1  # load_program checks it
+    loaded.replay, loaded.tape, loaded.gain_table
+    loaded.validate()
+    assert len(checked) == 1
+    copy = dataclasses.replace(loaded)
+    copy.validate()
+    copy.validate()
+    assert len(checked) == 2 and checked[1] is copy.graph
+
+
+def test_a_failing_validate_keeps_nothing(monkeypatch):
+    program = dataclasses.replace(
+        small_program(), feedforward=(FeedforwardRule(0, 7, 1.0, 0.0),)
+    )
+    checked = counting_graph_checks(monkeypatch)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ProgramError) as info:
+            program.validate()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == "feedforward target 7 is not a surviving node"
+    assert len(checked) == 2  # each call ran the checks again
+    with pytest.raises(ProgramError, match="^feedforward target 7 "):
+        program.gain_table

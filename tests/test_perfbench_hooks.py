@@ -77,3 +77,30 @@ def test_a_compile_wide_target_replays_compiled_and_reloaded_programs(replay_pas
     assert outcome.failures == []
     assert tracer.totals()["executor.exact_replay"]["calls"] == 2
     assert len(replay_passes) == 2 and replay_passes[0] is not replay_passes[1]
+
+
+def _quick_targets(tmp_path, name: str, count: int) -> list:
+    """Push the first ``count`` quick targets of a workload through it,
+    untraced; return their outcomes."""
+    workload = workloads.QUICK_WORKLOADS[name]
+    ctx = workloads.Context(tmp_path)
+    outcomes = []
+    for index in range(count):
+        target, rng = workloads.make_target(workload, [1], index)
+        outcomes.append(workloads.run_target(workload.pipeline, index, target, rng, ctx))
+    return outcomes
+
+
+def test_two_simulate_targets_walk_their_frontier_once(scripts, tmp_path):
+    # Both targets compile to one cluster structure: every replay and tape
+    # after the first compile's runs that one script.
+    outcomes = _quick_targets(tmp_path, "simulate", 2)
+    assert [outcome.failures for outcome in outcomes] == [[], []]
+    assert scripts.cache_info().misses == 1
+
+
+def test_a_reloaded_compile_wide_program_walks_no_frontier(scripts, replay_passes, tmp_path):
+    [outcome] = _quick_targets(tmp_path, "compile_wide", 1)
+    assert outcome.failures == []
+    assert len(replay_passes) == 2  # the reloaded program runs its own pass,
+    assert scripts.cache_info().misses == 1  # on compile's script
