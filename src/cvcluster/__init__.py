@@ -58,7 +58,6 @@ from .simulator import (
 from .single_mode import (
     FourStepParams,
     decompose_four_step,
-    rsr_decompose,
     select_free_kappa1,
     three_step_reachable,
 )
@@ -92,7 +91,6 @@ from .teleport import (
     canonicalize,
     decompose_telep_plus_two,
     mtel,
-    mtel_factored,
 )
 
 __version__ = "0.1.0"

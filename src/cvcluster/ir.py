@@ -249,7 +249,13 @@ class GateRecord:
 
 @dataclass
 class SynthesisReport:
-    """Per-compilation metadata: parameters, census, and residuals."""
+    """Per-compilation metadata: parameters, census, and residuals.
+
+    ``noise_proxy`` is the sum of (1 + gain^2) over every homodyne, the
+    figure the free parameters once minimized.  It is reported only: each
+    four-step gate now minimizes its exact excess, which its record holds
+    as ``params["excess"]``.
+    """
 
     ancilla_count: int
     step_params: list = field(default_factory=list)

@@ -8,6 +8,12 @@ three three-mode connection gates (9 ancillas), and the disjoint splitters
 of a mesh layer share one column.  Wires are kept step-aligned with measured
 pad chains; the Fourier transform each pad step applies is folded into the
 next real gate on that wire.
+
+Each four-step gate chooses its free kappa1 to minimize its own share of the
+program's excess noise tr(N N^T), which depends only on the gate's kappas
+and on W = D^T D, where D is the ideal map from the gate's output to the
+program's outputs.  D does not depend on any free choice, so the gates'
+choices are independent and together minimize tr(N N^T) over every kappa1.
 """
 
 import math
@@ -29,7 +35,7 @@ from .ir import (
     ScheduleEntry,
     SynthesisReport,
 )
-from .single_mode import decompose_four_step
+from .single_mode import chain_excess, decompose_four_step
 from .symplectic import (
     SYMPLECTIC_TOL,
     SymplecticMap,
@@ -260,11 +266,17 @@ class _Builder:
     A pad step applies a Fourier transform, so each wire also carries the
     number of pad Fourier transforms (mod 4) that its next real gate still
     has to undo.  ``kappa1`` pins the free parameter of every four-step gate.
+
+    ``downstream`` is T P^-1, where T is the target and P the ideal map of
+    the steps emitted so far: its (w, n + w) columns are the map D from
+    wire w's current state to the program's outputs.  Each emission on k
+    wires updates 2k of its columns.
     """
 
-    def __init__(self, n: int, kappa1: float = None):
-        self.n = n
+    def __init__(self, target: SymplecticMap, kappa1: float = None):
+        self.n = n = target.n
         self.kappa1 = kappa1
+        self.downstream = target.matrix.copy()
         self.nodes = [
             Node(w, ROLE_INPUT, coupling=COUPLING_QND, port=w) for w in range(n)
         ]
@@ -291,9 +303,19 @@ class _Builder:
             self.heads[wire] = new
             self.total_proxy += 1.0 + kappa * kappa
 
+    def _advance(self, wires, inverse: np.ndarray) -> np.ndarray:
+        """Account in ``downstream`` for a block B on ``wires``, applied after
+        the steps so far and given by its ``inverse`` in (x..., p...) order:
+        P <- B P, so T P^-1 <- T P^-1 B^-1.  Returns the wires' new columns."""
+        idx = [*wires, *(self.n + w for w in wires)]
+        self.downstream[:, idx] = cols = self.downstream[:, idx] @ inverse
+        return cols
+
     def _pad(self, wire: int, steps: int) -> None:
         """``steps`` kappa = 0 steps: F^steps, owed by the wire's next real gate."""
         self._chain_steps(wire, (0.0,) * steps)
+        if steps % 4:
+            self._advance((wire,), fourier_power(-steps).matrix)
         self.pending[wire] = (self.pending[wire] + steps) % 4
         self.records.append(
             GateRecord("pad", (wire,), self.column, {"kappas": [0.0] * steps})
@@ -322,12 +344,16 @@ class _Builder:
             if comp:
                 desired = compose(desired, fourier_power(-comp))
             self.pending[wire] = 0
-            params = decompose_four_step(desired, kappa1=self.kappa1)
+            (a, b), (c, d) = desired.matrix.tolist()
+            cols = self._advance((wire,), np.array([[d, -b], [-c, a]]))  # det 1
+            (w11, w12), (_, w22) = (cols.T @ cols).tolist()
+            params = decompose_four_step(desired, kappa1=self.kappa1, weight=(w11, w12, w22))
             self._chain_steps(wire, params.kappas)
             meta = {"kappas": [float(k) for k in params.kappas]}
             if comp:
                 meta["fourier_compensation"] = comp
             meta["free_kappa1"] = params.free_param
+            meta["excess"] = chain_excess(params.kappas, (w11, w12, w22))
             self.records.append(GateRecord("four-step", (wire,), self.column, meta))
         self.column += 1
 
@@ -364,6 +390,12 @@ class _Builder:
                     "eta3": float(params.eta3),
                 }
                 self.records.append(GateRecord("connection", pair, self.column, record))
+            # M_R + M_R on (x_i, x_j, p_i, p_j) (``beam_splitter_matrix``),
+            # its own inverse.
+            t, u = math.sqrt(reflectivity), math.sqrt(1.0 - reflectivity)
+            self._advance(pair, np.array(
+                [[t, u, 0.0, 0.0], [u, -t, 0.0, 0.0], [0.0, 0.0, t, u], [0.0, 0.0, u, -t]]
+            ))
         busy = {w for pair, _ in splitters for w in pair}
         for wire in range(self.n):
             if wire not in busy:
@@ -441,7 +473,7 @@ def compile(target: SymplecticMap, kappa1: float = None):
     n = target.n
     if kappa1 is not None and n != 1:
         raise ValueError(f"kappa1 pins a one-mode synthesis; the target has {n} modes")
-    builder = _Builder(n, kappa1)
+    builder = _Builder(target, kappa1)
     gates = {}  # wire -> its one-mode ops since its last splitter, composed
     columns = []  # per splitter column: (the one-mode gates before it, its splitters)
     level = [0] * n  # the first splitter column in which each wire is free

@@ -4,14 +4,22 @@ A one-mode target (a b; c d) with det 1 factors into four elementary
 gate-teleportation steps M(k4) M(k3) M(k2) M(k1), each realized by one
 homodyne measurement at angle arctan(kappa).  Three steps cannot reach the
 measure-zero family {d = 0, b != 1}; four always suffice.
+
+kappa1 is free.  It is chosen to minimize the chain's excess noise
+tr(W K K^T): K holds the responses of the chain's output to the squeezed
+p-noise of its four ancillas, and W = D^T D, where D carries the chain's
+output to the program's outputs (W = I when the chain is the whole program;
+``multimode`` passes each gate its own).  The excess is rational in kappa1,
+so its stationary points are the roots of one quartic.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import SingularParameterError
-from .symplectic import SymplecticMap, elementary_matrix, require_symplectic
+from .symplectic import SymplecticMap, require_symplectic
 
 #: |kappa3| below this (relative) scale is treated as a pole of the formulas.
 KAPPA3_SINGULAR_TOL = 1e-9
@@ -21,6 +29,8 @@ DEGENERATE_NUMERATOR_TOL = 1e-9
 #: A selected decomposition reproduces the target to this, relative to its
 #: largest entry.  Next to a pole the closed forms lose digits.
 RECONSTRUCTION_TOL = 1e-10
+#: The weight (w11, w12, w22) of W for a chain whose output is the program's.
+UNIT_WEIGHT = (1.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -33,18 +43,20 @@ class FourStepParams:
 
     def reconstruct(self) -> SymplecticMap:
         """Product M(k4) M(k3) M(k2) M(k1) of the four steps."""
-        k1, k2, k3, k4 = self.kappas
-        return SymplecticMap(
-            1,
-            elementary_matrix(k4)
-            @ elementary_matrix(k3)
-            @ elementary_matrix(k2)
-            @ elementary_matrix(k1),
-        )
+        return SymplecticMap(1, np.reshape(_product(self.kappas), (2, 2)))
 
 
-def _solve(a: float, b: float, c: float, d: float, kappa1: float):
-    """Kappas for a fixed kappa1, or raise SingularParameterError at a pole."""
+def _product(kappas) -> tuple:
+    """Entries (a, b, c, d) of M(k4) M(k3) M(k2) M(k1), in scalars."""
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for k in kappas:
+        a, b, c, d = -k * a - c, -k * b - d, a, b
+    return a, b, c, d
+
+
+def _solve(a: float, b: float, c: float, d: float, kappa1: float, weight=UNIT_WEIGHT):
+    """Kappas for a fixed kappa1, or raise SingularParameterError at a pole.
+    ``weight`` sets kappa4 on the kappa3 = 0 branch."""
     kappa3 = c - d * kappa1
     num2 = 1.0 - d
     num4 = 1.0 - a + b * kappa1
@@ -56,8 +68,9 @@ def _solve(a: float, b: float, c: float, d: float, kappa1: float):
         ):
             # Legitimate kappa3 = 0 (both numerators vanish, which forces
             # d = 1 and kappa1 = c).  The closed form then only constrains
-            # kappa2 + kappa4 = -b; split evenly to minimize the gain proxy.
-            return (kappa1, -b / 2.0 + 0.0, 0.0, -b / 2.0 + 0.0)
+            # kappa2 + kappa4 = -b; the excess is least at kappa4 = w12 / w11.
+            kappa4 = weight[1] / weight[0] + 0.0
+            return (kappa1, -b - kappa4 + 0.0, 0.0, kappa4)
         raise SingularParameterError(
             f"kappa1={kappa1} makes kappa3 vanish while a numerator is nonzero"
         )
@@ -69,13 +82,32 @@ def noise_proxy(kappas) -> float:
     return float(sum(1.0 + k * k for k in kappas))
 
 
-def decompose_four_step(target: SymplecticMap, kappa1: float = None) -> FourStepParams:
+def chain_excess(kappas, weight=UNIT_WEIGHT) -> float:
+    """Excess tr(W K K^T) of a four-step chain, W = ((w11, w12), (w12, w22)).
+
+    The columns of K, the responses of the chain's output to its ancillas'
+    p-noises, are (1 - k3 k4, k3), (k4, -1), (-1, 0) and (0, 1): kappa1 and
+    kappa2 add no excess.  The excess covariance of the output is
+    tr(N N^T) e^{-2r} / 4, and each chain's share of tr(N N^T) is this.
+    """
+    _, _, k3, k4 = kappas
+    w11, w12, w22 = weight
+    x = 1.0 - k3 * k4
+    return w11 * (x * x + k4 * k4 + 1.0) + 2.0 * w12 * (x * k3 - k4) + w22 * (k3 * k3 + 2.0)
+
+
+def decompose_four_step(
+    target: SymplecticMap, kappa1: float = None, *, weight=UNIT_WEIGHT
+) -> FourStepParams:
     """Decompose a one-mode symplectic target into four elementary steps.
 
     Args:
         target: one-mode symplectic map (displacement ignored).
         kappa1: optional value of the free parameter; chosen by
             :func:`select_free_kappa1` when absent.
+        weight: (w11, w12, w22) of the chain's weight W (see the module
+            docstring); it sets the choice of kappa1 and, on the kappa3 = 0
+            branch, of kappa4.
 
     Raises:
         SingularParameterError: the given kappa1 is not finite or hits a
@@ -86,63 +118,113 @@ def decompose_four_step(target: SymplecticMap, kappa1: float = None) -> FourStep
     require_symplectic(target)
     a, b, c, d = target.abcd()
     if kappa1 is None:
-        kappa1 = select_free_kappa1(target)
+        kappa1 = select_free_kappa1(target, weight=weight)
     elif not np.isfinite(kappa1):
         raise SingularParameterError(f"kappa1={kappa1} is not finite")
-    return _params(a, b, c, d, float(kappa1))
+    return _params(a, b, c, d, float(kappa1), weight)
 
 
-def _params(a: float, b: float, c: float, d: float, kappa1: float) -> FourStepParams:
+def _params(a: float, b: float, c: float, d: float, kappa1: float, weight=UNIT_WEIGHT) -> FourStepParams:
     """The decomposition for a fixed kappa1; see :func:`_solve`."""
-    kappas = _solve(a, b, c, d, kappa1)
+    kappas = _solve(a, b, c, d, kappa1, weight)
     return FourStepParams(kappas=kappas, free_param=kappa1, noise_proxy=noise_proxy(kappas))
 
 
-def select_free_kappa1(target: SymplecticMap) -> float:
-    """Pick the kappa1 minimizing the gain proxy sum_i (1 + kappa_i^2).
+def select_free_kappa1(target: SymplecticMap, *, weight=UNIT_WEIGHT) -> float:
+    """Pick the kappa1 minimizing the chain's excess :func:`chain_excess`.
 
-    With kappa3 = c - d kappa1 the proxy is 4 + kappa1^2 + kappa3^2 +
-    ((1 - d)^2 + (1 - a + b kappa1)^2) / kappa3^2.  The candidates are its
-    real stationary points and the pole kappa1 = c/d, which :func:`_solve`
-    accepts only on the legitimate kappa3 = 0 branch.  Among the candidates
-    whose decomposition reproduces the target (see :data:`RECONSTRUCTION_TOL`)
-    the first of lowest proxy wins.  The identity gets exactly 0.
+    With G = kappa3 = c - d kappa1, L = kappa3 kappa4 = 1 - a + b kappa1 and
+    A = 1 - L, the excess is S + T/G + Q/G^2, where
+    S = w11 A^2 + 2 w12 A G + w22 G^2 + w11 + 2 w22, T = -2 w12 L and
+    Q = w11 L^2.  The candidates are its real stationary points, those of
+    the gain proxy sum_i (1 + kappa_i^2) (so the choice is never worse than
+    the proxy's, and a candidate survives next to d = 1), and the pole
+    kappa1 = c/d, which :func:`_solve` accepts only on the legitimate
+    kappa3 = 0 branch.  Among the candidates whose decomposition reproduces
+    the target (see :data:`RECONSTRUCTION_TOL`) the first of lowest excess
+    wins, ties going to the lower proxy.  The identity gets exactly 0.
     """
     a, b, c, d = target.abcd()
-    candidates = list(_kappa1_stationary_points(a, b, c, d))
+    candidates = list(np.concatenate(_kappa1_stationary_points(a, b, c, d, weight)))
     if d != 0.0:
         candidates.append(c / d)
-    return _select(target, candidates, lambda kappa1: _params(a, b, c, d, kappa1), "kappa1")
+    return _select(target, candidates, partial(_kappa1_score, a, b, c, d, weight), "kappa1")
 
 
-def _kappa1_stationary_points(a: float, b: float, c: float, d: float) -> np.ndarray:
-    """The real stationary points of the proxy of :func:`select_free_kappa1`:
-    S = kappa1^2 + kappa3^2, Q = (1 - d)^2 + (1 - a + b kappa1)^2, G = kappa3."""
-    k3 = _trim(np.array([c, -d]))
-    lin = np.array([1.0 - a, b])
-    s = _add(np.array([0.0, 0.0, 1.0]), _mul(k3, k3))
-    q = _add(np.array([(1.0 - d) ** 2]), _mul(lin, lin))
-    return _stationary_points(s, q, k3)
+def _kappa1_score(a, b, c, d, weight, kappa1: float) -> tuple:
+    """(excess, proxy) of the decomposition at kappa1, and its product's
+    entries: the evaluation :func:`_select` makes of each kappa1."""
+    params = _params(a, b, c, d, kappa1, weight)
+    return (chain_excess(params.kappas, weight), params.noise_proxy), _product(params.kappas)
 
 
-def _select(target: SymplecticMap, candidates, params_at, name: str) -> float:
-    """The free-parameter choice of both one-mode charts: the first candidate
-    of lowest ``noise_proxy`` among those not at a pole whose
-    ``params_at(candidate)`` reproduces the target to :data:`RECONSTRUCTION_TOL`
-    (relative to its largest entry).  Raises SingularParameterError, naming
-    the free parameter ``name``, when no candidate is admissible."""
-    limit = RECONSTRUCTION_TOL * max(1.0, np.max(np.abs(target.matrix)))
-    scored = {}
+def _kappa1_stationary_points(a: float, b: float, c: float, d: float, weight=UNIT_WEIGHT) -> tuple:
+    """The real stationary points of the excess of :func:`select_free_kappa1`
+    and those of the gain proxy: the real roots of :func:`_kappa1_numerators`."""
+    return tuple(_real(_roots(row)) for row in _kappa1_numerators(a, b, c, d, weight))
+
+
+def _kappa1_numerators(a: float, b: float, c: float, d: float, weight=UNIT_WEIGHT) -> list:
+    """The numerators of the derivatives in kappa1 of the excess of
+    :func:`select_free_kappa1` and of the gain proxy
+    4 + kappa1^2 + G^2 + ((1 - d)^2 + L^2) / G^2, as trimmed ascending
+    coefficients (see :func:`_trim`) built in scalars.
+
+    With m = G L' - L G' = b c + (1 - a) d, they are
+    - S' G^3 + T' G^2 - T G' G + Q' G - 2 Q G' = S' G^3 + 2 m (w11 L - w12 G);
+    - (2 kappa1 + 2 G G') G^3 + 2 m L + 2 d (1 - d)^2.
+    Both are (s0 + s1 kappa1) G^3 + e0 + e1 kappa1, quartics."""
+    w11, w12, w22 = weight
+    m = b * c + (1.0 - a) * d
+    g = (c * c * c, -3.0 * c * c * d, 3.0 * c * d * d, -d * d * d)  # G^3
+
+    def numerator(s0, s1, e0, e1):
+        return _trim(np.array([
+            s0 * g[0] + e0, s0 * g[1] + s1 * g[0] + e1, s0 * g[2] + s1 * g[1],
+            s0 * g[3] + s1 * g[2], s1 * g[3],
+        ]))
+
+    return [
+        numerator(
+            -2.0 * (w11 * a * b + w12 * (b * c + a * d) + w22 * c * d),
+            2.0 * (w11 * b * b + 2.0 * w12 * b * d + w22 * d * d),
+            2.0 * m * (w11 * (1.0 - a) - w12 * c),
+            2.0 * m * (w11 * b + w12 * d),
+        ),
+        numerator(
+            -2.0 * c * d,
+            2.0 * (1.0 + d * d),
+            2.0 * m * (1.0 - a) + 2.0 * d * (1.0 - d) ** 2,
+            2.0 * m * b,
+        ),
+    ]
+
+
+def _select(target: SymplecticMap, candidates, evaluate, name: str) -> float:
+    """The free-parameter choice of both one-mode charts.
+
+    ``evaluate(candidate)`` returns the candidate's score and the entries
+    (a, b, c, d) of its decomposition's product, or raises
+    SingularParameterError at a pole.  The first candidate of lowest score
+    whose product reproduces the target to :data:`RECONSTRUCTION_TOL`
+    (relative to the target's largest entry) wins.  Raises
+    SingularParameterError, naming the free parameter ``name``, when no
+    candidate is admissible."""
+    entries = target.matrix.ravel().tolist()
+    limit = RECONSTRUCTION_TOL * max(1.0, *map(abs, entries))
+    best = best_score = None
     for x in map(float, candidates):
         try:
-            params = params_at(x)
+            score, product = evaluate(x)
         except SingularParameterError:
             continue
-        if np.max(np.abs(params.reconstruct().matrix - target.matrix)) <= limit:
-            scored[x] = params.noise_proxy
-    if not scored:
+        if all(abs(p - t) <= limit for p, t in zip(product, entries)) and (
+            best is None or score < best_score
+        ):
+            best, best_score = x, score
+    if best is None:
         raise SingularParameterError(f"no {name} is admissible for this target")
-    return min(scored, key=scored.get)
+    return best
 
 
 def _stationary_points(s: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -157,9 +239,12 @@ def _stationary_points(s: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarra
     g3 = _mul(_mul(g, g), g)
     num = _add(_mul(_deriv(s), g3), _mul(_deriv(q), g))
     num = _add(num, _mul(-2.0 * _deriv(g), q))
-    roots = _roots(num)
-    # + 0.0 turns a root at -0.0 into 0.0, which would otherwise reach the
-    # program as a homodyne angle of -0.0.
+    return _real(_roots(num))
+
+
+def _real(roots: np.ndarray) -> np.ndarray:
+    """The real ones of ``roots``.  + 0.0 turns a root at -0.0 into 0.0, which
+    would otherwise reach the program as a homodyne angle of -0.0."""
     return roots.real[roots.imag == 0.0] + 0.0
 
 
@@ -226,22 +311,3 @@ def three_step_reachable(target: SymplecticMap) -> bool:
     _, b, _, d = target.abcd()
     return not (abs(d) < 1e-12 and abs(b - 1.0) > 1e-12)
 
-
-def rsr_decompose(target: SymplecticMap) -> tuple[float, float, float]:
-    """Factor a one-mode symplectic map as R(phi1) S(xi) R(phi2), xi >= 0.
-
-    Computed from the singular value decomposition of the 2x2 matrix with
-    both orthogonal factors forced to be proper rotations.
-    """
-    if target.n != 1:
-        raise ValueError("rotation-squeeze-rotation applies to one-mode maps")
-    require_symplectic(target)
-    u, s, vt = np.linalg.svd(target.matrix)
-    if np.linalg.det(u) < 0:
-        flip = np.diag([1.0, -1.0])
-        u = u @ flip
-        vt = flip @ vt
-    phi1 = float(np.arctan2(u[1, 0], u[0, 0]))
-    phi2 = float(np.arctan2(vt[1, 0], vt[0, 0]))
-    xi = float(np.log(s[0]))
-    return phi1, xi, phi2

@@ -8,6 +8,7 @@ additional elementary steps restore full one-mode universality.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -111,21 +112,6 @@ def canonicalize(angles: TelepAngles) -> TelepAngles:
     return TelepAngles(_wrap_angle(t0), _wrap_angle(t1))
 
 
-def mtel_factored(theta_plus: float, theta_minus: float) -> tuple[float, float, float]:
-    """Rotation-squeeze-rotation factorization of the teleportation map.
-
-    Returns (phi1, r, phi2) with M_tel = R(phi1) S(r) R(phi2), where
-    phi1 = -theta_plus/2 + pi/4, phi2 = -theta_plus/2 - pi/4 and
-    tanh(r) = sin(theta_minus): a 45-degree squeeze sandwiched by rotations.
-    """
-    if _cos_theta_minus(theta_minus) < 0:  # shifting both angles by pi leaves M_tel unchanged
-        theta_plus, theta_minus = theta_plus + np.pi, theta_minus + np.pi
-    r = float(np.arctanh(np.sin(theta_minus)))
-    phi1 = -theta_plus / 2.0 + np.pi / 4.0
-    phi2 = -theta_plus / 2.0 - np.pi / 4.0
-    return float(phi1), r, float(phi2)
-
-
 def _solve_telep(a: float, b: float, c: float, d: float, theta0: float):
     """Angles and kappas for a fixed theta0, or raise at a singular choice."""
     st0 = np.sin(theta0)
@@ -192,9 +178,14 @@ def select_free_theta0(target: SymplecticMap) -> float:
     a, b, c, d = target.abcd()
     candidates = [0.0] if abs(1.0 + d) <= DEGENERATE_NUMERATOR_TOL else []
     candidates += [math.atan2(1.0, x) for x in _cot_theta0_stationary_points(a, b, c, d)]
-    return _select(
-        target, candidates, lambda theta0: _params(a, b, c, d, theta0), "theta0 in [0, pi)"
-    )
+    return _select(target, candidates, partial(_theta0_score, a, b, c, d), "theta0 in [0, pi)")
+
+
+def _theta0_score(a: float, b: float, c: float, d: float, theta0: float) -> tuple:
+    """The proxy of the decomposition at theta0 and its product's entries;
+    the evaluation :func:`~cvcluster.single_mode._select` makes of each theta0."""
+    params = _params(a, b, c, d, theta0)
+    return params.noise_proxy, params.reconstruct().matrix.ravel().tolist()
 
 
 def _cot_theta0_stationary_points(a: float, b: float, c: float, d: float) -> np.ndarray:

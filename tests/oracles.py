@@ -245,7 +245,8 @@ def near_d_one_targets():
 
 
 def grid_free_kappa1(target):
-    """Reference free-kappa1 search: the 401-point grid over [-20, 20] with
+    """Reference free-kappa1 search of the gain proxy (the choice before
+    the excess was minimized): the 401-point grid over [-20, 20] with
     golden-section refinement of the best grid point.
 
     A local search, limited to |kappa1| <= 20.  Points within 1e-6 of the
@@ -274,6 +275,37 @@ def grid_free_kappa1(target):
         return noise_proxy(kappas)
 
     return _grid_then_golden(objective, np.linspace(-20.0, 20.0, 401), optimize)
+
+
+def executor_excess(target, kappa1=None):
+    """tr(N N^T) of ``compile(target, kappa1=kappa1)``, read from the
+    executor's noise response N."""
+    from cvcluster import compile
+
+    program, _ = compile(target, kappa1=kappa1)
+    return float(np.sum(program.replay.noise_response ** 2))
+
+
+def grid_exact_kappa1(target, grid=np.linspace(-20.0, 20.0, 81)):
+    """Reference free-kappa1 search on the executor: the excess tr(N N^T) of
+    ``compile(target, kappa1=k)`` over ``grid``, with golden-section
+    refinement of the best grid point.
+
+    A local search, limited to the grid's span.  A kappa1 that compile
+    refuses (a pole, a degenerate measurement, or a replay that misses the
+    target) scores inf.
+    """
+    from scipy import optimize
+
+    from cvcluster.errors import CompileError, DegenerateMeasurementError, SingularParameterError
+
+    def objective(k1):
+        try:
+            return executor_excess(target, float(k1))
+        except (SingularParameterError, DegenerateMeasurementError, CompileError):
+            return np.inf
+
+    return _grid_then_golden(objective, grid, optimize)
 
 
 def grid_free_theta0(target):
@@ -316,6 +348,22 @@ def _grid_then_golden(objective, grid, optimize):
     return best_x
 
 
+def kappa1_excess_polynomial(target, weight):
+    """S' G^3 + T' G^2 - T G' G + Q' G - 2 Q G' of the four-step excess
+    S + T / G + Q / G^2 in kappa1 (see ``single_mode.select_free_kappa1``),
+    in numpy's Polynomial class."""
+    a, b, c, d = target.abcd()
+    w11, w12, w22 = weight
+    k1 = Polynomial([0.0, 1.0])
+    g = c - d * k1  # kappa3
+    big_l = 1.0 - a + b * k1  # kappa3 kappa4
+    big_a = 1.0 - big_l
+    s = w11 * big_a ** 2 + 2.0 * w12 * big_a * g + w22 * g ** 2 + w11 + 2.0 * w22
+    t = -2.0 * w12 * big_l
+    q = w11 * big_l ** 2
+    return s.deriv() * g ** 3 + t.deriv() * g ** 2 - t * g.deriv() * g + q.deriv() * g - 2.0 * q * g.deriv()
+
+
 def kappa1_stationary_polynomial(target):
     """S' G^3 + Q' G - 2 G' Q of the four-step proxy in kappa1 (see
     ``single_mode.select_free_kappa1``), in numpy's Polynomial class."""
@@ -345,27 +393,72 @@ def real_roots(polynomial):
     return roots.real[roots.imag == 0.0]
 
 
-def polynomial_free_kappa1(target):
-    """The package's kappa1 choice, from the roots of
-    :func:`kappa1_stationary_polynomial` and the pole c/d."""
-    from cvcluster.single_mode import _params, _select
+def polynomial_free_kappa1(target, weight):
+    """The package's kappa1 choice, from numpy's roots of the package's
+    numerators (``single_mode._kappa1_numerators``) and the pole c/d."""
+    from functools import partial
+
+    from cvcluster.single_mode import _kappa1_numerators, _kappa1_score, _select
 
     a, b, c, d = target.abcd()
-    candidates = list(real_roots(kappa1_stationary_polynomial(target)))
+    candidates = [
+        x for row in _kappa1_numerators(a, b, c, d, weight) for x in real_roots(Polynomial(row))
+    ]
     if d != 0.0:
         candidates.append(c / d)
-    return _select(target, candidates, lambda kappa1: _params(a, b, c, d, kappa1), "kappa1")
+    return _select(target, candidates, partial(_kappa1_score, a, b, c, d, weight), "kappa1")
 
 
 def polynomial_free_theta0(target):
     """The package's theta0 choice, from theta0 = 0 for d = -1 and the roots
     of :func:`cot_theta0_stationary_polynomial`."""
+    from functools import partial
+
     from cvcluster.single_mode import DEGENERATE_NUMERATOR_TOL, _select
-    from cvcluster.teleport import _params
+    from cvcluster.teleport import _theta0_score
 
     a, b, c, d = target.abcd()
     candidates = [0.0] if abs(1.0 + d) <= DEGENERATE_NUMERATOR_TOL else []
     candidates += [math.atan2(1.0, x) for x in real_roots(cot_theta0_stationary_polynomial(target))]
-    return _select(
-        target, candidates, lambda theta0: _params(a, b, c, d, theta0), "theta0 in [0, pi)"
-    )
+    return _select(target, candidates, partial(_theta0_score, a, b, c, d), "theta0 in [0, pi)")
+
+
+def rsr_decompose(target):
+    """Factor a one-mode symplectic map as R(phi1) S(xi) R(phi2), xi >= 0.
+
+    Computed from the singular value decomposition of the 2x2 matrix with
+    both orthogonal factors forced to be proper rotations.
+    """
+    from cvcluster import require_symplectic
+
+    if target.n != 1:
+        raise ValueError("rotation-squeeze-rotation applies to one-mode maps")
+    require_symplectic(target)
+    u, s, vt = np.linalg.svd(target.matrix)
+    if np.linalg.det(u) < 0:
+        flip = np.diag([1.0, -1.0])
+        u = u @ flip
+        vt = flip @ vt
+    phi1 = float(np.arctan2(u[1, 0], u[0, 0]))
+    phi2 = float(np.arctan2(vt[1, 0], vt[0, 0]))
+    xi = float(np.log(s[0]))
+    return phi1, xi, phi2
+
+
+def mtel_factored(theta_plus, theta_minus):
+    """Rotation-squeeze-rotation factorization of the teleportation map.
+
+    Returns (phi1, r, phi2) with M_tel = R(phi1) S(r) R(phi2), where
+    phi1 = -theta_plus/2 + pi/4, phi2 = -theta_plus/2 - pi/4 and
+    tanh(r) = sin(theta_minus): a 45-degree squeeze sandwiched by rotations.
+    Raises the teleport module's DegenerateMeasurementError where
+    cos(theta_minus) vanishes.
+    """
+    from cvcluster.teleport import _cos_theta_minus
+
+    if _cos_theta_minus(theta_minus) < 0:  # shifting both angles by pi leaves M_tel unchanged
+        theta_plus, theta_minus = theta_plus + np.pi, theta_minus + np.pi
+    r = float(np.arctanh(np.sin(theta_minus)))
+    phi1 = -theta_plus / 2.0 + np.pi / 4.0
+    phi2 = -theta_plus / 2.0 - np.pi / 4.0
+    return float(phi1), r, float(phi2)

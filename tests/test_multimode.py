@@ -491,6 +491,25 @@ def test_generic_targets_of_one_n_compile_to_one_fixed_cluster(n, seed):
     assert angles != [entry.angle for entry in reference.schedule]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_each_four_step_gate_records_its_share_of_the_excess(n):
+    # A gate's recorded excess tr(W K K^T) is the sum of |N[:, j]|^2 over its
+    # four ancillas' columns of the executor's noise response N.  Records
+    # follow the order in which the builder creates ancillas.
+    for seed in range(4):
+        program, report = compile(random_symplectic(n, seed))
+        noise = program.replay.noise_response
+        start = gates = 0
+        for rec in report.step_params:
+            width = 3 if rec.kind == "connection" else len(rec.params["kappas"])
+            if rec.kind == "four-step":
+                share = float(np.sum(noise[:, start : start + 4] ** 2))
+                assert rec.params["excess"] == pytest.approx(share, rel=1e-9)
+                gates += 1
+            start += width
+        assert start == noise.shape[1] and gates > n
+
+
 def test_compile_multimode_identity():
     # no gates from the factorization: wires still get explicit chains
     program, report = compile(identity(2))

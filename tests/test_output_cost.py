@@ -1,0 +1,35 @@
+"""The compiler's output cost on the benchmark's fixed reference sets, rebuilt
+through ``perfbench/workloads.py`` (read, never edited): the ancilla count
+may not change and the excess noise may not rise."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(BENCH))
+
+import workloads  # noqa: E402
+
+#: Per workload: ancillas_mean, excess_trace_10db and excess_trace_15db, as
+#: each four-step gate's kappa1 minimizes its exact excess tr(W K K^T).
+EXPECTED = {
+    "onemode": (4.0, 0.13074723449143713, 0.04134590587610681),
+    "simulate": (156.0, 13.56985790653776, 4.291165850950359),
+    "compile_wide": (1096.0, 71.52529325431696, 22.618283699511853),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_reference_set_output_cost_does_not_regress(name, tmp_path):
+    workload = workloads.WORKLOADS[name]
+    outcomes = workloads.run_reference(workload, float("inf"), workloads.Context(tmp_path))
+    assert [outcome.failures for outcome in outcomes if outcome.failures] == []
+    assert len(outcomes) == workload.reference_targets
+    assert max(outcome.replay_residual for outcome in outcomes) < 1e-12
+    cost = workloads.output_cost(outcomes)
+    ancillas, excess_10db, excess_15db = EXPECTED[name]
+    assert cost["ancillas_mean"] == ancillas
+    assert cost["excess_trace_10db"] <= excess_10db * (1.0 + 1e-9)
+    assert cost["excess_trace_15db"] <= excess_15db * (1.0 + 1e-9)

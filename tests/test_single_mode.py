@@ -1,12 +1,17 @@
 """Four-step synthesis: closed forms, free-parameter selection, reachability."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 from numpy.testing import assert_allclose
 
 from cvcluster import (
+    CompileError,
+    DegenerateMeasurementError,
     SingularParameterError,
     SymplecticMap,
     decompose_four_step,
@@ -15,7 +20,6 @@ from cvcluster import (
     identity,
     random_symplectic,
     rotation,
-    rsr_decompose,
     select_free_kappa1,
     squeeze,
     three_step_reachable,
@@ -25,16 +29,29 @@ from cvcluster import (
 from oracles import (
     cot_theta0_stationary_polynomial,
     d_zero_family,
+    executor_excess,
+    grid_exact_kappa1,
     grid_free_kappa1,
+    kappa1_excess_polynomial,
     kappa1_stationary_polynomial,
     near_d_one_targets,
     polynomial_free_kappa1,
     polynomial_free_theta0,
     real_roots,
+    rsr_decompose,
     three_step_grid_minimum,
 )
 from cvcluster import elementary_step
-from cvcluster.single_mode import _kappa1_stationary_points, _params, _roots, _select
+from cvcluster.single_mode import (
+    RECONSTRUCTION_TOL,
+    UNIT_WEIGHT,
+    _kappa1_numerators,
+    _kappa1_score,
+    _kappa1_stationary_points,
+    _roots,
+    _select,
+    chain_excess,
+)
 from cvcluster.teleport import _cot_theta0_stationary_points, select_free_theta0
 
 
@@ -102,12 +119,18 @@ def test_pinned_kappa1_must_be_finite():
 
 
 def test_select_never_worse_than_grid_oracle():
+    # The choice's excess tr(N N^T), read from the executor, against the
+    # excess at the proxy grid oracle's kappa1 (the old choice) and, for
+    # every 25th target (each search compiles ~150 programs), at the exact
+    # grid oracle's.
     targets = [random_symplectic(1, seed) for seed in range(1000)] + d_zero_family()
-    for target in targets:
+    for i, target in enumerate(targets):
         params = decompose_four_step(target)
-        oracle = decompose_four_step(target, kappa1=grid_free_kappa1(target)).noise_proxy
-        assert params.noise_proxy <= oracle * (1.0 + 1e-12)
         assert np.max(np.abs(params.reconstruct().matrix - target.matrix)) < 1e-9
+        chosen = executor_excess(target)
+        assert chosen <= executor_excess(target, grid_free_kappa1(target)) * (1.0 + 1e-12)
+        if i % 25 == 0:
+            assert chosen <= executor_excess(target, grid_exact_kappa1(target)) * (1.0 + 1e-12)
 
 
 def test_select_reproduces_targets_next_to_d_equal_one():
@@ -120,19 +143,36 @@ def test_select_reproduces_targets_next_to_d_equal_one():
 
 
 def test_select_finds_global_optimum_the_grid_misses():
-    # The grid search stopped in a local minimum at proxy 4.1003.
-    params = decompose_four_step(random_symplectic(1, 107))
-    assert params.noise_proxy == pytest.approx(4.090352241273559, rel=1e-12)
+    # The excess dips next to the pole kappa1 = c/d, between two grid points:
+    # the exact grid search stops in a local minimum at 4.0044.
+    target = random_symplectic(1, 107)
+    params = decompose_four_step(target)
+    assert chain_excess(params.kappas) == pytest.approx(4.000000029808216, rel=1e-12)
+    assert executor_excess(target) == pytest.approx(4.000000029808216, rel=1e-12)
+    assert executor_excess(target, grid_exact_kappa1(target)) > 4.004
 
 
 def test_select_takes_the_kappa3_zero_branch_when_it_wins():
-    # d = 1: kappa1 = c leaves kappa3 = 0 and only kappa2 + kappa4 = -b fixed,
-    # proxy 4 + c^2 + b^2/2 = 8.75, below 4 + c^2/2 + b^2 at the smooth optimum.
+    # d = 1: kappa1 = c leaves kappa3 = 0 and only kappa2 + kappa4 = -b fixed.
+    # The excess is then 4 + kappa4^2 (kappa4 = 0, kappa2 = -b), the least
+    # any chain has; elsewhere L = -b G, so it is A^2 + G^2 + 3 + b^2 >= 12.
     target = SymplecticMap(1, np.array([[2.5, 3.0], [0.5, 1.0]]))
     assert select_free_kappa1(target) == 0.5
     params = decompose_four_step(target)
-    assert params.noise_proxy == pytest.approx(8.75, rel=1e-15)
+    assert params.kappas == (0.5, -3.0, 0.0, 0.0)
+    assert chain_excess(params.kappas) == 4.0
+    assert executor_excess(target) == pytest.approx(4.0, rel=1e-15)
     assert_allclose(params.reconstruct().matrix, target.matrix, atol=1e-14)
+
+
+def test_the_kappa3_zero_branch_takes_kappa4_from_the_weight():
+    # kappa2 + kappa4 = -b is fixed; w11 kappa4^2 - 2 w12 kappa4 is least at
+    # kappa4 = w12 / w11.
+    target = SymplecticMap(1, np.array([[2.5, 3.0], [0.5, 1.0]]))
+    weight = (2.0, 0.5, 1.0)
+    params = decompose_four_step(target, weight=weight)
+    assert params.kappas == (0.5, -3.25, 0.0, 0.25)
+    assert chain_excess(params.kappas, weight) == 2.0 * (2.0 + 0.0625) - 0.25 + 2.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -140,10 +180,10 @@ def test_select_takes_the_kappa3_zero_branch_when_it_wins():
 def test_select_never_worse_than_any_pinned_kappa1(seed, kappa1):
     target = random_symplectic(1, seed)
     try:
-        pinned = decompose_four_step(target, kappa1=kappa1).noise_proxy
-    except SingularParameterError:
+        pinned = executor_excess(target, kappa1)
+    except (SingularParameterError, CompileError, DegenerateMeasurementError):
         return
-    assert decompose_four_step(target).noise_proxy <= pinned * (1.0 + 1e-12)
+    assert executor_excess(target) <= pinned * (1.0 + 1e-12)
 
 
 _entries = st.floats(-4.0, 4.0).map(lambda v: round(v, 6))
@@ -178,29 +218,81 @@ def _choice(select, target):
         return str(exc)
 
 
+#: Weights (w11, w12, w22) of a positive-definite W, W = I among them.
+_weights = st.one_of(
+    st.just(UNIT_WEIGHT),
+    st.tuples(st.floats(0.1, 4.0), st.floats(-0.9, 0.9), st.floats(0.1, 4.0)).map(
+        lambda w: (w[0], w[1] * (w[0] * w[2]) ** 0.5, w[2])
+    ),
+)
+
+
+def _assert_real_roots(got, polynomial):
+    expected = real_roots(polynomial)
+    assert got.shape == expected.shape
+    assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+    # a root at -0.0 would reach the program as a homodyne angle of -0.0
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
 @settings(max_examples=300, deadline=None)
-@given(target=degree_dropping_targets())
-@example(target=identity(1))
-@example(target=SymplecticMap(1, np.array([[0.5, 2.0], [-0.5, 0.0]])))
-@example(target=SymplecticMap(1, np.array([[2.0, 0.0], [0.3, 0.5]])))
-@example(target=SymplecticMap(1, np.array([[-1.6, 2.0], [0.3, -1.0]])))
-@example(target=SymplecticMap(1, np.array([[1.0, -2.0], [0.5, 0.0]])))  # a root at 0
-def test_stationary_points_match_the_polynomial_oracle(target):
+@given(target=degree_dropping_targets(), weight=_weights)
+@example(target=identity(1), weight=UNIT_WEIGHT)
+@example(target=SymplecticMap(1, np.array([[0.5, 2.0], [-0.5, 0.0]])), weight=UNIT_WEIGHT)
+@example(target=SymplecticMap(1, np.array([[2.0, 0.0], [0.3, 0.5]])), weight=UNIT_WEIGHT)
+@example(target=SymplecticMap(1, np.array([[-1.6, 2.0], [0.3, -1.0]])), weight=UNIT_WEIGHT)
+@example(target=SymplecticMap(1, np.array([[1.0, -2.0], [0.5, 0.0]])), weight=UNIT_WEIGHT)  # a root at 0
+@example(target=SymplecticMap(1, np.array([[1.0, 0.0], [1.335938, 1.0]])), weight=UNIT_WEIGHT)  # (kappa1 - c)^4
+def test_stationary_points_match_the_polynomial_oracle(target, weight):
     a, b, c, d = target.abcd()
-    charts = (
-        (_kappa1_stationary_points, kappa1_stationary_polynomial,
-         select_free_kappa1, polynomial_free_kappa1),
-        (_cot_theta0_stationary_points, cot_theta0_stationary_polynomial,
-         select_free_theta0, polynomial_free_theta0),
+    # kappa1: the numerators, built in scalars, against those of the excess
+    # and of the proxy built in numpy's Polynomial class.  Their roots are
+    # compared with numpy's roots of the same numerators: at the multiple
+    # root that d = 1 puts at the pole, the roots of two roundings of one
+    # polynomial differ by ~1e-4.
+    numerators = _kappa1_numerators(a, b, c, d, weight)
+    oracles = kappa1_excess_polynomial(target, weight), kappa1_stationary_polynomial(target)
+    points = _kappa1_stationary_points(a, b, c, d, weight)
+    for got, polynomial, roots in zip(numerators, oracles, points):
+        assert got.shape == polynomial.coef.shape
+        assert_allclose(got, polynomial.coef, rtol=0.0, atol=1e-12 * np.max(np.abs(polynomial.coef)))
+        _assert_real_roots(roots, Polynomial(got))
+    assert _choice(partial(select_free_kappa1, weight=weight), target) == _choice(
+        partial(polynomial_free_kappa1, weight=weight), target
     )
-    for points, polynomial, select, oracle in charts:
-        expected = real_roots(polynomial(target))
-        got = points(a, b, c, d)
-        assert got.shape == expected.shape
-        assert_allclose(got, expected, rtol=1e-12, atol=0.0)
-        # a root at -0.0 would reach the program as a homodyne angle of -0.0
-        assert np.array_equal(np.signbit(got), np.signbit(expected))
-        assert _choice(select, target) == _choice(oracle, target)
+    _assert_real_roots(_cot_theta0_stationary_points(a, b, c, d), cot_theta0_stationary_polynomial(target))
+    assert _choice(select_free_theta0, target) == _choice(polynomial_free_theta0, target)
+
+
+def _admissible(target, kappa1) -> bool:
+    """Whether kappa1 is no pole and its decomposition reproduces the target
+    as the selection requires (``RECONSTRUCTION_TOL``)."""
+    try:
+        params = decompose_four_step(target, kappa1=kappa1)
+    except SingularParameterError:
+        return False
+    limit = RECONSTRUCTION_TOL * max(1.0, np.max(np.abs(target.matrix)))
+    return np.max(np.abs(params.reconstruct().matrix - target.matrix)) <= limit
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    target=st.one_of(degree_dropping_targets(), st.sampled_from(near_d_one_targets())),
+    kappa1=st.floats(-50.0, 50.0),
+)
+def test_choice_excess_beats_the_proxy_oracle_and_admissible_pinned_kappa1(target, kappa1):
+    # Read from the executor's N.  The proxy oracle's kappa1 stands for the
+    # choice before the excess was minimized.  A kappa1 whose program the
+    # executor refuses (gains ~1e9 next to a pole) is no rival.
+    chosen = executor_excess(target)
+    for other in (grid_free_kappa1(target), kappa1):
+        if not _admissible(target, other):
+            continue
+        try:
+            excess = executor_excess(target, other)
+        except (CompileError, DegenerateMeasurementError):
+            continue
+        assert chosen <= excess * (1.0 + 1e-12)
 
 
 def test_select_deterministic():
@@ -309,5 +401,5 @@ def test_select_names_the_free_parameter_when_no_candidate_is_admissible():
     target = random_symplectic(1, 3)
     a, b, c, d = target.abcd()
     with pytest.raises(SingularParameterError) as err:
-        _select(target, [c / d], lambda kappa1: _params(a, b, c, d, kappa1), "kappa1")
+        _select(target, [c / d], partial(_kappa1_score, a, b, c, d, UNIT_WEIGHT), "kappa1")
     assert str(err.value) == "no kappa1 is admissible for this target"

@@ -20,7 +20,6 @@ from cvcluster import (
     fourier,
     identity,
     mtel,
-    mtel_factored,
     random_symplectic,
     rotation,
     squeeze,
@@ -29,7 +28,7 @@ from cvcluster import (
 from cvcluster.single_mode import RECONSTRUCTION_TOL
 from cvcluster.teleport import _wrap_angle, select_free_theta0, telep_noise_proxy
 
-from oracles import d_one_family, d_zero_family, grid_free_theta0, near_d_one_targets
+from oracles import d_one_family, d_zero_family, grid_free_theta0, mtel_factored, near_d_one_targets
 
 
 def proxy(params) -> float:
