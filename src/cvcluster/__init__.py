@@ -39,7 +39,6 @@ from .simulator import (
     GaussianState,
     OutcomePolicy,
     PINNED_ZERO,
-    apply_map,
     build_cluster,
     coherent,
     db_to_r,
@@ -49,9 +48,7 @@ from .simulator import (
     r_to_db,
     run_program,
     sampled,
-    squeezed_vacuum,
     symplectic_eigenvalues,
-    tensor,
     vacuum,
     validate_state,
 )
@@ -62,21 +59,16 @@ from .single_mode import (
     three_step_reachable,
 )
 from .symplectic import (
-    CONVENTION,
-    Convention,
     HBAR,
     SymplecticMap,
     VACUUM_QUADRATURE_VARIANCE,
     beam_splitter_matrix,
     compose,
     compose_many,
-    elementary_step,
     embed,
     fourier,
     fourier_power,
     identity,
-    qnd_gate,
-    quad_phase,
     random_symplectic,
     require_symplectic,
     rotation,
@@ -87,7 +79,6 @@ from .symplectic import (
 from .teleport import (
     TelepAngles,
     TelepPlusTwoParams,
-    bell_splitter_relations,
     canonicalize,
     decompose_telep_plus_two,
     mtel,

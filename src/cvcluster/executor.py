@@ -25,13 +25,14 @@ The replay streams over the schedule and keeps rows only for the live
 frontier, the nodes that are coupled but not yet measured, so its memory is
 O(live frontier x basis width) rather than O(nodes x basis width).  The
 frontier's edge scheduler, ``_Frontier``, decides when each coupling is
-applied and which rows each node's slot takes.  None of that depends on an
-angle, only on the cluster's structure: the graph and the order of the
-measured nodes.  So ``_script`` walks the frontier once per structure and
-keeps its events as a ``Script``, for the last ``SCRIPTS`` structures.  The
-replay runs a script's events on coefficient rows, and a simulator ``Tape``
-is the script's blocks, cut once per structure, with the program's own
-sines and cosines; every simulator pass replays a tape on Gaussian moments.
+applied and which rows each node's slot takes, and logs each of these
+events.  None of that depends on an angle, only on the cluster's structure:
+the graph and the order of the measured nodes.  So ``_script`` walks the
+frontier once per structure and keeps its events as a ``Script``, for the
+last ``SCRIPTS`` structures.  The replay runs a script's events on
+coefficient rows, and a simulator ``Tape`` (``record``) is the script's
+blocks, cut once per structure, with the program's own sines and cosines;
+every simulator pass replays a tape on Gaussian moments.
 
 Internally the rows order their columns by event, so that every row
 operation touches only the prefix in use: first a pool of w columns, one
@@ -120,7 +121,8 @@ class ExactReplay:
 
 
 class _Frontier:
-    """Slots of the live nodes, with the cluster's edges applied on demand.
+    """Slots of the live nodes, with the cluster's edges applied on demand,
+    and the log of the events that this takes.
 
     This class alone decides when an edge is applied.  Every coupling is a
     linear map that commutes with measurements on other nodes, so an edge is
@@ -131,15 +133,16 @@ class _Frontier:
     as one map.  A splitter mixes x's with p's, so it does not commute with
     its partner's QND gates and must follow them; only splitters order the
     couplings.  The order depends on the graph and on the order of the
-    nodes measured, never on an angle, so its one subclass, ``_Log``,
-    writes it down once per cluster structure (``_script``).
+    nodes measured, never on an angle, so it is written down once per
+    cluster structure (``_script``).
 
     A slot is two adjacent rows (x, then p).  Input port p holds rows 2p and
     2p + 1 from the start, as the inputs may be correlated; any other node
     gets a slot when its first edge is applied or it is measured, reused
-    once it is released; ``size`` rows of storage hold the slots.  The
-    subclass is told of each event: ``_open`` (a new slot), ``_qnd`` and
-    ``_bell``, all given x rows.
+    once it is released; ``size`` rows of storage hold the slots.  Each
+    slot opened is logged in ``opens`` as (x row, graph-order ancilla
+    index), and each coupling in ``pairs`` as (x row, x row, is a Bell
+    splitter), in the order applied, until ``cut`` hands them over.
     """
 
     def __init__(self, graph):
@@ -147,6 +150,8 @@ class _Frontier:
         self.size = 2 * len(ports)  # rows of storage
         self.free = []  # x rows of free slots; the slots double when none is left
         self.slot = {port.id: 2 * port.port for port in ports}  # live node -> x row
+        self.ancilla = {node.id: j for j, node in enumerate(graph.ancilla_nodes())}
+        self.opens, self.pairs = [], []  # events since the last cut
         self.qnd = {node.id: [] for node in graph.nodes}  # pending QND partners
         self.bell = {node.id: [] for node in graph.nodes}  # pending splitters, edge order
         self.splitters = []  # (teleport port, Bell partner)
@@ -174,8 +179,14 @@ class _Frontier:
             first = self.bell[partner].pop(0)
             port = self.splitters[first][0]
             self.bell[port].remove(first)
-            self._bell(self._row(port), self._row(partner))
+            self.pairs.append((self._row(port), self._row(partner), True))
         return self._row(node_id)
+
+    def cut(self) -> tuple:
+        """The (opens, couplings) logged since the last cut."""
+        events = (tuple(self.opens), tuple(self.pairs))
+        self.opens, self.pairs = [], []
+        return events
 
     def release(self, node_id) -> None:
         """Free a measured node's slot for reuse."""
@@ -185,7 +196,7 @@ class _Frontier:
         partners, self.qnd[node_id] = self.qnd[node_id], []
         for other in partners:
             self.qnd[other].remove(node_id)
-            self._qnd(self._row(node_id), self._row(other))
+            self.pairs.append((self._row(node_id), self._row(other), False))
 
     def _row(self, node_id) -> int:
         xr = self.slot.get(node_id)
@@ -195,34 +206,8 @@ class _Frontier:
                 self.free = list(range(self.size - 2, old - 2, -2))
             xr = self.free.pop()
             self.slot[node_id] = xr
-            self._open(node_id, xr)
+            self.opens.append((xr, self.ancilla[node_id]))
         return xr
-
-
-class _Log(_Frontier):
-    """A frontier that writes its events down: each slot it opens, as (x
-    row, graph-order ancilla index), and each coupling, as (x row, x row,
-    is a Bell splitter), in the order applied."""
-
-    def __init__(self, graph):
-        super().__init__(graph)
-        self.ancilla = {node.id: j for j, node in enumerate(graph.ancilla_nodes())}
-        self.opens, self.pairs = [], []
-
-    def cut(self) -> tuple:
-        """The (opens, couplings) logged since the last cut."""
-        events = (tuple(self.opens), tuple(self.pairs))
-        self.opens, self.pairs = [], []
-        return events
-
-    def _open(self, node_id, xr: int) -> None:
-        self.opens.append((xr, self.ancilla[node_id]))
-
-    def _qnd(self, xu: int, xv: int) -> None:
-        self.pairs.append((xu, xv, False))
-
-    def _bell(self, xa: int, xb: int) -> None:
-        self.pairs.append((xa, xb, True))
 
 
 class Block(NamedTuple):
@@ -296,23 +281,23 @@ def _script(graph, measured: tuple, readout: tuple) -> Script:
     """Walk the frontier of a graph that measures the nodes ``measured``,
     in order, ``TAPE_BLOCK`` to a block, and reads out the nodes
     ``readout``.  The last ``SCRIPTS`` structures are kept."""
-    log = _Log(graph)
-    ports = log.size // 2
+    frontier = _Frontier(graph)
+    ports = frontier.size // 2
     events, rows = [], []
     starts = range(0, max(len(measured), 1), TAPE_BLOCK)
     for k in starts:
         block = measured[k : k + TAPE_BLOCK]
         for node_id in block:
-            rows.append(log.couple(node_id))
-            events.append(log.cut())
+            rows.append(frontier.couple(node_id))
+            events.append(frontier.cut())
         if k == starts[-1]:
-            out = [log.couple(node_id) for node_id in readout]
-            events.append(log.cut())
+            out = [frontier.couple(node_id) for node_id in readout]
+            events.append(frontier.cut())
         for node_id in block:
-            log.release(node_id)
+            frontier.release(node_id)
     out = np.array(out + [x + 1 for x in out], dtype=int)
     out.flags.writeable = False
-    return Script(ports, measured, tuple(events), tuple(rows), out, log.size)
+    return Script(ports, measured, tuple(events), tuple(rows), out, frontier.size)
 
 
 def _block(nodes, events, measured) -> Block:
@@ -394,13 +379,6 @@ def record(graph, schedule, readout) -> Tape:
         for k in range(0, max(len(schedule), 1), TAPE_BLOCK)
     )
     return Tape(script.ports, script.blocks, weights, script.out, script.size)
-
-
-def program_tape(program: MeasurementProgram) -> Tape:
-    """``record`` of a program's schedule, read out at its output ports;
-    ``MeasurementProgram.tape`` keeps it."""
-    graph = program.graph
-    return record(graph, program.schedule, [port.id for port in graph.output_ports()])
 
 
 def exact_replay(program: MeasurementProgram) -> ExactReplay:

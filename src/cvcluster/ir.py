@@ -129,16 +129,16 @@ class MeasurementProgram:
 
     @cached_property
     def tape(self):
-        """The program's frontier schedule (``executor.program_tape``),
-        built once, after ``validate``, in blocks of
+        """The program's frontier schedule (``executor.record``, read out
+        at its output ports), built once, after ``validate``, in blocks of
         ``executor.TAPE_BLOCK`` homodynes: the blocks of its cluster
         structure, shared with every program of that graph and schedule
         order, and the sines and cosines of its own angles.  A
         ``dataclasses.replace``d program builds its own."""
-        from .executor import program_tape  # the executor imports this module
+        from .executor import record  # the executor imports this module
 
         self.validate()
-        return program_tape(self)
+        return record(self.graph, self.schedule, [port.id for port in self.graph.output_ports()])
 
     @cached_property
     def replay(self):
@@ -262,8 +262,3 @@ class SynthesisReport:
     noise_proxy: float = 0.0
     replay_residual: float = 0.0
 
-    def gate_census(self) -> dict:
-        census = {}
-        for rec in self.step_params:
-            census[rec.kind] = census.get(rec.kind, 0) + 1
-        return census

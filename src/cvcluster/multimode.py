@@ -111,11 +111,6 @@ class BlochMessiahFactors:
     squeezings: tuple  # per-mode squeezing parameters r_i, descending
     passive_in: SymplecticMap  # V, applied first
 
-    def reconstruct(self) -> np.ndarray:
-        r = np.asarray(self.squeezings)
-        squeezers = np.diag(np.concatenate([np.exp(r), np.exp(-r)]))
-        return self.passive_out.matrix @ squeezers @ self.passive_in.matrix
-
 
 def _canonical_vectors(cluster: np.ndarray, count: int, j: np.ndarray) -> list:
     """``count`` orthonormal vectors in the span of ``cluster``'s columns,

@@ -119,45 +119,10 @@ def vacuum(n: int) -> GaussianState:
     return GaussianState(np.zeros(2 * n), np.eye(2 * n) * VACUUM_QUADRATURE_VARIANCE)
 
 
-def squeezed_vacuum(r: float) -> GaussianState:
-    """One-mode squeezed vacuum, cov diag(e^{2r}, e^{-2r})/4; r > 0 squeezes p."""
-    return GaussianState(
-        np.zeros(2), np.diag([np.exp(2.0 * r), np.exp(-2.0 * r)]) / 4.0
-    )
-
-
 def coherent(n: int, mean) -> GaussianState:
     """Vacuum displaced to the given 2n mean vector."""
     mean = np.asarray(mean, dtype=float)
     return GaussianState(mean, np.eye(2 * n) * VACUUM_QUADRATURE_VARIANCE)
-
-
-def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
-    """Product state of two registers (modes of a first)."""
-    na, nb = a.n, b.n
-    n = na + nb
-    mean = np.zeros(2 * n)
-    cov = np.zeros((2 * n, 2 * n))
-    ia = list(range(na)) + [n + i for i in range(na)]
-    ib = [na + i for i in range(nb)] + [n + na + i for i in range(nb)]
-    mean[ia] = a.mean
-    mean[ib] = b.mean
-    cov[np.ix_(ia, ia)] = a.cov
-    cov[np.ix_(ib, ib)] = b.cov
-    return GaussianState(mean, cov)
-
-
-def apply_map(state: GaussianState, smap: SymplecticMap, modes=None) -> GaussianState:
-    """Apply a symplectic map (embedded on the given modes if supplied)."""
-    if modes is not None:
-        from .symplectic import embed
-
-        smap = embed(smap, state.n, modes)
-    if smap.n != state.n:
-        raise ValueError(f"map acts on {smap.n} modes, state has {state.n}")
-    mean = smap.matrix @ state.mean + smap.displacement
-    cov = smap.matrix @ state.cov @ smap.matrix.T
-    return GaussianState(mean, cov)
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:

@@ -60,7 +60,9 @@ def _solve(a: float, b: float, c: float, d: float, kappa1: float, weight=UNIT_WE
     kappa3 = c - d * kappa1
     num2 = 1.0 - d
     num4 = 1.0 - a + b * kappa1
-    scale = max(1.0, abs(c), abs(d * kappa1))
+    # kappa2 = num2 / kappa3 and kappa4 = num4 / kappa3: a kappa3 small
+    # against either numerator is a pole too, a chain no replay can run.
+    scale = max(1.0, abs(c), abs(d * kappa1), abs(num2), abs(num4))
     if abs(kappa3) < KAPPA3_SINGULAR_TOL * scale:
         if (
             abs(num2) < DEGENERATE_NUMERATOR_TOL

@@ -11,22 +11,9 @@ import numpy as np
 
 HBAR = 0.5
 VACUUM_QUADRATURE_VARIANCE = 0.25
-BLOCK_ORDERING = "x-then-p"
 
 #: Tolerance for the symplectic condition M^T J M = J of constructed maps.
 SYMPLECTIC_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Convention:
-    """The fixed phase-space conventions used by the whole package."""
-
-    hbar: float = HBAR
-    vacuum_quadrature_variance: float = VACUUM_QUADRATURE_VARIANCE
-    block_ordering: str = BLOCK_ORDERING
-
-
-CONVENTION = Convention()
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -138,19 +125,10 @@ def fourier_power(k: int) -> SymplecticMap:
     return SymplecticMap(1, np.linalg.matrix_power(f, k % 4))
 
 
-def quad_phase(kappa: float) -> SymplecticMap:
-    """Quadratic phase gate O(kappa): shear ((1,0),(kappa,1))."""
-    return SymplecticMap(1, np.array([[1.0, 0.0], [kappa, 1.0]]))
-
-
 def elementary_matrix(kappa: float) -> np.ndarray:
-    """The 2x2 matrix ((-kappa, -1), (1, 0)) of :func:`elementary_step`."""
+    """One gate-teleportation step M(kappa) = F O(kappa) = ((-kappa, -1), (1, 0)),
+    O(kappa) the shear ((1, 0), (kappa, 1))."""
     return np.array([[-kappa, -1.0], [1.0, 0.0]])
-
-
-def elementary_step(kappa: float) -> SymplecticMap:
-    """One gate-teleportation step M(kappa) = F O(kappa) = ((-kappa,-1),(1,0))."""
-    return SymplecticMap(1, elementary_matrix(kappa))
 
 
 def squeeze(r: float) -> SymplecticMap:
@@ -171,22 +149,6 @@ def beam_splitter_matrix(reflectivity: float) -> SymplecticMap:
     mr = np.array([[t, u], [u, -t]])
     z = np.zeros((2, 2))
     return SymplecticMap(2, np.block([[mr, z], [z, mr]]))
-
-
-def qnd_gate(n: int, j: int, k: int) -> SymplecticMap:
-    """Position-position QND coupling of modes j and k.
-
-    Heisenberg action: p_j -> p_j + x_k and p_k -> p_k + x_j, positions
-    unchanged.
-    """
-    if j == k:
-        raise ValueError("QND coupling requires two distinct modes")
-    if not (0 <= j < n and 0 <= k < n):
-        raise ValueError(f"mode indices ({j}, {k}) out of range for n={n}")
-    m = np.eye(2 * n)
-    m[n + j, k] += 1.0
-    m[n + k, j] += 1.0
-    return SymplecticMap(n, m)
 
 
 def compose(a: SymplecticMap, b: SymplecticMap) -> SymplecticMap:

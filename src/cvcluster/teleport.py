@@ -225,7 +225,9 @@ def decompose_telep_plus_two(
     return _params(a, b, c, d, float(theta0))
 
 
-#: Matrix of ``bell_splitter_relations`` on (x0, x1, p0, p1).
+#: The balanced Bell beam splitter of a teleport coupling, on (x0, x1, p0, p1):
+#: it sends them to ((x0 - p1)/sqrt2, (x1 - p0)/sqrt2, (p0 + x1)/sqrt2,
+#: (p1 + x0)/sqrt2); mode 0 is the input, mode 1 the cluster end node.
 BELL_SPLITTER = np.array(
     [
         [1.0, 0.0, 0.0, -1.0],
@@ -236,12 +238,3 @@ BELL_SPLITTER = np.array(
 ) / np.sqrt(2.0)
 BELL_SPLITTER.flags.writeable = False
 
-
-def bell_splitter_relations() -> SymplecticMap:
-    """The balanced Bell beam splitter used for teleport coupling.
-
-    Sends (x0, x1, p0, p1) to ((x0 - p1)/sqrt2, (x1 - p0)/sqrt2,
-    (p0 + x1)/sqrt2, (p1 + x0)/sqrt2); mode 0 is the input, mode 1 the
-    cluster end node.
-    """
-    return SymplecticMap(2, BELL_SPLITTER)

@@ -35,6 +35,22 @@ def four_step_product(kappas):
     return total
 
 
+def apply_map(state, smap):
+    """The Gaussian state after the affine symplectic map ``smap``:
+    mean M mean + d, covariance M cov M^T."""
+    from cvcluster import GaussianState
+
+    matrix = smap.matrix
+    return GaussianState(matrix @ state.mean + smap.displacement, matrix @ state.cov @ matrix.T)
+
+
+def bloch_messiah_product(factors):
+    """U diag(e^r, e^-r) V of Bloch-Messiah factors, a plain product."""
+    r = np.asarray(factors.squeezings)
+    squeezers = np.diag(np.concatenate([np.exp(r), np.exp(-r)]))
+    return factors.passive_out.matrix @ squeezers @ factors.passive_in.matrix
+
+
 def mesh_census(n, ops):
     """Plain product of a splitter mesh's wire ops, ("onemode", mode, 2x2
     matrix) or ("bs", (i, j), R), in application order, and its counts:
@@ -71,8 +87,8 @@ def dense_run_program(program, input_state, r, policy):
     distribution, in schedule order, from one generator seeded by the
     policy.  Returns (output mean, output covariance, outcome record).
     """
-    from cvcluster import bell_splitter_relations
     from cvcluster.ir import COUPLING_TELEPORT
+    from cvcluster.teleport import BELL_SPLITTER
 
     graph = program.graph
     n = program.n
@@ -98,11 +114,10 @@ def dense_run_program(program, input_state, r, policy):
         else:
             j, k = live[u], live[v]
             coupling[[size + j, size + k]] += coupling[[k, j]]
-    bell = bell_splitter_relations().matrix
     for port, partner in bell_pairs:
         a, b = live[port], live[partner]
         rows = [a, b, size + a, size + b]
-        coupling[rows] = bell @ coupling[rows]
+        coupling[rows] = BELL_SPLITTER @ coupling[rows]
     mean = coupling @ mean
     cov = coupling @ cov @ coupling.T
 
@@ -147,10 +162,10 @@ def dense_exact_replay(program):
     and raises the executor's error classes on degenerate measurements and
     under-measured outputs.
     """
-    from cvcluster import bell_splitter_relations
     from cvcluster.errors import DegenerateMeasurementError, ProgramError
     from cvcluster.executor import PIVOT_TOL
     from cvcluster.ir import COUPLING_TELEPORT
+    from cvcluster.teleport import BELL_SPLITTER
 
     program.validate()
     graph = program.graph
@@ -177,10 +192,9 @@ def dense_exact_replay(program):
         else:
             rows[row_of[u][1]] += rows[row_of[v][0]]
             rows[row_of[v][1]] += rows[row_of[u][0]]
-    bell = bell_splitter_relations().matrix
     for port, partner in bell_pairs:
         (xa, pa), (xb, pb) = row_of[port], row_of[partner]
-        rows[[xa, xb, pa, pb]] = bell @ rows[[xa, xb, pa, pb]]
+        rows[[xa, xb, pa, pb]] = BELL_SPLITTER @ rows[[xa, xb, pa, pb]]
 
     for k, entry in enumerate(program.schedule):
         xr, pr = row_of[entry.node_id]

@@ -422,8 +422,9 @@ def test_cli_sweep(tmp_path):
         (random_symplectic(2, 3), "5", "kappa1 pins a one-mode synthesis; the target has 2 modes"),
         (random_symplectic(1, 3), "nan", "kappa1=nan is not finite"),
         (random_symplectic(1, 3), "inf", "kappa1=inf is not finite"),
+        (SymplecticMap(1, np.diag([-0.5, -2.0])), "1e-9", "kappa1=1e-09 makes kappa3 vanish"),
     ],
-    ids=["two-mode", "nan", "inf"],
+    ids=["two-mode", "nan", "inf", "pole"],
 )
 def test_cli_compile_rejects_bad_free_param(tmp_path, capsys, target, free_param, message):
     target_file = write_target(tmp_path, target)

@@ -1,6 +1,7 @@
 """Connection gates, Bloch-Messiah, splitter meshes, and full compilation."""
 
 import functools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,10 +17,8 @@ from cvcluster import (
     bloch_messiah,
     compile,
     compose,
-    compose_many,
     connection_gate,
     db_to_r,
-    elementary_step,
     embed,
     exact_replay,
     fourier_power,
@@ -31,7 +30,7 @@ from cvcluster import (
     symplectic_residual,
 )
 from cvcluster.ir import ROLE_INPUT, ROLE_OUTPUT
-from oracles import mesh_census
+from oracles import bloch_messiah_product, four_step_product, mesh_census
 
 
 def connection_cube(reflectivity: float) -> np.ndarray:
@@ -103,14 +102,14 @@ def test_bloch_messiah_embedded_squeezer():
     target = embed(squeeze(0.8), 3, [1])
     factors = bloch_messiah(target)
     assert_allclose(sorted(factors.squeezings, reverse=True), [0.8, 0.0, 0.0], atol=1e-10)
-    assert_allclose(factors.reconstruct(), target.matrix, atol=1e-9)
+    assert_allclose(bloch_messiah_product(factors), target.matrix, atol=1e-9)
 
 
 def test_bloch_messiah_random():
     for seed in range(20):
         target = random_symplectic(3, seed)
         factors = bloch_messiah(target)
-        assert_allclose(factors.reconstruct(), target.matrix, atol=1e-9)
+        assert_allclose(bloch_messiah_product(factors), target.matrix, atol=1e-9)
         for passive in (factors.passive_out, factors.passive_in):
             assert symplectic_residual(passive) < 1e-10
             assert np.max(np.abs(passive.matrix.T @ passive.matrix - np.eye(6))) < 1e-10
@@ -228,7 +227,7 @@ def test_bloch_messiah_of_equal_squeezers_has_identity_passives(rs, seed):
     target = compose(u, compose(squeezers, v))
     factors = bloch_messiah(target)
     assert_allclose(factors.squeezings, rs, atol=1e-9)
-    assert_allclose(factors.reconstruct(), target.matrix, atol=1e-9)
+    assert_allclose(bloch_messiah_product(factors), target.matrix, atol=1e-9)
     for passive in (factors.passive_out, factors.passive_in):
         assert symplectic_residual(passive) < 1e-10
         assert np.max(np.abs(passive.matrix.T @ passive.matrix - np.eye(2 * n))) < 1e-10
@@ -238,7 +237,7 @@ def test_compile_equal_squeezers_needs_no_splitter():
     squeezers = compose(embed(squeeze(0.8), 2, [0]), embed(squeeze(0.8), 2, [1]))
     _, report = compile(squeezers)
     assert report.ancilla_count == 8
-    assert report.gate_census() == {"four-step": 2}
+    assert Counter(record.kind for record in report.step_params) == {"four-step": 2}
     assert report.replay_residual < 1e-9
 
 
@@ -272,7 +271,7 @@ def test_compile_pure_balanced_splitter():
     program, report = compile(target)
     assert report.ancilla_count == 9
     assert report.replay_residual < 1e-9
-    census = report.gate_census()
+    census = Counter(record.kind for record in report.step_params)
     assert census.get("connection") == 3
     assert "four-step" not in census
 
@@ -323,9 +322,9 @@ def test_compile_schedule_covers_every_non_output_node():
 def undoes_its_compensation(rec) -> bool:
     """Whether a four-step record is an identity gate: its steps apply
     exactly the inverse of the pad Fourier transforms it compensates."""
-    steps = compose_many(*(elementary_step(k) for k in reversed(rec.params["kappas"])))
+    steps = four_step_product(rec.params["kappas"])
     undo = fourier_power(-rec.params.get("fourier_compensation", 0))
-    return bool(np.max(np.abs(steps.matrix - undo.matrix)) < 1e-12)
+    return bool(np.max(np.abs(steps - undo.matrix)) < 1e-12)
 
 
 #: Splitters whose two wires owe different pad powers.
@@ -542,7 +541,7 @@ def test_compiled_connection_steps_match_angles():
     # every connection step contributes exactly three scheduled homodynes
     target = beam_splitter_matrix(0.3)
     program, report = compile(target)
-    census = report.gate_census()
+    census = Counter(record.kind for record in report.step_params)
     assert census["connection"] == 3
     assert len(program.schedule) == 9
     controller_angles = [

@@ -14,7 +14,6 @@ from cvcluster import (
     GaussianState,
     OutcomePolicy,
     PINNED_ZERO,
-    apply_map,
     build_cluster,
     coherent,
     compile,
@@ -28,10 +27,7 @@ from cvcluster import (
     random_symplectic,
     run_program,
     sampled,
-    squeeze,
-    squeezed_vacuum,
     symplectic_eigenvalues,
-    tensor,
     vacuum,
     validate_state,
 )
@@ -49,7 +45,7 @@ from cvcluster.ir import (
 )
 from cvcluster.executor import exact_replay
 
-from oracles import dense_run_program
+from oracles import apply_map, dense_run_program
 
 
 def chain_graph(length: int, r_roles=None) -> ClusterGraph:
@@ -76,25 +72,6 @@ def teleport_identity_program() -> MeasurementProgram:
     return dataclasses.replace(program, feedforward=exact_replay(program).feedforward_rules())
 
 
-def test_squeezed_vacuum():
-    flat = squeezed_vacuum(0.0)
-    assert_allclose(flat.cov, np.eye(2) / 4, atol=0)
-    deep = squeezed_vacuum(8.0)
-    assert deep.cov[1, 1] < 1e-7
-    rng = np.random.default_rng(0)
-    for r in rng.uniform(-3, 3, size=20):
-        state = squeezed_vacuum(r)
-        assert state.cov[0, 0] * state.cov[1, 1] == pytest.approx(1.0 / 16.0)
-
-
-def test_apply_map():
-    state = vacuum(2)
-    same = apply_map(state, identity(2))
-    assert_allclose(same.cov, state.cov, atol=0)
-    squeezed = apply_map(vacuum(1), squeeze(0.9))
-    assert_allclose(squeezed.cov, squeezed_vacuum(0.9).cov, atol=1e-14)
-
-
 def test_apply_map_preserves_symplectic_spectrum():
     state = GaussianState(
         np.zeros(4), np.diag([0.5, 0.3, 0.2, 0.25])
@@ -105,8 +82,9 @@ def test_apply_map_preserves_symplectic_spectrum():
 
 
 def test_build_cluster_single_node():
+    # A lone node is the p-squeezed vacuum, cov diag(e^{2r}, e^{-2r}) / 4.
     state = build_cluster(chain_graph(1), 1.3)
-    assert_allclose(state.cov, squeezed_vacuum(1.3).cov, atol=0)
+    assert_allclose(state.cov, np.diag([np.exp(2.6), np.exp(-2.6)]) / 4.0, atol=0)
 
 
 def nullifier_variance(state, graph, node_id):
@@ -142,7 +120,7 @@ def test_build_cluster_rejects_ports():
 
 
 def test_homodyne_product_state():
-    state = tensor(vacuum(1), vacuum(1))
+    state = vacuum(2)
     for theta in (0.0, 0.4, np.pi / 2):
         outcome, reduced = homodyne_measure(state, 0, theta)
         assert outcome == 0.0
@@ -153,7 +131,7 @@ def test_homodyne_sampled_outcome_statistics():
     # any quadrature of the vacuum has variance 1/4
     rng = np.random.default_rng(8)
     outcomes = []
-    state = tensor(vacuum(1), vacuum(1))
+    state = vacuum(2)
     policy = sampled(0)
     for _ in range(3000):
         outcome, _ = homodyne_measure(state, 0, 0.7, policy, rng)
@@ -340,23 +318,23 @@ def test_simulator_memory_follows_the_live_frontier(run):
 
 def test_the_tape_is_recorded_once_per_program(monkeypatch):
     recorded = []
-    record = executor.program_tape
+    record = executor.record
 
-    def counting(program, *args):
-        recorded.append(program)
-        return record(program, *args)
+    def counting(graph, schedule, readout):
+        recorded.append(schedule)
+        return record(graph, schedule, readout)
 
-    monkeypatch.setattr(executor, "program_tape", counting)
+    monkeypatch.setattr(executor, "record", counting)
     program, _ = compile(random_symplectic(2, 5))
     r = db_to_r(13.0)
     run_program(program, vacuum(2), r, sampled(1))
     run_program(program, vacuum(2), r)
     extract_effective_map(program, r)
-    assert len(recorded) == 1 and recorded[0] is program
+    assert len(recorded) == 1 and recorded[0] is program.schedule
     assert program.tape is program.tape
     reversed_program = dataclasses.replace(program, schedule=program.schedule[::-1])
     effective_map(reversed_program, r)
-    assert len(recorded) == 2 and recorded[1] is reversed_program
+    assert len(recorded) == 2 and recorded[1] is reversed_program.schedule
     assert reversed_program.tape is not program.tape
     assert reversed_program.tape.blocks[0].nodes == tuple(
         entry.node_id for entry in program.schedule[::-1][: executor.TAPE_BLOCK]
@@ -600,14 +578,6 @@ def test_validate_state_rejects_unphysical():
         validate_state(bad)
 
 
-def test_apply_map_on_chosen_modes():
-    state = coherent(2, [0.1, 0.2, 0.3, 0.4])  # x0, x1, p0, p1
-    out = apply_map(state, squeeze(0.3), modes=[1])
-    assert_allclose(out.mean, [0.1, 0.2 * np.exp(0.3), 0.3, 0.4 * np.exp(-0.3)], rtol=1e-15)
-    assert_allclose(np.diag(out.cov), [0.25, np.exp(0.6) / 4, 0.25, np.exp(-0.6) / 4], rtol=1e-15)
-    assert np.count_nonzero(out.cov - np.diag(np.diag(out.cov))) == 0
-
-
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -615,7 +585,6 @@ def test_apply_map_on_chosen_modes():
         (lambda: GaussianState(np.zeros((2, 2)), np.eye(4)), "mean must be a vector of even length"),
         (lambda: GaussianState(np.zeros(2), np.eye(4)), "covariance shape does not match the mean"),
         (lambda: OutcomePolicy("random"), "unknown outcome policy 'random'"),
-        (lambda: apply_map(vacuum(2), squeeze(0.3)), "map acts on 1 modes, state has 2"),
         (
             lambda: validate_state(GaussianState(np.zeros(2), [[0.25, 0.1], [0.0, 0.25]])),
             "covariance asymmetry 1.00e-01 exceeds 1e-12",
@@ -629,7 +598,7 @@ def test_apply_map_on_chosen_modes():
         (lambda: homodyne_measure(vacuum(2), -1, 0.0), "mode -1 out of range for n=2"),
     ],
     ids=[
-        "odd-mean", "matrix-mean", "cov-shape", "unknown-policy", "map-size",
+        "odd-mean", "matrix-mean", "cov-shape", "unknown-policy",
         "asymmetric-cov", "empty-cluster", "input-size", "mode-above", "mode-below",
     ],
 )

@@ -14,6 +14,7 @@ from cvcluster import (
     DegenerateMeasurementError,
     SingularParameterError,
     SymplecticMap,
+    compile,
     decompose_four_step,
     decompose_telep_plus_two,
     fourier,
@@ -41,7 +42,6 @@ from oracles import (
     rsr_decompose,
     three_step_grid_minimum,
 )
-from cvcluster import elementary_step
 from cvcluster.single_mode import (
     RECONSTRUCTION_TOL,
     UNIT_WEIGHT,
@@ -52,6 +52,7 @@ from cvcluster.single_mode import (
     _select,
     chain_excess,
 )
+from cvcluster.symplectic import elementary_matrix
 from cvcluster.teleport import _cot_theta0_stationary_points, select_free_theta0
 
 
@@ -79,6 +80,16 @@ def test_singular_kappa1_rejected():
     target = SymplecticMap(1, np.diag([2.0, 0.5]))
     with pytest.raises(SingularParameterError):
         decompose_four_step(target, kappa1=0.0)
+
+
+def test_kappa1_at_a_pole_of_kappa2_and_kappa4_rejected():
+    # diag(-1/2, -2) at kappa1 = 1e-9: kappa3 = 2e-9 is tiny against the
+    # numerators 1 - d = 3 and 1 - a + b kappa1 = 3/2, so kappa2 and kappa4
+    # would be ~1e9 and the replay of the chain would find no ancilla noise.
+    target = SymplecticMap(1, np.diag([-0.5, -2.0]))
+    for run in (decompose_four_step, compile):
+        with pytest.raises(SingularParameterError, match="kappa1=1e-09 makes kappa3 vanish"):
+            run(target, kappa1=1e-9)
 
 
 def test_degenerate_kappa3_accepted():
@@ -330,12 +341,12 @@ def test_three_step_grid_oracle_reachable_family():
     # Targets assembled from on-grid kappa triples are found by the grid
     # search (the 0.05 step cannot resolve generic off-grid solutions, so
     # the consistency check uses exactly representable ones).
-    from cvcluster import compose_many
-
     triples = [(0.5, 2.0, -1.5), (1.0, 1.0, 1.0), (-0.25, 3.0, 0.05),
                (2.0, -0.6, 4.0), (0.0, 0.9, -7.0), (-3.3, 0.15, 2.45)]
-    for triple in triples:
-        target = compose_many(*[elementary_step(k) for k in reversed(triple)])
+    for k1, k2, k3 in triples:
+        target = SymplecticMap(
+            1, elementary_matrix(k3) @ elementary_matrix(k2) @ elementary_matrix(k1)
+        )
         assert three_step_reachable(target)
         assert three_step_grid_minimum(target) < 1e-2
 

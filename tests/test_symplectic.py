@@ -8,19 +8,16 @@ from cvcluster import (
     SymplecticMap,
     beam_splitter_matrix,
     compose,
-    compose_many,
-    elementary_step,
     embed,
     fourier,
     identity,
-    qnd_gate,
-    quad_phase,
     random_symplectic,
     require_symplectic,
     rotation,
     squeeze,
     symplectic_residual,
 )
+from cvcluster.symplectic import elementary_matrix
 
 F = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -32,37 +29,24 @@ def test_rotation_special_angles():
     assert_allclose(fourier().matrix, F, atol=0)
 
 
-def test_quad_phase():
-    assert_allclose(quad_phase(0.0).matrix, np.eye(2), atol=0)
-    assert_allclose(quad_phase(2.0).matrix, [[1, 0], [2, 1]], atol=0)
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        k1, k2 = rng.uniform(-5, 5, size=2)
-        assert_allclose(
-            compose(quad_phase(k1), quad_phase(k2)).matrix,
-            quad_phase(k1 + k2).matrix,
-            atol=1e-14,
-        )
-
-
 def test_elementary_step():
-    assert_allclose(elementary_step(0.0).matrix, F, atol=0)
-    assert_allclose(elementary_step(1.0).matrix, [[-1, -1], [1, 0]], atol=0)
+    assert_allclose(elementary_matrix(0.0), F, atol=0)
+    assert_allclose(elementary_matrix(1.0), [[-1, -1], [1, 0]], atol=0)
 
 
 def test_elementary_step_is_fourier_after_shear():
     # Equal to double precision; rotation(pi/2) carries the cos(pi/2) ulp.
     rng = np.random.default_rng(1)
     for kappa in rng.uniform(-10, 10, size=50):
-        built = compose(rotation(np.pi / 2), quad_phase(kappa))
-        assert_allclose(built.matrix, elementary_step(kappa).matrix, atol=1e-14)
+        built = rotation(np.pi / 2).matrix @ np.array([[1.0, 0.0], [kappa, 1.0]])
+        assert_allclose(built, elementary_matrix(kappa), atol=1e-14)
 
 
 def test_two_step_closed_form():
     rng = np.random.default_rng(2)
     for _ in range(100):
         k1, k2 = rng.uniform(-3, 3, size=2)
-        product = compose(elementary_step(k2), elementary_step(k1)).matrix
+        product = elementary_matrix(k2) @ elementary_matrix(k1)
         closed = np.array([[k2 * k1 - 1.0, k2], [-k1, -1.0]])
         assert_allclose(product, closed, atol=1e-14)
 
@@ -71,9 +55,10 @@ def test_four_step_closed_form():
     rng = np.random.default_rng(3)
     for _ in range(1000):
         k1, k2, k3, k4 = rng.uniform(-3, 3, size=4)
-        product = compose_many(
-            elementary_step(k4), elementary_step(k3), elementary_step(k2), elementary_step(k1)
-        ).matrix
+        product = (
+            elementary_matrix(k4) @ elementary_matrix(k3)
+            @ elementary_matrix(k2) @ elementary_matrix(k1)
+        )
         closed = np.array(
             [
                 [
@@ -117,36 +102,6 @@ def test_beam_splitter_domain():
         beam_splitter_matrix(-0.1)
 
 
-def test_qnd_gate_matrix():
-    # Heisenberg action of the x-x coupling: momenta pick up the partner x.
-    expected = np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1]], dtype=float
-    )
-    assert_allclose(qnd_gate(2, 0, 1).matrix, expected, atol=0)
-
-
-def test_qnd_gate_symmetry_and_doubling():
-    g01 = qnd_gate(2, 0, 1)
-    g10 = qnd_gate(2, 1, 0)
-    assert_allclose(g01.matrix, g10.matrix, atol=0)
-    twice = compose(g01, g01).matrix
-    doubled = np.eye(4)
-    doubled[2, 1] = 2.0
-    doubled[3, 0] = 2.0
-    assert_allclose(twice, doubled, atol=0)
-    with pytest.raises(ValueError):
-        qnd_gate(2, 1, 1)
-
-
-def test_qnd_commutes_with_quad_phase():
-    g = qnd_gate(2, 0, 1)
-    for mode in (0, 1):
-        shear = embed(quad_phase(1.7), 2, [mode])
-        assert_allclose(
-            compose(g, shear).matrix, compose(shear, g).matrix, atol=0
-        )
-
-
 def test_compose():
     x = random_symplectic(1, 10)
     assert_allclose(compose(identity(1), x).matrix, x.matrix, atol=0)
@@ -179,11 +134,9 @@ def test_embed():
 def test_constructors_are_symplectic():
     cases = [
         rotation(0.3),
-        quad_phase(2.5),
-        elementary_step(-1.5),
+        elementary_matrix(-1.5),
         squeeze(0.8),
         beam_splitter_matrix(0.37),
-        qnd_gate(3, 0, 2),
         embed(squeeze(0.5), 4, [2]),
     ]
     for m in cases:
@@ -211,15 +164,13 @@ def test_random_symplectic():
         (lambda: SymplecticMap(1, np.eye(4)), "matrix shape (4, 4) does not match n=1"),
         (lambda: SymplecticMap(1, np.eye(2), [0.0]), "displacement shape (1,) does not match n=1"),
         (lambda: identity(2).abcd(), "abcd() is defined for one-mode maps only"),
-        (lambda: qnd_gate(2, 0, 2), "mode indices (0, 2) out of range for n=2"),
-        (lambda: qnd_gate(2, -1, 1), "mode indices (-1, 1) out of range for n=2"),
         (lambda: embed(squeeze(0.3), 2, [2]), "mode indices [2] out of range for n=2"),
         (lambda: embed(squeeze(0.3), 2, [0, 1]), "expected 1 mode indices, got 2"),
         (lambda: random_symplectic(0), "n must be >= 1"),
     ],
     ids=[
-        "matrix-shape", "displacement-shape", "abcd-two-mode", "qnd-mode-above",
-        "qnd-mode-below", "embed-mode-out-of-range", "embed-mode-count", "no-modes",
+        "matrix-shape", "displacement-shape", "abcd-two-mode",
+        "embed-mode-out-of-range", "embed-mode-count", "no-modes",
     ],
 )
 def test_bad_arguments_are_named(call, message):

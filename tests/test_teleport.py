@@ -14,7 +14,6 @@ from cvcluster import (
     SingularParameterError,
     SymplecticMap,
     TelepAngles,
-    bell_splitter_relations,
     canonicalize,
     decompose_telep_plus_two,
     fourier,
@@ -26,7 +25,7 @@ from cvcluster import (
     symplectic_residual,
 )
 from cvcluster.single_mode import RECONSTRUCTION_TOL
-from cvcluster.teleport import _wrap_angle, select_free_theta0, telep_noise_proxy
+from cvcluster.teleport import BELL_SPLITTER, _wrap_angle, select_free_theta0, telep_noise_proxy
 
 from oracles import d_one_family, d_zero_family, grid_free_theta0, mtel_factored, near_d_one_targets
 
@@ -306,11 +305,10 @@ def test_telep_plus_two_random_targets():
 
 
 def test_bell_splitter():
-    bell = bell_splitter_relations()
-    assert symplectic_residual(bell) < 1e-12
-    assert_allclose(np.linalg.norm(bell.matrix, axis=0), 1.0, atol=1e-15)
+    assert symplectic_residual(BELL_SPLITTER) < 1e-12
+    assert_allclose(np.linalg.norm(BELL_SPLITTER, axis=0), 1.0, atol=1e-15)
     # Applying it twice sends x0 to -p1.
-    twice = bell.matrix @ bell.matrix
+    twice = BELL_SPLITTER @ BELL_SPLITTER
     expected_row = np.zeros(4)
     expected_row[3] = -1.0
     assert_allclose(twice[0], expected_row, atol=1e-15)
