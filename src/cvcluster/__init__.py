@@ -59,7 +59,6 @@ from .single_mode import (
     three_step_reachable,
 )
 from .symplectic import (
-    HBAR,
     SymplecticMap,
     VACUUM_QUADRATURE_VARIANCE,
     beam_splitter_matrix,

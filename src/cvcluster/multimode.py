@@ -170,16 +170,17 @@ def bloch_messiah(target: SymplecticMap) -> BlochMessiahFactors:
     """Factor a symplectic map as passive * squeezers * passive.
 
     Polar-decomposes the matrix as P O with P = sqrt(S S^T) symmetric
-    positive-definite symplectic and O orthogonal-symplectic, then
+    positive-definite symplectic and O orthogonal-symplectic, both from one
+    SVD S = Q diag(sigma) R^T: P = Q diag(sigma) Q^T and O = Q R^T (S S^T
+    and a solve against P would square S's condition number).  Then it
     diagonalizes P in an orthogonal-symplectic eigenbasis; the eigenvalues
     come in reciprocal pairs e^{+-r_i}.
     """
     require_symplectic(target)
     n = target.n
-    s = target.matrix
-    w, q = np.linalg.eigh(s @ s.T)
-    p = (q * np.sqrt(w)) @ q.T
-    o = np.linalg.solve(p, s)
+    q, sigma, rt = np.linalg.svd(target.matrix)
+    p = (q * sigma) @ q.T
+    o = q @ rt
     vplus, rs = _symplectic_pair_basis(p, n)
     j = symplectic_form(n)
     k = np.column_stack([vplus, -j @ vplus])

@@ -133,13 +133,13 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return values[n:]  # each eigenvalue appears as +-i nu
 
 
-def validate_state(state: GaussianState, tol: float = PHYSICALITY_TOL) -> None:
+def validate_state(state: GaussianState) -> None:
     """Check covariance symmetry and the uncertainty bound."""
     asym = float(np.max(np.abs(state.cov - state.cov.T)))
     if asym > 1e-12:
         raise ValueError(f"covariance asymmetry {asym:.2e} exceeds 1e-12")
     nu = symplectic_eigenvalues(state.cov)
-    if nu.size and float(nu.min()) < VACUUM_QUADRATURE_VARIANCE - tol:
+    if nu.size and float(nu.min()) < VACUUM_QUADRATURE_VARIANCE - PHYSICALITY_TOL:
         raise ValueError(
             f"state is unphysical: symplectic eigenvalue {nu.min():.6g} < 1/4"
         )

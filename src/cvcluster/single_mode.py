@@ -10,7 +10,8 @@ tr(W K K^T): K holds the responses of the chain's output to the squeezed
 p-noise of its four ancillas, and W = D^T D, where D carries the chain's
 output to the program's outputs (W = I when the chain is the whole program;
 ``multimode`` passes each gate its own).  The excess is rational in kappa1,
-so its stationary points are the roots of one quartic.
+so its stationary points are the roots of one quartic, built in scalars by
+:func:`_numerator`, which also builds the teleport chart's theta0 quartic.
 """
 
 from dataclasses import dataclass
@@ -46,9 +47,10 @@ class FourStepParams:
         return SymplecticMap(1, np.reshape(_product(self.kappas), (2, 2)))
 
 
-def _product(kappas) -> tuple:
-    """Entries (a, b, c, d) of M(k4) M(k3) M(k2) M(k1), in scalars."""
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+def _product(kappas, start=(1.0, 0.0, 0.0, 1.0)) -> tuple:
+    """Entries (a, b, c, d) of M(k_n) ... M(k_1) X for kappas (k_1, ..., k_n),
+    in scalars, with X the 2x2 matrix of entries ``start`` (default I)."""
+    a, b, c, d = start
     for k in kappas:
         a, b, c, d = -k * a - c, -k * b - d, a, b
     return a, b, c, d
@@ -169,37 +171,37 @@ def _kappa1_stationary_points(a: float, b: float, c: float, d: float, weight=UNI
 def _kappa1_numerators(a: float, b: float, c: float, d: float, weight=UNIT_WEIGHT) -> list:
     """The numerators of the derivatives in kappa1 of the excess of
     :func:`select_free_kappa1` and of the gain proxy
-    4 + kappa1^2 + G^2 + ((1 - d)^2 + L^2) / G^2, as trimmed ascending
-    coefficients (see :func:`_trim`) built in scalars.
+    4 + kappa1^2 + G^2 + ((1 - d)^2 + L^2) / G^2, as :func:`_numerator`s.
 
     With m = G L' - L G' = b c + (1 - a) d, they are
     - S' G^3 + T' G^2 - T G' G + Q' G - 2 Q G' = S' G^3 + 2 m (w11 L - w12 G);
-    - (2 kappa1 + 2 G G') G^3 + 2 m L + 2 d (1 - d)^2.
-    Both are (s0 + s1 kappa1) G^3 + e0 + e1 kappa1, quartics."""
+    - (2 kappa1 + 2 G G') G^3 + 2 m L + 2 d (1 - d)^2."""
     w11, w12, w22 = weight
     m = b * c + (1.0 - a) * d
-    g = (c * c * c, -3.0 * c * c * d, 3.0 * c * d * d, -d * d * d)  # G^3
-
-    def numerator(s0, s1, e0, e1):
-        return _trim(np.array([
-            s0 * g[0] + e0, s0 * g[1] + s1 * g[0] + e1, s0 * g[2] + s1 * g[1],
-            s0 * g[3] + s1 * g[2], s1 * g[3],
-        ]))
-
     return [
-        numerator(
-            -2.0 * (w11 * a * b + w12 * (b * c + a * d) + w22 * c * d),
+        _numerator(
+            c, d, -2.0 * (w11 * a * b + w12 * (b * c + a * d) + w22 * c * d),
             2.0 * (w11 * b * b + 2.0 * w12 * b * d + w22 * d * d),
-            2.0 * m * (w11 * (1.0 - a) - w12 * c),
-            2.0 * m * (w11 * b + w12 * d),
+            (2.0 * m * (w11 * (1.0 - a) - w12 * c), 2.0 * m * (w11 * b + w12 * d)),
         ),
-        numerator(
-            -2.0 * c * d,
-            2.0 * (1.0 + d * d),
-            2.0 * m * (1.0 - a) + 2.0 * d * (1.0 - d) ** 2,
-            2.0 * m * b,
+        _numerator(
+            c, d, -2.0 * c * d, 2.0 * (1.0 + d * d),
+            (2.0 * m * (1.0 - a) + 2.0 * d * (1.0 - d) ** 2, 2.0 * m * b),
         ),
     ]
+
+
+def _numerator(c: float, d: float, s0: float, s1: float, e: tuple) -> np.ndarray:
+    """(s0 + s1 x) G^3 + e(x) with G = c - d x, as trimmed ascending
+    coefficients (see :func:`_trim`) built in scalars: the stationary
+    numerator S' G^3 + ... of both one-mode charts.  ``e`` holds e(x)'s
+    ascending coefficients (at most five); each is added to its own
+    coefficient only, so no -0.0 becomes 0.0."""
+    g = (c * c * c, -3.0 * c * c * d, 3.0 * c * d * d, -d * d * d)  # G^3
+    coef = [s0 * g[0], s0 * g[1] + s1 * g[0], s0 * g[2] + s1 * g[1], s0 * g[3] + s1 * g[2], s1 * g[3]]
+    for i, ei in enumerate(e):
+        coef[i] += ei
+    return _trim(np.array(coef))
 
 
 def _select(target: SymplecticMap, candidates, evaluate, name: str) -> float:
@@ -229,21 +231,6 @@ def _select(target: SymplecticMap, candidates, evaluate, name: str) -> float:
     return best
 
 
-def _stationary_points(s: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Real roots of S' G^3 + Q' G - 2 G' Q, the numerator of the derivative
-    of 4 + S + Q / G^2 (S quadratic, G linear, Q of degree <= 4).  A common
-    root of G and Q is a multiple root, which round-off may turn complex.
-
-    Each polynomial is an array of ascending coefficients without trailing
-    zeros (see :func:`_trim`), so a vanishing leading coefficient lowers the
-    degree.  Products are ``np.convolve`` of trimmed arrays and the roots are
-    the sorted eigenvalues of the companion matrix."""
-    g3 = _mul(_mul(g, g), g)
-    num = _add(_mul(_deriv(s), g3), _mul(_deriv(q), g))
-    num = _add(num, _mul(-2.0 * _deriv(g), q))
-    return _real(_roots(num))
-
-
 def _real(roots: np.ndarray) -> np.ndarray:
     """The real ones of ``roots``.  + 0.0 turns a root at -0.0 into 0.0, which
     would otherwise reach the program as a homodyne angle of -0.0."""
@@ -256,27 +243,6 @@ def _trim(c: np.ndarray) -> np.ndarray:
     while end > 1 and c[end - 1] == 0.0:
         end -= 1
     return c[:end]
-
-
-def _add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sum of two coefficient arrays, trimmed."""
-    if len(x) < len(y):
-        x, y = y, x
-    out = x.copy()
-    out[: len(y)] += y
-    return _trim(out)
-
-
-def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Product of two coefficient arrays, trimmed."""
-    return _trim(np.convolve(_trim(x), _trim(y)))
-
-
-def _deriv(c: np.ndarray) -> np.ndarray:
-    """Derivative of a coefficient array; a constant's is [0]."""
-    if len(c) == 1:
-        return c * 0.0
-    return c[1:] * np.arange(1, len(c))
 
 
 def _roots(c: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-HBAR = 0.5
 VACUUM_QUADRATURE_VARIANCE = 0.25
 
 #: Tolerance for the symplectic condition M^T J M = J of constructed maps.
@@ -89,18 +88,18 @@ def symplectic_residual(m) -> float:
     return float(_violation(mat).max())
 
 
-def require_symplectic(m, tol: float = SYMPLECTIC_TOL) -> None:
-    """Raise ValueError naming the worst entry if M^T J M = J fails at tol."""
+def require_symplectic(m) -> None:
+    """Raise ValueError naming the worst entry if M^T J M = J fails at SYMPLECTIC_TOL."""
     mat = m.matrix if isinstance(m, SymplecticMap) else np.asarray(m, dtype=float)
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix is not symplectic: it has a non-finite entry")
     viol = _violation(mat)
     worst = float(viol.max())
-    if worst > tol:
+    if worst > SYMPLECTIC_TOL:
         r, c = np.unravel_index(int(np.argmax(viol)), viol.shape)
         raise ValueError(
             f"matrix is not symplectic: max violation {worst:.3e} at entry ({r}, {c})"
-            f" exceeds tolerance {tol:.1e}"
+            f" exceeds tolerance {SYMPLECTIC_TOL:.1e}"
         )
 
 
@@ -123,12 +122,6 @@ def fourier_power(k: int) -> SymplecticMap:
     """F^k with exact integer entries (k may be negative)."""
     f = np.array([[0.0, -1.0], [1.0, 0.0]])
     return SymplecticMap(1, np.linalg.matrix_power(f, k % 4))
-
-
-def elementary_matrix(kappa: float) -> np.ndarray:
-    """One gate-teleportation step M(kappa) = F O(kappa) = ((-kappa, -1), (1, 0)),
-    O(kappa) the shear ((1, 0), (kappa, 1))."""
-    return np.array([[-kappa, -1.0], [1.0, 0.0]])
 
 
 def squeeze(r: float) -> SymplecticMap:

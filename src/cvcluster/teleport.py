@@ -3,7 +3,8 @@
 A Bell measurement (balanced beam splitter followed by two homodynes at
 phases theta0 and theta1) teleports the input onto a cluster end node while
 applying M_tel(theta_plus, theta_minus), theta_pm = theta0 +/- theta1.  Two
-additional elementary steps restore full one-mode universality.
+additional elementary steps restore full one-mode universality; the free
+theta0 is chosen with ``single_mode``'s scalar quartic builder and selection.
 """
 
 import math
@@ -13,8 +14,8 @@ from functools import partial
 import numpy as np
 
 from .errors import DegenerateMeasurementError, SingularParameterError
-from .single_mode import DEGENERATE_NUMERATOR_TOL, _add, _mul, _select, _stationary_points, _trim
-from .symplectic import SymplecticMap, elementary_matrix, require_symplectic
+from .single_mode import DEGENERATE_NUMERATOR_TOL, _numerator, _product, _real, _roots, _select
+from .symplectic import SymplecticMap, require_symplectic
 
 #: |cos(theta_minus)| below this is rejected as a failed teleportation.
 DEGENERACY_TOL = 1e-9
@@ -60,12 +61,13 @@ class TelepPlusTwoParams:
         return telep_noise_proxy(self.angles, self.kappa3, self.kappa4)
 
     def reconstruct(self) -> SymplecticMap:
-        return SymplecticMap(
-            1,
-            elementary_matrix(self.kappa4)
-            @ elementary_matrix(self.kappa3)
-            @ _mtel_matrix(self.angles.theta_plus, self.angles.theta_minus),
-        )
+        return SymplecticMap(1, np.reshape(_telep_product(self), (2, 2)))
+
+
+def _telep_product(params: TelepPlusTwoParams) -> tuple:
+    """Entries (a, b, c, d) of M(k4) M(k3) M_tel(theta+, theta-), in scalars."""
+    mtel_entries = _mtel_entries(params.angles.theta_plus, params.angles.theta_minus)
+    return _product((params.kappa3, params.kappa4), mtel_entries)
 
 
 def _cos_theta_minus(theta_minus: float) -> float:
@@ -89,14 +91,14 @@ def mtel(theta_plus: float, theta_minus: float) -> SymplecticMap:
             where one input quadrature is measured outright and the
             teleportation fails.
     """
-    return SymplecticMap(1, _mtel_matrix(theta_plus, theta_minus))
+    return SymplecticMap(1, np.reshape(_mtel_entries(theta_plus, theta_minus), (2, 2)))
 
 
-def _mtel_matrix(theta_plus: float, theta_minus: float) -> np.ndarray:
-    """The 2x2 matrix of :func:`mtel`."""
+def _mtel_entries(theta_plus: float, theta_minus: float) -> tuple:
+    """Entries (a, b, c, d) of :func:`mtel`, in scalars."""
     cm = _cos_theta_minus(theta_minus)
     cp, sp, sm = np.cos(theta_plus), np.sin(theta_plus), np.sin(theta_minus)
-    return np.array([[cp, sm + sp], [sm - sp, cp]]) / cm
+    return cp / cm, (sm + sp) / cm, (sm - sp) / cm, cp / cm
 
 
 def canonicalize(angles: TelepAngles) -> TelepAngles:
@@ -177,7 +179,7 @@ def select_free_theta0(target: SymplecticMap) -> float:
     """
     a, b, c, d = target.abcd()
     candidates = [0.0] if abs(1.0 + d) <= DEGENERATE_NUMERATOR_TOL else []
-    candidates += [math.atan2(1.0, x) for x in _cot_theta0_stationary_points(a, b, c, d)]
+    candidates += [math.atan2(1.0, x) for x in _real(_roots(_cot_theta0_numerator(a, b, c, d)))]
     return _select(target, candidates, partial(_theta0_score, a, b, c, d), "theta0 in [0, pi)")
 
 
@@ -185,18 +187,20 @@ def _theta0_score(a: float, b: float, c: float, d: float, theta0: float) -> tupl
     """The proxy of the decomposition at theta0 and its product's entries;
     the evaluation :func:`~cvcluster.single_mode._select` makes of each theta0."""
     params = _params(a, b, c, d, theta0)
-    return params.noise_proxy, params.reconstruct().matrix.ravel().tolist()
+    return params.noise_proxy, _telep_product(params)
 
 
-def _cot_theta0_stationary_points(a: float, b: float, c: float, d: float) -> np.ndarray:
-    """The real stationary points, in u = cot(theta0), of the proxy of
-    :func:`select_free_theta0`: S = kappa3^2, Q = A^2/2 + (1 - a + b u)^2 and
-    G = c - d u."""
-    kappa3 = np.array([c, -(1.0 + d)])
-    big_a = np.array([1.0 - d, -2.0 * c, 1.0 + d])
-    lin = np.array([1.0 - a, b])
-    q = _add(_mul(big_a, big_a) / 2.0, _mul(lin, lin))
-    return _stationary_points(_mul(kappa3, kappa3), q, _trim(np.array([c, -d])))
+def _cot_theta0_numerator(a: float, b: float, c: float, d: float) -> np.ndarray:
+    """The numerator S' G^3 + Q' G - 2 G' Q of the derivative in u = cot(theta0)
+    of the proxy of :func:`select_free_theta0`, S = kappa3^2, Q = A^2/2 + L^2,
+    L = 1 - a + b u, as a :func:`~cvcluster.single_mode._numerator`.  With
+    B = A' G + d A and m = b G + d L = b c + (1 - a) d, it is S' G^3 + A B + 2 m L."""
+    m = b * c + (1.0 - a) * d
+    a0, a1, a2 = 1.0 - d, -2.0 * c, 1.0 + d  # A
+    b0, b1, b2 = d * (1.0 - d) - 2.0 * c * c, 2.0 * c * (1.0 + d), -d * (1.0 + d)  # B
+    e = (a0 * b0 + 2.0 * m * (1.0 - a), a0 * b1 + a1 * b0 + 2.0 * m * b,
+         a0 * b2 + a1 * b1 + a2 * b0, a1 * b2 + a2 * b1, a2 * b2)
+    return _numerator(c, d, -2.0 * (1.0 + d) * c, 2.0 * (1.0 + d) ** 2, e)
 
 
 def _params(a: float, b: float, c: float, d: float, theta0: float) -> TelepPlusTwoParams:

@@ -27,12 +27,31 @@ def three_step_grid_minimum(target, lo=-10.0, hi=10.0, step=0.05):
     return best
 
 
+def elementary_matrix(kappa):
+    """One gate-teleportation step M(kappa) = F O(kappa) = ((-kappa, -1), (1, 0)),
+    O(kappa) the shear ((1, 0), (kappa, 1))."""
+    return np.array([[-kappa, -1.0], [1.0, 0.0]])
+
+
 def four_step_product(kappas):
     """Plain matrix product of the four elementary steps (no closed form)."""
     total = np.eye(2)
     for kappa in kappas:
-        total = np.array([[-kappa, -1.0], [1.0, 0.0]]) @ total
+        total = elementary_matrix(kappa) @ total
     return total
+
+
+def telep_plus_two_product(params):
+    """M(k4) M(k3) M_tel(theta+, theta-) of teleport+two-step parameters, a
+    plain numpy product of ``teleport.mtel``'s matrix and two steps."""
+    from cvcluster import mtel
+
+    angles = params.angles
+    return (
+        elementary_matrix(params.kappa4)
+        @ elementary_matrix(params.kappa3)
+        @ mtel(angles.theta_plus, angles.theta_minus).matrix
+    )
 
 
 def apply_map(state, smap):
@@ -424,16 +443,17 @@ def polynomial_free_kappa1(target, weight):
 
 
 def polynomial_free_theta0(target):
-    """The package's theta0 choice, from theta0 = 0 for d = -1 and the roots
-    of :func:`cot_theta0_stationary_polynomial`."""
+    """The package's theta0 choice, from theta0 = 0 for d = -1 and numpy's
+    roots of the package's numerator (``teleport._cot_theta0_numerator``)."""
     from functools import partial
 
     from cvcluster.single_mode import DEGENERATE_NUMERATOR_TOL, _select
-    from cvcluster.teleport import _theta0_score
+    from cvcluster.teleport import _cot_theta0_numerator, _theta0_score
 
     a, b, c, d = target.abcd()
     candidates = [0.0] if abs(1.0 + d) <= DEGENERATE_NUMERATOR_TOL else []
-    candidates += [math.atan2(1.0, x) for x in real_roots(cot_theta0_stationary_polynomial(target))]
+    roots = real_roots(Polynomial(_cot_theta0_numerator(a, b, c, d)))
+    candidates += [math.atan2(1.0, x) for x in roots]
     return _select(target, candidates, partial(_theta0_score, a, b, c, d), "theta0 in [0, pi)")
 
 

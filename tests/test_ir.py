@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from cvcluster import (
-    HBAR,
     VACUUM_QUADRATURE_VARIANCE,
     ProgramError,
     compile,
@@ -42,7 +41,6 @@ def small_program() -> MeasurementProgram:
 
 
 def test_convention_constants():
-    assert HBAR == 0.5
     assert VACUUM_QUADRATURE_VARIANCE == 0.25
 
 

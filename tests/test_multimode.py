@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -17,6 +17,7 @@ from cvcluster import (
     bloch_messiah,
     compile,
     compose,
+    compose_many,
     connection_gate,
     db_to_r,
     embed,
@@ -30,6 +31,7 @@ from cvcluster import (
     symplectic_residual,
 )
 from cvcluster.ir import ROLE_INPUT, ROLE_OUTPUT
+from cvcluster.symplectic import SYMPLECTIC_TOL
 from oracles import bloch_messiah_product, four_step_product, mesh_census
 
 
@@ -114,6 +116,32 @@ def test_bloch_messiah_random():
             assert symplectic_residual(passive) < 1e-10
             assert np.max(np.abs(passive.matrix.T @ passive.matrix - np.eye(6))) < 1e-10
         assert all(r >= -1e-12 for r in factors.squeezings)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 3),
+    seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    wire=st.integers(0, 2),
+    r=st.floats(2.0, 6.0),
+    phi=st.floats(-np.pi, np.pi),
+    psi=st.floats(-np.pi, np.pi),
+)
+@example(n=3, seed=None, wire=0, r=5.0, phi=0.3, psi=1.1)
+def test_bloch_messiah_holds_at_high_squeezing(n, seed, wire, r, phi, psi):
+    # One strong squeezer after a random map (the identity for seed None).
+    # A polar factor taken from eigh(S S^T) and a solve against P squares S's
+    # condition number: from r ~ 2 reck_decompose then refused the passives
+    # (the example: "map is not passive ... 2.772e-09").
+    base = identity(n) if seed is None else random_symplectic(n, seed)
+    squeezer = compose_many(rotation(phi), squeeze(r), rotation(psi))
+    target = compose(base, embed(squeezer, n, [wire % n]))
+    assume(symplectic_residual(target) <= SYMPLECTIC_TOL)  # what bloch_messiah accepts
+    factors = bloch_messiah(target)
+    for passive in (factors.passive_in, factors.passive_out):
+        reck_decompose(passive)  # raises unless passive to SYMPLECTIC_TOL
+    error = np.max(np.abs(bloch_messiah_product(factors) - target.matrix))
+    assert error <= 1e-12 * np.max(np.abs(target.matrix))
 
 
 def test_reck_counts_n1():

@@ -25,31 +25,27 @@ def _word(name: str) -> re.Pattern:
     return re.compile(rf"\b{re.escape(name)}\b")
 
 
-def _referenced_in_source(name: str, lines: list) -> bool:
-    """Whether a package line other than the name's own ``def`` or
-    ``class`` line mentions it."""
-    definition = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
-    word = _word(name)
-    return any(word.search(line) and not definition.match(line) for line in lines)
+def _code_names(path: Path) -> set:
+    """The names a module's code reads: ``ast.Name`` loads and attribute
+    names, f-strings included; not docstrings, comments or assignments."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    }
 
 
 def test_every_exported_name_has_a_caller_beyond_its_tests():
-    lines = [
-        line
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
-        for line in path.read_text().splitlines()
-    ]
+    used = set().union(
+        *(_code_names(path) for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+    )
     # The tracer names what it patches in strings, so these count as text.
     others = sorted((ROOT / "perfbench").rglob("*.py"))
     others.append(ROOT / "tests" / "test_acceptance.py")
     text = "\n".join(path.read_text() for path in others)
     exported = _exported()
     assert {"compile", "exact_replay", "run_program", "SymplecticMap"} <= set(exported)
-    unused = [
-        name
-        for name in exported
-        if not _referenced_in_source(name, lines) and not _word(name).search(text)
-    ]
+    unused = [name for name in exported if name not in used and not _word(name).search(text)]
     assert not unused, f"exported names that only their own tests reach: {unused}"
 

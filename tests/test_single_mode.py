@@ -30,6 +30,7 @@ from cvcluster import (
 from oracles import (
     cot_theta0_stationary_polynomial,
     d_zero_family,
+    elementary_matrix,
     executor_excess,
     grid_exact_kappa1,
     grid_free_kappa1,
@@ -48,12 +49,12 @@ from cvcluster.single_mode import (
     _kappa1_numerators,
     _kappa1_score,
     _kappa1_stationary_points,
+    _real,
     _roots,
     _select,
     chain_excess,
 )
-from cvcluster.symplectic import elementary_matrix
-from cvcluster.teleport import _cot_theta0_stationary_points, select_free_theta0
+from cvcluster.teleport import _cot_theta0_numerator, select_free_theta0
 
 
 def test_identity_is_all_zero():
@@ -256,14 +257,18 @@ def _assert_real_roots(got, polynomial):
 @example(target=SymplecticMap(1, np.array([[1.0, 0.0], [1.335938, 1.0]])), weight=UNIT_WEIGHT)  # (kappa1 - c)^4
 def test_stationary_points_match_the_polynomial_oracle(target, weight):
     a, b, c, d = target.abcd()
-    # kappa1: the numerators, built in scalars, against those of the excess
-    # and of the proxy built in numpy's Polynomial class.  Their roots are
-    # compared with numpy's roots of the same numerators: at the multiple
-    # root that d = 1 puts at the pole, the roots of two roundings of one
-    # polynomial differ by ~1e-4.
-    numerators = _kappa1_numerators(a, b, c, d, weight)
-    oracles = kappa1_excess_polynomial(target, weight), kappa1_stationary_polynomial(target)
-    points = _kappa1_stationary_points(a, b, c, d, weight)
+    # Both charts: the numerators, built in scalars, against those of the
+    # excess and of the proxies built in numpy's Polynomial class.  Their
+    # roots are compared with numpy's roots of the same numerators: at the
+    # multiple root that d = 1 puts at the pole, the roots of two roundings
+    # of one polynomial differ by ~1e-4.
+    numerators = [*_kappa1_numerators(a, b, c, d, weight), _cot_theta0_numerator(a, b, c, d)]
+    oracles = (
+        kappa1_excess_polynomial(target, weight),
+        kappa1_stationary_polynomial(target),
+        cot_theta0_stationary_polynomial(target),
+    )
+    points = [*_kappa1_stationary_points(a, b, c, d, weight), _real(_roots(numerators[-1]))]
     for got, polynomial, roots in zip(numerators, oracles, points):
         assert got.shape == polynomial.coef.shape
         assert_allclose(got, polynomial.coef, rtol=0.0, atol=1e-12 * np.max(np.abs(polynomial.coef)))
@@ -271,7 +276,6 @@ def test_stationary_points_match_the_polynomial_oracle(target, weight):
     assert _choice(partial(select_free_kappa1, weight=weight), target) == _choice(
         partial(polynomial_free_kappa1, weight=weight), target
     )
-    _assert_real_roots(_cot_theta0_stationary_points(a, b, c, d), cot_theta0_stationary_polynomial(target))
     assert _choice(select_free_theta0, target) == _choice(polynomial_free_theta0, target)
 
 

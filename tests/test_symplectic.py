@@ -17,7 +17,7 @@ from cvcluster import (
     squeeze,
     symplectic_residual,
 )
-from cvcluster.symplectic import elementary_matrix
+from oracles import elementary_matrix
 
 F = np.array([[0.0, -1.0], [1.0, 0.0]])
 

@@ -27,7 +27,14 @@ from cvcluster import (
 from cvcluster.single_mode import RECONSTRUCTION_TOL
 from cvcluster.teleport import BELL_SPLITTER, _wrap_angle, select_free_theta0, telep_noise_proxy
 
-from oracles import d_one_family, d_zero_family, grid_free_theta0, mtel_factored, near_d_one_targets
+from oracles import (
+    d_one_family,
+    d_zero_family,
+    grid_free_theta0,
+    mtel_factored,
+    near_d_one_targets,
+    telep_plus_two_product,
+)
 
 
 def proxy(params) -> float:
@@ -294,13 +301,15 @@ def test_telep_plus_two_fourier():
 
 
 def test_telep_plus_two_random_targets():
+    # reconstruct() shares its scalar product with the selection; the oracle
+    # is a plain numpy product of the three matrices.
     worst = 0.0
     for seed in range(1000):
         target = random_symplectic(1, seed)
         params = decompose_telep_plus_two(target)
-        worst = max(
-            worst, float(np.max(np.abs(params.reconstruct().matrix - target.matrix)))
-        )
+        rebuilt = params.reconstruct().matrix
+        assert_allclose(rebuilt, telep_plus_two_product(params), rtol=0.0, atol=1e-12)
+        worst = max(worst, float(np.max(np.abs(rebuilt - target.matrix))))
     assert worst < 1e-9
 
 
