@@ -241,7 +241,7 @@ class MeasurementProgram:
 class GateRecord:
     """One synthesized gate in a compiled program (for the report)."""
 
-    kind: str  # "four-step" | "connection" | "pad"
+    kind: str  # "four-step" | "two-mode" | "pad"
     wires: tuple
     column: int
     params: dict
@@ -253,8 +253,8 @@ class SynthesisReport:
 
     ``noise_proxy`` is the sum of (1 + gain^2) over every homodyne, the
     figure the free parameters once minimized.  It is reported only: each
-    four-step gate now minimizes its exact excess, which its record holds
-    as ``params["excess"]``.
+    gate now minimizes its exact excess, which its record holds as
+    ``params["excess"]``.
     """
 
     ancilla_count: int

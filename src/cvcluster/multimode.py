@@ -2,18 +2,21 @@
 
 Pipeline: Bloch-Messiah reduction (passive * single-mode squeezers * passive),
 a rectangular nearest-neighbour mesh of phase-free beam splitters and phase
-shifters for each passive, then lowering: every one-mode gate becomes a
-four-step measurement chain (4 ancillas), every beam splitter a cascade of
-three three-mode connection gates (9 ancillas), and the disjoint splitters
-of a mesh layer share one column.  Wires are kept step-aligned with measured
-pad chains; the Fourier transform each pad step applies is folded into the
-next real gate on that wire.
+shifters for each passive, then lowering.  Each splitter absorbs the one-mode
+ops its wires carry since their last splitter: BS(R) (g_i + g_j) becomes one
+two-mode gate of four three-mode connection gates (12 ancillas, four steps on
+each wire), and the disjoint splitters of a mesh layer share one column.  The
+ops after a wire's last splitter become a four-step measurement chain (4
+ancillas) in the last column.  Idle wires pad with four kappa = 0 steps
+(F^4 = I), so every column is four steps deep.
 
-Each four-step gate chooses its free kappa1 to minimize its own share of the
-program's excess noise tr(N N^T), which depends only on the gate's kappas
-and on W = D^T D, where D is the ideal map from the gate's output to the
-program's outputs.  D does not depend on any free choice, so the gates'
-choices are independent and together minimize tr(N N^T) over every kappa1.
+Each gate's share of the program's excess noise tr(N N^T) depends only on
+its parameters and on W = D^T D, where D is the ideal map from the gate's
+output to the program's outputs, fixed by the target and the gates emitted
+before it.  So the gates choose in emission order, each minimizing its own
+share: a four-step gate by its free kappa1 (``single_mode``), a two-mode gate
+M(S4) M(S3) M(S2) M(S1), with M(S) = (-S -I; I 0) the connection gate of a
+symmetric S, by S1 on a two-parameter affine family (:func:`_two_mode_chain`).
 """
 
 import math
@@ -35,11 +38,11 @@ from .ir import (
     ScheduleEntry,
     SynthesisReport,
 )
-from .single_mode import chain_excess, decompose_four_step
+from .single_mode import RECONSTRUCTION_TOL, _real, _roots, _trim, chain_excess, decompose_four_step
 from .symplectic import (
     SYMPLECTIC_TOL,
     SymplecticMap,
-    compose,
+    beam_splitter_matrix,
     fourier_power,
     require_symplectic,
     rotation,
@@ -252,6 +255,187 @@ def reck_decompose(passive: SymplecticMap) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Two-mode gates: four connection gates
+# ---------------------------------------------------------------------------
+
+#: |g| below this (relative to the gate's largest entry) makes the S1 family
+#: of :func:`_family` degenerate: all of S1 space, or empty.
+FAMILY_TOL = 1e-12
+_I2 = np.eye(2)
+#: Nodes on a line for the cubic delta K, the inverse of their Vandermonde
+#: matrix (ascending powers), the power of u of each entry of a 4 x 4 Gram
+#: matrix of cubic coefficients, and the k of d/du u^k = k u^(k - 1).
+_NODES = (-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0)
+_VINV = np.linalg.inv(np.vander(_NODES, 4, increasing=True))
+_POWERS = np.add.outer(np.arange(4), np.arange(4)).ravel()
+_SLOPES = np.arange(1.0, 7.0)
+
+
+def _on_pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``first`` on wire i plus ``second`` on wire j, in (x_i, x_j, p_i, p_j)."""
+    m = np.zeros((4, 4))
+    m[0::2, 0::2], m[1::2, 1::2] = first, second
+    return m
+
+
+#: The Fourier variants (k, l) of a two-mode gate and their maps F^k + F^l;
+#: F^-k for each k, which the wire's next gate applies first.
+_VARIANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_VARIANT_MAPS = np.array([_on_pair(fourier_power(k).matrix, fourier_power(l).matrix) for k, l in _VARIANTS])
+_UNDO = (_I2, fourier_power(-1).matrix)
+_J2 = symplectic_form(2)
+
+
+def _cross(a, b) -> tuple:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _family(t: list, tol: float):
+    """The symmetric S1 = (a b; b c) that make S3 = T_c - T_d S1 symmetric.
+
+    That is one linear equation g . (a, b, c) = r, with
+    g = (T_d10, T_d11 - T_d00, -T_d01) and r = T_c10 - T_c01.  Returns the
+    least-norm (a, b, c) and an orthonormal basis of the family's directions
+    (g's null space, in closed form), or None when the family is empty.  If
+    |g| <= ``tol``, the family is all of S1 space when |r| <= ``tol`` and
+    empty otherwise.  ``t`` is the gate's matrix as nested lists."""
+    g, r = (t[3][2], t[3][3] - t[2][2], -t[2][3]), t[3][0] - t[2][1]
+    norm = math.hypot(*g)
+    if norm <= tol:
+        return ((0.0, 0.0, 0.0), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))) if abs(r) <= tol else None
+    g = tuple(x / norm for x in g)
+    axis = min(range(3), key=lambda k: abs(g[k]))  # the one least along g
+    v = _cross(g, [float(k == axis) for k in range(3)])
+    v = tuple(x / math.hypot(*v) for x in v)
+    return tuple(x * r / norm for x in g), (v, _cross(g, v))
+
+
+def _chart(t: list, s) -> tuple:
+    """The chain M(S4) M(S3) M(S2) M(S1) = T at S1 = (a b; b c), s = (a, b, c),
+    in scalars (``t`` as nested lists): (delta, [S1, delta S2, S3, delta S4]
+    as symmetric (s00, s01, s11), delta K as a flat 4 x 12 list).
+
+    S3 = T_c - T_d S1, delta = det S3, S2 = S3^-1 (I - T_d) and
+    S4 = (I - T_a + T_b S1) S3^-1, each read as symmetric through its (0, 1)
+    entry.  K holds the responses of the chain's output to its ancillas'
+    p-noises: connection gate t's three enter its output as e_{p_i}, e_{p_j}
+    and eta_t (e_{x_i} + e_{x_j}), eta_t = -(S_t)01, and the later gates carry
+    them on.  Scaled by delta, every entry of both is a polynomial in S1.
+    """
+    (a00, a01, b00, b01), (a10, a11, b10, b11), (c00, c01, d00, d01), (_, c11, d10, d11) = t
+    x, y, z = s
+    q00, q01, q10, q11 = b00 * x + b01 * y, b00 * y + b01 * z, b10 * x + b11 * y, b10 * y + b11 * z
+    u00, u01, u11 = c00 - d00 * x - d01 * y, c01 - d00 * y - d01 * z, c11 - d10 * y - d11 * z
+    det = u00 * u11 - u01 * u01
+    n00, n01, n11 = u11 * (1.0 - d00) + u01 * d10, -u11 * d01 - u01 * (1.0 - d11), u00 * (1.0 - d11) + u01 * d01
+    f00, f01, f10, f11 = 1.0 - a00 + q00, q01 - a01, q10 - a10, 1.0 - a11 + q11
+    m00, m01, m11 = f00 * u11 - f01 * u01, f01 * u00 - f00 * u01, f11 * u00 - f10 * u01
+    a00, a01, a10, a11 = a00 - q00, a01 - q01, a10 - q10, a11 - q11  # T_a - T_b S1 = I - S4 S3
+    h0, h1 = d00 + d01, d10 + d11  # T_d h, h = (1, 1)
+    g0, g1 = m00 * h0 + m01 * h1 + n00 + n01, m01 * h0 + m11 * h1 + n01 + n11
+    k = [  # columns: gate 1's three noises (p_i, p_j, control), then gates 2, 3, 4's
+        det * a00, det * a01, -y * g0, m00, m01, -n01 * (a00 + a01), -det, 0.0, u01 * (m00 + m01), 0.0, 0.0, -m01,
+        det * a10, det * a11, -y * g1, m01, m11, -n01 * (a10 + a11), 0.0, -det, u01 * (m01 + m11), 0.0, 0.0, -m01,
+        det * u00, det * u01, y * det * h0, -det, 0.0, -n01 * (u00 + u01), 0.0, 0.0, -u01 * det, det, 0.0, 0.0,
+        det * u01, det * u11, y * det * h1, 0.0, -det, -n01 * (u01 + u11), 0.0, 0.0, -u01 * det, 0.0, det, 0.0,
+    ]
+    return det, [(x, y, z), (n00, n01, n11), (u00, u01, u11), (m00, m01, m11)], k
+
+
+def _weighted(ts: list, ws: np.ndarray, points: list) -> tuple:
+    """E delta^2 = tr(W (delta K) (delta K)^T) and delta of each gate of ``ts``
+    with its weight of ``ws`` at its point of ``points`` (:func:`_chart`)."""
+    dets, _, ks = zip(*map(_chart, ts, points))
+    k = np.array(ks).reshape(-1, 4, 12)
+    return np.sum(k * (ws @ k), axis=(1, 2)), np.array(dets)
+
+
+def _chain(t: list, s, limit: float):
+    """The chain at S1 = (a b; b c) as connection-gate parameters
+    [(kappa1, kappa2, eta3)] * 4, or None unless it reproduces ``t`` to
+    ``limit`` in every entry with each gain as its homodyne angle realizes
+    it (kappa = tan(arctan(kappa)), eta3 = cot(arctan2(1, eta3))), which
+    fails at and next to a pole."""
+    det, chain, _ = _chart(t, s)
+    if det == 0.0:
+        return None
+    chain[1], chain[3] = (tuple(x / det for x in m) for m in chain[1::2])
+    params = [(p - q, r - q, -q) for p, q, r in chain]
+    if not math.isfinite(sum(map(sum, params))):
+        return None
+    cols = [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
+    for kappa1, kappa2, eta3 in params:  # M(S) = (-S -I; I 0), one column at a time
+        q = -1.0 / math.tan(math.atan2(1.0, eta3))
+        p, r = math.tan(math.atan(kappa1)) + q, math.tan(math.atan(kappa2)) + q
+        cols = [(-p * x0 - q * x1 - p0, -q * x0 - r * x1 - p1, x0, x1) for x0, x1, p0, p1 in cols]
+    if all(abs(col[i] - t[i][c]) <= limit for c, col in enumerate(cols) for i in range(4)):
+        return params
+    return None
+
+
+def _line_min(t: list, w: np.ndarray, s, excess: float, v, limit: float) -> tuple:
+    """The admissible S1 of least excess on the line s + u v and its excess,
+    or (s, ``excess``) when no point of the line beats s's ``excess``.
+
+    delta K is cubic in u and delta quadratic, both interpolated at
+    :data:`_NODES`, so E delta^2 = P(u), of degree <= 6, comes from the
+    Gram matrix of the cubic's coefficients, and E = P / delta^2 is
+    stationary at the real roots of P' delta - 2 P delta'.  Those are tried
+    in order of P / delta^2; the first that :func:`_chain` accepts and whose
+    excess, evaluated afresh, beats ``excess`` wins (P loses digits next to
+    delta = 0 and far out on the line)."""
+    scale = 1.0 + math.hypot(*s)
+    dets, _, ks = zip(*(_chart(t, [a + scale * u * b for a, b in zip(s, v)]) for u in _NODES))
+    coef = _VINV @ np.array(ks)
+    gram = coef @ (w @ coef.reshape(4, 4, 12)).reshape(4, 48).T
+    p, dc = np.bincount(_POWERS, gram.ravel(), minlength=7), (_VINV @ dets)[:3]
+    num = np.convolve(p[1:] * _SLOPES, dc) - 2.0 * np.convolve(p, dc[1:] * _SLOPES[:2])
+    us = _real(_roots(_trim(num)))
+    powers = np.vander(us, 7, increasing=True)
+    values = (powers @ p) / (powers[:, :3] @ dc) ** 2
+    order = np.argsort(values)
+    for u, value in zip(us[order].tolist(), values[order].tolist()):
+        if not value < excess:
+            break
+        point = tuple(a + scale * u * b for a, b in zip(s, v))
+        if _chain(t, point, limit) is not None:
+            value, det = _weighted([t], w, [point])
+            value = float(value[0] / det[0] ** 2)
+            if value < excess:
+                return point, value
+    return s, excess
+
+
+def _two_mode_chain(t: np.ndarray, w: np.ndarray, free):
+    """Four connection gates for the two-mode gate ``t`` with weight ``w``.
+
+    Scores the Fourier variants (F^k + F^l) t by their excess at the
+    least-norm S1 of :func:`_family`, after every variant that forwards no F
+    to a wire without a later gate (``free`` false).  In that order, each
+    variant minimizes once along each direction of its family
+    (:func:`_line_min`), and the first whose chain reproduces it wins.
+    Returns (variant index, [(kappa1, kappa2, eta3)] * 4, excess), or None
+    when no variant is admissible.  Next to a pole the excess is inf or nan,
+    which no comparison prefers."""
+    ts = (_VARIANT_MAPS @ t).tolist()
+    ws = _VARIANT_MAPS @ w @ _VARIANT_MAPS.transpose(0, 2, 1)
+    scale = max(1.0, float(np.abs(t).max()))  # the same for every variant
+    families = [_family(m, FAMILY_TOL * scale) for m in ts]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values, dets = _weighted(ts, ws, [f[0] if f else (0.0, 0.0, 0.0) for f in families])
+        excess = np.nan_to_num(values / dets**2, nan=np.inf).tolist()
+        extra = [sum(k and not f for k, f in zip(kl, free)) for kl in _VARIANTS]
+        for v in sorted((v for v in range(4) if families[v]), key=lambda v: (extra[v], excess[v])):
+            (s, directions), e = families[v], excess[v]
+            for direction in directions:
+                s, e = _line_min(ts[v], ws[v], s, e, direction, RECONSTRUCTION_TOL * scale)
+            chain = _chain(ts[v], s, RECONSTRUCTION_TOL * scale)
+            if chain is not None:
+                return v, chain, e
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Lowering to a cluster program
 # ---------------------------------------------------------------------------
 
@@ -259,9 +443,9 @@ def reck_decompose(passive: SymplecticMap) -> list:
 class _Builder:
     """Accumulates nodes, edges, schedule and gate records column by column.
 
-    A pad step applies a Fourier transform, so each wire also carries the
-    number of pad Fourier transforms (mod 4) that its next real gate still
-    has to undo.  ``kappa1`` pins the free parameter of every four-step gate.
+    A two-mode gate may realize (F^k + F^l) T in place of T (k, l in {0, 1});
+    ``forward`` holds the power each wire's next gate then undoes.
+    ``kappa1`` pins the free parameter of every four-step gate.
 
     ``downstream`` is T P^-1, where T is the target and P the ideal map of
     the steps emitted so far: its (w, n + w) columns are the map D from
@@ -280,7 +464,7 @@ class _Builder:
         self.schedule = []
         self.records = []
         self.heads = {w: w for w in range(n)}
-        self.pending = [0] * n
+        self.forward = [0] * n
         self.column = 0
         self.total_proxy = 0.0
 
@@ -307,105 +491,84 @@ class _Builder:
         self.downstream[:, idx] = cols = self.downstream[:, idx] @ inverse
         return cols
 
-    def _pad(self, wire: int, steps: int) -> None:
-        """``steps`` kappa = 0 steps: F^steps, owed by the wire's next real gate."""
-        self._chain_steps(wire, (0.0,) * steps)
-        if steps % 4:
-            self._advance((wire,), fourier_power(-steps).matrix)
-        self.pending[wire] = (self.pending[wire] + steps) % 4
-        self.records.append(
-            GateRecord("pad", (wire,), self.column, {"kappas": [0.0] * steps})
+    def _four_step(self, wire: int, gate: np.ndarray) -> None:
+        (a, b), (c, d) = gate.tolist()
+        cols = self._advance((wire,), np.array([[d, -b], [-c, a]]))  # det 1
+        (w11, w12), (_, w22) = (cols.T @ cols).tolist()
+        params = decompose_four_step(
+            SymplecticMap(1, gate), kappa1=self.kappa1, weight=(w11, w12, w22)
         )
+        self._chain_steps(wire, params.kappas)
+        meta = {
+            "kappas": [float(k) for k in params.kappas],
+            "free_kappa1": params.free_param,
+            "excess": chain_excess(params.kappas, (w11, w12, w22)),
+        }
+        self.records.append(GateRecord("four-step", (wire,), self.column, meta))
 
-    def _settle(self, gates: dict, wires) -> dict:
-        """``gates`` plus an identity gate on each of ``wires`` that has no
-        gate and owes a count."""
-        owing = [w for w in wires if w not in gates and self.pending[w]]
-        return {**gates, **dict.fromkeys(owing, np.eye(2))}
+    def _two_mode(self, pair: tuple, reflectivity: float, gates: tuple, free: list) -> None:
+        """The splitter on ``pair`` after its wires' one-mode ``gates``, each
+        after undoing its wire's forwarded power: four connection gates."""
+        g = [gate @ _UNDO[self.forward[w]] for w, gate in zip(pair, gates)]
+        t = beam_splitter_matrix(reflectivity).matrix @ _on_pair(*g)
+        cols = self._advance(pair, -_J2 @ t.T @ _J2)  # t^-1, t symplectic
+        found = _two_mode_chain(t, cols.T @ cols, free)
+        if found is None:
+            raise CompileError(
+                f"no chain of four connection gates reproduces the splitter on "
+                f"wires {pair} in column {self.column} (R = {reflectivity})"
+            )
+        variant, chain, excess = found
+        self._advance(pair, _VARIANT_MAPS[variant].T)  # (F^k + F^l)^-1
+        self.forward[pair[0]], self.forward[pair[1]] = _VARIANTS[variant]
+        for kappa1, kappa2, eta3 in chain:
+            heads = [self.heads[w] for w in pair]
+            self._chain_steps(pair[0], (kappa1,))
+            self._chain_steps(pair[1], (kappa2,))
+            ctrl = self._new_node()  # measured along x + eta3 p
+            self.edges += [(head, ctrl) for head in heads]
+            self.schedule.append(ScheduleEntry(ctrl, float(np.arctan2(1.0, eta3))))
+            self.total_proxy += 1.0 + eta3**2
+        meta = {
+            "reflectivity": float(reflectivity),
+            "fourier": list(_VARIANTS[variant]),
+            "connections": [list(step) for step in chain],
+            "excess": excess,
+        }
+        self.records.append(GateRecord("two-mode", pair, self.column, meta))
 
-    def one_mode_column(self, gates: dict) -> None:
-        """gates: wire -> 2x2 matrix; other wires pad.
-
-        Each gate first undoes its wire's pending pad Fourier transforms.  An
-        empty ``gates`` emits nothing.
-        """
-        if not gates:
-            return
+    def _close_column(self, gates: dict, busy=()) -> None:
+        """Each wire not in ``busy`` gets its four-step gate of ``gates`` or a
+        pad: four kappa = 0 steps (F^4 = I), whose excess is 2 tr W."""
         for wire in range(self.n):
-            if wire not in gates:
-                self._pad(wire, 4)  # M(0)^4 = F^4 = identity exactly
-                continue
-            desired = SymplecticMap(1, gates[wire])
-            comp = self.pending[wire]
-            if comp:
-                desired = compose(desired, fourier_power(-comp))
-            self.pending[wire] = 0
-            (a, b), (c, d) = desired.matrix.tolist()
-            cols = self._advance((wire,), np.array([[d, -b], [-c, a]]))  # det 1
-            (w11, w12), (_, w22) = (cols.T @ cols).tolist()
-            params = decompose_four_step(desired, kappa1=self.kappa1, weight=(w11, w12, w22))
-            self._chain_steps(wire, params.kappas)
-            meta = {"kappas": [float(k) for k in params.kappas]}
-            if comp:
-                meta["fourier_compensation"] = comp
-            meta["free_kappa1"] = params.free_param
-            meta["excess"] = chain_excess(params.kappas, (w11, w12, w22))
-            self.records.append(GateRecord("four-step", (wire,), self.column, meta))
+            if wire in gates:
+                self._four_step(wire, gates[wire])
+            elif wire not in busy:
+                self._chain_steps(wire, (0.0,) * 4)
+                excess = 2.0 * float(np.sum(self.downstream[:, [wire, self.n + wire]] ** 2))
+                meta = {"kappas": [0.0] * 4, "excess": excess}
+                self.records.append(GateRecord("pad", (wire,), self.column, meta))
         self.column += 1
 
-    def bs_column(self, gates: dict, splitters: list) -> None:
-        """The one-mode column ``gates``, then a column of disjoint beam
-        splitters ``[(pair, R), ...]``, each as three connection gates, while
-        the idle wires pad.
-
-        Equal pending counts on both wires of a pair commute through its
-        splitter.  If ``gates`` would leave them unequal, the column also
-        gets an identity gate on each wire of the pair that still owes a
-        count.
-        """
-        for pair, _ in splitters:
-            owed = [0 if w in gates else self.pending[w] for w in pair]
-            if owed[0] != owed[1]:
-                gates = self._settle(gates, pair)
-        self.one_mode_column(gates)
-        for pair, reflectivity in splitters:
-            i, j = pair
-            for step, params in enumerate(beam_splitter_program(reflectivity)):
-                heads = self.heads[i], self.heads[j]
-                self._chain_steps(i, (params.kappa1,))
-                self._chain_steps(j, (params.kappa2,))
-                ctrl = self._new_node()  # measured along x + eta3 p
-                self.edges += [(heads[0], ctrl), (heads[1], ctrl)]
-                self.schedule.append(ScheduleEntry(ctrl, float(np.arctan2(1.0, params.eta3))))
-                self.total_proxy += 1.0 + params.eta3 ** 2
-                record = {
-                    "step": step,
-                    "reflectivity": float(reflectivity),
-                    "kappa1": float(params.kappa1),
-                    "kappa2": float(params.kappa2),
-                    "eta3": float(params.eta3),
-                }
-                self.records.append(GateRecord("connection", pair, self.column, record))
-            # M_R + M_R on (x_i, x_j, p_i, p_j) (``beam_splitter_matrix``),
-            # its own inverse.
-            t, u = math.sqrt(reflectivity), math.sqrt(1.0 - reflectivity)
-            self._advance(pair, np.array(
-                [[t, u, 0.0, 0.0], [u, -t, 0.0, 0.0], [0.0, 0.0, t, u], [0.0, 0.0, u, -t]]
-            ))
-        busy = {w for pair, _ in splitters for w in pair}
+    def build(self, columns: list, gates: dict, target: SymplecticMap) -> MeasurementProgram:
+        """The program of the splitter ``columns``, each a list of disjoint
+        (pair, R, the one-mode gates its wires carry since their last
+        splitter), then of the last column's one-mode ``gates``."""
+        last = {w: c for c, column in enumerate(columns) for pair, _, _ in column for w in pair}
+        for column in columns:
+            for pair, reflectivity, before in column:
+                free = [w in gates or last[w] > self.column for w in pair]
+                self._two_mode(pair, reflectivity, before, free)
+            self._close_column({}, {w for pair, _, _ in column for w in pair})
         for wire in range(self.n):
-            if wire not in busy:
-                self._pad(wire, 3)
-        self.column += 1
-
-    def finish(self, gates: dict, target: SymplecticMap) -> MeasurementProgram:
-        """The last one-mode column ``gates``, with an identity gate on each
-        other wire that owes a count, and the program."""
-        if self.column == 0 and not gates:
+            if self.forward[wire]:
+                gates[wire] = gates.get(wire, _I2) @ _UNDO[self.forward[wire]]
+        if not columns and not gates:
             # No gates at all (e.g. a multi-mode identity): keep every wire's
             # output distinct from its input with identity chains.
-            gates = dict.fromkeys(range(self.n), np.eye(2))
-        self.one_mode_column(self._settle(gates, range(self.n)))
+            gates = dict.fromkeys(range(self.n), _I2)
+        if gates:
+            self._close_column(gates)
         head_ids = {self.heads[w]: w for w in range(self.n)}
         nodes = tuple(
             Node(node.id, ROLE_OUTPUT, port=head_ids[node.id])
@@ -448,30 +611,27 @@ def compile(target: SymplecticMap, kappa1: float = None):
     column in which both its wires are free, so a column holds disjoint
     pairs, and the two meshes need at most 2n splitter columns.  The
     one-mode ops on a wire between two of its splitters are composed into
-    one gate, placed in the one-mode column just before the wire's next
-    splitter, or in the last column.
-
-    Wires idling through a column are padded with measured kappa = 0 chains.
-    A pad step applies a Fourier transform, so pads inside four-step columns
-    (F^4 = 1) are silent, while the F^3 of a beam-splitter column is folded
-    into the next real gate on that wire.  Equal leftover powers on both
-    wires commute through a beam splitter; a wire left owing a different
-    power, or owing one at the end, gets an identity gate in the column
-    before.
+    one gate g, which the wire's next splitter absorbs: BS(R) (g_i + g_j) is
+    one two-mode gate of four connection gates (12 ancillas, four steps on
+    each wire).  The ops after a wire's last splitter form its four-step
+    gate in the last column.  Wires idling through a column are padded with
+    four measured kappa = 0 steps (F^4 = I).  A two-mode gate may realize
+    (F^k + F^l) BS(R) (g_i + g_j) instead (k, l in {0, 1}); each wire's next
+    gate then undoes its F^k, so no wire owes a Fourier power at the end.
 
     The program's one check is its exact replay, which also yields the
     feedforward: ``replay_residual`` is max|replay - target| over the
-    matrix entries, and a residual above ``REPLAY_TOL`` raises CompileError
-    naming the worst entry.  The returned program keeps that replay, so a
-    later ``exact_replay`` of it runs no second pass.
+    matrix entries, and a residual above ``REPLAY_TOL`` times
+    max(1, max|target|) raises CompileError naming the worst entry.  The
+    returned program keeps that replay, so a later ``exact_replay`` of it
+    runs no second pass.
     """
     require_symplectic(target)
     n = target.n
     if kappa1 is not None and n != 1:
         raise ValueError(f"kappa1 pins a one-mode synthesis; the target has {n} modes")
-    builder = _Builder(target, kappa1)
     gates = {}  # wire -> its one-mode ops since its last splitter, composed
-    columns = []  # per splitter column: (the one-mode gates before it, its splitters)
+    columns = []  # per splitter column: its splitters, each with its wires' gates
     level = [0] * n  # the first splitter column in which each wire is free
     for kind, wires, value in _gate_sequence(target):
         if kind == "onemode":
@@ -479,25 +639,22 @@ def compile(target: SymplecticMap, kappa1: float = None):
             continue
         layer = max(level[w] for w in wires)
         if layer == len(columns):
-            columns.append(({}, []))
-        before, splitters = columns[layer]
+            columns.append([])
+        columns[layer].append((wires, value, tuple(gates.pop(w, _I2) for w in wires)))
         for w in wires:
-            if w in gates:
-                before[w] = gates.pop(w)
             level[w] = layer + 1
-        splitters.append((wires, value))
-    for before, splitters in columns:
-        builder.bs_column(before, splitters)
-    bare = builder.finish(gates, target)
+    builder = _Builder(target, kappa1)
+    bare = builder.build(columns, gates, target)
 
     check = exact_replay(bare)
     diff = np.abs(check.matrix - target.matrix)
     residual = float(diff.max())
-    if residual > REPLAY_TOL:
+    limit = REPLAY_TOL * max(1.0, float(np.abs(target.matrix).max()))
+    if not residual <= limit:
         worst = tuple(int(i) for i in np.unravel_index(int(np.argmax(diff)), diff.shape))
         raise CompileError(
             f"noise-free replay misses the target by {residual:.3e} at entry "
-            f"{worst} (> {REPLAY_TOL})"
+            f"{worst} (> {limit:.3e})"
         )
     program = replace(bare, feedforward=check.feedforward_rules())
     # The replay reads the graph and the schedule, never the rules, so the

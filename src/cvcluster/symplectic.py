@@ -11,7 +11,8 @@ import numpy as np
 
 VACUUM_QUADRATURE_VARIANCE = 0.25
 
-#: Tolerance for the symplectic condition M^T J M = J of constructed maps.
+#: Tolerance for the symplectic condition M^T J M = J, relative to
+#: max(1, max|M|)^2: M^T J M rounds off in proportion to the entries squared.
 SYMPLECTIC_TOL = 1e-10
 
 
@@ -89,17 +90,19 @@ def symplectic_residual(m) -> float:
 
 
 def require_symplectic(m) -> None:
-    """Raise ValueError naming the worst entry if M^T J M = J fails at SYMPLECTIC_TOL."""
+    """Raise ValueError naming the worst entry if M^T J M = J fails by more
+    than SYMPLECTIC_TOL * max(1, max|M|)^2."""
     mat = m.matrix if isinstance(m, SymplecticMap) else np.asarray(m, dtype=float)
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix is not symplectic: it has a non-finite entry")
     viol = _violation(mat)
     worst = float(viol.max())
-    if worst > SYMPLECTIC_TOL:
+    limit = SYMPLECTIC_TOL * max(1.0, float(np.abs(mat).max())) ** 2
+    if worst > limit:
         r, c = np.unravel_index(int(np.argmax(viol)), viol.shape)
         raise ValueError(
             f"matrix is not symplectic: max violation {worst:.3e} at entry ({r}, {c})"
-            f" exceeds tolerance {SYMPLECTIC_TOL:.1e}"
+            f" exceeds tolerance {limit:.1e}"
         )
 
 
@@ -139,9 +142,9 @@ def beam_splitter_matrix(reflectivity: float) -> SymplecticMap:
         raise ValueError(f"reflectivity {reflectivity} outside [0, 1]")
     t = np.sqrt(reflectivity)
     u = np.sqrt(1.0 - reflectivity)
-    mr = np.array([[t, u], [u, -t]])
-    z = np.zeros((2, 2))
-    return SymplecticMap(2, np.block([[mr, z], [z, mr]]))
+    mat = np.zeros((4, 4))
+    mat[:2, :2] = mat[2:, 2:] = ((t, u), (u, -t))
+    return SymplecticMap(2, mat)
 
 
 def compose(a: SymplecticMap, b: SymplecticMap) -> SymplecticMap:

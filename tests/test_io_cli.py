@@ -721,7 +721,8 @@ def test_cli_compile_six_by_six(tmp_path):
     assert main(["compile", "--target", target_file, "--out", program_file]) == 0
     report = json.loads(Path(program_file + ".report.json").read_text())
     expected = sum(
-        3 if rec["kind"] == "connection" else len(rec["params"]["kappas"])
+        3 * len(rec["params"]["connections"]) if rec["kind"] == "two-mode"
+        else len(rec["params"]["kappas"])
         for rec in report["stepParams"]
     )
     assert report["ancillaCount"] == expected

@@ -164,7 +164,7 @@ def test_target_mode_count_must_match_ports():
 def test_gate_census_shape():
     _, report = compile(random_symplectic(2, 19))
     census = Counter(record.kind for record in report.step_params)
-    assert set(census) <= {"four-step", "connection", "pad"}
+    assert set(census) <= {"four-step", "two-mode", "pad"}
     assert census["four-step"] >= 1
 
 

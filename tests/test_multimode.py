@@ -5,11 +5,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvcluster import (
+    CompileError,
     ConnectionGateParams,
     SymplecticMap,
     beam_splitter_matrix,
@@ -30,8 +31,9 @@ from cvcluster import (
     squeeze,
     symplectic_residual,
 )
+from cvcluster import multimode
 from cvcluster.ir import ROLE_INPUT, ROLE_OUTPUT
-from cvcluster.symplectic import SYMPLECTIC_TOL
+from cvcluster.symplectic import require_symplectic
 from oracles import bloch_messiah_product, four_step_product, mesh_census
 
 
@@ -136,7 +138,7 @@ def test_bloch_messiah_holds_at_high_squeezing(n, seed, wire, r, phi, psi):
     base = identity(n) if seed is None else random_symplectic(n, seed)
     squeezer = compose_many(rotation(phi), squeeze(r), rotation(psi))
     target = compose(base, embed(squeezer, n, [wire % n]))
-    assume(symplectic_residual(target) <= SYMPLECTIC_TOL)  # what bloch_messiah accepts
+    require_symplectic(target)  # its tolerance scales with max|target|^2
     factors = bloch_messiah(target)
     for passive in (factors.passive_in, factors.passive_out):
         reck_decompose(passive)  # raises unless passive to SYMPLECTIC_TOL
@@ -270,9 +272,8 @@ def test_compile_equal_squeezers_needs_no_splitter():
 
 
 def test_pad_fourier_commutes_through_beam_splitters():
-    # equal leftover pad Fourier powers on both wires commute through a
-    # phase-free beam splitter; this is what lets the compiler defer their
-    # compensation across splitter columns
+    # equal Fourier powers on both wires commute through a phase-free beam
+    # splitter
     for reflectivity in (0.0, 0.3, 1.0):
         bs = beam_splitter_matrix(reflectivity)
         for power in (1, 2, 3):
@@ -294,14 +295,59 @@ def test_compile_identity_single_mode():
     assert report.replay_residual < 1e-12
 
 
+def chain_product(connections) -> np.ndarray:
+    """The map that connection gates [(kappa1, kappa2, eta3), ...] realize."""
+    m = np.eye(4)
+    for params in connections:
+        m = connection_gate(ConnectionGateParams(*params)).matrix @ m
+    return m
+
+
+def two_mode_product(rec) -> np.ndarray:
+    """The map that a two-mode record's four connection gates realize."""
+    return chain_product(rec.params["connections"])
+
+
+def chain_excess_oracle(connections, weight: np.ndarray) -> float:
+    """tr(W K K^T) of connection gates from explicit products: gate t's three
+    p-noises enter its output as e_{p_i}, e_{p_j} and eta3 (e_{x_i} + e_{x_j}),
+    and each later gate carries them on."""
+    columns = []
+    for kappa1, kappa2, eta3 in connections:
+        gate = connection_gate(ConnectionGateParams(kappa1, kappa2, eta3)).matrix
+        columns = [gate @ c for c in columns] + [
+            np.array([0.0, 0.0, 1.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0]),
+            eta3 * np.array([1.0, 1.0, 0.0, 0.0]),
+        ]
+    k = np.column_stack(columns)
+    return float(np.trace(weight @ k @ k.T))
+
+
+def on_pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``first`` on wire i plus ``second`` on wire j, in (x_i, x_j, p_i, p_j)."""
+    m = np.zeros((4, 4))
+    m[0::2, 0::2], m[1::2, 1::2] = first, second
+    return m
+
+
+def ancillas(rec) -> int:
+    """A record's ancillas: three per connection gate, one per chain step."""
+    if rec.kind == "two-mode":
+        return 3 * len(rec.params["connections"])
+    return len(rec.params["kappas"])
+
+
 def test_compile_pure_balanced_splitter():
+    # One two-mode gate: four connection gates of three ancillas each.  Neither
+    # wire has a later gate to undo a Fourier power, so the gate is BS(R)
+    # itself (variant k = l = 0).
     target = beam_splitter_matrix(0.5)
     program, report = compile(target)
-    assert report.ancilla_count == 9
+    assert report.ancilla_count == 12
     assert report.replay_residual < 1e-9
-    census = Counter(record.kind for record in report.step_params)
-    assert census.get("connection") == 3
-    assert "four-step" not in census
+    (rec,) = report.step_params
+    assert (rec.kind, rec.wires, rec.column, rec.params["fourier"]) == ("two-mode", (0, 1), 0, [0, 0])
+    assert np.max(np.abs(two_mode_product(rec) - target.matrix)) < 1e-10
 
 
 def test_compile_free_param_pins_kappa1():
@@ -321,15 +367,9 @@ def test_compile_multimode_replay_and_census():
         target = random_symplectic(n, seed)
         program, report = compile(target)
         assert report.replay_residual < 1e-9
-        # ancilla census: 4 per chain block (gates and 4-step pads),
-        # 3 per connection step and its 3-step pads
-        expected = 0
-        for rec in report.step_params:
-            if rec.kind == "connection":
-                expected += 3
-            else:
-                expected += len(rec.params["kappas"])
-        assert report.ancilla_count == expected
+        # ancilla census: 4 per one-mode gate and per pad (four steps), 12
+        # per two-mode gate (four connection gates of 3)
+        assert report.ancilla_count == sum(map(ancillas, report.step_params))
         # executor agrees with the embedded target
         replay = exact_replay(program)
         assert np.max(np.abs(replay.matrix - target.matrix)) < 1e-9
@@ -347,20 +387,12 @@ def test_compile_schedule_covers_every_non_output_node():
     assert len(outputs) == len(inputs) == 3
 
 
-def undoes_its_compensation(rec) -> bool:
-    """Whether a four-step record is an identity gate: its steps apply
-    exactly the inverse of the pad Fourier transforms it compensates."""
-    steps = four_step_product(rec.params["kappas"])
-    undo = fourier_power(-rec.params.get("fourier_compensation", 0))
-    return bool(np.max(np.abs(steps - undo.matrix)) < 1e-12)
-
-
-#: Splitters whose two wires owe different pad powers.
+#: Two splitters in a row on wire 1.
 TWO_SPLITTERS = compose(
     embed(beam_splitter_matrix(0.3), 3, [1, 2]),
     embed(beam_splitter_matrix(0.5), 3, [0, 1]),
 )
-#: As TWO_SPLITTERS on four modes, with a rotation whose column can take identity gates.
+#: As TWO_SPLITTERS on four modes, with a rotation on wire 3.
 FOLD = compose(
     embed(beam_splitter_matrix(0.3), 4, [1, 2]),
     compose(embed(rotation(0.4), 4, [3]), embed(beam_splitter_matrix(0.5), 4, [0, 1])),
@@ -373,74 +405,67 @@ DISJOINT = compose(
 
 
 def test_compile_flushes_pad_fourier_transforms():
-    # A splitter column pads each idle wire with F^3.  The wire's next real
-    # gate undoes it (fourier_compensation); a splitter on two wires owing
-    # different powers, and the end of the program, get an identity four-step
-    # gate that undoes it in the column before.  Bloch-Messiah leaves these
-    # passive targets whole in the first mesh (the second passive is I).
-    _, report = compile(embed(beam_splitter_matrix(0.5), 3, [0, 1]))
-    assert report.ancilla_count == 24
-    gates = [rec for rec in report.step_params if rec.kind == "four-step"]
-    assert [(rec.wires, rec.column) for rec in gates] == [((2,), 1)]
-    assert undoes_its_compensation(gates[0])
-    assert gates[0].params["fourier_compensation"] == 3
-    assert report.replay_residual < 1e-9
-
-    # Identity gates before the splitter on (1, 2) and at the end.
-    _, report = compile(TWO_SPLITTERS)
-    assert report.ancilla_count == 48
-    gates = [rec for rec in report.step_params if rec.kind == "four-step"]
-    assert [(rec.wires, rec.column) for rec in gates] == [((2,), 1), ((0,), 3)]
-    assert all(undoes_its_compensation(rec) for rec in gates)
-    assert all(rec.params["fourier_compensation"] == 3 for rec in gates)
-    kinds = {rec.column: rec.kind for rec in report.step_params if rec.kind != "pad"}
-    assert kinds == {0: "connection", 1: "four-step", 2: "connection", 3: "four-step"}
-    assert report.replay_residual < 1e-9
-
-    # The end's identity gate shares column 3 with the rotation, a real gate
-    # that compensates without an identity gate: 62 ancillas in 4 columns.
-    program, report = compile(FOLD)
-    assert report.ancilla_count == 62
-    gates = [rec for rec in report.step_params if rec.kind == "four-step"]
-    assert 1 + max(rec.column for rec in report.step_params) == 4
-    shared = {rec.column for rec in gates if undoes_its_compensation(rec)} & {
-        rec.column for rec in gates if not undoes_its_compensation(rec)
-    }
-    assert sorted(shared) == [3]
-    (compensated,) = [rec for rec in gates if rec.wires == (3,)]
-    assert compensated.params["fourier_compensation"] == 2
-    assert not undoes_its_compensation(compensated)
-    assert report.replay_residual < 1e-9
-    excess = np.trace(exact_replay(program).excess_covariance(db_to_r(10.0)))
-    assert excess == pytest.approx(1.8235, abs=1e-4)
-
-    # The disjoint splitters on (0, 1) and (2, 3) share column 0, and no
-    # wire owes a count: 18 ancillas in 1 column.
-    _, report = compile(DISJOINT)
-    assert report.ancilla_count == 18
-    assert {(rec.wires, rec.column) for rec in report.step_params} == {
-        ((0, 1), 0),
-        ((2, 3), 0),
-    }
-    assert report.replay_residual < 1e-9
+    # No wire owes a Fourier power.  A pad is four kappa = 0 steps (F^4 = I).
+    # A two-mode gate realizes (F^k + F^l) BS(R) (g_i + g_j), and each wire's
+    # next gate undoes its power; F goes only to a wire that has a next gate.
+    # Bloch-Messiah leaves these passive targets whole in the first mesh, so
+    # every g is the identity but FOLD's rotation on wire 3, and every gate's
+    # product is known exactly.
+    cases = [  # target, ancillas, columns, each two-mode gate's (k, l)
+        (embed(beam_splitter_matrix(0.5), 3, [0, 1]), 16, 1, [[0, 0]]),
+        (TWO_SPLITTERS, 32, 2, [[0, 1], [0, 0]]),
+        (FOLD, 56, 3, [[0, 1], [0, 0]]),
+        (DISJOINT, 24, 1, [[0, 0], [0, 0]]),
+    ]
+    for target, ancilla_count, columns, variants in cases:
+        program, report = compile(target)
+        assert report.ancilla_count == ancilla_count
+        assert 1 + max(rec.column for rec in report.step_params) == columns
+        owed = [0] * target.n
+        for rec in report.step_params:
+            if rec.kind == "pad":
+                assert rec.params["kappas"] == [0.0] * 4
+            elif rec.kind == "two-mode":
+                (i, j), (k, l) = rec.wires, rec.params["fourier"]
+                undo = on_pair(fourier_power(-owed[i]).matrix, fourier_power(-owed[j]).matrix)
+                bs = beam_splitter_matrix(rec.params["reflectivity"]).matrix
+                expected = on_pair(fourier_power(k).matrix, fourier_power(l).matrix) @ bs @ undo
+                assert np.max(np.abs(two_mode_product(rec) - expected)) < 1e-10
+                owed[i], owed[j] = k, l
+            else:
+                (w,) = rec.wires
+                gate = rotation(0.4).matrix if target is FOLD and w == 3 else np.eye(2)
+                steps = four_step_product(rec.params["kappas"])
+                assert np.max(np.abs(steps - gate @ fourier_power(-owed[w]).matrix)) < 1e-10
+                owed[w] = 0
+        assert owed == [0] * target.n
+        assert [rec.params["fourier"] for rec in report.step_params if rec.kind == "two-mode"] == variants
+        assert report.replay_residual < 1e-9
+        if target is FOLD:
+            excess = np.trace(exact_replay(program).excess_covariance(db_to_r(10.0)))
+            assert excess == pytest.approx(1.5426, abs=1e-4)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_compile_packs_disjoint_splitters_into_columns(n):
-    # Each passive is a mesh of at most n splitter layers, so the program has
-    # at most 2n splitter columns, each after at most one one-mode column,
-    # and one final one-mode column.
+    # Each passive is a mesh of at most n splitter layers, so a generic
+    # target has at most 2n splitter columns of disjoint two-mode gates, then
+    # one column of one-mode gates and pads: at most 2n + 1 columns.
     for seed in range(2):
         _, report = compile(random_symplectic(n, seed))
         pairs = {}
         for rec in report.step_params:
-            if rec.kind == "connection" and rec.params["step"] == 0:
+            if rec.kind == "two-mode":
                 pairs.setdefault(rec.column, []).append(rec.wires)
         for column, wires in pairs.items():
             used = [w for pair in wires for w in pair]
             assert len(used) == len(set(used)), (column, wires)
         assert len(pairs) <= 2 * n
-        assert 1 + max(rec.column for rec in report.step_params) <= 4 * n + 1
+        columns = 1 + max(rec.column for rec in report.step_params)
+        assert sorted(pairs) == list(range(columns - 1))
+        last = Counter(rec.kind for rec in report.step_params if rec.column == columns - 1)
+        assert set(last) <= {"four-step", "pad"} and last["four-step"] > 0
+        assert sum(last.values()) == n
         assert report.replay_residual < 1e-9
 
 
@@ -463,27 +488,92 @@ def splitter_products(count: int) -> list:
 
 
 def test_compile_keeps_wires_step_aligned():
-    # Every column advances every wire by the same number of steps; a
-    # connection record is one step on each of its two wires.
+    # Every column advances every wire by exactly four steps: a two-mode gate
+    # is four connection gates of one step on each of its wires, and one-mode
+    # gates and pads are four-step chains.
     targets = [random_symplectic(n, seed) for n in range(2, 6) for seed in range(4)]
     targets += [embed(beam_splitter_matrix(0.5), 3, [0, 1]), TWO_SPLITTERS, FOLD, DISJOINT]
     targets += splitter_products(40)
-    flushed = 0
+    forwarded = 0
     for target in targets:
         _, report = compile(target)
         steps = {}
         for rec in report.step_params:
             column = steps.setdefault(rec.column, dict.fromkeys(range(target.n), 0))
             for wire in rec.wires:
-                column[wire] += 1 if rec.kind == "connection" else len(rec.params["kappas"])
+                column[wire] += ancillas(rec) // 3 if rec.kind == "two-mode" else ancillas(rec)
         assert sorted(steps) == list(range(len(steps)))
         for column, advance in steps.items():
-            assert len(set(advance.values())) == 1, (column, advance)
-        flushed += sum(
-            rec.kind == "four-step" and undoes_its_compensation(rec)
-            for rec in report.step_params
+            assert set(advance.values()) == {4}, (column, advance)
+        forwarded += sum(
+            rec.kind == "two-mode" and any(rec.params["fourier"]) for rec in report.step_params
         )
-    assert flushed > 0
+    assert forwarded > 0
+
+
+F = fourier_power(1).matrix
+#: One-mode gates g for two-mode gates BS(R) (g_i + g_j): Fourier powers,
+#: d = 0 maps ((a, b), (-1/b, 0)), and random maps.
+ONE_MODE_GATES = st.one_of(
+    st.sampled_from([1, 2, 3]).map(lambda k: fourier_power(k).matrix),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(0.3, 2.5), st.sampled_from([-1.0, 1.0])).map(
+        lambda abs_: np.array([[abs_[0], abs_[1] * abs_[2]], [-1.0 / (abs_[1] * abs_[2]), 0.0]])
+    ),
+    st.integers(0, 2**32 - 1).map(lambda seed: random_symplectic(1, seed).matrix),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    reflectivity=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    gi=ONE_MODE_GATES,
+    gj=ONE_MODE_GATES,
+    seed=st.none() | st.integers(0, 2**32 - 1),
+)
+@example(reflectivity=0.0, gi=F, gj=F, seed=None)  # T_d = 0, T_c symmetric
+@example(reflectivity=0.0, gi=F, gj=F.T, seed=None)  # T_d = 0, T_c not symmetric
+@example(reflectivity=1.0, gi=np.eye(2), gj=np.eye(2), seed=None)
+def test_two_mode_chart_reproduces_its_gate(reflectivity, gi, gj, seed):
+    # Some Fourier variant (F^k + F^l) T of every T = BS(R) (g_i + g_j) gets a
+    # chain of four connection gates that reproduces it to 1e-10 relative,
+    # and the chain's recorded excess is its tr(W K K^T).
+    t = beam_splitter_matrix(reflectivity).matrix @ on_pair(gi, gj)
+    if seed is None:
+        weight = np.eye(4)
+    else:
+        d = np.random.default_rng(seed).normal(size=(6, 4))
+        weight = d.T @ d
+    variant, connections, excess = multimode._two_mode_chain(t, weight, (True, True))
+    k, l = multimode._VARIANTS[variant]
+    fourier = on_pair(fourier_power(k).matrix, fourier_power(l).matrix)
+    error = np.max(np.abs(chain_product(connections) - fourier @ t))
+    assert error <= 1e-10 * max(1.0, np.max(np.abs(t)))
+    oracle = chain_excess_oracle(connections, fourier @ weight @ fourier.T)
+    assert excess == pytest.approx(oracle, rel=1e-9)
+
+
+def test_two_mode_chart_reaches_both_degenerate_families():
+    # After a swap (R = 0), Fourier gates on both wires leave T_d = 0.  The
+    # family of S1 is then all of S1 space if T_c is symmetric (F, F) and
+    # empty if not (F, F^3); the latter gate gets its chain from a variant.
+    swap = beam_splitter_matrix(0.0).matrix
+    tol = multimode.FAMILY_TOL
+    start, directions = multimode._family((swap @ on_pair(F, F)).tolist(), tol)
+    assert start == (0.0, 0.0, 0.0) and len(directions) == 3
+    empty = swap @ on_pair(F, F.T)
+    assert multimode._family(empty.tolist(), tol) is None
+    variant, _, _ = multimode._two_mode_chain(empty, np.eye(4), (True, True))
+    assert multimode._VARIANTS[variant] != (0, 0)
+
+
+def test_compile_names_a_splitter_without_a_chain(monkeypatch):
+    monkeypatch.setattr(multimode, "_family", lambda t, tol: None)
+    with pytest.raises(
+        CompileError,
+        match=r"no chain of four connection gates reproduces the splitter on wires "
+        r"\(0, 1\) in column 0",
+    ):
+        compile(random_symplectic(2, 0))
 
 
 def test_compile_refuses_a_wrong_lowering(monkeypatch):
@@ -520,21 +610,24 @@ def test_generic_targets_of_one_n_compile_to_one_fixed_cluster(n, seed):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_each_four_step_gate_records_its_share_of_the_excess(n):
-    # A gate's recorded excess tr(W K K^T) is the sum of |N[:, j]|^2 over its
-    # four ancillas' columns of the executor's noise response N.  Records
+    # Every record's excess tr(W K K^T) (four-step gates, pads and two-mode
+    # gates) is the sum of |N[:, j]|^2 over its ancillas' columns of the
+    # executor's noise response N, so the shares sum to tr(N N^T).  Records
     # follow the order in which the builder creates ancillas.
     for seed in range(4):
         program, report = compile(random_symplectic(n, seed))
         noise = program.replay.noise_response
-        start = gates = 0
+        start = 0
         for rec in report.step_params:
-            width = 3 if rec.kind == "connection" else len(rec.params["kappas"])
-            if rec.kind == "four-step":
-                share = float(np.sum(noise[:, start : start + 4] ** 2))
-                assert rec.params["excess"] == pytest.approx(share, rel=1e-9)
-                gates += 1
+            width = ancillas(rec)
+            share = float(np.sum(noise[:, start : start + width] ** 2))
+            assert rec.params["excess"] == pytest.approx(share, rel=1e-9)
             start += width
-        assert start == noise.shape[1] and gates > n
+        assert start == noise.shape[1]
+        total = sum(rec.params["excess"] for rec in report.step_params)
+        assert total == pytest.approx(float(np.sum(noise**2)), rel=1e-9)
+        kinds = Counter(rec.kind for rec in report.step_params)
+        assert kinds["two-mode"] == n * (n - 1) and kinds["four-step"] > 0
 
 
 def test_compile_multimode_identity():
@@ -553,27 +646,44 @@ def test_compile_rejects_non_symplectic():
 
 
 def test_compile_checks_the_target_at_the_symplectic_tolerance():
-    # A residual of 3.8e-10 fails at compile's own check of the target, not
-    # later at a check of a Bloch-Messiah passive.
+    # A residual of 3.8e-9 fails at compile's own check of the target, not
+    # later at a check of a Bloch-Messiah passive.  The tolerance is 1e-10
+    # times max|target|^2 (2.036^2 here).
     matrix = random_symplectic(3, 1).matrix.copy()
-    matrix[0, 0] += 5e-10
+    matrix[0, 0] += 5e-9
     with pytest.raises(ValueError) as err:
         compile(SymplecticMap(3, matrix))
     assert str(err.value) == (
-        "matrix is not symplectic: max violation 3.834e-10 at entry (0, 3)"
-        " exceeds tolerance 1.0e-10"
+        "matrix is not symplectic: max violation 3.834e-09 at entry (0, 3)"
+        " exceeds tolerance 4.1e-10"
     )
 
 
+def test_compile_accepts_high_squeezing():
+    # The symplectic check and the replay check both scale with the entries:
+    # at r = 6 and r = 7 they are ~1e3, and absolute tolerances refused these.
+    program, report = compile(squeeze(7.0))
+    assert report.replay_residual <= 1e-9 * np.exp(7.0)
+    squeezer = compose_many(rotation(2.4750437103042957), squeeze(6.0), rotation(-1.2842497998790938))
+    target = compose(random_symplectic(3, 1599464955), embed(squeezer, 3, [1]))
+    assert symplectic_residual(target) > 3e-10
+    program, report = compile(target)
+    assert report.replay_residual <= 1e-9 * np.max(np.abs(target.matrix))
+
+
 def test_compiled_connection_steps_match_angles():
-    # every connection step contributes exactly three scheduled homodynes
+    # Each connection gate measures its two wire nodes at arctan(kappa1) and
+    # arctan(kappa2), then its control node, coupled to both, at
+    # arctan2(1, eta3): three scheduled homodynes per connection gate.
     target = beam_splitter_matrix(0.3)
     program, report = compile(target)
-    census = Counter(record.kind for record in report.step_params)
-    assert census["connection"] == 3
-    assert len(program.schedule) == 9
-    controller_angles = [
-        entry.angle for entry in program.schedule if entry.angle > np.pi / 2
+    (rec,) = report.step_params
+    assert rec.kind == "two-mode" and len(program.schedule) == 12
+    expected = [
+        angle
+        for kappa1, kappa2, eta3 in rec.params["connections"]
+        for angle in (np.arctan(kappa1), np.arctan(kappa2), np.arctan2(1.0, eta3))
     ]
-    # eta3 < 0 for R < 1: controller angle atan2(1, eta3) lies in (pi/2, pi)
-    assert len(controller_angles) == 3
+    assert [entry.angle for entry in program.schedule] == expected
+    controls = [entry.node_id for entry in program.schedule[2::3]]
+    assert [sum(node == new for _, new in program.graph.edges) for node in controls] == [2] * 4

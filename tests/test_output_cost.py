@@ -13,11 +13,13 @@ sys.path.insert(0, str(BENCH))
 import workloads  # noqa: E402
 
 #: Per workload: ancillas_mean, excess_trace_10db and excess_trace_15db, as
-#: each four-step gate's kappa1 minimizes its exact excess tr(W K K^T).
+#: each four-step gate's kappa1 minimizes its exact excess tr(W K K^T) and
+#: each splitter, with its wires' one-mode gates, is one two-mode gate of four
+#: connection gates.
 EXPECTED = {
     "onemode": (4.0, 0.13074723449143713, 0.04134590587610681),
-    "simulate": (156.0, 13.56985790653776, 4.291165850950359),
-    "compile_wide": (1096.0, 71.52529325431696, 22.618283699511853),
+    "simulate": (108.0, 7.635329799937913, 2.4145032854361554),
+    "compile_wide": (768.0, 42.832588658558244, 13.544853824214016),
 }
 
 
