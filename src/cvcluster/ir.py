@@ -241,7 +241,7 @@ class MeasurementProgram:
 class GateRecord:
     """One synthesized gate in a compiled program (for the report)."""
 
-    kind: str  # "four-step" | "two-mode" | "pad"
+    kind: str  # "four-step" | "two-mode"
     wires: tuple
     column: int
     params: dict

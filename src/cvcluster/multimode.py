@@ -3,12 +3,13 @@
 Pipeline: Bloch-Messiah reduction (passive * single-mode squeezers * passive),
 a rectangular nearest-neighbour mesh of phase-free beam splitters and phase
 shifters for each passive, then lowering.  Each splitter absorbs the one-mode
-ops its wires carry since their last splitter: BS(R) (g_i + g_j) becomes one
-two-mode gate of four three-mode connection gates (12 ancillas, four steps on
-each wire), and the disjoint splitters of a mesh layer share one column.  The
-ops after a wire's last splitter become a four-step measurement chain (4
-ancillas) in the last column.  Idle wires pad with four kappa = 0 steps
-(F^4 = I), so every column is four steps deep.
+ops its wires carry since their last splitter and, at a wire's last splitter,
+the ops after it: (h_i + h_j) BS(R) (g_i + g_j) becomes one two-mode gate of
+four three-mode connection gates (12 ancillas, four steps on each wire), and
+the disjoint splitters of a mesh layer share one column.  A wire gets nodes
+only for its own gates, so wires end at different depths; a one-mode target,
+or a wire that no splitter touches, gets a four-step measurement chain (4
+ancillas).
 
 Each gate's share of the program's excess noise tr(N N^T) depends only on
 its parameters and on W = D^T D, where D is the ideal map from the gate's
@@ -506,11 +507,12 @@ class _Builder:
         }
         self.records.append(GateRecord("four-step", (wire,), self.column, meta))
 
-    def _two_mode(self, pair: tuple, reflectivity: float, gates: tuple, free: list) -> None:
-        """The splitter on ``pair`` after its wires' one-mode ``gates``, each
-        after undoing its wire's forwarded power: four connection gates."""
-        g = [gate @ _UNDO[self.forward[w]] for w, gate in zip(pair, gates)]
-        t = beam_splitter_matrix(reflectivity).matrix @ _on_pair(*g)
+    def _two_mode(self, pair: tuple, reflectivity: float, before: tuple, after: list, free: list) -> None:
+        """The splitter on ``pair`` between its wires' one-mode gates
+        ``before`` (each after undoing its wire's forwarded power) and
+        ``after``: four connection gates."""
+        g = [gate @ _UNDO[self.forward[w]] for w, gate in zip(pair, before)]
+        t = _on_pair(*after) @ beam_splitter_matrix(reflectivity).matrix @ _on_pair(*g)
         cols = self._advance(pair, -_J2 @ t.T @ _J2)  # t^-1, t symplectic
         found = _two_mode_chain(t, cols.T @ cols, free)
         if found is None:
@@ -537,38 +539,26 @@ class _Builder:
         }
         self.records.append(GateRecord("two-mode", pair, self.column, meta))
 
-    def _close_column(self, gates: dict, busy=()) -> None:
-        """Each wire not in ``busy`` gets its four-step gate of ``gates`` or a
-        pad: four kappa = 0 steps (F^4 = I), whose excess is 2 tr W."""
-        for wire in range(self.n):
-            if wire in gates:
-                self._four_step(wire, gates[wire])
-            elif wire not in busy:
-                self._chain_steps(wire, (0.0,) * 4)
-                excess = 2.0 * float(np.sum(self.downstream[:, [wire, self.n + wire]] ** 2))
-                meta = {"kappas": [0.0] * 4, "excess": excess}
-                self.records.append(GateRecord("pad", (wire,), self.column, meta))
-        self.column += 1
-
     def build(self, columns: list, gates: dict, target: SymplecticMap) -> MeasurementProgram:
         """The program of the splitter ``columns``, each a list of disjoint
         (pair, R, the one-mode gates its wires carry since their last
-        splitter), then of the last column's one-mode ``gates``."""
+        splitter).  ``gates`` holds each wire's one-mode ops after its last
+        splitter, which that splitter absorbs; a four-step gate follows only
+        on a wire no splitter touches and on a wire still owing a forced F."""
         last = {w: c for c, column in enumerate(columns) for pair, _, _ in column for w in pair}
         for column in columns:
             for pair, reflectivity, before in column:
-                free = [w in gates or last[w] > self.column for w in pair]
-                self._two_mode(pair, reflectivity, before, free)
-            self._close_column({}, {w for pair, _, _ in column for w in pair})
+                after = [gates.pop(w, _I2) if last[w] == self.column else _I2 for w in pair]
+                free = [last[w] > self.column for w in pair]
+                self._two_mode(pair, reflectivity, before, after, free)
+            self.column += 1
         for wire in range(self.n):
             if self.forward[wire]:
-                gates[wire] = gates.get(wire, _I2) @ _UNDO[self.forward[wire]]
-        if not columns and not gates:
-            # No gates at all (e.g. a multi-mode identity): keep every wire's
-            # output distinct from its input with identity chains.
-            gates = dict.fromkeys(range(self.n), _I2)
-        if gates:
-            self._close_column(gates)
+                gates[wire] = _UNDO[self.forward[wire]]
+            elif wire not in last:  # else its input port would be its output port
+                gates.setdefault(wire, _I2)
+        for wire in sorted(gates):
+            self._four_step(wire, gates[wire])
         head_ids = {self.heads[w]: w for w in range(self.n)}
         nodes = tuple(
             Node(node.id, ROLE_OUTPUT, port=head_ids[node.id])
@@ -611,13 +601,16 @@ def compile(target: SymplecticMap, kappa1: float = None):
     column in which both its wires are free, so a column holds disjoint
     pairs, and the two meshes need at most 2n splitter columns.  The
     one-mode ops on a wire between two of its splitters are composed into
-    one gate g, which the wire's next splitter absorbs: BS(R) (g_i + g_j) is
-    one two-mode gate of four connection gates (12 ancillas, four steps on
-    each wire).  The ops after a wire's last splitter form its four-step
-    gate in the last column.  Wires idling through a column are padded with
-    four measured kappa = 0 steps (F^4 = I).  A two-mode gate may realize
-    (F^k + F^l) BS(R) (g_i + g_j) instead (k, l in {0, 1}); each wire's next
-    gate then undoes its F^k, so no wire owes a Fourier power at the end.
+    one gate g, which the wire's next splitter absorbs; the ops h after a
+    wire's last splitter go into that splitter, since nothing else acts on
+    the wire after it: (h_i + h_j) BS(R) (g_i + g_j) is one two-mode gate of
+    four connection gates (12 ancillas, four steps on each wire).  A generic
+    target is n(n - 1) such gates and nothing else.  A two-mode gate may
+    realize (F^k + F^l) times its map instead (k, l in {0, 1}); each wire's
+    next gate then undoes its F^k, and a wire with no next gate, which gets
+    F only when no other variant has a chain, ends in a four-step gate F^-k.
+    A wire that no splitter touches gets one four-step gate of its ops, the
+    identity if it has none, so that its output is not its input.
 
     The program's one check is its exact replay, which also yields the
     feedforward: ``replay_residual`` is max|replay - target| over the

@@ -405,16 +405,18 @@ DISJOINT = compose(
 
 
 def test_compile_flushes_pad_fourier_transforms():
-    # No wire owes a Fourier power.  A pad is four kappa = 0 steps (F^4 = I).
-    # A two-mode gate realizes (F^k + F^l) BS(R) (g_i + g_j), and each wire's
+    # No wire owes a Fourier power at the end, and no record is a pad.  A
+    # two-mode gate realizes (F^k + F^l) BS(R) (g_i + g_j), and each wire's
     # next gate undoes its power; F goes only to a wire that has a next gate.
     # Bloch-Messiah leaves these passive targets whole in the first mesh, so
-    # every g is the identity but FOLD's rotation on wire 3, and every gate's
-    # product is known exactly.
+    # every g is the identity; FOLD's rotation sits on wire 3, which no
+    # splitter touches, so it is that wire's one four-step gate, as is the
+    # identity chain on the embedded splitter's wire 2.  Every gate's product
+    # is known exactly.
     cases = [  # target, ancillas, columns, each two-mode gate's (k, l)
-        (embed(beam_splitter_matrix(0.5), 3, [0, 1]), 16, 1, [[0, 0]]),
-        (TWO_SPLITTERS, 32, 2, [[0, 1], [0, 0]]),
-        (FOLD, 56, 3, [[0, 1], [0, 0]]),
+        (embed(beam_splitter_matrix(0.5), 3, [0, 1]), 16, 2, [[0, 0]]),
+        (TWO_SPLITTERS, 24, 2, [[0, 1], [0, 0]]),
+        (FOLD, 28, 3, [[0, 1], [0, 0]]),
         (DISJOINT, 24, 1, [[0, 0], [0, 0]]),
     ]
     for target, ancilla_count, columns, variants in cases:
@@ -423,9 +425,7 @@ def test_compile_flushes_pad_fourier_transforms():
         assert 1 + max(rec.column for rec in report.step_params) == columns
         owed = [0] * target.n
         for rec in report.step_params:
-            if rec.kind == "pad":
-                assert rec.params["kappas"] == [0.0] * 4
-            elif rec.kind == "two-mode":
+            if rec.kind == "two-mode":
                 (i, j), (k, l) = rec.wires, rec.params["fourier"]
                 undo = on_pair(fourier_power(-owed[i]).matrix, fourier_power(-owed[j]).matrix)
                 bs = beam_splitter_matrix(rec.params["reflectivity"]).matrix
@@ -433,6 +433,7 @@ def test_compile_flushes_pad_fourier_transforms():
                 assert np.max(np.abs(two_mode_product(rec) - expected)) < 1e-10
                 owed[i], owed[j] = k, l
             else:
+                assert rec.kind == "four-step"
                 (w,) = rec.wires
                 gate = rotation(0.4).matrix if target is FOLD and w == 3 else np.eye(2)
                 steps = four_step_product(rec.params["kappas"])
@@ -443,14 +444,15 @@ def test_compile_flushes_pad_fourier_transforms():
         assert report.replay_residual < 1e-9
         if target is FOLD:
             excess = np.trace(exact_replay(program).excess_covariance(db_to_r(10.0)))
-            assert excess == pytest.approx(1.5426, abs=1e-4)
+            assert excess == pytest.approx(0.8426, abs=1e-4)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_compile_packs_disjoint_splitters_into_columns(n):
     # Each passive is a mesh of at most n splitter layers, so a generic
-    # target has at most 2n splitter columns of disjoint two-mode gates, then
-    # one column of one-mode gates and pads: at most 2n + 1 columns.
+    # target has at most 2n splitter columns of disjoint two-mode gates.  Each
+    # wire's last splitter absorbs its trailing one-mode ops, so nothing
+    # follows them.
     for seed in range(2):
         _, report = compile(random_symplectic(n, seed))
         pairs = {}
@@ -461,11 +463,8 @@ def test_compile_packs_disjoint_splitters_into_columns(n):
             used = [w for pair in wires for w in pair]
             assert len(used) == len(set(used)), (column, wires)
         assert len(pairs) <= 2 * n
-        columns = 1 + max(rec.column for rec in report.step_params)
-        assert sorted(pairs) == list(range(columns - 1))
-        last = Counter(rec.kind for rec in report.step_params if rec.column == columns - 1)
-        assert set(last) <= {"four-step", "pad"} and last["four-step"] > 0
-        assert sum(last.values()) == n
+        assert {rec.kind for rec in report.step_params} == {"two-mode"}
+        assert sorted(pairs) == list(range(len(pairs)))
         assert report.replay_residual < 1e-9
 
 
@@ -487,28 +486,50 @@ def splitter_products(count: int) -> list:
     return targets
 
 
+def wire_steps(program) -> list:
+    """Each wire's steps: the nodes on the graph path from its input port to
+    its output port, the input excluded.  A wire node has one in-edge; a
+    connection gate's control node has two and leads nowhere."""
+    graph = program.graph
+    indegree = Counter(v for _, v in graph.edges)
+    successors = {}
+    for u, v in graph.edges:
+        successors.setdefault(u, []).append(v)
+    outputs = {node.id: node.port for node in graph.output_ports()}
+    steps = []
+    for node in graph.input_ports():
+        at, count = node.id, 0
+        while at not in outputs:
+            (at,) = (v for v in successors[at] if indegree[v] == 1)
+            count += 1
+        assert outputs[at] == node.port
+        steps.append(count)
+    return steps
+
+
 def test_compile_keeps_wires_step_aligned():
-    # Every column advances every wire by exactly four steps: a two-mode gate
-    # is four connection gates of one step on each of its wires, and one-mode
-    # gates and pads are four-step chains.
+    # Each gate advances each of its wires by exactly four steps: a two-mode
+    # gate is four connection gates of one step on each of its wires, and a
+    # one-mode gate is a four-step chain.  Without pads, wires end at
+    # different depths: each wire's path in the graph is four steps per gate
+    # on it.
     targets = [random_symplectic(n, seed) for n in range(2, 6) for seed in range(4)]
     targets += [embed(beam_splitter_matrix(0.5), 3, [0, 1]), TWO_SPLITTERS, FOLD, DISJOINT]
+    targets += [embed(squeeze(0.8), 3, [1]), identity(3)]
     targets += splitter_products(40)
-    forwarded = 0
+    forwarded = ragged = 0
     for target in targets:
-        _, report = compile(target)
-        steps = {}
+        program, report = compile(target)
+        gates = Counter(w for rec in report.step_params for w in rec.wires)
         for rec in report.step_params:
-            column = steps.setdefault(rec.column, dict.fromkeys(range(target.n), 0))
-            for wire in rec.wires:
-                column[wire] += ancillas(rec) // 3 if rec.kind == "two-mode" else ancillas(rec)
-        assert sorted(steps) == list(range(len(steps)))
-        for column, advance in steps.items():
-            assert set(advance.values()) == {4}, (column, advance)
+            assert ancillas(rec) == (12 if rec.kind == "two-mode" else 4), rec
+        steps = wire_steps(program)
+        assert steps == [4 * gates[w] for w in range(target.n)], (steps, gates)
+        ragged += len(set(steps)) > 1
         forwarded += sum(
             rec.kind == "two-mode" and any(rec.params["fourier"]) for rec in report.step_params
         )
-    assert forwarded > 0
+    assert forwarded > 0 and ragged > 0
 
 
 F = fourier_power(1).matrix
@@ -610,12 +631,16 @@ def test_generic_targets_of_one_n_compile_to_one_fixed_cluster(n, seed):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_each_four_step_gate_records_its_share_of_the_excess(n):
-    # Every record's excess tr(W K K^T) (four-step gates, pads and two-mode
-    # gates) is the sum of |N[:, j]|^2 over its ancillas' columns of the
-    # executor's noise response N, so the shares sum to tr(N N^T).  Records
-    # follow the order in which the builder creates ancillas.
-    for seed in range(4):
-        program, report = compile(random_symplectic(n, seed))
+    # Every record's excess tr(W K K^T) (four-step and two-mode gates) is the
+    # sum of |N[:, j]|^2 over its ancillas' columns of the executor's noise
+    # response N, so the shares sum to tr(N N^T).  Records follow the order
+    # in which the builder creates ancillas.  Generic targets have two-mode
+    # gates only; the embedded squeezer adds a forced F's four-step gate and,
+    # for n >= 3, identity chains on the wires no splitter touches.
+    cases = [(random_symplectic(n, seed), {"two-mode": n * (n - 1)}) for seed in range(4)]
+    cases.append((embed(squeeze(0.8), n, [1]), {"two-mode": 2, "four-step": n - 1}))
+    for target, kinds in cases:
+        program, report = compile(target)
         noise = program.replay.noise_response
         start = 0
         for rec in report.step_params:
@@ -626,8 +651,7 @@ def test_each_four_step_gate_records_its_share_of_the_excess(n):
         assert start == noise.shape[1]
         total = sum(rec.params["excess"] for rec in report.step_params)
         assert total == pytest.approx(float(np.sum(noise**2)), rel=1e-9)
-        kinds = Counter(rec.kind for rec in report.step_params)
-        assert kinds["two-mode"] == n * (n - 1) and kinds["four-step"] > 0
+        assert Counter(rec.kind for rec in report.step_params) == kinds
 
 
 def test_compile_multimode_identity():
@@ -635,6 +659,61 @@ def test_compile_multimode_identity():
     program, report = compile(identity(2))
     assert report.replay_residual < 1e-12
     assert report.ancilla_count == 8
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_generic_targets_lower_to_two_mode_gates_only(n):
+    # A generic target's two meshes hold n(n - 1) splitters.  Each absorbs its
+    # wires' one-mode ops since their last splitter and, at a wire's last
+    # splitter, the ops after it: n(n - 1) two-mode gates of 12 ancillas and
+    # no four-step gate, each wire four steps per gate on it.
+    for seed in range(20):
+        program, report = compile(random_symplectic(n, seed))
+        assert Counter(rec.kind for rec in report.step_params) == {"two-mode": n * (n - 1)}
+        assert report.ancilla_count == 12 * n * (n - 1)
+        gates = Counter(w for rec in report.step_params for w in rec.wires)
+        assert wire_steps(program) == [4 * gates[w] for w in range(n)]
+        assert report.replay_residual < 1e-9
+
+
+@pytest.mark.parametrize(
+    "target, untouched, ancilla_count",
+    [
+        (embed(beam_splitter_matrix(0.5), 3, [0, 1]), [2], 16),
+        (embed(squeeze(0.8), 2, [0]), [1], 8),
+        (identity(3), [0, 1, 2], 12),
+    ],
+    ids=["splitter-on-3", "squeezer-on-2", "identity-3"],
+)
+def test_an_untouched_wire_keeps_one_identity_chain(target, untouched, ancilla_count):
+    # A wire that no gate touches gets one identity four-step chain, so its
+    # input port is not its output port and the program validates.
+    program, report = compile(target)
+    program.validate()
+    assert report.ancilla_count == ancilla_count
+    for wire in untouched:
+        (rec,) = [rec for rec in report.step_params if wire in rec.wires]
+        assert rec.kind == "four-step"
+        assert np.max(np.abs(four_step_product(rec.params["kappas"]) - np.eye(2))) < 1e-12
+    assert report.replay_residual < 1e-9
+
+
+def test_a_forced_fourier_power_ends_in_a_four_step_gate():
+    # Bloch-Messiah puts the squeezer of embed(squeeze(0.8), 3, [1]) on wire 0
+    # between two swaps.  The second swap's gate, with that squeezer, has an
+    # empty S1 family as itself, so it forwards F to wire 1 although no later
+    # splitter can undo it: wire 1 ends with a four-step gate F^-1, and wire
+    # 2, which no gate touches, with an identity chain.
+    program, report = compile(embed(squeeze(0.8), 3, [1]))
+    assert report.ancilla_count == 32
+    two_mode = [rec for rec in report.step_params if rec.kind == "two-mode"]
+    assert two_mode[-1].params["fourier"] == [0, 1]
+    gates = {rec.wires: rec.params["kappas"] for rec in report.step_params if rec.kind == "four-step"}
+    assert set(gates) == {(1,), (2,)}
+    assert np.max(np.abs(four_step_product(gates[(1,)]) - fourier_power(-1).matrix)) < 1e-12
+    assert np.max(np.abs(four_step_product(gates[(2,)]) - np.eye(2))) < 1e-12
+    assert wire_steps(program) == [8, 12, 4]
+    assert report.replay_residual < 1e-9
 
 
 def test_compile_rejects_non_symplectic():

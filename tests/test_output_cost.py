@@ -14,12 +14,12 @@ import workloads  # noqa: E402
 
 #: Per workload: ancillas_mean, excess_trace_10db and excess_trace_15db, as
 #: each four-step gate's kappa1 minimizes its exact excess tr(W K K^T) and
-#: each splitter, with its wires' one-mode gates, is one two-mode gate of four
-#: connection gates.
+#: each splitter, with its wires' one-mode gates before it and, at a wire's
+#: last splitter, after it, is one two-mode gate of four connection gates.
 EXPECTED = {
     "onemode": (4.0, 0.13074723449143713, 0.04134590587610681),
-    "simulate": (108.0, 7.635329799937913, 2.4145032854361554),
-    "compile_wide": (768.0, 42.832588658558244, 13.544853824214016),
+    "simulate": (72.0, 5.6052060538556665, 1.7725217884748323),
+    "compile_wide": (672.0, 38.299497923443475, 12.111364667897048),
 }
 
 
