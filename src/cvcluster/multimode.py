@@ -17,7 +17,12 @@ output to the program's outputs, fixed by the target and the gates emitted
 before it.  So the gates choose in emission order, each minimizing its own
 share: a four-step gate by its free kappa1 (``single_mode``), a two-mode gate
 M(S4) M(S3) M(S2) M(S1), with M(S) = (-S -I; I 0) the connection gate of a
-symmetric S, by S1 on a two-parameter affine family (:func:`_two_mode_chain`).
+symmetric S, by its Fourier variant and by S1 on the variant's two-parameter
+affine family (:func:`_two_mode_chains`), preferring chains that reproduce
+the gate to round-off.  D does not depend on the Fourier powers that earlier
+gates forward, since each wire's next gate undoes its power, so the gates
+of a column, and the next gates with each power they may owe, are swept in
+one pass of arrays (:meth:`_Builder._batch`).
 """
 
 import math
@@ -39,7 +44,7 @@ from .ir import (
     ScheduleEntry,
     SynthesisReport,
 )
-from .single_mode import RECONSTRUCTION_TOL, _real, _roots, _trim, chain_excess, decompose_four_step
+from .single_mode import RECONSTRUCTION_TOL, chain_excess, decompose_four_step
 from .symplectic import (
     SYMPLECTIC_TOL,
     SymplecticMap,
@@ -62,6 +67,9 @@ PHASE_SKIP_TOL = 1e-14
 CLUSTER_TOL = 1e-8
 #: Candidate basis vectors whose norms differ by less than this are tied.
 TIE_TOL = 1e-10
+#: A two-mode gate's chain is accepted first only if it reproduces the gate
+#: to this, relative to its largest entry: round-off, with no cancellation.
+ROUNDOFF_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -260,16 +268,28 @@ def reck_decompose(passive: SymplecticMap) -> list:
 # ---------------------------------------------------------------------------
 
 #: |g| below this (relative to the gate's largest entry) makes the S1 family
-#: of :func:`_family` degenerate: all of S1 space, or empty.
+#: of :func:`_families` degenerate: all of S1 space, or empty.
 FAMILY_TOL = 1e-12
 _I2 = np.eye(2)
 #: Nodes on a line for the cubic delta K, the inverse of their Vandermonde
 #: matrix (ascending powers), the power of u of each entry of a 4 x 4 Gram
-#: matrix of cubic coefficients, and the k of d/du u^k = k u^(k - 1).
+#: matrix of cubic coefficients, and P' delta - 2 P delta' from the products
+#: p_i delta_j: (i - 2 j) at power i + j - 1.
 _NODES = (-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0)
 _VINV = np.linalg.inv(np.vander(_NODES, 4, increasing=True))
-_POWERS = np.add.outer(np.arange(4), np.arange(4)).ravel()
-_SLOPES = np.arange(1.0, 7.0)
+_POWER_SUMS = np.equal.outer(np.add.outer(np.arange(4), np.arange(4)).ravel(), np.arange(7)).astype(float)
+_I, _J = np.ogrid[:7, :3]
+_STATIONARY = ((_I - 2 * _J)[..., None] * np.equal.outer(_I + _J - 1, np.arange(8))).reshape(21, 8)
+#: A degree-7 polynomial's and its derivative's coefficients from its own;
+#: its companion matrix is _SHIFT - monic coefficients x _LAST.
+_NEWTON = np.stack([np.eye(8), np.diag(np.arange(1.0, 8.0), -1)], axis=2).reshape(8, 16)
+_SHIFT, _LAST = np.eye(7, k=-1), np.eye(7)[-1]
+#: Polynomial coefficients this small relative to their largest are round-off;
+#: a root this close to real may be a multiple one that round-off split.
+_ROUND_OFF, _NEAR_REAL = 1e-12, 1e-3
+#: Gates a sweep may take on with forms they need not have (:meth:`_Builder._batch`);
+#: an n = 3 compile gets no faster beyond 6, and twice as slow with none.
+_BATCH = 6
 
 
 def _on_pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -285,36 +305,43 @@ _VARIANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _VARIANT_MAPS = np.array([_on_pair(fourier_power(k).matrix, fourier_power(l).matrix) for k, l in _VARIANTS])
 _UNDO = (_I2, fourier_power(-1).matrix)
 _J2 = symplectic_form(2)
+#: (kappa1, kappa2, eta3) = (s00 - s01, s11 - s01, -s01) of a symmetric S,
+#: and (s00, s01, s01, s11) = (kappa1 + s01, s01, s01, kappa2 + s01).
+_GAINS = np.array([[1.0, 0.0, 0.0], [-1.0, -1.0, -1.0], [0.0, 1.0, 0.0]])
+_SYMMETRIC = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
 
 
-def _cross(a, b) -> tuple:
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
-def _family(t: list, tol: float):
-    """The symmetric S1 = (a b; b c) that make S3 = T_c - T_d S1 symmetric.
+def _families(ts: np.ndarray, tols: np.ndarray) -> tuple:
+    """The symmetric S1 = (a b; b c) that make S3 = T_c - T_d S1 symmetric,
+    for each gate of ``ts`` (m x 4 x 4).
 
     That is one linear equation g . (a, b, c) = r, with
     g = (T_d10, T_d11 - T_d00, -T_d01) and r = T_c10 - T_c01.  Returns the
-    least-norm (a, b, c) and an orthonormal basis of the family's directions
-    (g's null space, in closed form), or None when the family is empty.  If
-    |g| <= ``tol``, the family is all of S1 space when |r| <= ``tol`` and
-    empty otherwise.  ``t`` is the gate's matrix as nested lists."""
-    g, r = (t[3][2], t[3][3] - t[2][2], -t[2][3]), t[3][0] - t[2][1]
-    norm = math.hypot(*g)
-    if norm <= tol:
-        return ((0.0, 0.0, 0.0), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))) if abs(r) <= tol else None
-    g = tuple(x / norm for x in g)
-    axis = min(range(3), key=lambda k: abs(g[k]))  # the one least along g
-    v = _cross(g, [float(k == axis) for k in range(3)])
-    v = tuple(x / math.hypot(*v) for x in v)
-    return tuple(x * r / norm for x in g), (v, _cross(g, v))
+    least-norm (a, b, c) (m x 3), an orthonormal basis of the family's
+    directions (g's null space, in closed form; m x 3 x 3, unused rows 0),
+    and their count: 2, or where |g| <= ``tols``, 3 (all of S1 space) if
+    |r| <= ``tols`` and 0 (the family is empty) if not."""
+    g = np.stack([ts[:, 3, 2], ts[:, 3, 3] - ts[:, 2, 2], -ts[:, 2, 3]], axis=1)
+    r, norm = ts[:, 3, 0] - ts[:, 2, 1], np.sqrt(np.add.reduce(g * g, axis=1))
+    flat = norm <= tols
+    norm = np.where(flat, 1.0, norm)  # a flat row's results are replaced below
+    g = g / norm[:, None]
+
+    def cross(a, b):
+        return a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
+
+    v = cross(g, np.eye(3)[np.argmin(np.abs(g), axis=1)])  # the axis least along g
+    v = v / np.where(flat, 1.0, np.sqrt(np.add.reduce(v * v, axis=1)))[:, None]
+    bases = np.where(flat[:, None, None], np.eye(3), np.stack([v, cross(g, v), 0.0 * v], axis=1))
+    starts = np.where(flat[:, None], 0.0, g * (r / norm)[:, None])
+    return starts, bases, np.where(flat, np.where(np.abs(r) <= tols, 3, 0), 2)
 
 
-def _chart(t: list, s) -> tuple:
+def _chart(t: list, s) -> list:
     """The chain M(S4) M(S3) M(S2) M(S1) = T at S1 = (a b; b c), s = (a, b, c),
-    in scalars (``t`` as nested lists): (delta, [S1, delta S2, S3, delta S4]
-    as symmetric (s00, s01, s11), delta K as a flat 4 x 12 list).
+    in scalars (``t`` as nested lists) or arrays (``t`` as 4 x 4 x m), as
+    one flat list: delta, S1, delta S2, S3 and delta S4 as symmetric (s00,
+    s01, s11), then delta K (4 x 12, row-major).
 
     S3 = T_c - T_d S1, delta = det S3, S2 = S3^-1 (I - T_d) and
     S4 = (I - T_a + T_b S1) S3^-1, each read as symmetric through its (0, 1)
@@ -334,106 +361,147 @@ def _chart(t: list, s) -> tuple:
     a00, a01, a10, a11 = a00 - q00, a01 - q01, a10 - q10, a11 - q11  # T_a - T_b S1 = I - S4 S3
     h0, h1 = d00 + d01, d10 + d11  # T_d h, h = (1, 1)
     g0, g1 = m00 * h0 + m01 * h1 + n00 + n01, m01 * h0 + m11 * h1 + n01 + n11
-    k = [  # columns: gate 1's three noises (p_i, p_j, control), then gates 2, 3, 4's
-        det * a00, det * a01, -y * g0, m00, m01, -n01 * (a00 + a01), -det, 0.0, u01 * (m00 + m01), 0.0, 0.0, -m01,
-        det * a10, det * a11, -y * g1, m01, m11, -n01 * (a10 + a11), 0.0, -det, u01 * (m01 + m11), 0.0, 0.0, -m01,
-        det * u00, det * u01, y * det * h0, -det, 0.0, -n01 * (u00 + u01), 0.0, 0.0, -u01 * det, det, 0.0, 0.0,
-        det * u01, det * u11, y * det * h1, 0.0, -det, -n01 * (u01 + u11), 0.0, 0.0, -u01 * det, 0.0, det, 0.0,
+    o = 0.0 * det  # a zero of det's shape
+    return [  # K's columns: gate 1's three noises (p_i, p_j, control), then gates 2, 3, 4's
+        det, x, y, z, n00, n01, n11, u00, u01, u11, m00, m01, m11,
+        det * a00, det * a01, -y * g0, m00, m01, -n01 * (a00 + a01), -det, o, u01 * (m00 + m01), o, o, -m01,
+        det * a10, det * a11, -y * g1, m01, m11, -n01 * (a10 + a11), o, -det, u01 * (m01 + m11), o, o, -m01,
+        det * u00, det * u01, y * det * h0, -det, o, -n01 * (u00 + u01), o, o, -u01 * det, det, o, o,
+        det * u01, det * u11, y * det * h1, o, -det, -n01 * (u01 + u11), o, o, -u01 * det, o, det, o,
     ]
-    return det, [(x, y, z), (n00, n01, n11), (u00, u01, u11), (m00, m01, m11)], k
 
 
-def _weighted(ts: list, ws: np.ndarray, points: list) -> tuple:
-    """E delta^2 = tr(W (delta K) (delta K)^T) and delta of each gate of ``ts``
-    with its weight of ``ws`` at its point of ``points`` (:func:`_chart`)."""
-    dets, _, ks = zip(*map(_chart, ts, points))
-    k = np.array(ks).reshape(-1, 4, 12)
-    return np.sum(k * (ws @ k), axis=(1, 2)), np.array(dets)
+def _rows(ts: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """:func:`_chart` of each gate of ``ts`` (m x 4 x 4) at its point (m x 3)."""
+    return np.array(_chart(ts.transpose(1, 2, 0), points.T)).T
 
 
-def _chain(t: list, s, limit: float):
-    """The chain at S1 = (a b; b c) as connection-gate parameters
-    [(kappa1, kappa2, eta3)] * 4, or None unless it reproduces ``t`` to
-    ``limit`` in every entry with each gain as its homodyne angle realizes
-    it (kappa = tan(arctan(kappa)), eta3 = cot(arctan2(1, eta3))), which
-    fails at and next to a pole."""
-    det, chain, _ = _chart(t, s)
-    if det == 0.0:
-        return None
-    chain[1], chain[3] = (tuple(x / det for x in m) for m in chain[1::2])
-    params = [(p - q, r - q, -q) for p, q, r in chain]
-    if not math.isfinite(sum(map(sum, params))):
-        return None
-    cols = [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
-    for kappa1, kappa2, eta3 in params:  # M(S) = (-S -I; I 0), one column at a time
-        q = -1.0 / math.tan(math.atan2(1.0, eta3))
-        p, r = math.tan(math.atan(kappa1)) + q, math.tan(math.atan(kappa2)) + q
-        cols = [(-p * x0 - q * x1 - p0, -q * x0 - r * x1 - p1, x0, x1) for x0, x1, p0, p1 in cols]
-    if all(abs(col[i] - t[i][c]) <= limit for c, col in enumerate(cols) for i in range(4)):
-        return params
-    return None
+def _excess(rows: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """E = tr(W K K^T) of each chart row with its weight of ``ws``."""
+    k = rows[:, 13:].reshape(-1, 4, 12)
+    return np.add.reduce((k * (ws @ k)).reshape(-1, 48), axis=1) / rows[:, 0] ** 2
 
 
-def _line_min(t: list, w: np.ndarray, s, excess: float, v, limit: float) -> tuple:
-    """The admissible S1 of least excess on the line s + u v and its excess,
-    or (s, ``excess``) when no point of the line beats s's ``excess``.
+def _check(ts: np.ndarray, ws: np.ndarray, points: np.ndarray, limits: np.ndarray) -> tuple:
+    """Each gate's excess at its point, whether its chain reproduces it to
+    its limit in every entry with each gain as its homodyne angle realizes
+    it (kappa = tan(arctan(kappa)), eta3 = cot(arctan2(1, eta3)); this fails
+    at and next to a pole, and for a gain that is not finite), and the
+    chain's (kappa1, kappa2, eta3) * 4."""
+    rows = _rows(ts, points)
+    excess, sym = _excess(rows, ws), rows[:, 1:13].reshape(-1, 4, 3)
+    sym[:, 1::2] /= rows[:, :1, None]  # S1, S2, S3, S4
+    params = sym @ _GAINS
+    real = np.tan(np.arctan(params))
+    real[..., 2] = -1.0 / np.tan(np.arctan2(1.0, params[..., 2]))  # S01
+    s = real @ _SYMMETRIC  # S00, S01, S01, S11 as realized
+    left, right = -s[..., :2, None], s[..., 2:, None]
+    x, p = np.eye(4)[:2], np.eye(4)[2:]  # M(S) = (-S -I; I 0) on the columns of I,
+    for g in range(4):  # x <- -S00 x0 - S01 x1 - p, p <- x in this order
+        x, p = left[:, g] * x[..., :1, :] - right[:, g] * x[..., 1:, :] - p, x
+    return excess, np.abs(np.concatenate([x, p], axis=1) - ts).max(axis=(1, 2)) <= limits, params
+
+
+def _real_roots(num: np.ndarray) -> np.ndarray:
+    """The real parts of the nonzero roots of each row of ``num`` (degree
+    <= 7, ascending) that are real to :data:`_NEAR_REAL` (round-off splits
+    a root of multiplicity m by about eps^(1/m)), nan elsewhere.  A leading
+    coefficient at round-off (:data:`_ROUND_OFF`) would cost the companion's
+    eigenvalues most of their digits, so each row is shifted up until a
+    significant one leads, which adds roots at 0 only.  One eigvals call
+    takes all rows, then each root gets a Newton step."""
+    size = np.abs(num)
+    shift = np.argmax(size[:, ::-1] > _ROUND_OFF * size.max(axis=1, keepdims=True), axis=1)
+    padded = np.zeros((len(num), 15))
+    padded[:, 7:] = num
+    lead = padded[np.arange(len(num))[:, None], np.arange(7, 15) - shift[:, None]]
+    monic = lead[:, :-1] / lead[:, -1:]  # nan for a zero row
+    fits = np.isfinite(monic).all(axis=1)
+    found = np.linalg.eigvals(_SHIFT - np.where(fits[:, None], monic, 0.0)[:, :, None] * _LAST)
+    real = (np.abs(found.imag) <= _NEAR_REAL * np.abs(found.real)) & (found != 0.0) & fits[:, None]
+    roots = np.where(real, found.real, np.nan)
+    value = np.vander(roots.ravel(), 8, increasing=True).reshape(*roots.shape, 8) @ (num @ _NEWTON).reshape(-1, 8, 2)
+    return roots - value[..., 0] / value[..., 1] + 0.0  # + 0.0: no root of -0.0
+
+
+def _line_min(ts, ws, points, excess, directions, limits) -> None:
+    """One line search per gate of ``ts``, all in one pass of arrays: in
+    place, the point of least excess on the line points + u directions whose
+    chain reproduces the gate, if it beats ``excess``.
 
     delta K is cubic in u and delta quadratic, both interpolated at
     :data:`_NODES`, so E delta^2 = P(u), of degree <= 6, comes from the
     Gram matrix of the cubic's coefficients, and E = P / delta^2 is
-    stationary at the real roots of P' delta - 2 P delta'.  Those are tried
-    in order of P / delta^2; the first that :func:`_chain` accepts and whose
-    excess, evaluated afresh, beats ``excess`` wins (P loses digits next to
-    delta = 0 and far out on the line)."""
-    scale = 1.0 + math.hypot(*s)
-    dets, _, ks = zip(*(_chart(t, [a + scale * u * b for a, b in zip(s, v)]) for u in _NODES))
-    coef = _VINV @ np.array(ks)
-    gram = coef @ (w @ coef.reshape(4, 4, 12)).reshape(4, 48).T
-    p, dc = np.bincount(_POWERS, gram.ravel(), minlength=7), (_VINV @ dets)[:3]
-    num = np.convolve(p[1:] * _SLOPES, dc) - 2.0 * np.convolve(p, dc[1:] * _SLOPES[:2])
-    us = _real(_roots(_trim(num)))
-    powers = np.vander(us, 7, increasing=True)
-    values = (powers @ p) / (powers[:, :3] @ dc) ** 2
-    order = np.argsort(values)
-    for u, value in zip(us[order].tolist(), values[order].tolist()):
-        if not value < excess:
-            break
-        point = tuple(a + scale * u * b for a, b in zip(s, v))
-        if _chain(t, point, limit) is not None:
-            value, det = _weighted([t], w, [point])
-            value = float(value[0] / det[0] ** 2)
-            if value < excess:
-                return point, value
-    return s, excess
+    stationary at the real roots of P' delta - 2 P delta'.  P loses digits
+    next to delta = 0 and far out on the line, so each root is evaluated
+    afresh (:func:`_check`)."""
+    m = len(points)
+    scale = np.sqrt(np.add.reduce(points * points, axis=1)) + 1.0
+    nodes = points[:, None] + (scale[:, None] * _NODES)[..., None] * directions[:, None]
+    rows = _rows(np.repeat(ts, 4, axis=0), nodes.reshape(-1, 3))
+    coef = _VINV @ rows[:, 13:].reshape(m, 4, 48)
+    gram = coef @ (ws[:, None] @ coef.reshape(m, 4, 4, 12)).reshape(m, 4, 48).transpose(0, 2, 1)
+    p, dc = gram.reshape(m, 16) @ _POWER_SUMS, rows[:, 0].reshape(m, 4) @ _VINV[:3].T
+    us = _real_roots((p[:, :, None] * dc[:, None, :]).reshape(m, 21) @ _STATIONARY)
+    owner, root = np.nonzero(np.isfinite(us))
+    tried = points[owner] + (scale[owner] * us[owner, root])[:, None] * directions[owner]
+    fresh, ok, _ = _check(ts[owner], ws[owner], tried, limits[owner])
+    better = np.flatnonzero(ok & (fresh < excess[owner]))
+    for i in better[np.argsort(fresh[better], kind="stable")[::-1]].tolist():  # the first least one last
+        points[owner[i]], excess[owner[i]] = tried[i], fresh[i]
+
+
+def _two_mode_chains(gates: list) -> list:
+    """Four connection gates for each two-mode gate (t, weight W, free),
+    all swept in the same passes of arrays.
+
+    A gate may realize a Fourier variant (F^k + F^l) t.  Those that forward
+    the fewest F to a wire without a later gate (``free`` false) come first.
+    Each starts at the least-norm S1 of its family (:func:`_families`) and
+    minimizes once along each direction of it (:func:`_line_min`).  Of the
+    variants whose chain reproduces them to round-off (:data:`ROUNDOFF_TOL`),
+    or else to :data:`~cvcluster.single_mode.RECONSTRUCTION_TOL`, the least
+    excess wins: (variant index, [(kappa1, kappa2, eta3)] * 4, excess), or
+    None when no variant is admissible.  Next to a pole the excess is inf or
+    nan, which no comparison prefers."""
+    ts = _VARIANT_MAPS @ np.array([t for t, _, _ in gates])[:, None]
+    ws = _VARIANT_MAPS @ np.array([w for _, w, _ in gates])[:, None] @ _VARIANT_MAPS.transpose(0, 2, 1)
+    scales = np.maximum(1.0, np.abs(ts[:, 0]).max(axis=(1, 2)))  # the same for every variant
+    found = [None] * len(gates)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        starts, bases, counts = (x.reshape(len(gates), 4, *x.shape[1:]) for x in _families(
+            ts.reshape(-1, 4, 4), np.repeat(FAMILY_TOL * scales, 4)))
+        stages = []  # per gate: (its variants, limit), in order
+        for (_, _, free), count, scale in zip(gates, counts.tolist(), scales.tolist()):
+            extra = [sum(k and not f for k, f in zip(kl, free)) for kl in _VARIANTS]
+            stages.append([
+                ([v for v in range(4) if count[v] and extra[v] == fewest], tol * scale)
+                for fewest in sorted({extra[v] for v in range(4) if count[v]})
+                for tol in (ROUNDOFF_TOL, RECONSTRUCTION_TOL)
+            ])
+        while rows := [
+            (i, v, limit) for i, stage in enumerate(stages) if found[i] is None and stage
+            for group, limit in stage[:1] for v in group
+        ]:
+            for i in {row[0] for row in rows}:
+                del stages[i][0]
+            gate, variant = np.array([row[:2] for row in rows]).T
+            t, w, limits = ts[gate, variant], ws[gate, variant], np.array([row[2] for row in rows])
+            points = starts[gate, variant]
+            excess = _excess(_rows(t, points), w)
+            excess[np.isnan(excess)] = np.inf
+            for direction in bases[gate, variant, : counts[gate, variant].max()].transpose(1, 0, 2):
+                _line_min(t, w, points, excess, direction, limits)
+            excess, ok, chains = _check(t, w, points, limits)
+            for (i, v, _), e, chain, good in zip(rows, excess.tolist(), chains.tolist(), ok.tolist()):
+                if good and (found[i] is None or e < found[i][2]):
+                    found[i] = (v, [tuple(step) for step in chain], e)
+    return found
 
 
 def _two_mode_chain(t: np.ndarray, w: np.ndarray, free):
-    """Four connection gates for the two-mode gate ``t`` with weight ``w``.
-
-    Scores the Fourier variants (F^k + F^l) t by their excess at the
-    least-norm S1 of :func:`_family`, after every variant that forwards no F
-    to a wire without a later gate (``free`` false).  In that order, each
-    variant minimizes once along each direction of its family
-    (:func:`_line_min`), and the first whose chain reproduces it wins.
-    Returns (variant index, [(kappa1, kappa2, eta3)] * 4, excess), or None
-    when no variant is admissible.  Next to a pole the excess is inf or nan,
-    which no comparison prefers."""
-    ts = (_VARIANT_MAPS @ t).tolist()
-    ws = _VARIANT_MAPS @ w @ _VARIANT_MAPS.transpose(0, 2, 1)
-    scale = max(1.0, float(np.abs(t).max()))  # the same for every variant
-    families = [_family(m, FAMILY_TOL * scale) for m in ts]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values, dets = _weighted(ts, ws, [f[0] if f else (0.0, 0.0, 0.0) for f in families])
-        excess = np.nan_to_num(values / dets**2, nan=np.inf).tolist()
-        extra = [sum(k and not f for k, f in zip(kl, free)) for kl in _VARIANTS]
-        for v in sorted((v for v in range(4) if families[v]), key=lambda v: (extra[v], excess[v])):
-            (s, directions), e = families[v], excess[v]
-            for direction in directions:
-                s, e = _line_min(ts[v], ws[v], s, e, direction, RECONSTRUCTION_TOL * scale)
-            chain = _chain(ts[v], s, RECONSTRUCTION_TOL * scale)
-            if chain is not None:
-                return v, chain, e
-    return None
+    """:func:`_two_mode_chains` of the one gate ``t`` with weight ``w``."""
+    return _two_mode_chains([(t, w, free)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +519,8 @@ class _Builder:
     ``downstream`` is T P^-1, where T is the target and P the ideal map of
     the steps emitted so far: its (w, n + w) columns are the map D from
     wire w's current state to the program's outputs.  Each emission on k
-    wires updates 2k of its columns.
+    wires updates 2k of its columns; the two-mode gates update it in a
+    first pass, without the Fourier powers they forward.
     """
 
     def __init__(self, target: SymplecticMap, kappa1: float = None):
@@ -507,21 +576,34 @@ class _Builder:
         }
         self.records.append(GateRecord("four-step", (wire,), self.column, meta))
 
-    def _two_mode(self, pair: tuple, reflectivity: float, before: tuple, after: list, free: list) -> None:
-        """The splitter on ``pair`` between its wires' one-mode gates
-        ``before`` (each after undoing its wire's forwarded power) and
-        ``after``: four connection gates."""
-        g = [gate @ _UNDO[self.forward[w]] for w, gate in zip(pair, before)]
-        t = _on_pair(*after) @ beam_splitter_matrix(reflectivity).matrix @ _on_pair(*g)
-        cols = self._advance(pair, -_J2 @ t.T @ _J2)  # t^-1, t symplectic
-        found = _two_mode_chain(t, cols.T @ cols, free)
+    def _batch(self, start: int, splitters: list) -> dict:
+        """The chains of splitter ``start`` and of those after it, keyed
+        (index, form): the Fourier powers (a, b) its wires owe, since its gate
+        is x (F^-a + F^-b).  Its weight does not depend on them, as each
+        wire's next gate undoes its power.  The splitters of known form join;
+        if one alone does, so do the next ones with each form they may owe,
+        up to :data:`_BATCH` gates, so that a pass of arrays is well filled."""
+        problems, known = [], 0
+        for j in range(start, len(splitters)):
+            _, pair, _, x, weight, free, before = splitters[j]
+            owed = [(self.forward[w],) if b is None or b < start else (0, 1) for w, b in zip(pair, before)]
+            forms = [(a, b) for a in owed[0] for b in owed[1]]
+            if len(forms) > 1 and (known > 1 or j - start >= _BATCH):
+                break
+            known += len(forms) == 1
+            problems += [((j, form), (x @ _on_pair(*(_UNDO[k] for k in form)), weight, free)) for form in forms]
+        keys, gates = zip(*problems)
+        return dict(zip(keys, _two_mode_chains(list(gates))))
+
+    def _two_mode(self, pair: tuple, reflectivity: float, found) -> None:
+        """The four connection gates ``found`` by :func:`_two_mode_chains`
+        for the splitter on ``pair``."""
         if found is None:
             raise CompileError(
                 f"no chain of four connection gates reproduces the splitter on "
                 f"wires {pair} in column {self.column} (R = {reflectivity})"
             )
         variant, chain, excess = found
-        self._advance(pair, _VARIANT_MAPS[variant].T)  # (F^k + F^l)^-1
         self.forward[pair[0]], self.forward[pair[1]] = _VARIANTS[variant]
         for kappa1, kappa2, eta3 in chain:
             heads = [self.heads[w] for w in pair]
@@ -544,17 +626,30 @@ class _Builder:
         (pair, R, the one-mode gates its wires carry since their last
         splitter).  ``gates`` holds each wire's one-mode ops after its last
         splitter, which that splitter absorbs; a four-step gate follows only
-        on a wire no splitter touches and on a wire still owing a forced F."""
+        on a wire no splitter touches and on a wire still owing a forced F.
+        A first pass finds each splitter's x = (h_i + h_j) BS(R) (g_i + g_j)
+        and weight, from ``downstream`` = T P^-1 without the powers owed."""
         last = {w: c for c, column in enumerate(columns) for pair, _, _ in column for w in pair}
-        for column in columns:
+        splitters, previous = [], {}
+        for c, column in enumerate(columns):
             for pair, reflectivity, before in column:
-                after = [gates.pop(w, _I2) if last[w] == self.column else _I2 for w in pair]
-                free = [last[w] > self.column for w in pair]
-                self._two_mode(pair, reflectivity, before, after, free)
-            self.column += 1
+                after = [gates.pop(w, _I2) if last[w] == c else _I2 for w in pair]
+                x = _on_pair(*after) @ beam_splitter_matrix(reflectivity).matrix @ _on_pair(*before)
+                cols = self._advance(pair, -_J2 @ x.T @ _J2)  # x^-1, x symplectic
+                free = [last[w] > c for w in pair]
+                splitters.append((c, pair, reflectivity, x, cols.T @ cols, free, [previous.get(w) for w in pair]))
+                previous.update(dict.fromkeys(pair, len(splitters) - 1))
+        found = {}
+        for i, (column, pair, reflectivity, *_) in enumerate(splitters):
+            self.column, form = column, tuple(self.forward[w] for w in pair)
+            if (i, form) not in found:
+                found.update(self._batch(i, splitters))
+            self._two_mode(pair, reflectivity, found[i, form])
+        self.column = len(columns)
         for wire in range(self.n):
             if self.forward[wire]:
-                gates[wire] = _UNDO[self.forward[wire]]
+                self._advance((wire,), _UNDO[1])  # now T P^-1 on the wire
+                gates[wire] = _UNDO[1]
             elif wire not in last:  # else its input port would be its output port
                 gates.setdefault(wire, _I2)
         for wire in sorted(gates):

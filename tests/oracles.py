@@ -496,3 +496,145 @@ def mtel_factored(theta_plus, theta_minus):
     phi1 = -theta_plus / 2.0 + np.pi / 4.0
     phi2 = -theta_plus / 2.0 - np.pi / 4.0
     return float(phi1), r, float(phi2)
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _sweep_family(t, tol):
+    """``multimode._families`` of one gate (nested lists), in scalars: the
+    least-norm S1 = (a, b, c) with g . (a, b, c) = r, g = (T_d10,
+    T_d11 - T_d00, -T_d01), r = T_c10 - T_c01, and an orthonormal basis of
+    g's null space; all of S1 space if |g| <= ``tol`` and |r| <= ``tol``,
+    None if |g| <= ``tol`` < |r|."""
+    g, r = (t[3][2], t[3][3] - t[2][2], -t[2][3]), t[3][0] - t[2][1]
+    norm = math.hypot(*g)
+    if norm <= tol:
+        return ((0.0, 0.0, 0.0), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))) if abs(r) <= tol else None
+    g = tuple(x / norm for x in g)
+    axis = min(range(3), key=lambda k: abs(g[k]))  # the one least along g
+    v = _cross(g, [float(k == axis) for k in range(3)])
+    v = tuple(x / math.hypot(*v) for x in v)
+    return tuple(x * r / norm for x in g), (v, _cross(g, v))
+
+
+def _sweep_chain(t, s, limit, errors=None):
+    """The chain of the two-mode chart (``multimode._chart``) at S1 = s as
+    connection-gate parameters [(kappa1, kappa2, eta3)] * 4, or None unless
+    it reproduces ``t`` (nested lists) to ``limit`` in every entry with each
+    gain as its homodyne angle realizes it: the column recursion of
+    M(S) = (-S -I; I 0) in scalars.  Appends its largest error over
+    ``limit`` to ``errors``, if given and the chain is finite."""
+    from cvcluster.multimode import _chart
+
+    row = _chart(t, s)
+    det, chain = row[0], [tuple(row[1 + 3 * k : 4 + 3 * k]) for k in range(4)]
+    if det == 0.0:
+        return None
+    chain[1], chain[3] = (tuple(x / det for x in m) for m in chain[1::2])
+    params = [(p - q, r - q, -q) for p, q, r in chain]
+    if not math.isfinite(sum(map(sum, params))):
+        return None
+    cols = [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
+    for kappa1, kappa2, eta3 in params:  # numpy's tan and arctan, as the program's
+        q = -1.0 / float(np.tan(np.arctan2(1.0, eta3)))
+        p, r = float(np.tan(np.arctan(kappa1))) + q, float(np.tan(np.arctan(kappa2))) + q
+        cols = [(-p * x0 - q * x1 - p0, -q * x0 - r * x1 - p1, x0, x1) for x0, x1, p0, p1 in cols]
+    if errors is not None:
+        errors.append(max(abs(col[i] - t[i][c]) for c, col in enumerate(cols) for i in range(4)) / limit)
+    if all(abs(col[i] - t[i][c]) <= limit for c, col in enumerate(cols) for i in range(4)):
+        return params
+    return None
+
+
+def _sweep_excess(t, w, s):
+    """tr(W K K^T) of the two-mode chart at S1 = s, and its delta."""
+    from cvcluster.multimode import _chart
+
+    row = np.array(_chart(t, s))
+    k = row[13:].reshape(4, 12)
+    return float(np.sum(k * (w @ k))) / row[0] ** 2, row[0]
+
+
+def _sweep_line_min(t, w, s, excess, v, limit, errors=None):
+    """One line search of a two-mode variant, in scalars: the admissible S1
+    of least excess on the line s + u v and its excess, or (s, ``excess``).
+
+    delta K (cubic in u) and delta (quadratic) are interpolated at the four
+    nodes (-1, -1/3, 1/3, 1) times 1 + |s|; P = tr(W (delta K)(delta K)^T)
+    comes from np.polynomial products.  Each real nonzero root of the
+    stationary numerator P' delta - 2 P delta', less its coefficients at
+    round-off (one companion matrix; real to ``multimode._NEAR_REAL``, as
+    a multiple root is split by round-off), gets one Newton step on the whole
+    numerator and is evaluated afresh; the least excess whose chain
+    reproduces ``t`` wins, as ``multimode._line_min`` does for all variants
+    at once."""
+    from cvcluster.multimode import _NEAR_REAL, _ROUND_OFF, _chart
+    from cvcluster.single_mode import _roots, _trim
+
+    scale = 1.0 + math.hypot(*s)
+    nodes = (-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0)
+    rows = np.array([_chart(t, [a + scale * u * b for a, b in zip(s, v)]) for u in nodes])
+    vinv = np.linalg.inv(np.vander(nodes, 4, increasing=True))
+    cubic = vinv @ rows[:, 13:]  # delta K's coefficients, one 4 x 12 per power
+    quadratic = Polynomial((vinv @ rows[:, 0])[:3])
+    gram = sum(
+        Polynomial([0.0] * (i + j) + [float(np.sum(cubic[i].reshape(4, 12) * (w @ cubic[j].reshape(4, 12))))])
+        for i in range(4) for j in range(4)
+    )
+    num = gram.deriv() * quadratic - 2.0 * gram * quadratic.deriv()
+    coef = np.zeros(8)
+    coef[: len(num.coef)] = num.coef
+    slope = num.deriv()
+    coef[np.abs(coef) <= _ROUND_OFF * np.abs(coef).max()] = 0.0
+    best = (excess, s)
+    roots = _roots(_trim(coef))  # and their real parts where real to _NEAR_REAL
+    for u in roots.real[np.abs(roots.imag) <= _NEAR_REAL * np.abs(roots.real)].tolist():
+        if u == 0.0:  # the line's own point
+            continue
+        u = u - num(u) / slope(u)  # a Newton step on the untrimmed numerator
+        point = tuple(a + scale * u * b for a, b in zip(s, v))
+        if _sweep_chain(t, point, limit, errors) is not None:
+            fresh, _ = _sweep_excess(t, w, point)
+            if fresh < best[0]:
+                best = (fresh, point)
+    return best[1], best[0]
+
+
+def two_mode_sweep(t, w, free, errors=None):
+    """Scalar reference of ``multimode._two_mode_chain``: the same sweep one
+    variant and one line at a time.  Of the variants (F^k + F^l) t that
+    forward the fewest F to a wire without a later gate, each starts at the
+    least-norm S1 of its family (:func:`_sweep_family`) and is line-minimized once along each
+    direction; the least excess among those whose chain reproduces their
+    variant to ``multimode.ROUNDOFF_TOL``, else 1e-10, relative to
+    max(1, max|t|), wins.  Returns (variant index,
+    [(kappa1, kappa2, eta3)] * 4, excess) or None.  ``errors``, if given,
+    gets every chain check's largest error over its limit, in order."""
+    from cvcluster.multimode import FAMILY_TOL, ROUNDOFF_TOL, _VARIANT_MAPS, _VARIANTS
+    from cvcluster.single_mode import RECONSTRUCTION_TOL
+
+    ts = (_VARIANT_MAPS @ t).tolist()
+    ws = _VARIANT_MAPS @ w @ _VARIANT_MAPS.transpose(0, 2, 1)
+    scale = max(1.0, float(np.abs(t).max()))
+    families = [_sweep_family(m, FAMILY_TOL * scale) for m in ts]
+    extra = [sum(k and not f for k, f in zip(kl, free)) for kl in _VARIANTS]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for fewest in sorted({extra[v] for v in range(4) if families[v]}):
+            group = [v for v in range(4) if families[v] and extra[v] == fewest]
+            for tol in (ROUNDOFF_TOL, RECONSTRUCTION_TOL):
+                found = []
+                for v in group:
+                    s, directions = families[v]
+                    e = _sweep_excess(ts[v], ws[v], s)[0]
+                    e = math.inf if math.isnan(e) else e
+                    for direction in directions:
+                        s, e = _sweep_line_min(ts[v], ws[v], s, e, direction, tol * scale, errors)
+                    chain = _sweep_chain(ts[v], s, tol * scale, errors)
+                    if chain is not None:
+                        found.append((e, v, chain))
+                if found:
+                    e, v, chain = min(found, key=lambda f: f[0])
+                    return v, chain, e
+    return None
