@@ -18,7 +18,7 @@ before it.  So the gates choose in emission order, each minimizing its own
 share: a four-step gate by its free kappa1 (``single_mode``), a two-mode gate
 M(S4) M(S3) M(S2) M(S1), with M(S) = (-S -I; I 0) the connection gate of a
 symmetric S, by its Fourier variant and by S1 on the variant's two-parameter
-affine family (:func:`_two_mode_chains`), preferring chains that reproduce
+affine family (:func:`_two_mode_chains`), among the chains that reproduce
 the gate to round-off.  D does not depend on the Fourier powers that earlier
 gates forward, since each wire's next gate undoes its power, so the gates
 of a column, and the next gates with each power they may owe, are swept in
@@ -44,7 +44,7 @@ from .ir import (
     ScheduleEntry,
     SynthesisReport,
 )
-from .single_mode import RECONSTRUCTION_TOL, chain_excess, decompose_four_step
+from .single_mode import _NEAR_REAL, chain_excess, decompose_four_step
 from .symplectic import (
     SYMPLECTIC_TOL,
     SymplecticMap,
@@ -67,8 +67,8 @@ PHASE_SKIP_TOL = 1e-14
 CLUSTER_TOL = 1e-8
 #: Candidate basis vectors whose norms differ by less than this are tied.
 TIE_TOL = 1e-10
-#: A two-mode gate's chain is accepted first only if it reproduces the gate
-#: to this, relative to its largest entry: round-off, with no cancellation.
+#: A two-mode gate's chain is accepted only if it reproduces the gate to
+#: this, relative to its largest entry: round-off, with no cancellation.
 ROUNDOFF_TOL = 1e-13
 
 
@@ -284,12 +284,8 @@ _STATIONARY = ((_I - 2 * _J)[..., None] * np.equal.outer(_I + _J - 1, np.arange(
 #: its companion matrix is _SHIFT - monic coefficients x _LAST.
 _NEWTON = np.stack([np.eye(8), np.diag(np.arange(1.0, 8.0), -1)], axis=2).reshape(8, 16)
 _SHIFT, _LAST = np.eye(7, k=-1), np.eye(7)[-1]
-#: Polynomial coefficients this small relative to their largest are round-off;
-#: a root this close to real may be a multiple one that round-off split.
-_ROUND_OFF, _NEAR_REAL = 1e-12, 1e-3
-#: Gates a sweep may take on with forms they need not have (:meth:`_Builder._batch`);
-#: an n = 3 compile gets no faster beyond 6, and twice as slow with none.
-_BATCH = 6
+#: Polynomial coefficients this small relative to their largest are round-off.
+_ROUND_OFF = 1e-12
 
 
 def _on_pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -404,8 +400,8 @@ def _check(ts: np.ndarray, ws: np.ndarray, points: np.ndarray, limits: np.ndarra
 
 def _real_roots(num: np.ndarray) -> np.ndarray:
     """The real parts of the nonzero roots of each row of ``num`` (degree
-    <= 7, ascending) that are real to :data:`_NEAR_REAL` (round-off splits
-    a root of multiplicity m by about eps^(1/m)), nan elsewhere.  A leading
+    <= 7, ascending) that are real to
+    :data:`~cvcluster.single_mode._NEAR_REAL`, nan elsewhere.  A leading
     coefficient at round-off (:data:`_ROUND_OFF`) would cost the companion's
     eigenvalues most of their digits, so each row is shifted up until a
     significant one leads, which adds roots at 0 only.  One eigvals call
@@ -455,15 +451,16 @@ def _two_mode_chains(gates: list) -> list:
     """Four connection gates for each two-mode gate (t, weight W, free),
     all swept in the same passes of arrays.
 
-    A gate may realize a Fourier variant (F^k + F^l) t.  Those that forward
-    the fewest F to a wire without a later gate (``free`` false) come first.
-    Each starts at the least-norm S1 of its family (:func:`_families`) and
-    minimizes once along each direction of it (:func:`_line_min`).  Of the
-    variants whose chain reproduces them to round-off (:data:`ROUNDOFF_TOL`),
-    or else to :data:`~cvcluster.single_mode.RECONSTRUCTION_TOL`, the least
-    excess wins: (variant index, [(kappa1, kappa2, eta3)] * 4, excess), or
-    None when no variant is admissible.  Next to a pole the excess is inf or
-    nan, which no comparison prefers."""
+    A gate may realize a Fourier variant (F^k + F^l) t.  Its variants are
+    taken in groups by how many F they forward to a wire without a later
+    gate (``free`` false), fewest first, and the next group only if none of
+    the last reproduced its variant.  Each variant starts at the least-norm
+    S1 of its family (:func:`_families`) and minimizes once along each
+    direction of it (:func:`_line_min`).  Of the variants whose chain
+    reproduces them to round-off (:data:`ROUNDOFF_TOL`), the least excess
+    wins: (variant index, [(kappa1, kappa2, eta3)] * 4, excess), or None
+    when no variant is admissible.  Next to a pole the excess is inf or nan,
+    which no comparison prefers."""
     ts = _VARIANT_MAPS @ np.array([t for t, _, _ in gates])[:, None]
     ws = _VARIANT_MAPS @ np.array([w for _, w, _ in gates])[:, None] @ _VARIANT_MAPS.transpose(0, 2, 1)
     scales = np.maximum(1.0, np.abs(ts[:, 0]).max(axis=(1, 2)))  # the same for every variant
@@ -471,37 +468,28 @@ def _two_mode_chains(gates: list) -> list:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         starts, bases, counts = (x.reshape(len(gates), 4, *x.shape[1:]) for x in _families(
             ts.reshape(-1, 4, 4), np.repeat(FAMILY_TOL * scales, 4)))
-        stages = []  # per gate: (its variants, limit), in order
-        for (_, _, free), count, scale in zip(gates, counts.tolist(), scales.tolist()):
+        stages = []  # per gate: its groups of variants, in order
+        for (_, _, free), count in zip(gates, counts.tolist()):
             extra = [sum(k and not f for k, f in zip(kl, free)) for kl in _VARIANTS]
             stages.append([
-                ([v for v in range(4) if count[v] and extra[v] == fewest], tol * scale)
+                [v for v in range(4) if count[v] and extra[v] == fewest]
                 for fewest in sorted({extra[v] for v in range(4) if count[v]})
-                for tol in (ROUNDOFF_TOL, RECONSTRUCTION_TOL)
             ])
-        while rows := [
-            (i, v, limit) for i, stage in enumerate(stages) if found[i] is None and stage
-            for group, limit in stage[:1] for v in group
-        ]:
-            for i in {row[0] for row in rows}:
+        while rows := [(i, v) for i, stage in enumerate(stages) if found[i] is None and stage for v in stage[0]]:
+            for i in {i for i, _ in rows}:
                 del stages[i][0]
-            gate, variant = np.array([row[:2] for row in rows]).T
-            t, w, limits = ts[gate, variant], ws[gate, variant], np.array([row[2] for row in rows])
+            gate, variant = np.array(rows).T
+            t, w, limits = ts[gate, variant], ws[gate, variant], ROUNDOFF_TOL * scales[gate]
             points = starts[gate, variant]
             excess = _excess(_rows(t, points), w)
             excess[np.isnan(excess)] = np.inf
             for direction in bases[gate, variant, : counts[gate, variant].max()].transpose(1, 0, 2):
                 _line_min(t, w, points, excess, direction, limits)
             excess, ok, chains = _check(t, w, points, limits)
-            for (i, v, _), e, chain, good in zip(rows, excess.tolist(), chains.tolist(), ok.tolist()):
+            for (i, v), e, chain, good in zip(rows, excess.tolist(), chains.tolist(), ok.tolist()):
                 if good and (found[i] is None or e < found[i][2]):
                     found[i] = (v, [tuple(step) for step in chain], e)
     return found
-
-
-def _two_mode_chain(t: np.ndarray, w: np.ndarray, free):
-    """:func:`_two_mode_chains` of the one gate ``t`` with weight ``w``."""
-    return _two_mode_chains([(t, w, free)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -580,17 +568,20 @@ class _Builder:
         """The chains of splitter ``start`` and of those after it, keyed
         (index, form): the Fourier powers (a, b) its wires owe, since its gate
         is x (F^-a + F^-b).  Its weight does not depend on them, as each
-        wire's next gate undoes its power.  The splitters of known form join;
-        if one alone does, so do the next ones with each form they may owe,
-        up to :data:`_BATCH` gates, so that a pass of arrays is well filled."""
-        problems, known = [], 0
+        wire's next gate undoes its power.  A wire owes its ``forward``
+        power, or either if an earlier splitter of the batch touches it.
+        The splitters of known form join; if one alone does, so do the next
+        ones with each form they may owe, so that a pass of arrays is well
+        filled."""
+        problems, known, pending = [], 0, set()
         for j in range(start, len(splitters)):
-            _, pair, _, x, weight, free, before = splitters[j]
-            owed = [(self.forward[w],) if b is None or b < start else (0, 1) for w, b in zip(pair, before)]
+            _, pair, _, x, weight, free = splitters[j]
+            owed = [(0, 1) if w in pending else (self.forward[w],) for w in pair]
             forms = [(a, b) for a in owed[0] for b in owed[1]]
-            if len(forms) > 1 and (known > 1 or j - start >= _BATCH):
+            if len(forms) > 1 and known > 1:
                 break
             known += len(forms) == 1
+            pending.update(pair)
             problems += [((j, form), (x @ _on_pair(*(_UNDO[k] for k in form)), weight, free)) for form in forms]
         keys, gates = zip(*problems)
         return dict(zip(keys, _two_mode_chains(list(gates))))
@@ -630,15 +621,13 @@ class _Builder:
         A first pass finds each splitter's x = (h_i + h_j) BS(R) (g_i + g_j)
         and weight, from ``downstream`` = T P^-1 without the powers owed."""
         last = {w: c for c, column in enumerate(columns) for pair, _, _ in column for w in pair}
-        splitters, previous = [], {}
+        splitters = []
         for c, column in enumerate(columns):
-            for pair, reflectivity, before in column:
-                after = [gates.pop(w, _I2) if last[w] == c else _I2 for w in pair]
-                x = _on_pair(*after) @ beam_splitter_matrix(reflectivity).matrix @ _on_pair(*before)
+            for pair, reflectivity, g in column:
+                h = [gates.pop(w, _I2) if last[w] == c else _I2 for w in pair]
+                x = _on_pair(*h) @ beam_splitter_matrix(reflectivity).matrix @ _on_pair(*g)
                 cols = self._advance(pair, -_J2 @ x.T @ _J2)  # x^-1, x symplectic
-                free = [last[w] > c for w in pair]
-                splitters.append((c, pair, reflectivity, x, cols.T @ cols, free, [previous.get(w) for w in pair]))
-                previous.update(dict.fromkeys(pair, len(splitters) - 1))
+                splitters.append((c, pair, reflectivity, x, cols.T @ cols, [last[w] > c for w in pair]))
         found = {}
         for i, (column, pair, reflectivity, *_) in enumerate(splitters):
             self.column, form = column, tuple(self.forward[w] for w in pair)

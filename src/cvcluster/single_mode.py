@@ -32,6 +32,9 @@ DEGENERATE_NUMERATOR_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-10
 #: The weight (w11, w12, w22) of W for a chain whose output is the program's.
 UNIT_WEIGHT = (1.0, 0.0, 1.0)
+#: A root this close to real (|imag| <= this * |real|) counts as real: it may
+#: be a multiple root that round-off split, by about eps^(1/m) at multiplicity m.
+_NEAR_REAL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,6 @@ class FourStepParams:
 
     kappas: tuple[float, float, float, float]
     free_param: float  # the chosen kappa1
-    noise_proxy: float  # sum of squared measurement gains, >= 4
 
     def reconstruct(self) -> SymplecticMap:
         """Product M(k4) M(k3) M(k2) M(k1) of the four steps."""
@@ -125,13 +127,8 @@ def decompose_four_step(
         kappa1 = select_free_kappa1(target, weight=weight)
     elif not np.isfinite(kappa1):
         raise SingularParameterError(f"kappa1={kappa1} is not finite")
-    return _params(a, b, c, d, float(kappa1), weight)
-
-
-def _params(a: float, b: float, c: float, d: float, kappa1: float, weight=UNIT_WEIGHT) -> FourStepParams:
-    """The decomposition for a fixed kappa1; see :func:`_solve`."""
-    kappas = _solve(a, b, c, d, kappa1, weight)
-    return FourStepParams(kappas=kappas, free_param=kappa1, noise_proxy=noise_proxy(kappas))
+    kappa1 = float(kappa1)
+    return FourStepParams(kappas=_solve(a, b, c, d, kappa1, weight), free_param=kappa1)
 
 
 def select_free_kappa1(target: SymplecticMap, *, weight=UNIT_WEIGHT) -> float:
@@ -146,7 +143,7 @@ def select_free_kappa1(target: SymplecticMap, *, weight=UNIT_WEIGHT) -> float:
     kappa1 = c/d, which :func:`_solve` accepts only on the legitimate
     kappa3 = 0 branch.  Among the candidates whose decomposition reproduces
     the target (see :data:`RECONSTRUCTION_TOL`) the first of lowest excess
-    wins, ties going to the lower proxy.  The identity gets exactly 0.
+    wins.  The identity gets exactly 0.
     """
     a, b, c, d = target.abcd()
     candidates = list(np.concatenate(_kappa1_stationary_points(a, b, c, d, weight)))
@@ -156,10 +153,10 @@ def select_free_kappa1(target: SymplecticMap, *, weight=UNIT_WEIGHT) -> float:
 
 
 def _kappa1_score(a, b, c, d, weight, kappa1: float) -> tuple:
-    """(excess, proxy) of the decomposition at kappa1, and its product's
-    entries: the evaluation :func:`_select` makes of each kappa1."""
-    params = _params(a, b, c, d, kappa1, weight)
-    return (chain_excess(params.kappas, weight), params.noise_proxy), _product(params.kappas)
+    """The excess of the decomposition at kappa1 and its product's entries:
+    the evaluation :func:`_select` makes of each kappa1."""
+    kappas = _solve(a, b, c, d, kappa1, weight)
+    return chain_excess(kappas, weight), _product(kappas)
 
 
 def _kappa1_stationary_points(a: float, b: float, c: float, d: float, weight=UNIT_WEIGHT) -> tuple:
@@ -232,9 +229,10 @@ def _select(target: SymplecticMap, candidates, evaluate, name: str) -> float:
 
 
 def _real(roots: np.ndarray) -> np.ndarray:
-    """The real ones of ``roots``.  + 0.0 turns a root at -0.0 into 0.0, which
-    would otherwise reach the program as a homodyne angle of -0.0."""
-    return roots.real[roots.imag == 0.0] + 0.0
+    """The real parts of those of ``roots`` that are real to :data:`_NEAR_REAL`.
+    + 0.0 turns a root at -0.0 into 0.0, which would otherwise reach the
+    program as a homodyne angle of -0.0."""
+    return roots.real[np.abs(roots.imag) <= _NEAR_REAL * np.abs(roots.real)] + 0.0
 
 
 def _trim(c: np.ndarray) -> np.ndarray:

@@ -56,10 +56,6 @@ class TelepPlusTwoParams:
     kappa4: float
     free_param: float  # the chosen theta0
 
-    @property
-    def noise_proxy(self) -> float:
-        return telep_noise_proxy(self.angles, self.kappa3, self.kappa4)
-
     def reconstruct(self) -> SymplecticMap:
         return SymplecticMap(1, np.reshape(_telep_product(self), (2, 2)))
 
@@ -187,7 +183,7 @@ def _theta0_score(a: float, b: float, c: float, d: float, theta0: float) -> tupl
     """The proxy of the decomposition at theta0 and its product's entries;
     the evaluation :func:`~cvcluster.single_mode._select` makes of each theta0."""
     params = _params(a, b, c, d, theta0)
-    return params.noise_proxy, _telep_product(params)
+    return telep_noise_proxy(params.angles, params.kappa3, params.kappa4), _telep_product(params)
 
 
 def _cot_theta0_numerator(a: float, b: float, c: float, d: float) -> np.ndarray:

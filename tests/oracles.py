@@ -422,8 +422,12 @@ def _stationary_polynomial(s, q, g):
 
 
 def real_roots(polynomial):
+    """numpy's roots of ``polynomial`` that are real to ``single_mode._NEAR_REAL``
+    (a multiple root that round-off split counts), as their real parts."""
+    from cvcluster.single_mode import _NEAR_REAL
+
     roots = polynomial.roots()
-    return roots.real[roots.imag == 0.0]
+    return roots.real[np.abs(roots.imag) <= _NEAR_REAL * np.abs(roots.real)]
 
 
 def polynomial_free_kappa1(target, weight):
@@ -536,16 +540,23 @@ def _sweep_chain(t, s, limit, errors=None):
     params = [(p - q, r - q, -q) for p, q, r in chain]
     if not math.isfinite(sum(map(sum, params))):
         return None
+    error = realized_chain_error(params, t)
+    if errors is not None:
+        errors.append(error / limit)
+    return params if error <= limit else None
+
+
+def realized_chain_error(params, t) -> float:
+    """max |chain - t| over the entries of ``t`` (4 x 4) for connection gates
+    [(kappa1, kappa2, eta3), ...] with each gain as its homodyne angle
+    realizes it: the column recursion of M(S) = (-S -I; I 0) in scalars,
+    with numpy's tan and arctan, as the program's.  nan if it is not finite."""
     cols = [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
-    for kappa1, kappa2, eta3 in params:  # numpy's tan and arctan, as the program's
+    for kappa1, kappa2, eta3 in params:
         q = -1.0 / float(np.tan(np.arctan2(1.0, eta3)))
         p, r = float(np.tan(np.arctan(kappa1))) + q, float(np.tan(np.arctan(kappa2))) + q
         cols = [(-p * x0 - q * x1 - p0, -q * x0 - r * x1 - p1, x0, x1) for x0, x1, p0, p1 in cols]
-    if errors is not None:
-        errors.append(max(abs(col[i] - t[i][c]) for c, col in enumerate(cols) for i in range(4)) / limit)
-    if all(abs(col[i] - t[i][c]) <= limit for c, col in enumerate(cols) for i in range(4)):
-        return params
-    return None
+    return float(np.max(np.abs(np.array(cols).T - np.asarray(t))))
 
 
 def _sweep_excess(t, w, s):
@@ -565,13 +576,13 @@ def _sweep_line_min(t, w, s, excess, v, limit, errors=None):
     nodes (-1, -1/3, 1/3, 1) times 1 + |s|; P = tr(W (delta K)(delta K)^T)
     comes from np.polynomial products.  Each real nonzero root of the
     stationary numerator P' delta - 2 P delta', less its coefficients at
-    round-off (one companion matrix; real to ``multimode._NEAR_REAL``, as
+    round-off (one companion matrix; real to ``single_mode._NEAR_REAL``, as
     a multiple root is split by round-off), gets one Newton step on the whole
     numerator and is evaluated afresh; the least excess whose chain
     reproduces ``t`` wins, as ``multimode._line_min`` does for all variants
     at once."""
-    from cvcluster.multimode import _NEAR_REAL, _ROUND_OFF, _chart
-    from cvcluster.single_mode import _roots, _trim
+    from cvcluster.multimode import _ROUND_OFF, _chart
+    from cvcluster.single_mode import _NEAR_REAL, _roots, _trim
 
     scale = 1.0 + math.hypot(*s)
     nodes = (-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0)
@@ -603,38 +614,37 @@ def _sweep_line_min(t, w, s, excess, v, limit, errors=None):
 
 
 def two_mode_sweep(t, w, free, errors=None):
-    """Scalar reference of ``multimode._two_mode_chain``: the same sweep one
-    variant and one line at a time.  Of the variants (F^k + F^l) t that
-    forward the fewest F to a wire without a later gate, each starts at the
-    least-norm S1 of its family (:func:`_sweep_family`) and is line-minimized once along each
+    """Scalar reference of ``multimode._two_mode_chains``: the same sweep one
+    gate, one variant and one line at a time.  The variants (F^k + F^l) t
+    are taken in groups by how many F they forward to a wire without a
+    later gate, fewest first.  Each starts at the least-norm S1 of its
+    family (:func:`_sweep_family`) and is line-minimized once along each
     direction; the least excess among those whose chain reproduces their
-    variant to ``multimode.ROUNDOFF_TOL``, else 1e-10, relative to
-    max(1, max|t|), wins.  Returns (variant index,
-    [(kappa1, kappa2, eta3)] * 4, excess) or None.  ``errors``, if given,
-    gets every chain check's largest error over its limit, in order."""
+    variant to ``multimode.ROUNDOFF_TOL`` relative to max(1, max|t|) wins,
+    and the next group is tried only if there is none.  Returns (variant
+    index, [(kappa1, kappa2, eta3)] * 4, excess) or None.  ``errors``, if
+    given, gets every chain check's largest error over its limit, in order."""
     from cvcluster.multimode import FAMILY_TOL, ROUNDOFF_TOL, _VARIANT_MAPS, _VARIANTS
-    from cvcluster.single_mode import RECONSTRUCTION_TOL
 
     ts = (_VARIANT_MAPS @ t).tolist()
     ws = _VARIANT_MAPS @ w @ _VARIANT_MAPS.transpose(0, 2, 1)
     scale = max(1.0, float(np.abs(t).max()))
+    limit = ROUNDOFF_TOL * scale
     families = [_sweep_family(m, FAMILY_TOL * scale) for m in ts]
     extra = [sum(k and not f for k, f in zip(kl, free)) for kl in _VARIANTS]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for fewest in sorted({extra[v] for v in range(4) if families[v]}):
-            group = [v for v in range(4) if families[v] and extra[v] == fewest]
-            for tol in (ROUNDOFF_TOL, RECONSTRUCTION_TOL):
-                found = []
-                for v in group:
-                    s, directions = families[v]
-                    e = _sweep_excess(ts[v], ws[v], s)[0]
-                    e = math.inf if math.isnan(e) else e
-                    for direction in directions:
-                        s, e = _sweep_line_min(ts[v], ws[v], s, e, direction, tol * scale, errors)
-                    chain = _sweep_chain(ts[v], s, tol * scale, errors)
-                    if chain is not None:
-                        found.append((e, v, chain))
-                if found:
-                    e, v, chain = min(found, key=lambda f: f[0])
-                    return v, chain, e
+            found = []
+            for v in (v for v in range(4) if families[v] and extra[v] == fewest):
+                s, directions = families[v]
+                e = _sweep_excess(ts[v], ws[v], s)[0]
+                e = math.inf if math.isnan(e) else e
+                for direction in directions:
+                    s, e = _sweep_line_min(ts[v], ws[v], s, e, direction, limit, errors)
+                chain = _sweep_chain(ts[v], s, limit, errors)
+                if chain is not None:
+                    found.append((e, v, chain))
+            if found:
+                e, v, chain = min(found, key=lambda f: f[0])
+                return v, chain, e
     return None

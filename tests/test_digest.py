@@ -1,0 +1,46 @@
+"""tools/digest.py: a set's digest sees one bit of one angle, and an A/A
+run of HEAD agrees with itself."""
+
+import math
+import shutil
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from cvcluster import compile, random_symplectic
+from cvcluster.ir import ScheduleEntry
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+import digest  # noqa: E402
+
+
+def test_one_ulp_of_one_angle_changes_the_digest():
+    programs = [compile(random_symplectic(n, 3))[0] for n in (1, 2)]
+    assert digest.digest(programs) == digest.digest([compile(random_symplectic(n, 3))[0] for n in (1, 2)])
+    first = programs[1].schedule[0]
+    nudged = ScheduleEntry(first.node_id, math.nextafter(first.angle, math.inf))
+    programs[1] = replace(programs[1], schedule=(nudged, *programs[1].schedule[1:]))
+    assert digest.digest(programs) != digest.digest([compile(random_symplectic(n, 3))[0] for n in (1, 2)])
+
+
+@pytest.mark.skipif(
+    shutil.which("git") is None or not (ROOT / ".git").exists(), reason="needs a git checkout"
+)
+def test_head_against_itself_prints_every_set_and_exits_0(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "digest.py"), "HEAD", "HEAD"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    names = ["perfbench onemode", "perfbench compile_wide", "perfbench simulate", "criterion 7", "random_symplectic"]
+    lines = done.stdout.splitlines()
+    assert [line[:22].rstrip() for line in lines[::2]] == names
+    for first, second in zip(lines[::2], lines[1::2]):
+        assert first.split()[-2] == second.split()[-2]  # the digest, then the revision
+    assert "DIFFERS" not in done.stdout
+    assert list(tmp_path.iterdir()) == []  # it writes only in its own temporary directory

@@ -53,6 +53,7 @@ from cvcluster.single_mode import (
     _roots,
     _select,
     chain_excess,
+    noise_proxy,
 )
 from cvcluster.teleport import _cot_theta0_numerator, select_free_theta0
 
@@ -60,7 +61,7 @@ from cvcluster.teleport import _cot_theta0_numerator, select_free_theta0
 def test_identity_is_all_zero():
     params = decompose_four_step(identity(1))
     assert params.kappas == (0.0, 0.0, 0.0, 0.0)
-    assert params.noise_proxy == 4.0
+    assert noise_proxy(params.kappas) == 4.0
 
 
 def test_fourier_with_pinned_kappa1():
@@ -118,10 +119,10 @@ def test_select_fourier_beats_default():
     kappa1 = select_free_kappa1(fourier())
     chosen = decompose_four_step(fourier(), kappa1=kappa1)
     at_zero = decompose_four_step(fourier(), kappa1=0.0)
-    assert at_zero.noise_proxy == pytest.approx(7.0)
-    assert chosen.noise_proxy <= at_zero.noise_proxy
+    assert noise_proxy(at_zero.kappas) == pytest.approx(7.0)
+    assert noise_proxy(chosen.kappas) <= noise_proxy(at_zero.kappas)
     # analytic optimum kappa1 = 1/2, proxy 6.5
-    assert chosen.noise_proxy == pytest.approx(6.5, abs=1e-6)
+    assert noise_proxy(chosen.kappas) == pytest.approx(6.5, abs=1e-6)
 
 
 def test_pinned_kappa1_must_be_finite():
@@ -279,6 +280,18 @@ def test_stationary_points_match_the_polynomial_oracle(target, weight):
     assert _choice(select_free_theta0, target) == _choice(polynomial_free_theta0, target)
 
 
+def test_a_double_root_that_round_off_splits_stays_a_candidate():
+    # Next to d = 1 the excess numerator has a double root, which round-off
+    # splits into a complex pair (imaginary part ~4e-4 of the real one).
+    # Counted as real, as the two-mode sweep counts its roots, it gives an
+    # admissible kappa1 of excess 4.849; dropped, the choice reads 7.200.
+    b, c, d = -2.0, -1.2, 0.9999999
+    target = SymplecticMap(1, np.array([[(1.0 + b * c) / d, b], [c, d]]))
+    params = decompose_four_step(target)
+    assert chain_excess(params.kappas) == pytest.approx(4.8489, abs=1e-4)
+    assert _admissible(target, params.free_param)
+
+
 def _admissible(target, kappa1) -> bool:
     """Whether kappa1 is no pole and its decomposition reproduces the target
     as the selection requires (``RECONSTRUCTION_TOL``)."""
@@ -320,7 +333,7 @@ def test_round_trip_random_targets():
     for seed in range(1000):
         target = random_symplectic(1, seed)
         params = decompose_four_step(target)
-        assert params.noise_proxy >= 4.0
+        assert noise_proxy(params.kappas) >= 4.0
         worst = max(
             worst, float(np.max(np.abs(params.reconstruct().matrix - target.matrix)))
         )

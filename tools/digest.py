@@ -1,0 +1,113 @@
+"""Print one SHA-256 per set of compiled programs, to show that a change
+leaves the compiler's output bit for bit as it was.
+
+    python3 tools/digest.py                 # the working tree's digests
+    python3 tools/digest.py BASE            # BASE against the working tree
+    python3 tools/digest.py BASE CHANGE     # two revisions
+
+A set's digest is that of its programs (``serialize.program_to_dict``) as one
+sorted-key JSON list, so equal digests mean equal graphs, schedules and
+feedforward rules, with every angle and gain equal to the last bit (JSON
+writes the shortest repr that reads back the same float).  The sets:
+
+- ``perfbench <workload>``: the fixed reference targets of each benchmark
+  workload, read through ``perfbench/workloads.make_target``;
+- ``criterion 7``: the acceptance suite's 200 targets,
+  ``random_symplectic(n, 7000 + k)`` for n = 1..4, 50 each;
+- ``random_symplectic``: ``random_symplectic(n, s)`` for n = 2..8, s = 0..9.
+
+A revision is exported with ``git archive`` into a temporary directory,
+which is removed afterwards; each tree's programs are compiled in a fresh
+interpreter that imports that tree's ``src`` and ``perfbench``, with this
+script's target sets.  With a revision given it prints both sides' digests
+and exits 1 if any set's differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ENV = {"PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+sys.path.insert(0, str(ROOT / "tools"))
+
+from ab import export  # noqa: E402
+
+
+def digest(programs) -> str:
+    """SHA-256 of ``programs`` as one sorted-key JSON list of their dicts."""
+    from cvcluster.serialize import program_to_dict
+
+    text = json.dumps([program_to_dict(p) for p in programs], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def target_sets() -> dict:
+    """Each set's name and targets, from the cvcluster and perfbench on
+    ``sys.path``."""
+    import workloads
+    from cvcluster import random_symplectic
+
+    sets = {
+        f"perfbench {name}": [workloads.make_target(w, [], i)[0] for i in range(w.reference_targets)]
+        for name, w in workloads.WORKLOADS.items()
+    }
+    sets["criterion 7"] = [random_symplectic(n, 7000 + 50 * (n - 1) + k) for n in (1, 2, 3, 4) for k in range(50)]
+    sets["random_symplectic"] = [random_symplectic(n, s) for n in range(2, 9) for s in range(10)]
+    return sets
+
+
+def tree_digests(tree: Path) -> dict:
+    """Each set's digest, compiled by the tree ``tree`` in a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, __file__, "--tree", str(tree)],
+        env={**os.environ, **ENV}, capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(f"digests of {tree} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("revisions", nargs="*", metavar="REV", help="BASE, or BASE and CHANGE")
+    parser.add_argument("--tree", type=Path, help=argparse.SUPPRESS)  # the child's own mode
+    args = parser.parse_args(argv)
+    if args.tree is not None:
+        sys.path[:0] = [str(args.tree / "src"), str(args.tree / "perfbench")]
+        import cvcluster
+
+        if not Path(cvcluster.__file__).resolve().is_relative_to(args.tree.resolve()):
+            raise RuntimeError(f"cvcluster was imported from {cvcluster.__file__}, not from {args.tree}")
+        from cvcluster import compile
+
+        sets = target_sets()
+        print(json.dumps({name: digest(compile(t)[0] for t in targets) for name, targets in sets.items()}))
+        return 0
+    if len(args.revisions) > 2:
+        parser.error("give at most two revisions")
+
+    with tempfile.TemporaryDirectory(prefix="digest-") as tmp:
+        sides = [(rev, tree_digests(export(rev, Path(tmp) / f"side{i}"))) for i, rev in enumerate(args.revisions)]
+    if len(args.revisions) < 2:
+        sides.append(("working tree", tree_digests(ROOT)))
+    (base, a), *rest = sides
+    differ = False
+    for name in a:
+        print(f"{name:<22} {a[name]}  {base}")
+        for other, b in rest:
+            same = b.get(name) == a[name]
+            differ |= not same
+            print(f"{'':<22} {b.get(name, '(missing)')}  {other}{'' if same else '  DIFFERS'}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
