@@ -1,15 +1,18 @@
 """Compilation of n-mode Gaussian maps to cluster measurement programs.
 
-Pipeline: Bloch-Messiah reduction (passive * single-mode squeezers * passive),
-a rectangular nearest-neighbour mesh of phase-free beam splitters and phase
-shifters for each passive, then lowering.  Each splitter absorbs the one-mode
-ops its wires carry since their last splitter and, at a wire's last splitter,
-the ops after it: (h_i + h_j) BS(R) (g_i + g_j) becomes one two-mode gate of
-four three-mode connection gates (12 ancillas, four steps on each wire), and
-the disjoint splitters of a mesh layer share one column.  A wire gets nodes
-only for its own gates, so wires end at different depths; a one-mode target,
-or a wire that no splitter touches, gets a four-step measurement chain (4
-ancillas).
+Pipeline: a target S of n >= 2 modes is decomposed directly into a fixed
+nearest-neighbour triangle of n(n - 1)/2 two-mode gates,
+S = Pi D G_m^-1 ... G_0^-1 L^-1, with L and D local and Pi the output
+labelling (:func:`_triangle`), then lowered.  Each wire's first gate
+absorbs its part of L^-1 and its last gate its part of D, so every gate
+(h_i + h_j) G^-1 (g_i + g_j) becomes one two-mode gate of four three-mode
+connection gates (12 ancillas, four steps on each wire), and gates on
+disjoint wires share one column.  Every target of one n gets the same
+nodes, edges and schedule order; only the angles, the feedforward and the
+output labels depend on it.  A wire gets nodes only for its own gates, so
+wires end at different depths; a one-mode target gets a four-step
+measurement chain (4 ancillas), as does a wire that still owes a forced
+Fourier power.
 
 Each gate's share of the program's excess noise tr(N N^T) depends only on
 its parameters and on W = D^T D, where D is the ideal map from the gate's
@@ -23,6 +26,9 @@ the gate to round-off.  D does not depend on the Fourier powers that earlier
 gates forward, since each wire's next gate undoes its power, so the gates
 of a column, and the next gates with each power they may owe, are swept in
 one pass of arrays (:meth:`_Builder._batch`).
+
+``bloch_messiah`` and ``reck_decompose`` (passive * squeezers * passive and
+its splitter meshes) are no longer on the compile path.
 """
 
 import math
@@ -48,24 +54,22 @@ from .single_mode import _NEAR_REAL, chain_excess, decompose_four_step
 from .symplectic import (
     SYMPLECTIC_TOL,
     SymplecticMap,
-    beam_splitter_matrix,
     fourier_power,
     require_symplectic,
     rotation,
-    squeeze,
     symplectic_form,
 )
 
 #: Acceptance threshold on the noise-free replay of a compilation.
 REPLAY_TOL = 1e-9
-#: Squeezers below this magnitude compile to nothing.
-SQUEEZE_SKIP_TOL = 1e-12
 #: Phase shifters below this magnitude are dropped from splitter meshes.
 PHASE_SKIP_TOL = 1e-14
 #: Bloch-Messiah eigenvalues this close (relative), or this close to 1, form
 #: one cluster.
 CLUSTER_TOL = 1e-8
-#: Candidate basis vectors whose norms differ by less than this are tied.
+#: Ties: Bloch-Messiah's candidate basis vectors whose norms differ by less
+#: than this, and the triangle's stage pivots and a column block's two
+#: singular values that agree to this, relative.
 TIE_TOL = 1e-10
 #: A two-mode gate's chain is accepted only if it reproduces the gate to
 #: this, relative to its largest entry: round-off, with no cancellation.
@@ -179,7 +183,8 @@ def _symplectic_pair_basis(p: np.ndarray, n: int) -> tuple:
 
 
 def bloch_messiah(target: SymplecticMap) -> BlochMessiahFactors:
-    """Factor a symplectic map as passive * squeezers * passive.
+    """Factor a symplectic map as passive * squeezers * passive (not used by
+    ``compile``, which decomposes targets by :func:`_triangle`).
 
     Polar-decomposes the matrix as P O with P = sqrt(S S^T) symmetric
     positive-definite symplectic and O orthogonal-symplectic, both from one
@@ -204,7 +209,8 @@ def bloch_messiah(target: SymplecticMap) -> BlochMessiahFactors:
 def reck_decompose(passive: SymplecticMap) -> list:
     """Rectangular nearest-neighbour mesh (Clements et al., Optica 3, 1460
     (2016)) of a passive map: at most n(n-1)/2 phase-free beam splitters on
-    adjacent modes, at most n layers deep, and n(n+1)/2 phase shifters.
+    adjacent modes, at most n layers deep, and n(n+1)/2 phase shifters (not
+    used by ``compile``).
 
     The entries of the equivalent complex unitary U below its diagonal are
     nulled one sub-diagonal at a time, from the corner (n-1, 0) inwards:
@@ -493,6 +499,166 @@ def _two_mode_chains(gates: list) -> list:
 
 
 # ---------------------------------------------------------------------------
+# The triangle: n(n - 1)/2 two-mode gates on adjacent wires
+# ---------------------------------------------------------------------------
+
+#: A step whose output rows are this small on its wire c, relative to their
+#: largest entry, is trivial: its gate is the identity.
+TRIVIAL_TOL = 1e-13
+#: A row this small against the other one vanishes, and rows whose part
+#: orthogonal to each other is this small against the longer are parallel
+#: (rank 1; their second singular value is at most this times the first).
+RANK_TOL = 1e-12
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    """The norm along the last axis."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+def _balance(blocks: np.ndarray) -> np.ndarray:
+    """The Sp(2) gauge +-V diag(sqrt(s2 / s1), sqrt(s1 / s2)), from the SVD
+    U diag(s1, s2) V^T of each 2n x 2 column block (b1, b2) of ``blocks``,
+    that gives the block two equal singular values; the sign makes the
+    balanced block's largest x entry positive, so that the block does not
+    depend on the SVD's signs.  In closed form, which keeps more digits than
+    a batched SVD with the same sign and tie rules (the worst replay
+    residual of random_symplectic(n, 7050 ... 7199), n = 2, 3, 4: 8.9e-14
+    against 1.8e-13): V is the rotation onto the principal axes of the Gram
+    matrix (a b; b c), s1^2 its larger eigenvalue and
+    s1 s2 = |b1| |b2 - (b / a) b1|, which has no cancellation.  A block
+    balanced to :data:`TIE_TOL` has no principal axes, and keeps V = I."""
+    b1, b2 = blocks[..., 0], blocks[..., 1]
+    gram = blocks.swapaxes(-1, -2) @ blocks
+    a, b, c = gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 1]
+    spread = np.hypot(0.5 * (a - c), b)
+    tied = spread <= TIE_TOL * (a + c)
+    angle = np.where(tied, 0.0, 0.5 * np.arctan2(2.0 * b, a - c))
+    root = np.where(tied, 1.0, np.sqrt(np.sqrt(a) * _norm(b2 - (b / a)[..., None] * b1) / (0.5 * (a + c) + spread)))
+    gauge = np.empty(a.shape + (2, 2))
+    gauge[..., 0, 0], gauge[..., 1, 0] = np.cos(angle) * root, np.sin(angle) * root
+    gauge[..., 0, 1], gauge[..., 1, 1] = -gauge[..., 1, 0] / root**2, gauge[..., 0, 0] / root**2
+    x = (blocks @ gauge[..., :1])[..., 0]
+    return gauge * np.sign(np.take_along_axis(x, np.abs(x).argmax(axis=-1)[..., None], axis=-1))[..., None]
+
+
+def _symplectic_pair(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Each (a, b) (rows of m x 4) scaled to the symplectic pair
+    (a, +-b) / sqrt(kappa), kappa = |omega(a, b)|; and kappa."""
+    omega = np.add.reduce(a * (b @ _J2.T), axis=-1)
+    scale = 1.0 / np.sqrt(np.abs(omega))[:, None]
+    return a * scale, b * (np.sign(omega)[:, None] * scale), np.abs(omega)
+
+
+def _first_long(x: np.ndarray) -> np.ndarray:
+    """Per stack of ``x`` (m x 4 x 4), its first row of norm >= 0.4, as a
+    unit: of the projections of the four axes onto a plane, one has norm
+    >= 1/sqrt(2)."""
+    norms = _norm(x)
+    first = np.argmax(norms >= 0.4, axis=1)
+    rows = np.arange(len(x))
+    return x[rows, first] / norms[rows, first, None]
+
+
+#: Each wire's (x, p) of a gate on (x_c, x_c+1, p_c, p_c+1).
+_PAIRS = np.array([[0, 2], [1, 3]])
+#: The axes of a gate's wires in the order (x_c+1, p_c+1, x_c, p_c).
+_ORDER = [1, 3, 0, 2]
+_AXES = np.eye(4)[_ORDER]
+
+
+def _clearing(rows: np.ndarray) -> tuple:
+    """For each pair of rows (u; v) of ``rows`` (m x 2 x 4, on (x_c, x_c+1,
+    p_c, p_c+1)), the Sp(4) gate G with (u; v) G zero on wire c, and its
+    pivot kappa.
+
+    With an orthonormal basis q1, q2 of the rows' plane P (Gram-Schmidt from
+    u, or from v where u vanishes to :data:`RANK_TOL`; q2 = -J q1 if the rows
+    are parallel to that; singular vectors are arbitrary where the rows'
+    singular values tie, and the gates would then move by O(1) under a
+    round-off change of the target), kappa = |omega(q1, q2)|, and
+    H^-1 = (f_c, f_a, f_d, f_b) maps wire c + 1 to (q1, +-q2) / sqrt(kappa)
+    and wire c to an orthonormal pair of the plane's omega-complement J P^perp,
+    scaled the same way.  G = H^T: (u; v) G = (H u; H v), and H's wire-c rows
+    vanish on P.  G's wire-c columns are that pair's preimage (e1, e2) in
+    P^perp, and e1, e2 come from the axes nearest wire c + 1
+    (:func:`_first_long`).  The balanced gauge makes both bases immaterial
+    unless a block is balanced already, as where an output's rows already
+    sit on wire c alone: the gate is then a swap."""
+    u, v = rows[:, 0], rows[:, 1]
+    nu, nv = _norm(u)[:, None], _norm(v)[:, None]
+    along = nu > RANK_TOL * nv
+    q1, other = np.where(along, u / np.where(along, nu, nv), v / nv), np.where(along, v, u)
+    w = other - np.add.reduce(q1 * other, axis=1)[:, None] * q1
+    nw = _norm(w)[:, None]
+    q2 = np.where(nw <= RANK_TOL * np.maximum(nu, nv), q1 @ _J2, w / nw)
+    f_a, f_b, kappa = _symplectic_pair(q1, q2)
+    rest = _AXES - q1[:, _ORDER, None] * q1[:, None] - q2[:, _ORDER, None] * q2[:, None]
+    e1 = _first_long(rest)
+    e2 = _first_long(rest - np.add.reduce(rest * e1[:, None], axis=2)[..., None] * e1[:, None])
+    e1, e2, _ = _symplectic_pair(e1, e2)
+    hinv = np.stack([e2 @ _J2.T, f_a, -e1 @ _J2.T, f_b], axis=2)  # f_c = J e2, f_d = -J e1
+    return -_J2 @ hinv @ _J2, kappa  # H^T = (H^-1)^-T
+
+
+def _triangle(matrix: np.ndarray) -> tuple:
+    """S = Pi D G_m^-1 ... G_0^-1 L^-1 for a symplectic ``matrix`` S (n >= 2):
+    L and D local, Pi the output labelling, and n(n - 1)/2 Sp(4) gates on
+    adjacent wires, G_0^-1 applied first.
+
+    M = S L, with L the gauge (:func:`_balance`) of each input block, is
+    right-multiplied by clearing gates (:func:`_clearing`): stage by stage,
+    for hi = n - 1 down to 1, the gates on wires (0, 1), ..., (hi - 1, hi)
+    move one output's rows (x_o, p_o) entirely onto wire hi, and each gate
+    balances its wires' column blocks again.  A step whose rows already
+    vanish on wire c (:data:`TRIVIAL_TOL`) is the identity; it still emits
+    its gate, so every target of one n gets the same gates.  Each stage
+    tries every output left, all in one pass of arrays, and keeps the one
+    whose least pivot over its non-trivial steps is largest (ties to the
+    lowest).
+
+    Returns L^-1 per wire, the gates in application order as
+    ((c, c + 1), G^-1, pivot) (pivot 1 for a trivial step), D per wire and
+    each wire's output port."""
+    n = len(matrix) // 2
+    blocks = np.array([[w, n + w] for w in range(n)])
+    m = matrix.copy()
+    gauge = _balance(np.stack([m[:, b] for b in blocks]))
+    for b, a in zip(blocks, gauge):
+        m[:, b] = m[:, b] @ a
+    gates, ports, left = [], [0] * n, list(range(n))
+    with np.errstate(divide="ignore", invalid="ignore"):  # trivial steps keep the identity
+        for hi in range(n - 1, 0, -1):
+            count = len(left)
+            ms = np.repeat(m[None], count, axis=0)
+            picked = np.arange(count)[:, None], blocks[left]
+            worst, steps = np.full(count, np.inf), []
+            for c in range(hi):
+                cols = [c, c + 1, n + c, n + c + 1]
+                rows = ms[picked]
+                size = np.abs(rows).max(axis=(1, 2))
+                trivial = np.abs(rows[:, :, blocks[c]]).max(axis=(1, 2)) <= TRIVIAL_TOL * size
+                g, kappa = _clearing(rows[:, :, cols])
+                g[trivial] = np.eye(4)
+                part = ms[:, :, cols] @ g
+                local = np.zeros_like(g)
+                local[:, 0::2, 0::2], local[:, 1::2, 1::2] = _balance(part[:, :, _PAIRS].transpose(2, 0, 1, 3))
+                local[trivial] = np.eye(4)
+                ms[:, :, cols] = part @ local
+                steps.append((g @ local, np.where(trivial, 1.0, kappa)))
+                worst = np.where(trivial, worst, np.minimum(worst, kappa))
+            k = int(np.argmax(worst >= (1.0 - TIE_TOL) * worst.max()))
+            m, ports[hi] = ms[k], left.pop(k)
+            gates += [((c, c + 1), -_J2 @ g[k].T @ _J2, float(kappa[k])) for c, (g, kappa) in enumerate(steps)]
+    ports[0] = left[0]
+    d = np.array([m[np.ix_(blocks[o], blocks[w])] for w, o in enumerate(ports)])
+    # M has picked up round-off off these blocks; det 1 keeps each D symplectic
+    # to round-off, and so the gate that absorbs it, which a chain must
+    # reproduce to round-off.
+    return np.linalg.inv(gauge), gates, d / np.sqrt(np.linalg.det(d))[:, None, None], ports
+
+
+# ---------------------------------------------------------------------------
 # Lowering to a cluster program
 # ---------------------------------------------------------------------------
 
@@ -564,18 +730,17 @@ class _Builder:
         }
         self.records.append(GateRecord("four-step", (wire,), self.column, meta))
 
-    def _batch(self, start: int, splitters: list) -> dict:
-        """The chains of splitter ``start`` and of those after it, keyed
-        (index, form): the Fourier powers (a, b) its wires owe, since its gate
-        is x (F^-a + F^-b).  Its weight does not depend on them, as each
-        wire's next gate undoes its power.  A wire owes its ``forward``
-        power, or either if an earlier splitter of the batch touches it.
-        The splitters of known form join; if one alone does, so do the next
-        ones with each form they may owe, so that a pass of arrays is well
-        filled."""
+    def _batch(self, start: int, gates: list) -> dict:
+        """The chains of gate ``start`` and of those after it, keyed (index,
+        form): the Fourier powers (a, b) its wires owe, since its map is
+        x (F^-a + F^-b).  Its weight does not depend on them, as each wire's
+        next gate undoes its power.  A wire owes its ``forward`` power, or
+        either if an earlier gate of the batch touches it.  The gates of
+        known form join; if one alone does, so do the next ones with each
+        form they may owe, so that a pass of arrays is well filled."""
         problems, known, pending = [], 0, set()
-        for j in range(start, len(splitters)):
-            _, pair, _, x, weight, free = splitters[j]
+        for j in range(start, len(gates)):
+            _, pair, _, x, weight, free = gates[j]
             owed = [(0, 1) if w in pending else (self.forward[w],) for w in pair]
             forms = [(a, b) for a in owed[0] for b in owed[1]]
             if len(forms) > 1 and known > 1:
@@ -583,16 +748,16 @@ class _Builder:
             known += len(forms) == 1
             pending.update(pair)
             problems += [((j, form), (x @ _on_pair(*(_UNDO[k] for k in form)), weight, free)) for form in forms]
-        keys, gates = zip(*problems)
-        return dict(zip(keys, _two_mode_chains(list(gates))))
+        keys, chains = zip(*problems)
+        return dict(zip(keys, _two_mode_chains(list(chains))))
 
-    def _two_mode(self, pair: tuple, reflectivity: float, found) -> None:
+    def _two_mode(self, pair: tuple, pivot: float, found) -> None:
         """The four connection gates ``found`` by :func:`_two_mode_chains`
-        for the splitter on ``pair``."""
+        for the two-mode gate on ``pair``."""
         if found is None:
             raise CompileError(
-                f"no chain of four connection gates reproduces the splitter on "
-                f"wires {pair} in column {self.column} (R = {reflectivity})"
+                f"no chain of four connection gates reproduces the two-mode gate on "
+                f"wires {pair} in column {self.column} (pivot {pivot:.3g})"
             )
         variant, chain, excess = found
         self.forward[pair[0]], self.forward[pair[1]] = _VARIANTS[variant]
@@ -605,45 +770,44 @@ class _Builder:
             self.schedule.append(ScheduleEntry(ctrl, float(np.arctan2(1.0, eta3))))
             self.total_proxy += 1.0 + eta3**2
         meta = {
-            "reflectivity": float(reflectivity),
+            "pivot": pivot,
             "fourier": list(_VARIANTS[variant]),
             "connections": [list(step) for step in chain],
             "excess": excess,
         }
         self.records.append(GateRecord("two-mode", pair, self.column, meta))
 
-    def build(self, columns: list, gates: dict, target: SymplecticMap) -> MeasurementProgram:
-        """The program of the splitter ``columns``, each a list of disjoint
-        (pair, R, the one-mode gates its wires carry since their last
-        splitter).  ``gates`` holds each wire's one-mode ops after its last
-        splitter, which that splitter absorbs; a four-step gate follows only
-        on a wire no splitter touches and on a wire still owing a forced F.
-        A first pass finds each splitter's x = (h_i + h_j) BS(R) (g_i + g_j)
-        and weight, from ``downstream`` = T P^-1 without the powers owed."""
+    def build(self, columns: list, onemode: dict, ports: list, target: SymplecticMap) -> MeasurementProgram:
+        """The program of the two-mode gate ``columns``, each a list of
+        disjoint (pair, (core, pivot), the one-mode gates g its wires carry
+        before it), whose wire w's output node is port ``ports[w]``.
+        ``onemode`` holds each wire's one-mode ops h after its last two-mode
+        gate, which that gate absorbs.  A four-step gate ends a wire still
+        owing a forced F.  A first pass finds each gate's
+        x = (h_i + h_j) core (g_i + g_j) and weight, from ``downstream`` =
+        T P^-1 without the powers owed."""
         last = {w: c for c, column in enumerate(columns) for pair, _, _ in column for w in pair}
-        splitters = []
+        gates = []
         for c, column in enumerate(columns):
-            for pair, reflectivity, g in column:
-                h = [gates.pop(w, _I2) if last[w] == c else _I2 for w in pair]
-                x = _on_pair(*h) @ beam_splitter_matrix(reflectivity).matrix @ _on_pair(*g)
+            for pair, (core, pivot), g in column:
+                h = [onemode.pop(w, _I2) if last[w] == c else _I2 for w in pair]
+                x = _on_pair(*h) @ core @ _on_pair(*g)
                 cols = self._advance(pair, -_J2 @ x.T @ _J2)  # x^-1, x symplectic
-                splitters.append((c, pair, reflectivity, x, cols.T @ cols, [last[w] > c for w in pair]))
+                gates.append((c, pair, pivot, x, cols.T @ cols, [last[w] > c for w in pair]))
         found = {}
-        for i, (column, pair, reflectivity, *_) in enumerate(splitters):
+        for i, (column, pair, pivot, *_) in enumerate(gates):
             self.column, form = column, tuple(self.forward[w] for w in pair)
             if (i, form) not in found:
-                found.update(self._batch(i, splitters))
-            self._two_mode(pair, reflectivity, found[i, form])
+                found.update(self._batch(i, gates))
+            self._two_mode(pair, pivot, found[i, form])
         self.column = len(columns)
         for wire in range(self.n):
             if self.forward[wire]:
                 self._advance((wire,), _UNDO[1])  # now T P^-1 on the wire
-                gates[wire] = _UNDO[1]
-            elif wire not in last:  # else its input port would be its output port
-                gates.setdefault(wire, _I2)
-        for wire in sorted(gates):
-            self._four_step(wire, gates[wire])
-        head_ids = {self.heads[w]: w for w in range(self.n)}
+                onemode[wire] = onemode.get(wire, _I2) @ _UNDO[1]
+        for wire in sorted(onemode):
+            self._four_step(wire, onemode[wire])
+        head_ids = {self.heads[w]: ports[w] for w in range(self.n)}
         nodes = tuple(
             Node(node.id, ROLE_OUTPUT, port=head_ids[node.id])
             if node.id in head_ids
@@ -658,43 +822,42 @@ class _Builder:
         )
 
 
-def _gate_sequence(target: SymplecticMap) -> list:
-    """Wire-level ops, ("onemode", wire, matrix) or ("bs", pair, R), in
-    application order: the mesh of the first passive, the squeezers, the
-    mesh of the second passive."""
+def _gate_sequence(target: SymplecticMap) -> tuple:
+    """Wire-level ops, ("onemode", wire, matrix) or ("two-mode", pair,
+    (G^-1, pivot)), in application order, and each wire's output port: the
+    target itself for n = 1, else the triangle of :func:`_triangle`."""
     if target.n == 1:
-        return [("onemode", 0, target.matrix)]
-    factors = bloch_messiah(target)
-    squeezers = [
-        ("onemode", wire, squeeze(r).matrix)
-        for wire, r in enumerate(factors.squeezings)
-        if abs(r) > SQUEEZE_SKIP_TOL
-    ]
-    return reck_decompose(factors.passive_in) + squeezers + reck_decompose(factors.passive_out)
+        return [("onemode", 0, target.matrix)], [0]
+    first, gates, last, ports = _triangle(target.matrix)
+    return [
+        *(("onemode", w, a) for w, a in enumerate(first)),
+        *(("two-mode", pair, (core, pivot)) for pair, core, pivot in gates),
+        *(("onemode", w, d) for w, d in enumerate(last)),
+    ], ports
 
 
 def compile(target: SymplecticMap, kappa1: float = None):
     """Compile an n-mode symplectic target into a measurement program.
 
     Returns (MeasurementProgram, SynthesisReport).  One-mode targets lower
-    directly to a single four-step chain; larger targets go through
-    Bloch-Messiah and a rectangular splitter mesh per passive.  ``kappa1``
+    directly to a single four-step chain; larger targets to the triangle of
+    :func:`_triangle`: n(n - 1)/2 gates on adjacent wires, stage by stage
+    (0, 1), (1, 2), ..., (hi - 1, hi) for hi = n - 1 down to 1.  ``kappa1``
     pins the free parameter of the four-step synthesis for one-mode targets.
 
-    Splitters are packed by wire level: each goes to the first splitter
-    column in which both its wires are free, so a column holds disjoint
-    pairs, and the two meshes need at most 2n splitter columns.  The
-    one-mode ops on a wire between two of its splitters are composed into
-    one gate g, which the wire's next splitter absorbs; the ops h after a
-    wire's last splitter go into that splitter, since nothing else acts on
-    the wire after it: (h_i + h_j) BS(R) (g_i + g_j) is one two-mode gate of
-    four connection gates (12 ancillas, four steps on each wire).  A generic
-    target is n(n - 1) such gates and nothing else.  A two-mode gate may
-    realize (F^k + F^l) times its map instead (k, l in {0, 1}); each wire's
-    next gate then undoes its F^k, and a wire with no next gate, which gets
-    F only when no other variant has a chain, ends in a four-step gate F^-k.
-    A wire that no splitter touches gets one four-step gate of its ops, the
-    identity if it has none, so that its output is not its input.
+    Gates are packed by wire level: each goes to the first column in which
+    both its wires are free, so a column holds disjoint pairs.  A wire's
+    first gate absorbs its part of L^-1 and its last gate its part of D,
+    since nothing else acts on the wire before or after them:
+    (h_i + h_j) G^-1 (g_i + g_j) is one two-mode gate of four connection
+    gates (12 ancillas, four steps on each wire).  A generic target is
+    n(n - 1)/2 such gates, 6 n (n - 1) ancillas, on one lattice per n: a
+    trivial step still emits its gate, and only the output labels (which
+    wire ends as which output port) vary with the target.  A two-mode gate
+    may realize (F^k + F^l) times its map instead (k, l in {0, 1}); each
+    wire's next gate then undoes its F^k, and a wire with no next gate,
+    which gets F only when no other variant has a chain, ends in a four-step
+    gate F^-k.
 
     The program's one check is its exact replay, which also yields the
     feedforward: ``replay_residual`` is max|replay - target| over the
@@ -707,21 +870,22 @@ def compile(target: SymplecticMap, kappa1: float = None):
     n = target.n
     if kappa1 is not None and n != 1:
         raise ValueError(f"kappa1 pins a one-mode synthesis; the target has {n} modes")
-    gates = {}  # wire -> its one-mode ops since its last splitter, composed
-    columns = []  # per splitter column: its splitters, each with its wires' gates
-    level = [0] * n  # the first splitter column in which each wire is free
-    for kind, wires, value in _gate_sequence(target):
+    onemode = {}  # wire -> its one-mode ops since its last two-mode gate, composed
+    columns = []  # per column: its two-mode gates, each with its wires' one-mode gates
+    level = [0] * n  # the first column in which each wire is free
+    ops, ports = _gate_sequence(target)
+    for kind, wires, value in ops:
         if kind == "onemode":
-            gates[wires] = value @ gates[wires] if wires in gates else value
+            onemode[wires] = value @ onemode[wires] if wires in onemode else value
             continue
         layer = max(level[w] for w in wires)
         if layer == len(columns):
             columns.append([])
-        columns[layer].append((wires, value, tuple(gates.pop(w, _I2) for w in wires)))
+        columns[layer].append((wires, value, tuple(onemode.pop(w, _I2) for w in wires)))
         for w in wires:
             level[w] = layer + 1
     builder = _Builder(target, kappa1)
-    bare = builder.build(columns, gates, target)
+    bare = builder.build(columns, onemode, ports, target)
 
     check = exact_replay(bare)
     diff = np.abs(check.matrix - target.matrix)

@@ -1,5 +1,6 @@
-"""tools/digest.py: a set's digest sees one bit of one angle, and an A/A
-run of HEAD agrees with itself."""
+"""tools/digest.py: a set's digest sees one bit of one angle, a lattice
+digest sees one edge but no output label, and an A/A run of HEAD agrees
+with itself."""
 
 import math
 import shutil
@@ -28,6 +29,17 @@ def test_one_ulp_of_one_angle_changes_the_digest():
     assert digest.digest(programs) != digest.digest([compile(random_symplectic(n, 3))[0] for n in (1, 2)])
 
 
+def test_a_lattice_ignores_output_labels_and_sees_one_edge():
+    programs = [compile(random_symplectic(3, seed))[0] for seed in (1, 2)]
+    first, second = (p.graph.output_ports() for p in programs)
+    assert [node.id for node in first] != [node.id for node in second]  # other labels
+    [shared] = digest.lattices(programs).values()
+    assert shared != digest.SEVERAL
+    graph = programs[1].graph
+    programs[1] = replace(programs[1], graph=replace(graph, edges=graph.edges[1:] + graph.edges[:1]))
+    assert digest.lattices(programs) == {"lattice n=3": digest.SEVERAL}
+
+
 @pytest.mark.skipif(
     shutil.which("git") is None or not (ROOT / ".git").exists(), reason="needs a git checkout"
 )
@@ -38,9 +50,10 @@ def test_head_against_itself_prints_every_set_and_exits_0(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     names = ["perfbench onemode", "perfbench compile_wide", "perfbench simulate", "criterion 7", "random_symplectic"]
+    names += [f"lattice n={n}" for n in range(2, 9)]
     lines = done.stdout.splitlines()
     assert [line[:22].rstrip() for line in lines[::2]] == names
     for first, second in zip(lines[::2], lines[1::2]):
         assert first.split()[-2] == second.split()[-2]  # the digest, then the revision
-    assert "DIFFERS" not in done.stdout
+    assert "DIFFERS" not in done.stdout and digest.SEVERAL not in done.stdout
     assert list(tmp_path.iterdir()) == []  # it writes only in its own temporary directory

@@ -401,14 +401,26 @@ def test_a_replay_that_raises_keeps_nothing(make_program, replay_passes):
     assert len(replay_passes) == 2 and messages[0] == messages[1]
 
 
+def unlabelled(graph) -> list:
+    """A graph's nodes without their output-port labels."""
+    return [node._replace(port=None) if node.role == ROLE_OUTPUT else node for node in graph.nodes]
+
+
 def test_two_compiles_of_one_n_share_one_script_and_one_tape_structure(scripts):
+    # Every target of one n compiles to one lattice, but which wire ends as
+    # which output port is the target's own, and the script reads the
+    # outputs out in port order: one script per labelling.  Seeds 1 and 3
+    # end wires 0, 1, 2 at ports 1, 0, 2, seed 2 at ports 2, 0, 1.
     a, _ = compile(random_symplectic(3, 1))
-    b, _ = compile(random_symplectic(3, 2))
-    assert a.graph == b.graph and a.graph is not b.graph
-    assert scripts.cache_info().misses == 1  # b's compile replayed a's script
-    assert b.tape.blocks is a.tape.blocks
+    b, _ = compile(random_symplectic(3, 3))
+    other, _ = compile(random_symplectic(3, 2))
+    assert unlabelled(other.graph) == unlabelled(a.graph) and other.graph.edges == a.graph.edges
+    assert a.graph == b.graph and a.graph is not b.graph and other.graph != a.graph
+    assert scripts.cache_info().misses == 2  # b's compile replayed a's script
+    assert b.tape.blocks is a.tape.blocks and other.tape.blocks is not a.tape.blocks
     assert b.tape.out is a.tape.out and b.tape.size == a.tape.size
-    assert scripts.cache_info().misses == 1
+    assert not np.array_equal(other.tape.out, a.tape.out)
+    assert scripts.cache_info().misses == 2
     # Only the angles' sines and cosines are the program's own.
     assert len(b.tape.weights) == len(a.tape.blocks)
     assert not np.array_equal(b.tape.weights[0], a.tape.weights[0])

@@ -164,7 +164,7 @@ def test_target_mode_count_must_match_ports():
 def test_gate_census_shape():
     _, report = compile(random_symplectic(2, 19))
     census = Counter(record.kind for record in report.step_params)
-    assert census == {"two-mode": 2}  # n(n - 1) at n = 2; no four-step gate
+    assert census == {"two-mode": 1}  # n(n - 1)/2 at n = 2; no four-step gate
 
 
 def two_port_graph(*replacements) -> ClusterGraph:

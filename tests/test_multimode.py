@@ -1,6 +1,7 @@
 """Connection gates, Bloch-Messiah, splitter meshes, and full compilation."""
 
 import functools
+import unittest.mock
 from collections import Counter
 
 import numpy as np
@@ -263,11 +264,13 @@ def test_bloch_messiah_of_equal_squeezers_has_identity_passives(rs, seed):
         assert np.max(np.abs(passive.matrix.T @ passive.matrix - np.eye(2 * n))) < 1e-10
 
 
-def test_compile_equal_squeezers_needs_no_splitter():
+def test_compile_equal_squeezers_are_the_two_mode_lattice():
+    # Every two-mode target is the one gate of the n = 2 triangle, a local
+    # target too: equal squeezers on both wires lower to 12 ancillas.
     squeezers = compose(embed(squeeze(0.8), 2, [0]), embed(squeeze(0.8), 2, [1]))
     _, report = compile(squeezers)
-    assert report.ancilla_count == 8
-    assert Counter(record.kind for record in report.step_params) == {"four-step": 2}
+    assert report.ancilla_count == 12
+    assert Counter(record.kind for record in report.step_params) == {"two-mode": 1}
     assert report.replay_residual < 1e-9
 
 
@@ -337,17 +340,31 @@ def ancillas(rec) -> int:
     return len(rec.params["kappas"])
 
 
+def output_labels(program) -> list:
+    """Each wire's output port, wire w starting at input port w."""
+    return [port for _, port in wire_ends(program)]
+
+
+def wire_order(labels) -> np.ndarray:
+    """The rows (x then p) of a target in wire order, for ``labels`` from
+    :func:`output_labels`."""
+    n = len(labels)
+    return np.array([*labels, *(n + port for port in labels)])
+
+
 def test_compile_pure_balanced_splitter():
-    # One two-mode gate: four connection gates of three ancillas each.  Neither
-    # wire has a later gate to undo a Fourier power, so the gate is BS(R)
-    # itself (variant k = l = 0).
+    # One two-mode gate: four connection gates of three ancillas each.  The
+    # gate absorbs both wires' L^-1 and D, so it is the target itself, its
+    # rows in wire order; neither wire has a later gate to undo a Fourier
+    # power, so it is realized as itself (variant k = l = 0).
     target = beam_splitter_matrix(0.5)
     program, report = compile(target)
     assert report.ancilla_count == 12
     assert report.replay_residual < 1e-9
     (rec,) = report.step_params
     assert (rec.kind, rec.wires, rec.column, rec.params["fourier"]) == ("two-mode", (0, 1), 0, [0, 0])
-    assert np.max(np.abs(two_mode_product(rec) - target.matrix)) < 1e-10
+    rows = wire_order(output_labels(program))
+    assert np.max(np.abs(two_mode_product(rec) - target.matrix[rows])) < 1e-10
 
 
 def test_compile_free_param_pins_kappa1():
@@ -404,55 +421,76 @@ DISJOINT = compose(
 )
 
 
+def triangle_gates(target) -> list:
+    """Each two-mode gate of the triangle as (pair, map), in application
+    order, from ``multimode._gate_sequence``: the map is
+    (h_i + h_j) G^-1 (g_i + g_j), g a wire's L^-1 at its first gate and h
+    its D at its last (else the identity)."""
+    ops, _ = multimode._gate_sequence(target)
+    n = target.n
+    inputs, outputs = [m for _, _, m in ops[:n]], [m for _, _, m in ops[-n:]]
+    gates = [(pair, core) for _, pair, (core, _) in ops[n:-n]]
+    first = {w: i for i, (pair, _) in reversed(list(enumerate(gates))) for w in pair}
+    last = {w: i for i, (pair, _) in enumerate(gates) for w in pair}
+    return [
+        (pair, on_pair(*(outputs[w] if last[w] == i else np.eye(2) for w in pair))
+         @ core @ on_pair(*(inputs[w] if first[w] == i else np.eye(2) for w in pair)))
+        for i, (pair, core) in enumerate(gates)
+    ]
+
+
 def test_compile_flushes_pad_fourier_transforms():
     # No wire owes a Fourier power at the end, and no record is a pad.  A
-    # two-mode gate realizes (F^k + F^l) BS(R) (g_i + g_j), and each wire's
-    # next gate undoes its power; F goes only to a wire that has a next gate.
-    # Bloch-Messiah leaves these passive targets whole in the first mesh, so
-    # every g is the identity; FOLD's rotation sits on wire 3, which no
-    # splitter touches, so it is that wire's one four-step gate, as is the
-    # identity chain on the embedded splitter's wire 2.  Every gate's product
-    # is known exactly.
+    # two-mode gate realizes (F^k + F^l) x undo(owed) for its map x, and
+    # each wire's next gate undoes its power; F goes to a wire without a
+    # next gate only when no other variant has a chain, and the wire then
+    # ends in a four-step gate F^-1.  These passive targets force it on
+    # wire 1 of TWO_SPLITTERS and FOLD.  Each is the full triangle: 2n - 3
+    # columns of two-mode gates, and the four-step gates after them.  Every
+    # gate's product is known exactly from the decomposition.
     cases = [  # target, ancillas, columns, each two-mode gate's (k, l)
-        (embed(beam_splitter_matrix(0.5), 3, [0, 1]), 16, 2, [[0, 0]]),
-        (TWO_SPLITTERS, 24, 2, [[0, 1], [0, 0]]),
-        (FOLD, 28, 3, [[0, 1], [0, 0]]),
-        (DISJOINT, 24, 1, [[0, 0], [0, 0]]),
+        (embed(beam_splitter_matrix(0.5), 3, [0, 1]), 36, 3, [[0, 0], [0, 0], [0, 0]]),
+        (TWO_SPLITTERS, 40, 4, [[1, 0], [1, 0], [0, 1]]),
+        (FOLD, 76, 6, [[0, 0], [0, 0], [0, 0], [1, 0], [1, 0], [0, 1]]),
+        (DISJOINT, 72, 5, [[1, 0], [1, 1], [0, 0], [0, 0], [1, 0], [0, 0]]),
     ]
     for target, ancilla_count, columns, variants in cases:
         program, report = compile(target)
         assert report.ancilla_count == ancilla_count
         assert 1 + max(rec.column for rec in report.step_params) == columns
+        expected = {}  # pair -> its gates' maps, in order
+        for pair, x in triangle_gates(target):
+            expected.setdefault(pair, []).append(x)
         owed = [0] * target.n
         for rec in report.step_params:
             if rec.kind == "two-mode":
                 (i, j), (k, l) = rec.wires, rec.params["fourier"]
                 undo = on_pair(fourier_power(-owed[i]).matrix, fourier_power(-owed[j]).matrix)
-                bs = beam_splitter_matrix(rec.params["reflectivity"]).matrix
-                expected = on_pair(fourier_power(k).matrix, fourier_power(l).matrix) @ bs @ undo
-                assert np.max(np.abs(two_mode_product(rec) - expected)) < 1e-10
+                x = expected[rec.wires].pop(0)
+                gate = on_pair(fourier_power(k).matrix, fourier_power(l).matrix) @ x @ undo
+                assert np.max(np.abs(two_mode_product(rec) - gate)) < 1e-10 * max(1.0, np.max(np.abs(x)))
                 owed[i], owed[j] = k, l
             else:
                 assert rec.kind == "four-step"
                 (w,) = rec.wires
-                gate = rotation(0.4).matrix if target is FOLD and w == 3 else np.eye(2)
                 steps = four_step_product(rec.params["kappas"])
-                assert np.max(np.abs(steps - gate @ fourier_power(-owed[w]).matrix)) < 1e-10
+                assert owed[w] == 1
+                assert np.max(np.abs(steps - fourier_power(-1).matrix)) < 1e-12
                 owed[w] = 0
         assert owed == [0] * target.n
+        assert all(not rest for rest in expected.values())
         assert [rec.params["fourier"] for rec in report.step_params if rec.kind == "two-mode"] == variants
         assert report.replay_residual < 1e-9
         if target is FOLD:
             excess = np.trace(exact_replay(program).excess_covariance(db_to_r(10.0)))
-            assert excess == pytest.approx(0.8426, abs=1e-4)
+            assert excess == pytest.approx(1.6912, abs=1e-4)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_compile_packs_disjoint_splitters_into_columns(n):
-    # Each passive is a mesh of at most n splitter layers, so a generic
-    # target has at most 2n splitter columns of disjoint two-mode gates.  Each
-    # wire's last splitter absorbs its trailing one-mode ops, so nothing
-    # follows them.
+    # Stage hi's gate (c, c + 1) goes to column c + 2 (n - 1 - hi), so the
+    # triangle has 2n - 3 columns of disjoint two-mode gates.  Each wire's
+    # last gate absorbs its trailing one-mode ops, so nothing follows them.
     for seed in range(2):
         _, report = compile(random_symplectic(n, seed))
         pairs = {}
@@ -462,7 +500,7 @@ def test_compile_packs_disjoint_splitters_into_columns(n):
         for column, wires in pairs.items():
             used = [w for pair in wires for w in pair]
             assert len(used) == len(set(used)), (column, wires)
-        assert len(pairs) <= 2 * n
+        assert len(pairs) == max(1, 2 * n - 3)
         assert {rec.kind for rec in report.step_params} == {"two-mode"}
         assert sorted(pairs) == list(range(len(pairs)))
         assert report.replay_residual < 1e-9
@@ -486,9 +524,10 @@ def splitter_products(count: int) -> list:
     return targets
 
 
-def wire_steps(program) -> list:
-    """Each wire's steps: the nodes on the graph path from its input port to
-    its output port, the input excluded.  A wire node has one in-edge; a
+def wire_ends(program) -> list:
+    """Each wire's steps and output port: the number of nodes on the graph
+    path from its input port to the output node that ends it, the input
+    excluded, and that node's port.  A wire node has one in-edge; a
     connection gate's control node has two and leads nowhere."""
     graph = program.graph
     indegree = Counter(v for _, v in graph.edges)
@@ -496,15 +535,19 @@ def wire_steps(program) -> list:
     for u, v in graph.edges:
         successors.setdefault(u, []).append(v)
     outputs = {node.id: node.port for node in graph.output_ports()}
-    steps = []
+    ends = []
     for node in graph.input_ports():
         at, count = node.id, 0
         while at not in outputs:
             (at,) = (v for v in successors[at] if indegree[v] == 1)
             count += 1
-        assert outputs[at] == node.port
-        steps.append(count)
-    return steps
+        ends.append((count, outputs[at]))
+    return ends
+
+
+def wire_steps(program) -> list:
+    """Each wire's steps (:func:`wire_ends`)."""
+    return [steps for steps, _ in wire_ends(program)]
 
 
 def test_compile_keeps_wires_step_aligned():
@@ -666,14 +709,15 @@ def test_two_mode_chart_reaches_both_degenerate_families():
 
 
 def test_compile_names_a_splitter_without_a_chain(monkeypatch):
+    # The one gate of n = 2 has no chain: its error names it and its pivot.
     def no_family(ts, tols):  # every variant's S1 family empty
         return np.zeros((len(ts), 3)), np.zeros((len(ts), 3, 3)), np.zeros(len(ts), dtype=int)
 
     monkeypatch.setattr(multimode, "_families", no_family)
     with pytest.raises(
         CompileError,
-        match=r"no chain of four connection gates reproduces the splitter on wires "
-        r"\(0, 1\) in column 0",
+        match=r"no chain of four connection gates reproduces the two-mode gate on wires "
+        r"\(0, 1\) in column 0 \(pivot [\d.]+\)",
     ):
         compile(random_symplectic(2, 0))
 
@@ -689,9 +733,11 @@ def test_compile_refuses_a_wrong_lowering(monkeypatch):
 
 
 def cluster_structure(program) -> tuple:
-    """A program's graph (nodes and edges) and schedule node order."""
+    """A program's graph (nodes without their output ports' labels, and
+    edges) and schedule node order."""
     graph = program.graph
-    return graph.nodes, graph.edges, tuple(entry.node_id for entry in program.schedule)
+    nodes = tuple(node._replace(port=None) if node.role == ROLE_OUTPUT else node for node in graph.nodes)
+    return nodes, graph.edges, tuple(entry.node_id for entry in program.schedule)
 
 
 @functools.cache
@@ -699,15 +745,23 @@ def reference_program(n: int):
     return compile(random_symplectic(n, 0))[0]
 
 
-@settings(max_examples=30, deadline=None)
-@given(n=st.sampled_from([2, 3, 4]), seed=st.integers(1, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([2, 3, 4, 5]), seed=st.integers(1, 2**32 - 1))
 def test_generic_targets_of_one_n_compile_to_one_fixed_cluster(n, seed):
     # The paper's claim: one finite cluster per n realises every generic
-    # target; only the homodyne angles and the feedforward depend on it.
+    # target.  Only the homodyne angles, the feedforward and the output
+    # labels (which wire ends as which output port, chosen per target like
+    # the angles) depend on it.
     program, reference = compile(random_symplectic(n, seed))[0], reference_program(n)
     assert cluster_structure(program) == cluster_structure(reference)
+    assert sorted(output_labels(program)) == list(range(n))
     angles = [entry.angle for entry in program.schedule]
     assert angles != [entry.angle for entry in reference.schedule]
+
+
+#: Per n, a target whose last gate on one wire forwards F: that wire ends in
+#: a four-step gate F^-1.
+FORCED_F = {2: embed(squeeze(0.8), 2, [1]), 3: TWO_SPLITTERS, 4: FOLD}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -715,14 +769,14 @@ def test_each_four_step_gate_records_its_share_of_the_excess(n):
     # Every record's excess tr(W K K^T) (four-step and two-mode gates) is the
     # sum of |N[:, j]|^2 over its ancillas' columns of the executor's noise
     # response N, so the shares sum to tr(N N^T).  Records follow the order
-    # in which the builder creates ancillas.  Generic targets have two-mode
-    # gates only; the embedded squeezer and FORCED add, for n >= 3, identity
-    # chains on the wires no splitter touches, and FORCED a forced F's
-    # four-step gate.
-    cases = [(random_symplectic(n, seed), {"two-mode": n * (n - 1)}) for seed in range(4)]
-    untouched = {"four-step": n - 2} if n > 2 else {}
-    cases.append((embed(squeeze(0.8), n, [1]), {"two-mode": 2, **untouched}))
-    cases.append((embed(FORCED, n, [0, 1]), {"two-mode": 1, "four-step": n - 1}))
+    # in which the builder creates ancillas.  Generic targets and the
+    # embedded squeezer (n >= 3) have two-mode gates only; FORCED_F adds the
+    # four-step gate of a forced F.
+    gates = n * (n - 1) // 2
+    cases = [(random_symplectic(n, seed), {"two-mode": gates}) for seed in range(4)]
+    cases.append((FORCED_F[n], {"two-mode": gates, "four-step": 1}))
+    if n > 2:
+        cases.append((embed(squeeze(0.8), n, [1]), {"two-mode": gates}))
     for target, kinds in cases:
         program, report = compile(target)
         noise = program.replay.noise_response
@@ -739,67 +793,67 @@ def test_each_four_step_gate_records_its_share_of_the_excess(n):
 
 
 def test_compile_multimode_identity():
-    # no gates from the factorization: wires still get explicit chains
+    # The identity is the n = 2 lattice too: every step of the triangle is
+    # trivial, and the one gate is lowered as any other.
     program, report = compile(identity(2))
     assert report.replay_residual < 1e-12
-    assert report.ancilla_count == 8
+    assert report.ancilla_count == 12
+    assert [rec.params["pivot"] for rec in report.step_params] == [1.0]
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_generic_targets_lower_to_two_mode_gates_only(n):
-    # A generic target's two meshes hold n(n - 1) splitters.  Each absorbs its
-    # wires' one-mode ops since their last splitter and, at a wire's last
-    # splitter, the ops after it: n(n - 1) two-mode gates of 12 ancillas and
-    # no four-step gate, each wire four steps per gate on it.
+    # The triangle holds n(n - 1)/2 gates.  Each absorbs its wires' L^-1 at
+    # their first gate and D at their last: n(n - 1)/2 two-mode gates of 12
+    # ancillas and no four-step gate, each wire four steps per gate on it.
     for seed in range(20):
         program, report = compile(random_symplectic(n, seed))
-        assert Counter(rec.kind for rec in report.step_params) == {"two-mode": n * (n - 1)}
-        assert report.ancilla_count == 12 * n * (n - 1)
+        assert Counter(rec.kind for rec in report.step_params) == {"two-mode": n * (n - 1) // 2}
+        assert report.ancilla_count == 6 * n * (n - 1)
         gates = Counter(w for rec in report.step_params for w in rec.wires)
         assert wire_steps(program) == [4 * gates[w] for w in range(n)]
         assert report.replay_residual < 1e-9
 
 
 @pytest.mark.parametrize(
-    "target, untouched, ancilla_count",
+    "target, ancilla_count, four_step, excess",
     [
-        (embed(beam_splitter_matrix(0.5), 3, [0, 1]), [2], 16),
-        (embed(squeeze(0.8), 2, [0]), [1], 8),
-        (identity(3), [0, 1, 2], 12),
+        (identity(2), 12, 0, 0.2000),
+        (identity(3), 36, 0, 0.6000),
+        (embed(squeeze(0.8), 2, [0]), 16, 1, 0.4155),
+        (embed(squeeze(0.8), 3, [1]), 36, 0, 0.7289),
+        (embed(beam_splitter_matrix(0.5), 3, [0, 1]), 36, 0, 0.7711),
     ],
-    ids=["splitter-on-3", "squeezer-on-2", "identity-3"],
+    ids=["identity-2", "identity-3", "squeezer-on-2", "squeezer-on-3", "splitter-on-3"],
 )
-def test_an_untouched_wire_keeps_one_identity_chain(target, untouched, ancilla_count):
-    # A wire that no gate touches gets one identity four-step chain, so its
-    # input port is not its output port and the program validates.
+def test_special_targets_compile_to_the_full_triangle(target, ancilla_count, four_step, excess):
+    # No pruning: a wire that the target leaves alone still carries its
+    # gates, as trivial steps emit theirs, so special targets pay the
+    # lattice's n(n - 1)/2 two-mode gates; the squeezer on wire 0 of two
+    # adds a forced F's four-step gate.  Their excess at 10 dB is pinned
+    # (to 1e-4).
     program, report = compile(target)
     program.validate()
     assert report.ancilla_count == ancilla_count
-    for wire in untouched:
-        (rec,) = [rec for rec in report.step_params if wire in rec.wires]
-        assert rec.kind == "four-step"
-        assert np.max(np.abs(four_step_product(rec.params["kappas"]) - np.eye(2))) < 1e-12
+    kinds = Counter(rec.kind for rec in report.step_params)
+    assert kinds == {"two-mode": target.n * (target.n - 1) // 2, **({"four-step": four_step} if four_step else {})}
+    measured = np.trace(program.replay.excess_covariance(db_to_r(10.0)))
+    assert measured == pytest.approx(excess, abs=1e-4)
     assert report.replay_residual < 1e-9
 
 
-#: A swap after (F + F^T): its own chart family is empty (T_d = 0, T_c not
-#: symmetric), so its one splitter, the last gate on both wires, forwards F.
-FORCED = SymplecticMap(2, beam_splitter_matrix(0.0).matrix @ on_pair(F, F.T))
-
-
 def test_a_forced_fourier_power_ends_in_a_four_step_gate():
-    # FORCED's splitter has no chain as itself, so it forwards F to wire 0
-    # although no later splitter can undo it: wire 0 ends with a four-step
-    # gate F^-1, and wire 2, which no gate touches, with an identity chain.
-    program, report = compile(embed(FORCED, 3, [0, 1]))
-    assert report.ancilla_count == 20
-    two_mode = [rec for rec in report.step_params if rec.kind == "two-mode"]
-    assert two_mode[-1].params["fourier"] == [1, 0]
-    gates = {rec.wires: rec.params["kappas"] for rec in report.step_params if rec.kind == "four-step"}
-    assert set(gates) == {(0,), (2,)}
-    assert np.max(np.abs(four_step_product(gates[(0,)]) - fourier_power(-1).matrix)) < 1e-12
-    assert np.max(np.abs(four_step_product(gates[(2,)]) - np.eye(2))) < 1e-12
-    assert wire_steps(program) == [8, 4, 4]
+    # squeeze(0.8) on wire 1 of two: its one gate has no chain as itself,
+    # so it forwards F to a wire that has no later gate to undo it, which
+    # ends with a four-step gate F^-1.
+    program, report = compile(FORCED_F[2])
+    assert report.ancilla_count == 16
+    two_mode, four_step = report.step_params
+    (k, l) = two_mode.params["fourier"]
+    assert k + l == 1
+    assert four_step.kind == "four-step" and four_step.wires == ((0,) if k else (1,))
+    assert np.max(np.abs(four_step_product(four_step.params["kappas"]) - fourier_power(-1).matrix)) < 1e-12
+    assert sorted(wire_steps(program)) == [4, 8]
     assert report.replay_residual < 1e-9
 
 
@@ -835,6 +889,67 @@ def test_compile_accepts_high_squeezing():
     assert symplectic_residual(target) > 3e-10
     program, report = compile(target)
     assert report.replay_residual <= 1e-9 * np.max(np.abs(target.matrix))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 3),
+    seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    wire=st.integers(0, 2),
+    r=st.floats(2.0, 6.0),
+    phi=st.floats(-np.pi, np.pi),
+    psi=st.floats(-np.pi, np.pi),
+)
+@example(n=3, seed=None, wire=0, r=5.0, phi=0.3, psi=1.1)
+def test_compile_holds_at_high_squeezing(n, seed, wire, r, phi, psi):
+    # One strong squeezer after a random map (the identity for seed None),
+    # as in test_bloch_messiah_holds_at_high_squeezing.  The program
+    # replays the target to 1e-9 relative, and every chain that the sweep
+    # accepts reproduces its gate to round-off.
+    base = identity(n) if seed is None else random_symplectic(n, seed)
+    squeezer = compose_many(rotation(phi), squeeze(r), rotation(psi))
+    target = compose(base, embed(squeezer, n, [wire % n]))
+    real, swept = multimode._two_mode_chains, []
+
+    def sweep(gates):
+        found = real(gates)
+        swept.extend(zip(gates, found))
+        return found
+
+    with unittest.mock.patch.object(multimode, "_two_mode_chains", sweep):
+        _, report = compile(target)
+    assert report.replay_residual <= 1e-9 * np.max(np.abs(target.matrix))
+    for (t, _, _), found in swept:
+        if found is not None:
+            assert_round_off(t, found[0], found[1])
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_the_triangle_is_stable_under_round_off(n):
+    # An output whose rows already sit on one wire (random_symplectic's
+    # nearest-neighbour layers leave such zeros) is swapped onward, and
+    # its blocks are balanced already, where the SVD's axes are arbitrary.
+    # The gauge then keeps them, and the complement is taken nearest the
+    # wire's axes, so a 1e-14 change to the target moves no gate by more
+    # than round-off times its conditioning.
+    rng = np.random.default_rng(n)
+    for seed in range(4):
+        matrix = random_symplectic(n, seed).matrix
+        first, gates, last, ports = multimode._triangle(matrix)
+        moved = multimode._triangle(matrix + 1e-14 * rng.normal(size=matrix.shape))
+        assert moved[3] == ports
+        for (_, core, _), (_, other, _) in zip(gates, moved[1]):
+            assert np.max(np.abs(core - other)) < 1e-10
+        # S = Pi D G_m^-1 ... G_0^-1 L^-1
+        product = np.eye(2 * n)
+        for wire, a in enumerate(first):
+            product = embed(SymplecticMap(1, a), n, [wire]).matrix @ product
+        for pair, core, _ in gates:
+            product = embed(SymplecticMap(2, core), n, list(pair)).matrix @ product
+        for wire, d in enumerate(last):
+            product = embed(SymplecticMap(1, d), n, [wire]).matrix @ product
+        rows = wire_order(ports)
+        assert np.max(np.abs(product - matrix[rows])) < 1e-13
 
 
 def test_compiled_connection_steps_match_angles():

@@ -19,13 +19,13 @@ import workloads  # noqa: E402
 
 #: Per workload: ancillas_mean, excess_trace_10db and excess_trace_15db, as
 #: each four-step gate's kappa1 minimizes its exact excess tr(W K K^T) and
-#: each splitter, with its wires' one-mode gates before it and, at a wire's
-#: last splitter, after it, is one two-mode gate of four connection gates,
+#: each gate of the triangle, with its wires' L^-1 at their first gate and D
+#: at their last, is one two-mode gate of four connection gates,
 #: line-minimized in every Fourier variant of its least-forced group.
 EXPECTED = {
     "onemode": (4.0, 0.13074723449143713, 0.04134590587610681),
-    "simulate": (72.0, 4.954858647733344, 1.5668638811019249),
-    "compile_wide": (672.0, 34.36103265238959, 10.865912593696777),
+    "simulate": (36.0, 1.4819490070363186, 0.46863342384596596),
+    "compile_wide": (336.0, 12.567939538275743, 3.9743314436236257),
 }
 
 
@@ -46,12 +46,12 @@ def test_reference_set_output_cost_does_not_regress(name, tmp_path):
 def test_criterion_7_targets_with_two_or_more_modes():
     # The 150 targets random_symplectic(n, 7000 + s) of criterion 7 with
     # n in {2, 3, 4}: their mean 10-dB excess trace and worst replay residual.
-    # A two-mode chain is accepted first only if it reproduces its gate to
-    # round-off, which keeps the residual near 1e-14.
+    # A two-mode chain is accepted only if it reproduces its gate to
+    # round-off, which keeps the residual below 1e-13.
     excess, residuals = [], []
     for seed in range(7050, 7200):
         program, report = compile(random_symplectic(2 + (seed - 7050) // 50, seed))
         excess.append(float(np.trace(program.replay.excess_covariance(db_to_r(10.0)))))
         residuals.append(report.replay_residual)
-    assert statistics.fmean(excess) <= 5.45
+    assert statistics.fmean(excess) <= 1.75
     assert max(residuals) < 1e-13

@@ -49,12 +49,13 @@ def test_tracer_sees_a_compile_wide_target_and_restores_every_alias(tmp_path):
     assert outcome.failures == []
     assert outcome.ancillas > 0 and outcome.columns > 0
     totals = tracer.totals()
-    for name in ("multimode.compile", "multimode.bloch_messiah", "executor.exact_replay",
-                 "serialize.load_program"):
+    for name in ("multimode.compile", "executor.exact_replay", "serialize.load_program"):
         assert totals[name]["calls"] >= 1, name
-    # A generic n = 8 target is two meshes of two-mode gates and no one-mode
-    # synthesis: their splitters absorb every one-mode op.
-    assert tracer.child_calls("multimode.reck_decompose", "multimode.compile") == 2
+    # A generic target is the triangle of two-mode gates, without
+    # Bloch-Messiah or a mesh, and no one-mode synthesis: its gates absorb
+    # every one-mode op.
+    for name in ("multimode.bloch_messiah", "multimode.reck_decompose"):
+        assert tracer.child_calls(name, "multimode.compile") == 0, name
     assert totals["single_mode.decompose_four_step"]["calls"] == 0
     assert tracer.count("single_mode.noise_proxy") == 0
 

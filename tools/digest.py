@@ -14,7 +14,11 @@ writes the shortest repr that reads back the same float).  The sets:
   workload, read through ``perfbench/workloads.make_target``;
 - ``criterion 7``: the acceptance suite's 200 targets,
   ``random_symplectic(n, 7000 + k)`` for n = 1..4, 50 each;
-- ``random_symplectic``: ``random_symplectic(n, s)`` for n = 2..8, s = 0..9.
+- ``random_symplectic``: ``random_symplectic(n, s)`` for n = 2..8, s = 0..9;
+- ``lattice n=N``: the cluster that the ten ``random_symplectic(N, s)``
+  programs share: their nodes without the output ports' labels, their edges
+  and their measured order.  If two of them differ it reads
+  ``several lattices``, and the script exits 1.
 
 A revision is exported with ``git archive`` into a temporary directory,
 which is removed afterwards; each tree's programs are compiled in a fresh
@@ -36,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV = {"PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+SEVERAL = "several lattices"
 sys.path.insert(0, str(ROOT / "tools"))
 
 from ab import export  # noqa: E402
@@ -47,6 +52,23 @@ def digest(programs) -> str:
 
     text = json.dumps([program_to_dict(p) for p in programs], sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def lattice(program) -> tuple:
+    """A program's cluster without its output labels: each node's id, role
+    and input port, the edges and the measured order."""
+    nodes = [(node.id, node.role, node.port if node.role == "input-port" else None) for node in program.graph.nodes]
+    return nodes, program.graph.edges, [entry.node_id for entry in program.schedule]
+
+
+def lattices(programs) -> dict:
+    """Per n of ``programs``, the digest of the cluster they all share, or
+    ``several lattices``."""
+    by_n = {}
+    for program in programs:
+        text = json.dumps(lattice(program))
+        by_n.setdefault(program.n, set()).add(hashlib.sha256(text.encode()).hexdigest())
+    return {f"lattice n={n}": found.pop() if len(found) == 1 else SEVERAL for n, found in by_n.items()}
 
 
 def target_sets() -> dict:
@@ -88,8 +110,9 @@ def main(argv=None) -> int:
             raise RuntimeError(f"cvcluster was imported from {cvcluster.__file__}, not from {args.tree}")
         from cvcluster import compile
 
-        sets = target_sets()
-        print(json.dumps({name: digest(compile(t)[0] for t in targets) for name, targets in sets.items()}))
+        programs = {name: [compile(t)[0] for t in targets] for name, targets in target_sets().items()}
+        digests = {name: digest(compiled) for name, compiled in programs.items()}
+        print(json.dumps({**digests, **lattices(programs["random_symplectic"])}))
         return 0
     if len(args.revisions) > 2:
         parser.error("give at most two revisions")
@@ -99,7 +122,7 @@ def main(argv=None) -> int:
     if len(args.revisions) < 2:
         sides.append(("working tree", tree_digests(ROOT)))
     (base, a), *rest = sides
-    differ = False
+    differ = any(SEVERAL in digests.values() for _, digests in sides)
     for name in a:
         print(f"{name:<22} {a[name]}  {base}")
         for other, b in rest:
