@@ -17,20 +17,22 @@ Fourier power.
 Each gate's share of the program's excess noise tr(N N^T) depends only on
 its parameters and on W = D^T D, where D is the ideal map from the gate's
 output to the program's outputs, fixed by the target and the gates emitted
-before it.  So the gates choose in emission order, each minimizing its own
-share: a four-step gate by its free kappa1 (``single_mode``), a two-mode gate
-M(S4) M(S3) M(S2) M(S1), with M(S) = (-S -I; I 0) the connection gate of a
-symmetric S, by its Fourier variant and by S1 on the variant's two-parameter
-affine family (:func:`_two_mode_chains`), among the chains that reproduce
-the gate to round-off.  D does not depend on the Fourier powers that earlier
-gates forward, since each wire's next gate undoes its power, so the gates
-of a column, and the next gates with each power they may owe, are swept in
-one pass of arrays (:meth:`_Builder._batch`).
+before it.  A four-step gate minimizes its share by its free kappa1
+(``single_mode``); a two-mode gate M(S4) M(S3) M(S2) M(S1), with
+M(S) = (-S -I; I 0) the connection gate of a symmetric S, by S1 on the
+two-parameter affine family of each Fourier variant (:func:`_two_mode_chains`),
+among the chains that reproduce the gate to round-off.  D does not depend on
+the Fourier powers that earlier gates forward, since each wire's next gate
+undoes its power, so every gate is swept with every pair of powers it may
+owe in one pass of arrays, and the shares of (gate, owed powers, variant)
+sum to tr(N N^T).  A dynamic program over the powers the wires owe then
+chooses all variants together (:func:`_choose_variants`).
 
 ``bloch_messiah`` and ``reck_decompose`` (passive * squeezers * passive and
 its splitter meshes) are no longer on the compile path.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -453,7 +455,7 @@ def _line_min(ts, ws, points, excess, directions, limits) -> None:
         points[owner[i]], excess[owner[i]] = tried[i], fresh[i]
 
 
-def _two_mode_chains(gates: list) -> list:
+def _two_mode_chains(gates: list) -> tuple:
     """Four connection gates for each two-mode gate (t, weight W, free),
     all swept in the same passes of arrays.
 
@@ -462,15 +464,15 @@ def _two_mode_chains(gates: list) -> list:
     gate (``free`` false), fewest first, and the next group only if none of
     the last reproduced its variant.  Each variant starts at the least-norm
     S1 of its family (:func:`_families`) and minimizes once along each
-    direction of it (:func:`_line_min`).  Of the variants whose chain
-    reproduces them to round-off (:data:`ROUNDOFF_TOL`), the least excess
-    wins: (variant index, [(kappa1, kappa2, eta3)] * 4, excess), or None
-    when no variant is admissible.  Next to a pole the excess is inf or nan,
-    which no comparison prefers."""
+    direction of it (:func:`_line_min`).  Returns each gate's excess per
+    variant (m x 4) and chains ((kappa1, kappa2, eta3) * 4 per variant,
+    m x 4 x 4 x 3).  The excess is finite only for the variants of the
+    gate's first group with a chain that reproduces them to round-off
+    (:data:`ROUNDOFF_TOL`), and inf elsewhere, next to a pole too."""
     ts = _VARIANT_MAPS @ np.array([t for t, _, _ in gates])[:, None]
     ws = _VARIANT_MAPS @ np.array([w for _, w, _ in gates])[:, None] @ _VARIANT_MAPS.transpose(0, 2, 1)
     scales = np.maximum(1.0, np.abs(ts[:, 0]).max(axis=(1, 2)))  # the same for every variant
-    found = [None] * len(gates)
+    table, chains = np.full((len(gates), 4), np.inf), np.zeros((len(gates), 4, 4, 3))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         starts, bases, counts = (x.reshape(len(gates), 4, *x.shape[1:]) for x in _families(
             ts.reshape(-1, 4, 4), np.repeat(FAMILY_TOL * scales, 4)))
@@ -481,7 +483,7 @@ def _two_mode_chains(gates: list) -> list:
                 [v for v in range(4) if count[v] and extra[v] == fewest]
                 for fewest in sorted({extra[v] for v in range(4) if count[v]})
             ])
-        while rows := [(i, v) for i, stage in enumerate(stages) if found[i] is None and stage for v in stage[0]]:
+        while rows := [(i, v) for i in np.isinf(table).all(axis=1).nonzero()[0].tolist() if stages[i] for v in stages[i][0]]:
             for i in {i for i, _ in rows}:
                 del stages[i][0]
             gate, variant = np.array(rows).T
@@ -491,11 +493,59 @@ def _two_mode_chains(gates: list) -> list:
             excess[np.isnan(excess)] = np.inf
             for direction in bases[gate, variant, : counts[gate, variant].max()].transpose(1, 0, 2):
                 _line_min(t, w, points, excess, direction, limits)
-            excess, ok, chains = _check(t, w, points, limits)
-            for (i, v), e, chain, good in zip(rows, excess.tolist(), chains.tolist(), ok.tolist()):
-                if good and (found[i] is None or e < found[i][2]):
-                    found[i] = (v, [tuple(step) for step in chain], e)
-    return found
+            excess, ok, chains[gate, variant] = _check(t, w, points, limits)
+            table[gate, variant] = np.where(ok & np.isfinite(excess), excess, np.inf)
+    return table, chains
+
+
+#: States (the powers the wires owe) that :func:`_choose_variants` keeps
+#: after each gate, besides the gate-by-gate choice's.
+BEAM = 64
+
+
+def _choose_variants(gates: list, table: np.ndarray) -> list:
+    """The Fourier variant of each two-mode gate (column, pair, pivot, ...,
+    free) that together give the least (forced F, summed excess), from
+    ``table``: each gate's excess per pair of powers (a, b) its wires owe and
+    per variant (gates x 2 x 2 x 4, inf for no chain).
+
+    A forward dynamic program over the powers owed by the wires that have a
+    later gate (a state: a bit per wire) keeps, after each gate, the cheapest
+    way to each state, and of these the :data:`BEAM` cheapest states and the
+    state of the gate-by-gate choice (each gate the least share of the
+    powers it owes).  Every wire's bit leaves after its last gate, so one
+    state is left, and its way back gives the variants."""
+    layer, walk, unset = [(0, (0, 0.0), ())], 0, (math.inf,)  # (state, cost, (way back, variant))
+    for (column, (i, j), pivot, *_, free), shares in zip(gates, table.tolist()):
+        keep = ~(1 << i | 1 << j)
+        owes = [k * free[0] << i | l * free[1] << j for k, l in _VARIANTS]
+        extras = [(k and not free[0]) + (l and not free[1]) for k, l in _VARIANTS]
+        costs, backs = {}, {}
+        for state, (forced, excess), back in layer:
+            for v, share in enumerate(shares[state >> i & 1][state >> j & 1]):
+                if share < math.inf:
+                    key, cost = state & keep | owes[v], (forced + extras[v], excess + share)
+                    if cost < costs.get(key, unset):
+                        costs[key], backs[key] = cost, (back, v)
+        if not costs:
+            raise CompileError(
+                f"no chain of four connection gates reproduces the two-mode gate on "
+                f"wires {(i, j)} in column {column} (pivot {pivot:.3g})"
+            )
+        kept = sorted(costs, key=costs.__getitem__)[:BEAM]
+        if walk is not None:
+            row = shares[walk >> i & 1][walk >> j & 1]
+            v = row.index(min(row))
+            walk = walk & keep | owes[v] if row[v] < math.inf else None
+            if walk is not None and walk not in kept:
+                kept.append(walk)
+        layer = [(key, costs[key], backs[key]) for key in kept]
+    ((_, _, back),) = layer
+    variants = []
+    while back:
+        back, v = back
+        variants.append(v)
+    return variants[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -730,36 +780,9 @@ class _Builder:
         }
         self.records.append(GateRecord("four-step", (wire,), self.column, meta))
 
-    def _batch(self, start: int, gates: list) -> dict:
-        """The chains of gate ``start`` and of those after it, keyed (index,
-        form): the Fourier powers (a, b) its wires owe, since its map is
-        x (F^-a + F^-b).  Its weight does not depend on them, as each wire's
-        next gate undoes its power.  A wire owes its ``forward`` power, or
-        either if an earlier gate of the batch touches it.  The gates of
-        known form join; if one alone does, so do the next ones with each
-        form they may owe, so that a pass of arrays is well filled."""
-        problems, known, pending = [], 0, set()
-        for j in range(start, len(gates)):
-            _, pair, _, x, weight, free = gates[j]
-            owed = [(0, 1) if w in pending else (self.forward[w],) for w in pair]
-            forms = [(a, b) for a in owed[0] for b in owed[1]]
-            if len(forms) > 1 and known > 1:
-                break
-            known += len(forms) == 1
-            pending.update(pair)
-            problems += [((j, form), (x @ _on_pair(*(_UNDO[k] for k in form)), weight, free)) for form in forms]
-        keys, chains = zip(*problems)
-        return dict(zip(keys, _two_mode_chains(list(chains))))
-
-    def _two_mode(self, pair: tuple, pivot: float, found) -> None:
-        """The four connection gates ``found`` by :func:`_two_mode_chains`
-        for the two-mode gate on ``pair``."""
-        if found is None:
-            raise CompileError(
-                f"no chain of four connection gates reproduces the two-mode gate on "
-                f"wires {pair} in column {self.column} (pivot {pivot:.3g})"
-            )
-        variant, chain, excess = found
+    def _two_mode(self, pair: tuple, pivot: float, variant: int, chain: list, excess: float) -> None:
+        """The four connection gates ``chain`` of the two-mode gate on
+        ``pair``, which realizes its Fourier ``variant``."""
         self.forward[pair[0]], self.forward[pair[1]] = _VARIANTS[variant]
         for kappa1, kappa2, eta3 in chain:
             heads = [self.heads[w] for w in pair]
@@ -785,7 +808,10 @@ class _Builder:
         gate, which that gate absorbs.  A four-step gate ends a wire still
         owing a forced F.  A first pass finds each gate's
         x = (h_i + h_j) core (g_i + g_j) and weight, from ``downstream`` =
-        T P^-1 without the powers owed."""
+        T P^-1 without the powers owed.  Every gate is then swept with every
+        pair of powers its wires may owe, x (F^-a + F^-b), in one pass
+        (:func:`_two_mode_chains`), and :func:`_choose_variants` picks the
+        variants of all gates together."""
         last = {w: c for c, column in enumerate(columns) for pair, _, _ in column for w in pair}
         gates = []
         for c, column in enumerate(columns):
@@ -794,12 +820,19 @@ class _Builder:
                 x = _on_pair(*h) @ core @ _on_pair(*g)
                 cols = self._advance(pair, -_J2 @ x.T @ _J2)  # x^-1, x symplectic
                 gates.append((c, pair, pivot, x, cols.T @ cols, [last[w] > c for w in pair]))
-        found = {}
-        for i, (column, pair, pivot, *_) in enumerate(gates):
-            self.column, form = column, tuple(self.forward[w] for w in pair)
-            if (i, form) not in found:
-                found.update(self._batch(i, gates))
-            self._two_mode(pair, pivot, found[i, form])
+        rows, problems, seen = np.full((len(gates), 2, 2), -1), [], set()
+        for i, (_, pair, _, x, weight, free) in enumerate(gates):
+            for form in itertools.product(*((0, 1) if w in seen else (0,) for w in pair)):
+                rows[(i, *form)] = len(problems)
+                problems.append((x @ _on_pair(*(_UNDO[k] for k in form)), weight, free))
+            seen.update(pair)
+        if problems:  # none for n = 1
+            table, chains = _two_mode_chains(problems)
+            costs = np.vstack([table, np.full(4, np.inf)])[rows]  # row -1: a form no gate owes
+            for i, ((column, pair, pivot, *_), variant) in enumerate(zip(gates, _choose_variants(gates, costs))):
+                self.column, form = column, tuple(self.forward[w] for w in pair)
+                row = rows[(i, *form)]
+                self._two_mode(pair, pivot, variant, chains[row, variant].tolist(), float(table[row, variant]))
         self.column = len(columns)
         for wire in range(self.n):
             if self.forward[wire]:

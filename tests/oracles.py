@@ -1,5 +1,6 @@
 """Independent numerical oracles shared by the test modules."""
 
+import itertools
 import math
 
 import numpy as np
@@ -648,3 +649,47 @@ def two_mode_sweep(t, w, free, errors=None):
                 e, v, chain = min(found, key=lambda f: f[0])
                 return v, chain, e
     return None
+
+
+def variant_walk(pairs, free, table, variants):
+    """(forced F, summed excess) of the two-mode gates on ``pairs`` when
+    gate g realizes Fourier variant ``variants[g]`` (an index of
+    ``multimode._VARIANTS``), with ``table[g, a, b, v]`` the excess of gate
+    g owing the powers (a, b) in variant v (inf: no chain), and ``free[g]``
+    whether each of its wires has a later gate.  A wire owes the power its
+    last gate forwarded, 0 before its first.  (inf, inf) if a gate has no
+    chain."""
+    from cvcluster.multimode import _VARIANTS
+
+    owed, forced, total = {}, 0, 0.0
+    for (i, j), later, costs, v in zip(pairs, free, table, variants):
+        total += float(costs[owed.get(i, 0), owed.get(j, 0), v])
+        if total == math.inf:
+            return math.inf, math.inf
+        owed[i], owed[j] = _VARIANTS[v]
+        forced += sum(k and not f for k, f in zip(_VARIANTS[v], later))
+    return forced, total
+
+
+def joint_variant_minimum(pairs, free, table):
+    """The least (forced F, summed excess) over every assignment of Fourier
+    variants to the gates, 4^(gates) of them, by enumeration."""
+    return min(variant_walk(pairs, free, table, vs) for vs in itertools.product(range(4), repeat=len(pairs)))
+
+
+def greedy_variants(pairs, table) -> list:
+    """The gate-by-gate choice: each gate, in order, takes the first
+    variant of least excess for the powers it owes."""
+    from cvcluster.multimode import _VARIANTS
+
+    owed, variants = {}, []
+    for (i, j), costs in zip(pairs, table):
+        v = int(np.argmin(costs[owed.get(i, 0), owed.get(j, 0)]))
+        owed[i], owed[j] = _VARIANTS[v]
+        variants.append(v)
+    return variants
+
+
+def greedy_variant_walk(pairs, free, table):
+    """(forced F, summed excess) of :func:`greedy_variants`."""
+    return variant_walk(pairs, free, table, greedy_variants(pairs, table))

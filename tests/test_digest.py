@@ -1,6 +1,7 @@
 """tools/digest.py: a set's digest sees one bit of one angle, a lattice
-digest sees one edge but no output label, and an A/A run of HEAD agrees
-with itself."""
+digest sees one edge but no output label, a set's output cost is its mean
+excess and worst replay residual, and an A/A run of HEAD agrees with
+itself."""
 
 import math
 import shutil
@@ -9,9 +10,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cvcluster import compile, random_symplectic
+from cvcluster import compile, db_to_r, random_symplectic
 from cvcluster.ir import ScheduleEntry
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +42,15 @@ def test_a_lattice_ignores_output_labels_and_sees_one_edge():
     assert digest.lattices(programs) == {"lattice n=3": digest.SEVERAL}
 
 
+def test_a_sets_cost_is_its_mean_excess_and_worst_residual():
+    compiled = [compile(random_symplectic(n, 3)) for n in (1, 2, 3)]
+    excess = [np.trace(p.replay.excess_covariance(db_to_r(10.0))) for p, _ in compiled]
+    cost = digest.cost(compiled)
+    assert cost["excess"] == pytest.approx(np.mean(excess), rel=1e-12)
+    assert cost["residual"] == max(report.replay_residual for _, report in compiled)
+    assert 0.0 < cost["residual"] < 1e-12
+
+
 @pytest.mark.skipif(
     shutil.which("git") is None or not (ROOT / ".git").exists(), reason="needs a git checkout"
 )
@@ -54,6 +65,15 @@ def test_head_against_itself_prints_every_set_and_exits_0(tmp_path):
     lines = done.stdout.splitlines()
     assert [line[:22].rstrip() for line in lines[::2]] == names
     for first, second in zip(lines[::2], lines[1::2]):
-        assert first.split()[-2] == second.split()[-2]  # the digest, then the revision
+        # the digest, then for a set (not a lattice) its cost, then the revision
+        fields = [line[22:].split() for line in (first, second)]
+        assert fields[0] == fields[1]
+        digest_, *cost, revision = fields[0]
+        assert len(digest_) == 64 and revision == "HEAD"
+        if first.startswith("lattice"):
+            assert cost == []
+        else:
+            assert cost[0::2] == ["excess", "residual"]
+            assert float(cost[1]) > 0.0 and 0.0 < float(cost[3]) < 1e-12
     assert "DIFFERS" not in done.stdout and digest.SEVERAL not in done.stdout
     assert list(tmp_path.iterdir()) == []  # it writes only in its own temporary directory

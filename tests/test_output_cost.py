@@ -21,11 +21,12 @@ import workloads  # noqa: E402
 #: each four-step gate's kappa1 minimizes its exact excess tr(W K K^T) and
 #: each gate of the triangle, with its wires' L^-1 at their first gate and D
 #: at their last, is one two-mode gate of four connection gates,
-#: line-minimized in every Fourier variant of its least-forced group.
+#: line-minimized in every Fourier variant of its least-forced group, and
+#: the gates' variants are chosen together.
 EXPECTED = {
     "onemode": (4.0, 0.13074723449143713, 0.04134590587610681),
-    "simulate": (36.0, 1.4819490070363186, 0.46863342384596596),
-    "compile_wide": (336.0, 12.567939538275743, 3.9743314436236257),
+    "simulate": (36.0, 1.347481403067223, 0.42611103384118204),
+    "compile_wide": (336.0, 11.735592149605033, 3.7111200883543387),
 }
 
 
@@ -53,5 +54,5 @@ def test_criterion_7_targets_with_two_or_more_modes():
         program, report = compile(random_symplectic(2 + (seed - 7050) // 50, seed))
         excess.append(float(np.trace(program.replay.excess_covariance(db_to_r(10.0)))))
         residuals.append(report.replay_residual)
-    assert statistics.fmean(excess) <= 1.75
+    assert statistics.fmean(excess) <= 1.60
     assert max(residuals) < 1e-13

@@ -1,5 +1,6 @@
 """Print one SHA-256 per set of compiled programs, to show that a change
-leaves the compiler's output bit for bit as it was.
+leaves the compiler's output bit for bit as it was, and each set's output
+cost, to show what a change that does alter it buys.
 
     python3 tools/digest.py                 # the working tree's digests
     python3 tools/digest.py BASE            # BASE against the working tree
@@ -20,6 +21,10 @@ writes the shortest repr that reads back the same float).  The sets:
   and their measured order.  If two of them differ it reads
   ``several lattices``, and the script exits 1.
 
+Next to each set's digest stand its programs' mean excess trace
+tr(N N^T) at 10 dB (``excess``) and their worst noise-free replay residual
+(``residual``), as ``compile`` reports it.
+
 A revision is exported with ``git archive`` into a temporary directory,
 which is removed afterwards; each tree's programs are compiled in a fresh
 interpreter that imports that tree's ``src`` and ``perfbench``, with this
@@ -38,6 +43,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 ENV = {"PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 SEVERAL = "several lattices"
@@ -52,6 +59,16 @@ def digest(programs) -> str:
 
     text = json.dumps([program_to_dict(p) for p in programs], sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def cost(compiled) -> dict:
+    """The mean 10-dB excess trace and the worst replay residual of
+    ``compiled``, a list of ``compile``'s (program, report) pairs."""
+    from cvcluster import db_to_r
+
+    r = db_to_r(10.0)
+    excess = [float(np.trace(program.replay.excess_covariance(r))) for program, _ in compiled]
+    return {"excess": sum(excess) / len(excess), "residual": max(report.replay_residual for _, report in compiled)}
 
 
 def lattice(program) -> tuple:
@@ -87,7 +104,8 @@ def target_sets() -> dict:
 
 
 def tree_digests(tree: Path) -> dict:
-    """Each set's digest, compiled by the tree ``tree`` in a fresh interpreter."""
+    """Each set's digest and output cost (lattices: digest only), compiled
+    by the tree ``tree`` in a fresh interpreter."""
     done = subprocess.run(
         [sys.executable, __file__, "--tree", str(tree)],
         env={**os.environ, **ENV}, capture_output=True, text=True,
@@ -95,6 +113,13 @@ def tree_digests(tree: Path) -> dict:
     if done.returncode != 0:
         raise RuntimeError(f"digests of {tree} failed:\n{done.stderr}")
     return json.loads(done.stdout)
+
+
+def line(value: dict) -> str:
+    """A set's digest, then its output cost if it has one."""
+    if "excess" not in value:
+        return value["digest"]
+    return f"{value['digest']}  excess {value['excess']:.6f}  residual {value['residual']:.1e}"
 
 
 def main(argv=None) -> int:
@@ -110,9 +135,10 @@ def main(argv=None) -> int:
             raise RuntimeError(f"cvcluster was imported from {cvcluster.__file__}, not from {args.tree}")
         from cvcluster import compile
 
-        programs = {name: [compile(t)[0] for t in targets] for name, targets in target_sets().items()}
-        digests = {name: digest(compiled) for name, compiled in programs.items()}
-        print(json.dumps({**digests, **lattices(programs["random_symplectic"])}))
+        compiled = {name: [compile(t) for t in targets] for name, targets in target_sets().items()}
+        sets = {name: {"digest": digest([p for p, _ in pairs]), **cost(pairs)} for name, pairs in compiled.items()}
+        shared = lattices([p for p, _ in compiled["random_symplectic"]])
+        print(json.dumps({**sets, **{name: {"digest": value} for name, value in shared.items()}}))
         return 0
     if len(args.revisions) > 2:
         parser.error("give at most two revisions")
@@ -122,13 +148,13 @@ def main(argv=None) -> int:
     if len(args.revisions) < 2:
         sides.append(("working tree", tree_digests(ROOT)))
     (base, a), *rest = sides
-    differ = any(SEVERAL in digests.values() for _, digests in sides)
+    differ = any(SEVERAL in (value["digest"] for value in sets.values()) for _, sets in sides)
     for name in a:
-        print(f"{name:<22} {a[name]}  {base}")
+        print(f"{name:<22} {line(a[name])}  {base}")
         for other, b in rest:
-            same = b.get(name) == a[name]
+            same = name in b and b[name]["digest"] == a[name]["digest"]
             differ |= not same
-            print(f"{'':<22} {b.get(name, '(missing)')}  {other}{'' if same else '  DIFFERS'}")
+            print(f"{'':<22} {line(b[name]) if name in b else '(missing)'}  {other}{'' if same else '  DIFFERS'}")
     return 1 if differ else 0
 
 
