@@ -112,10 +112,10 @@ def cmd_compile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    program = serialize.load_program(args.program)
-    if args.policy == "sampled" and args.shots < 1:
-        print("error: sampled policy requires shots >= 1", file=sys.stderr)
+    if args.shots < 1:
+        print(f"error: shots must be >= 1, got {args.shots}", file=sys.stderr)
         return EXIT_VALIDATION
+    program = serialize.load_program(args.program)
     # Pre-flight on the exact linear algebra: rejects degenerate teleport
     # angles and other measurements that resolve no ancilla noise.
     exact_replay(program)

@@ -90,6 +90,10 @@ class ClusterGraph:
         for n in self.nodes:
             if n.role not in ROLES:
                 raise ProgramError(f"node {n.id}: unknown role {n.role!r}")
+            if n.role != ROLE_INPUT and n.coupling is not None:
+                raise ProgramError(f"{n.role} {n.id} has a coupling descriptor; only input ports take one")
+            if n.role == ROLE_ANCILLA and n.port is not None:
+                raise ProgramError(f"ancilla {n.id} has a port index; only ports take one")
             if n.role == ROLE_INPUT:
                 if n.coupling not in COUPLINGS:
                     raise ProgramError(

@@ -3,16 +3,17 @@
 Pipeline: a target S of n >= 2 modes is decomposed directly into a fixed
 nearest-neighbour triangle of n(n - 1)/2 two-mode gates,
 S = Pi D G_m^-1 ... G_0^-1 L^-1, with L and D local and Pi the output
-labelling (:func:`_triangle`), then lowered.  Each wire's first gate
-absorbs its part of L^-1 and its last gate its part of D, so every gate
-(h_i + h_j) G^-1 (g_i + g_j) becomes one two-mode gate of four three-mode
-connection gates (12 ancillas, four steps on each wire), and gates on
-disjoint wires share one column.  Every target of one n gets the same
-nodes, edges and schedule order; only the angles, the feedforward and the
-output labels depend on it.  A wire gets nodes only for its own gates, so
-wires end at different depths; a one-mode target gets a four-step
-measurement chain (4 ancillas), as does a wire that still owes a forced
-Fourier power.
+labelling (:func:`_triangle`), and one pass lowers these factors
+(:meth:`_Builder.build`); a one-mode target is one wire with L^-1 = I,
+D = S and no gate.  Gates on disjoint wires share a column.  Each wire's
+first gate absorbs its part of L^-1 and its last gate its part of D, so
+every gate (h_i + h_j) G^-1 (g_i + g_j) becomes one two-mode gate of four
+three-mode connection gates (12 ancillas, four steps on each wire).  Every
+target of one n gets the same nodes, edges and schedule order; only the
+angles, the feedforward and the output labels depend on it.  A wire gets
+nodes only for its own gates, so wires end at different depths; a wire
+without gates, and one that still owes a forced Fourier power, ends in a
+four-step measurement chain (4 ancillas).
 
 Each gate's share of the program's excess noise tr(N N^T) depends only on
 its parameters and on W = D^T D, where D is the ideal map from the gate's
@@ -800,46 +801,57 @@ class _Builder:
         }
         self.records.append(GateRecord("two-mode", pair, self.column, meta))
 
-    def build(self, columns: list, onemode: dict, ports: list, target: SymplecticMap) -> MeasurementProgram:
-        """The program of the two-mode gate ``columns``, each a list of
-        disjoint (pair, (core, pivot), the one-mode gates g its wires carry
-        before it), whose wire w's output node is port ``ports[w]``.
-        ``onemode`` holds each wire's one-mode ops h after its last two-mode
-        gate, which that gate absorbs.  A four-step gate ends a wire still
-        owing a forced F.  A first pass finds each gate's
-        x = (h_i + h_j) core (g_i + g_j) and weight, from ``downstream`` =
-        T P^-1 without the powers owed.  Every gate is then swept with every
-        pair of powers its wires may owe, x (F^-a + F^-b), in one pass
+    def build(self, first: list, gates: list, last: list, ports: list, target: SymplecticMap) -> MeasurementProgram:
+        """The program of :func:`_triangle`'s factors: each wire's L^-1
+        (``first``), the two-mode gates (pair, G^-1, pivot) in application
+        order, each wire's D (``last``), and wire w's output port ports[w].
+
+        Each gate goes to the first column in which both its wires are free,
+        so a column holds disjoint pairs, and the gates are emitted column by
+        column, in application order within a column.  The application order
+        itself is not column-major from n = 5 on (stage 4's gate (3, 4) in
+        column 3 precedes stage 3's gate (0, 1) in column 2), and node ids,
+        schedule order and :func:`_choose_variants` all follow the emission
+        order.  A wire's first gate absorbs its L^-1 and its last gate its D,
+        as nothing else acts on the wire before or after them:
+        x = (h_i + h_j) G^-1 (g_i + g_j).  The same pass reads each gate's
+        weight from ``downstream`` = T P^-1 without the powers owed, and
+        poses the gate with every pair of powers its wires may owe,
+        x (F^-a + F^-b).  One pass of arrays sweeps them all
         (:func:`_two_mode_chains`), and :func:`_choose_variants` picks the
-        variants of all gates together."""
-        last = {w: c for c, column in enumerate(columns) for pair, _, _ in column for w in pair}
-        gates = []
-        for c, column in enumerate(columns):
-            for pair, (core, pivot), g in column:
-                h = [onemode.pop(w, _I2) if last[w] == c else _I2 for w in pair]
-                x = _on_pair(*h) @ core @ _on_pair(*g)
-                cols = self._advance(pair, -_J2 @ x.T @ _J2)  # x^-1, x symplectic
-                gates.append((c, pair, pivot, x, cols.T @ cols, [last[w] > c for w in pair]))
-        rows, problems, seen = np.full((len(gates), 2, 2), -1), [], set()
-        for i, (_, pair, _, x, weight, free) in enumerate(gates):
+        variants of all gates together.  A wire without gates (n = 1), and
+        one that still owes a forced F, ends in a four-step gate."""
+        columns, level = [], [0] * self.n  # each gate's column; one past each wire's last
+        for pair, _, _ in gates:
+            columns.append(max(level[w] for w in pair))
+            for w in pair:
+                level[w] = columns[-1] + 1
+        posed, rows, problems, seen = [], np.full((len(gates), 2, 2), -1), [], set()
+        for i, g in enumerate(sorted(range(len(gates)), key=columns.__getitem__)):
+            (pair, core, pivot), column = gates[g], columns[g]
+            free = [level[w] > column + 1 for w in pair]
+            x = (_on_pair(*(_I2 if f else last[w] for w, f in zip(pair, free))) @ core
+                 @ _on_pair(*(_I2 if w in seen else first[w] for w in pair)))
+            cols = self._advance(pair, -_J2 @ x.T @ _J2)  # x^-1, x symplectic
+            weight = cols.T @ cols
             for form in itertools.product(*((0, 1) if w in seen else (0,) for w in pair)):
                 rows[(i, *form)] = len(problems)
                 problems.append((x @ _on_pair(*(_UNDO[k] for k in form)), weight, free))
+            posed.append((column, pair, pivot, free))
             seen.update(pair)
         if problems:  # none for n = 1
             table, chains = _two_mode_chains(problems)
             costs = np.vstack([table, np.full(4, np.inf)])[rows]  # row -1: a form no gate owes
-            for i, ((column, pair, pivot, *_), variant) in enumerate(zip(gates, _choose_variants(gates, costs))):
+            for i, ((column, pair, pivot, _), variant) in enumerate(zip(posed, _choose_variants(posed, costs))):
                 self.column, form = column, tuple(self.forward[w] for w in pair)
                 row = rows[(i, *form)]
                 self._two_mode(pair, pivot, variant, chains[row, variant].tolist(), float(table[row, variant]))
-        self.column = len(columns)
-        for wire in range(self.n):
-            if self.forward[wire]:
+        self.column = max(level)
+        for wire, owed in enumerate(self.forward):
+            if owed:
                 self._advance((wire,), _UNDO[1])  # now T P^-1 on the wire
-                onemode[wire] = onemode.get(wire, _I2) @ _UNDO[1]
-        for wire in sorted(onemode):
-            self._four_step(wire, onemode[wire])
+            if owed or not level[wire]:
+                self._four_step(wire, _UNDO[1] if owed else last[wire] @ first[wire])
         head_ids = {self.heads[w]: ports[w] for w in range(self.n)}
         nodes = tuple(
             Node(node.id, ROLE_OUTPUT, port=head_ids[node.id])
@@ -855,42 +867,21 @@ class _Builder:
         )
 
 
-def _gate_sequence(target: SymplecticMap) -> tuple:
-    """Wire-level ops, ("onemode", wire, matrix) or ("two-mode", pair,
-    (G^-1, pivot)), in application order, and each wire's output port: the
-    target itself for n = 1, else the triangle of :func:`_triangle`."""
-    if target.n == 1:
-        return [("onemode", 0, target.matrix)], [0]
-    first, gates, last, ports = _triangle(target.matrix)
-    return [
-        *(("onemode", w, a) for w, a in enumerate(first)),
-        *(("two-mode", pair, (core, pivot)) for pair, core, pivot in gates),
-        *(("onemode", w, d) for w, d in enumerate(last)),
-    ], ports
-
-
 def compile(target: SymplecticMap, kappa1: float = None):
     """Compile an n-mode symplectic target into a measurement program.
 
-    Returns (MeasurementProgram, SynthesisReport).  One-mode targets lower
-    directly to a single four-step chain; larger targets to the triangle of
-    :func:`_triangle`: n(n - 1)/2 gates on adjacent wires, stage by stage
-    (0, 1), (1, 2), ..., (hi - 1, hi) for hi = n - 1 down to 1.  ``kappa1``
-    pins the free parameter of the four-step synthesis for one-mode targets.
-
-    Gates are packed by wire level: each goes to the first column in which
-    both its wires are free, so a column holds disjoint pairs.  A wire's
-    first gate absorbs its part of L^-1 and its last gate its part of D,
-    since nothing else acts on the wire before or after them:
-    (h_i + h_j) G^-1 (g_i + g_j) is one two-mode gate of four connection
-    gates (12 ancillas, four steps on each wire).  A generic target is
-    n(n - 1)/2 such gates, 6 n (n - 1) ancillas, on one lattice per n: a
-    trivial step still emits its gate, and only the output labels (which
-    wire ends as which output port) vary with the target.  A two-mode gate
-    may realize (F^k + F^l) times its map instead (k, l in {0, 1}); each
-    wire's next gate then undoes its F^k, and a wire with no next gate,
-    which gets F only when no other variant has a chain, ends in a four-step
-    gate F^-k.
+    Returns (MeasurementProgram, SynthesisReport).  A target of n >= 2
+    modes is decomposed into the triangle of :func:`_triangle`: n(n - 1)/2
+    gates on adjacent wires, stage by stage (0, 1), (1, 2), ...,
+    (hi - 1, hi) for hi = n - 1 down to 1, each lowered to one two-mode gate
+    of four connection gates (:meth:`_Builder.build`).  A generic target is
+    6 n (n - 1) ancillas on one lattice per n: a trivial step still emits
+    its gate, and only the output labels (which wire ends as which output
+    port) vary with the target.  A one-mode target is one wire with L^-1 = I,
+    D = the target and no gate, which lowers to a single four-step chain;
+    ``kappa1`` pins its free parameter.  A two-mode gate may realize a
+    Fourier variant (F^k + F^l) of its map; a wire left owing F ends in a
+    four-step gate F^-1.
 
     The program's one check is its exact replay, which also yields the
     feedforward: ``replay_residual`` is max|replay - target| over the
@@ -903,22 +894,9 @@ def compile(target: SymplecticMap, kappa1: float = None):
     n = target.n
     if kappa1 is not None and n != 1:
         raise ValueError(f"kappa1 pins a one-mode synthesis; the target has {n} modes")
-    onemode = {}  # wire -> its one-mode ops since its last two-mode gate, composed
-    columns = []  # per column: its two-mode gates, each with its wires' one-mode gates
-    level = [0] * n  # the first column in which each wire is free
-    ops, ports = _gate_sequence(target)
-    for kind, wires, value in ops:
-        if kind == "onemode":
-            onemode[wires] = value @ onemode[wires] if wires in onemode else value
-            continue
-        layer = max(level[w] for w in wires)
-        if layer == len(columns):
-            columns.append([])
-        columns[layer].append((wires, value, tuple(onemode.pop(w, _I2) for w in wires)))
-        for w in wires:
-            level[w] = layer + 1
     builder = _Builder(target, kappa1)
-    bare = builder.build(columns, onemode, ports, target)
+    factors = ([_I2], [], [target.matrix], [0]) if n == 1 else _triangle(target.matrix)
+    bare = builder.build(*factors, target)
 
     check = exact_replay(bare)
     diff = np.abs(check.matrix - target.matrix)

@@ -1,7 +1,7 @@
-"""tools/digest.py: a set's digest sees one bit of one angle, a lattice
-digest sees one edge but no output label, a set's output cost is its mean
-excess and worst replay residual, and an A/A run of HEAD agrees with
-itself."""
+"""tools/digest.py: a set's digest sees one bit of one angle and the
+order of the gate records, a lattice digest sees one edge but no output
+label, a set's output cost is its mean excess and worst replay residual,
+and an A/A run of HEAD agrees with itself."""
 
 import math
 import shutil
@@ -23,12 +23,17 @@ import digest  # noqa: E402
 
 
 def test_one_ulp_of_one_angle_changes_the_digest():
-    programs = [compile(random_symplectic(n, 3))[0] for n in (1, 2)]
-    assert digest.digest(programs) == digest.digest([compile(random_symplectic(n, 3))[0] for n in (1, 2)])
-    first = programs[1].schedule[0]
+    compiled = [compile(random_symplectic(n, 3)) for n in (1, 2)]
+    assert digest.digest(compiled) == digest.digest([compile(random_symplectic(n, 3)) for n in (1, 2)])
+    program, report = compiled[1]
+    first = program.schedule[0]
     nudged = ScheduleEntry(first.node_id, math.nextafter(first.angle, math.inf))
-    programs[1] = replace(programs[1], schedule=(nudged, *programs[1].schedule[1:]))
-    assert digest.digest(programs) != digest.digest([compile(random_symplectic(n, 3))[0] for n in (1, 2)])
+    compiled[1] = replace(program, schedule=(nudged, *program.schedule[1:])), report
+    assert digest.digest(compiled) != digest.digest([compile(random_symplectic(n, 3)) for n in (1, 2)])
+    program, report = compile(random_symplectic(3, 3))
+    before = digest.digest([(program, report)])
+    report.step_params[:2] = report.step_params[1::-1]  # the same records, two swapped
+    assert digest.digest([(program, report)]) != before
 
 
 def test_a_lattice_ignores_output_labels_and_sees_one_edge():
@@ -61,6 +66,7 @@ def test_head_against_itself_prints_every_set_and_exits_0(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     names = ["perfbench onemode", "perfbench compile_wide", "perfbench simulate", "criterion 7", "random_symplectic"]
+    names += ["special targets"]
     names += [f"lattice n={n}" for n in range(2, 9)]
     lines = done.stdout.splitlines()
     assert [line[:22].rstrip() for line in lines[::2]] == names

@@ -382,18 +382,22 @@ def test_cli_simulate_pinned_identity(tmp_path):
     assert np.max(np.abs(cov - np.eye(2) / 4)) < 1e-6
 
 
-def test_cli_simulate_rejects_zero_shots(tmp_path, capsys):
+@pytest.mark.parametrize("policy", ["sampled", "pinned"])
+def test_cli_simulate_rejects_zero_shots(tmp_path, capsys, policy):
     target_file = write_target(tmp_path, identity(1))
     program_file = str(tmp_path / "prog.json")
     main(["compile", "--target", target_file, "--out", program_file])
-    code = main(
-        [
-            "simulate", "--program", program_file,
-            "--policy", "sampled", "--shots", "0",
-        ]
-    )
-    assert code == 1
-    assert "shots" in capsys.readouterr().err
+    capsys.readouterr()
+    for shots in ("0", "-3"):
+        code = main(
+            [
+                "simulate", "--program", program_file,
+                "--policy", policy, "--shots", shots,
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "shots" in captured.err and captured.out == ""
 
 
 def test_cli_sweep(tmp_path):

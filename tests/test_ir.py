@@ -196,9 +196,17 @@ def two_port_graph(*replacements) -> ClusterGraph:
             "input port indices must cover 0..k-1 uniquely",
         ),
         (two_port_graph(Node(3, ROLE_OUTPUT, port=0)), "output port indices must cover 0..k-1 uniquely"),
+        (
+            two_port_graph(Node(3, ROLE_OUTPUT, coupling="bogus", port=1)),
+            "output-port 3 has a coupling descriptor; only input ports take one",
+        ),
+        (
+            ClusterGraph(nodes=(*two_port_graph().nodes, Node(4, ROLE_ANCILLA, port=7)), edges=((0, 4), (4, 2), (1, 3))),
+            "ancilla 4 has a port index; only ports take one",
+        ),
     ],
     ids=["unknown-role", "input-port-index", "output-port-index", "unknown-endpoint",
-         "input-port-gap", "output-port-repeat"],
+         "input-port-gap", "output-port-repeat", "coupling-off-input", "ancilla-port"],
 )
 def test_graph_validation_errors(graph, message):
     with pytest.raises(ProgramError) as err:

@@ -433,13 +433,11 @@ DISJOINT = compose(
 
 def triangle_gates(target) -> list:
     """Each two-mode gate of the triangle as (pair, map), in application
-    order, from ``multimode._gate_sequence``: the map is
+    order, from ``multimode._triangle``: the map is
     (h_i + h_j) G^-1 (g_i + g_j), g a wire's L^-1 at its first gate and h
     its D at its last (else the identity)."""
-    ops, _ = multimode._gate_sequence(target)
-    n = target.n
-    inputs, outputs = [m for _, _, m in ops[:n]], [m for _, _, m in ops[-n:]]
-    gates = [(pair, core) for _, pair, (core, _) in ops[n:-n]]
+    inputs, triangle, outputs, _ = multimode._triangle(target.matrix)
+    gates = [(pair, core) for pair, core, _ in triangle]
     first = {w: i for i, (pair, _) in reversed(list(enumerate(gates))) for w in pair}
     last = {w: i for i, (pair, _) in enumerate(gates) for w in pair}
     return [
@@ -503,14 +501,19 @@ def test_compile_flushes_pad_fourier_transforms():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_compile_packs_disjoint_splitters_into_columns(n):
     # Stage hi's gate (c, c + 1) goes to column c + 2 (n - 1 - hi), so the
-    # triangle has 2n - 3 columns of disjoint two-mode gates.  Each wire's
-    # last gate absorbs its trailing one-mode ops, so nothing follows them.
+    # triangle has 2n - 3 columns of disjoint two-mode gates, and the
+    # records come column by column.  Each wire's last gate absorbs its
+    # trailing one-mode ops, so nothing follows them.
+    stages = [(hi, c) for hi in range(n - 1, 0, -1) for c in range(hi)]  # application order
     for seed in range(2):
         _, report = compile(random_symplectic(n, seed))
+        records = [rec for rec in report.step_params if rec.kind == "two-mode"]
+        assert [rec.column for rec in records] == sorted(rec.column for rec in records)
+        placed = sorted(((c + 2 * (n - 1 - hi), (c, c + 1)) for hi, c in stages), key=lambda gate: gate[0])
+        assert [(rec.column, rec.wires) for rec in records] == placed
         pairs = {}
-        for rec in report.step_params:
-            if rec.kind == "two-mode":
-                pairs.setdefault(rec.column, []).append(rec.wires)
+        for rec in records:
+            pairs.setdefault(rec.column, []).append(rec.wires)
         for column, wires in pairs.items():
             used = [w for pair in wires for w in pair]
             assert len(used) == len(set(used)), (column, wires)

@@ -6,16 +6,22 @@ cost, to show what a change that does alter it buys.
     python3 tools/digest.py BASE            # BASE against the working tree
     python3 tools/digest.py BASE CHANGE     # two revisions
 
-A set's digest is that of its programs (``serialize.program_to_dict``) as one
-sorted-key JSON list, so equal digests mean equal graphs, schedules and
-feedforward rules, with every angle and gain equal to the last bit (JSON
-writes the shortest repr that reads back the same float).  The sets:
+A set's digest is that of its programs (``serialize.program_to_dict``) and
+their reports (``serialize.report_to_dict``) as one sorted-key JSON list, so
+equal digests mean equal graphs, schedules and feedforward rules, with every
+angle and gain equal to the last bit (JSON writes the shortest repr that
+reads back the same float), and equal gate records: their order, columns,
+Fourier variants, connection gains and excess shares.  The sets:
 
 - ``perfbench <workload>``: the fixed reference targets of each benchmark
   workload, read through ``perfbench/workloads.make_target``;
 - ``criterion 7``: the acceptance suite's 200 targets,
   ``random_symplectic(n, 7000 + k)`` for n = 1..4, 50 each;
 - ``random_symplectic``: ``random_symplectic(n, s)`` for n = 2..8, s = 0..9;
+- ``special targets``: identities, embedded squeezers and splitters, whose
+  triangles have trivial steps and may force a Fourier power onto a wire's
+  four-step tail, two splitter products, and ``random_symplectic(12, 7)``
+  and ``(16, 1)`` above the lattice range;
 - ``lattice n=N``: the cluster that the ten ``random_symplectic(N, s)``
   programs share: their nodes without the output ports' labels, their edges
   and their measured order.  If two of them differ it reads
@@ -53,11 +59,12 @@ sys.path.insert(0, str(ROOT / "tools"))
 from ab import export  # noqa: E402
 
 
-def digest(programs) -> str:
-    """SHA-256 of ``programs`` as one sorted-key JSON list of their dicts."""
-    from cvcluster.serialize import program_to_dict
+def digest(compiled) -> str:
+    """SHA-256 of ``compiled``, a list of ``compile``'s (program, report)
+    pairs, as one sorted-key JSON list of their dicts."""
+    from cvcluster.serialize import program_to_dict, report_to_dict
 
-    text = json.dumps([program_to_dict(p) for p in programs], sort_keys=True)
+    text = json.dumps([[program_to_dict(p), report_to_dict(r)] for p, r in compiled], sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -92,7 +99,7 @@ def target_sets() -> dict:
     """Each set's name and targets, from the cvcluster and perfbench on
     ``sys.path``."""
     import workloads
-    from cvcluster import random_symplectic
+    from cvcluster import beam_splitter_matrix, compose, embed, identity, random_symplectic, rotation, squeeze
 
     sets = {
         f"perfbench {name}": [workloads.make_target(w, [], i)[0] for i in range(w.reference_targets)]
@@ -100,6 +107,23 @@ def target_sets() -> dict:
     }
     sets["criterion 7"] = [random_symplectic(n, 7000 + 50 * (n - 1) + k) for n in (1, 2, 3, 4) for k in range(50)]
     sets["random_symplectic"] = [random_symplectic(n, s) for n in range(2, 9) for s in range(10)]
+    splitter = beam_splitter_matrix(0.5)
+    sets["special targets"] = [
+        identity(2),
+        identity(3),
+        embed(squeeze(0.8), 2, [0]),
+        embed(squeeze(0.8), 2, [1]),
+        embed(squeeze(0.8), 3, [1]),
+        embed(splitter, 3, [0, 1]),
+        beam_splitter_matrix(1.0),
+        compose(embed(beam_splitter_matrix(0.3), 3, [1, 2]), embed(splitter, 3, [0, 1])),
+        compose(
+            embed(beam_splitter_matrix(0.3), 4, [1, 2]),
+            compose(embed(rotation(0.4), 4, [3]), embed(splitter, 4, [0, 1])),
+        ),
+        random_symplectic(12, 7),
+        random_symplectic(16, 1),
+    ]
     return sets
 
 
@@ -136,7 +160,7 @@ def main(argv=None) -> int:
         from cvcluster import compile
 
         compiled = {name: [compile(t) for t in targets] for name, targets in target_sets().items()}
-        sets = {name: {"digest": digest([p for p, _ in pairs]), **cost(pairs)} for name, pairs in compiled.items()}
+        sets = {name: {"digest": digest(pairs), **cost(pairs)} for name, pairs in compiled.items()}
         shared = lattices([p for p, _ in compiled["random_symplectic"]])
         print(json.dumps({**sets, **{name: {"digest": value} for name, value in shared.items()}}))
         return 0
